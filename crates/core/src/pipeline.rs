@@ -1,14 +1,12 @@
 //! The optimization pipelines of the paper's experimental study (§4.1).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
-
 use epre_analysis::AnalysisCache;
 use epre_ir::{Function, Module};
 use epre_passes::passes::{Clean, Coalesce, ConstProp, Dce, Gvn, Lvn, Peephole, Pre, Reassociate};
-use epre_passes::{Budget, Pass};
+use epre_passes::{Budget, BudgetExceeded, Pass};
 
 use crate::fault::PassFault;
+use crate::shards::map_functions;
 
 /// The paper's four measured optimization levels, plus extension levels
 /// used by the ablation benchmarks.
@@ -133,8 +131,15 @@ impl Optimizer {
     /// # Errors
     /// The first [`PassFault`] encountered, if any.
     pub fn try_optimize_function(&self, f: &mut Function) -> Result<(), PassFault> {
+        self.run_passes(&self.passes(), f)
+    }
+
+    /// Run `passes` (this level's sequence, built once per worker) over
+    /// `f` through one fresh [`AnalysisCache`], under this optimizer's
+    /// budget.
+    fn run_passes(&self, passes: &[Box<dyn Pass>], f: &mut Function) -> Result<(), PassFault> {
         let mut cache = AnalysisCache::new();
-        for pass in self.passes() {
+        for pass in passes {
             run_pass_budgeted(pass.as_ref(), f, &mut cache, &self.budget)?;
         }
         Ok(())
@@ -155,80 +160,46 @@ impl Optimizer {
     }
 
     /// Optimize a copy of the module, reporting a typed fault instead of
-    /// panicking.
+    /// panicking: [`Optimizer::try_optimize_jobs`] on the calling thread.
     ///
     /// # Errors
     /// The first [`PassFault`] found in any function.
     pub fn try_optimize(&self, module: &Module) -> Result<Module, PassFault> {
-        let mut out = module.clone();
-        for f in &mut out.functions {
-            self.try_optimize_function(f)?;
-        }
-        Ok(out)
+        self.try_optimize_jobs(module, 1)
     }
 
-    /// Optimize a copy of the module.
+    /// Optimize a copy of the module on the calling thread.
     pub fn optimize(&self, module: &Module) -> Module {
-        let mut out = module.clone();
-        for f in &mut out.functions {
-            self.optimize_function(f);
-        }
-        out
+        self.optimize_jobs(module, 1)
     }
 
     /// Optimize a copy of the module with up to `jobs` worker threads,
     /// reporting a typed fault instead of panicking.
     ///
     /// Functions are independent compilation units in this pipeline, so
-    /// they are distributed over a [`std::thread::scope`] worker pool (no
-    /// external dependencies) via work-stealing shards
-    /// ([`crate::shards::WorkShards`]): each worker owns a contiguous
-    /// chunk of the module and steals from the back of a sibling's shard
-    /// when its own runs dry, so one heavyweight function cannot strand
-    /// the rest of a chunk behind it. The output is **deterministic**: functions
-    /// are reassembled in module order, and the reported fault is the one
-    /// belonging to the earliest function in that order — byte-identical
-    /// to the serial result regardless of scheduling. `jobs <= 1` takes
-    /// the exact serial path. A worker panic (outside the per-pass
-    /// verification) is contained with `catch_unwind` and surfaced as a
-    /// [`PassFault`] with kind `panic`, so one bad function cannot take
-    /// down sibling workers.
+    /// this is one [`map_functions`] call: each worker builds its own pass
+    /// sequence and optimizes a clone of every function it takes. The
+    /// output is **deterministic** — functions are reassembled in module
+    /// order and the reported fault is the one belonging to the earliest
+    /// function in that order, so every `jobs` value gives the serial
+    /// result byte for byte. A panic anywhere in a function's pipeline
+    /// is contained as a [`PassFault`] with kind `panic` (pass
+    /// `pipeline`) at every `jobs`, so one bad function cannot take down
+    /// its siblings or escape this `try_` API.
     ///
     /// # Errors
     /// The first [`PassFault`] in module function order.
     pub fn try_optimize_jobs(&self, module: &Module, jobs: usize) -> Result<Module, PassFault> {
-        let n = module.functions.len();
-        if jobs <= 1 || n <= 1 {
-            return self.try_optimize(module);
-        }
-        let shards = crate::shards::WorkShards::new(n, jobs.min(n));
-        let slots: Vec<Mutex<Option<Result<Function, PassFault>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for w in 0..jobs.min(n) {
-                let (shards, slots) = (&shards, &slots);
-                s.spawn(move || {
-                    while let Some(i) = shards.pop(w) {
-                        let src = &module.functions[i];
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            let mut f = src.clone();
-                            self.try_optimize_function(&mut f).map(|()| f)
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(PassFault::panic("pipeline", &src.name, panic_payload(payload)))
-                        });
-                        *slots[i].lock().expect("result slot poisoned") = Some(outcome);
-                    }
-                });
-            }
-        });
-        let mut out = module.clone();
-        out.functions.clear();
-        for slot in slots {
-            let r = slot.into_inner().expect("result slot poisoned").expect("worker filled slot");
-            out.functions.push(r?);
-        }
-        Ok(out)
+        let functions = map_functions(
+            module,
+            jobs,
+            || self.passes(),
+            |passes, _, src| {
+                let mut f = src.clone();
+                self.run_passes(passes, &mut f).map(|()| f)
+            },
+        )?;
+        Ok(Module { functions, data_words: module.data_words })
     }
 
     /// Optimize a copy of the module with up to `jobs` worker threads.
@@ -240,17 +211,6 @@ impl Optimizer {
             Ok(out) => out,
             Err(fault) => panic!("{fault}"),
         }
-    }
-}
-
-/// Render a caught panic payload as a string (best effort).
-pub(crate) fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -314,10 +274,21 @@ pub fn run_pass_budgeted(
     cache: &mut AnalysisCache,
     budget: &Budget,
 ) -> Result<bool, PassFault> {
-    let changed = match pass.run_budgeted(f, cache, budget) {
-        Ok(changed) => changed,
-        Err(e) => return Err(PassFault::budget(pass.name(), &f.name, e)),
-    };
+    let outcome = pass.run_budgeted(f, cache, budget);
+    check_pass(pass, f, cache, outcome)
+}
+
+/// Judge the `outcome` of one budgeted run of `pass` over `f`: a budget
+/// trip becomes a [`PassFault`], and debug builds hold the result to the
+/// IR verifier and the cache to the pass's word. Shared by
+/// [`run_pass_budgeted`] and the traced pipeline.
+pub(crate) fn check_pass(
+    pass: &dyn Pass,
+    f: &Function,
+    cache: &AnalysisCache,
+    outcome: Result<bool, BudgetExceeded>,
+) -> Result<bool, PassFault> {
+    let changed = outcome.map_err(|e| PassFault::budget(pass.name(), &f.name, e))?;
     if cfg!(debug_assertions) {
         if let Err(e) = f.verify() {
             return Err(PassFault::verify(pass.name(), &f.name, e.to_string()));
@@ -493,11 +464,14 @@ mod tests {
         bad.functions.insert(0, f);
         bad.functions.push(module.functions[0].clone());
         bad.functions.last_mut().unwrap().name = "foo2".into();
-        let err = Optimizer::new(OptLevel::Partial)
-            .try_optimize_jobs(&bad, 4)
-            .expect_err("the corrupt function must fault");
-        assert_eq!(err.function, "corrupt");
-        assert_eq!(err.kind_label(), "panic");
+        for jobs in [1, 2, 4, 8] {
+            let err = Optimizer::new(OptLevel::Partial)
+                .try_optimize_jobs(&bad, jobs)
+                .expect_err("the corrupt function must fault");
+            assert_eq!(err.function, "corrupt", "jobs {jobs}");
+            assert_eq!(err.kind_label(), "panic", "jobs {jobs}");
+            assert_eq!(err.pass, "pipeline", "jobs {jobs}");
+        }
     }
 
     /// Cache soundness: a pass that rewires the CFG while claiming (via a

@@ -24,8 +24,6 @@
 //! `--timings` path) and is never exported.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use epre_analysis::AnalysisCache;
@@ -34,7 +32,8 @@ use epre_passes::{Budget, Pass, PassCounters};
 use epre_telemetry::{FunctionTrace, OpcodeDelta, Trace, Tracer, Value};
 
 use crate::fault::PassFault;
-use crate::pipeline::{panic_payload, Optimizer};
+use crate::pipeline::{check_pass, Optimizer};
+use crate::shards::map_functions;
 
 /// Opcode histogram of a function's static operations, keyed by the
 /// textual mnemonic (terminators count as `jump`/`cbr`/`ret`). The total
@@ -85,23 +84,9 @@ pub fn run_pass_traced(
     let ops_before = f.static_op_count() as u64;
     let mut counters = PassCounters::new();
     let t0 = wall.then(Instant::now);
-    let changed = match pass.run_instrumented(f, cache, budget, &mut counters) {
-        Ok(changed) => changed,
-        Err(e) => return Err(PassFault::budget(pass.name(), &f.name, e)),
-    };
+    let outcome = pass.run_instrumented(f, cache, budget, &mut counters);
     let wall_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-    if cfg!(debug_assertions) {
-        if let Err(e) = f.verify() {
-            return Err(PassFault::verify(pass.name(), &f.name, e.to_string()));
-        }
-        if let Err(e) = cache.validate(f) {
-            return Err(PassFault::verify(
-                pass.name(),
-                &f.name,
-                format!("stale analysis cache after pass: {e}"),
-            ));
-        }
-    }
+    let changed = check_pass(pass, f, cache, outcome)?;
     let after = opcode_histogram(f);
     let ops_after = f.static_op_count() as u64;
     let delta = OpcodeDelta::between(&before, &after);
@@ -128,23 +113,24 @@ pub fn run_pass_traced(
     Ok(changed)
 }
 
-/// Run the optimizer's full pass sequence over one function, recording
-/// the lane's trace. The closing `cache` event carries the function's
-/// [`AnalysisCache`] hit/miss totals.
+/// Run `passes` (the optimizer's sequence, built once per worker) over
+/// one function, recording the lane's trace. The closing `cache` event
+/// carries the function's [`AnalysisCache`] hit/miss totals.
 ///
 /// # Errors
 /// The first [`PassFault`] encountered, if any. The partial trace is
 /// discarded with the error (the module-level drivers report whole
 /// traces only for whole successes).
-pub fn optimize_function_traced(
+fn optimize_function_traced(
     opt: &Optimizer,
+    passes: &[Box<dyn Pass>],
     f: &mut Function,
     lane: u32,
     wall: bool,
 ) -> Result<FunctionTrace, PassFault> {
     let mut trace = FunctionTrace::new(&f.name, lane);
     let mut cache = AnalysisCache::new();
-    for pass in opt.passes() {
+    for pass in passes {
         run_pass_traced(pass.as_ref(), f, &mut cache, &opt.budget(), &mut trace, wall)?;
     }
     let stats = cache.stats();
@@ -167,6 +153,7 @@ impl Optimizer {
     /// [`Optimizer::try_optimize_jobs`], and the trace is byte-identical
     /// across `jobs` values: lanes are keyed by module position and
     /// merged in module order, and all exported numbers are virtual.
+    /// Panics are contained exactly as in [`Optimizer::try_optimize_jobs`].
     /// `wall` forces the serial path (per-pass wall-clock attribution
     /// across workers would perturb what it measures) and records real
     /// nanoseconds on the events for the `--timings` aggregation.
@@ -179,58 +166,19 @@ impl Optimizer {
         jobs: usize,
         wall: bool,
     ) -> Result<(Module, Trace), PassFault> {
-        let n = module.functions.len();
-        if wall || jobs <= 1 || n <= 1 {
-            let mut out = module.clone();
-            let mut lanes = Vec::with_capacity(n);
-            for (i, f) in out.functions.iter_mut().enumerate() {
-                lanes.push(optimize_function_traced(self, f, i as u32, wall)?);
-            }
-            return Ok((out, Trace::from_lanes(lanes)));
-        }
-        let shards = crate::shards::WorkShards::new(n, jobs.min(n));
-        type Slot = Mutex<Option<Result<(Function, FunctionTrace), PassFault>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for w in 0..jobs.min(n) {
-                let (shards, slots) = (&shards, &slots);
-                s.spawn(move || {
-                    while let Some(i) = shards.pop(w) {
-                        let src = &module.functions[i];
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            let mut f = src.clone();
-                            optimize_function_traced(self, &mut f, i as u32, false)
-                                .map(|trace| (f, trace))
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(PassFault::panic("pipeline", &src.name, panic_payload(payload)))
-                        });
-                        *slots[i].lock().expect("result slot poisoned") = Some(outcome);
-                    }
-                });
-            }
-        });
-        let mut out = module.clone();
-        out.functions.clear();
-        let mut lanes = Vec::with_capacity(n);
-        for slot in slots {
-            let r = slot.into_inner().expect("result slot poisoned").expect("worker filled slot");
-            let (f, trace) = r?;
-            out.functions.push(f);
-            lanes.push(trace);
-        }
-        Ok((out, Trace::from_lanes(lanes)))
-    }
-
-    /// Optimize a copy of the module with tracing, panicking on faults.
-    ///
-    /// See [`Optimizer::try_optimize_traced`] for the determinism
-    /// guarantees.
-    pub fn optimize_traced(&self, module: &Module, jobs: usize) -> (Module, Trace) {
-        match self.try_optimize_traced(module, jobs, false) {
-            Ok(pair) => pair,
-            Err(fault) => panic!("{fault}"),
-        }
+        let jobs = if wall { 1 } else { jobs };
+        let traced = map_functions(
+            module,
+            jobs,
+            || self.passes(),
+            |passes, i, src| {
+                let mut f = src.clone();
+                optimize_function_traced(self, passes, &mut f, i as u32, wall)
+                    .map(|trace| (f, trace))
+            },
+        )?;
+        let (functions, lanes): (Vec<Function>, Vec<FunctionTrace>) = traced.into_iter().unzip();
+        Ok((Module { functions, data_words: module.data_words }, Trace::from_lanes(lanes)))
     }
 }
 
@@ -268,7 +216,7 @@ mod tests {
         for level in OptLevel::PAPER_LEVELS {
             let opt = Optimizer::new(level);
             let plain = opt.optimize(&m);
-            let (traced, trace) = opt.optimize_traced(&m, 1);
+            let (traced, trace) = opt.try_optimize_traced(&m, 1, false).unwrap();
             assert_eq!(format!("{plain}"), format!("{traced}"), "{level:?}");
             assert!(!trace.events.is_empty());
             // One span + one provenance per pass, one cache event.
@@ -284,7 +232,7 @@ mod tests {
     fn span_counters_report_pass_work() {
         let m = compile(FOO, NamingMode::Disciplined).unwrap();
         let (_, trace) =
-            Optimizer::new(OptLevel::Distribution).optimize_traced(&m, 1);
+            Optimizer::new(OptLevel::Distribution).try_optimize_traced(&m, 1, false).unwrap();
         let pre_span = trace
             .events
             .iter()
@@ -308,7 +256,7 @@ mod tests {
     fn ledgers_from_traced_run_conserve() {
         let m = compile(FOO, NamingMode::Disciplined).unwrap();
         let (out, trace) =
-            Optimizer::new(OptLevel::Distribution).optimize_traced(&m, 1);
+            Optimizer::new(OptLevel::Distribution).try_optimize_traced(&m, 1, false).unwrap();
         let ledgers = ledgers_from_trace(&trace);
         assert_eq!(ledgers.len(), m.functions.len());
         for (ledger, (fin, fout)) in
@@ -318,6 +266,29 @@ mod tests {
             assert_eq!(ledger.ops_before, fin.static_op_count() as u64);
             assert_eq!(ledger.ops_after, fout.static_op_count() as u64);
             assert!(ledger.conserves(), "{}", ledger.render());
+        }
+    }
+
+    /// The traced driver contains a pass panic exactly as the plain one
+    /// does: the same typed fault at every `jobs`, inline included.
+    #[test]
+    fn traced_driver_contains_worker_panics() {
+        let module = compile(FOO, NamingMode::Disciplined).unwrap();
+        let mut bad = module.clone();
+        // A jump to a block the function does not have makes the CFG
+        // constructor panic (index out of bounds) inside the first pass.
+        let mut f = Function::new("corrupt", None);
+        f.add_block(epre_ir::Block::new(Terminator::Jump { target: epre_ir::BlockId(7) }));
+        bad.functions.insert(0, f);
+        bad.functions.push(module.functions[0].clone());
+        bad.functions.last_mut().unwrap().name = "foo2".into();
+        for jobs in [1, 2, 4, 8] {
+            let err = Optimizer::new(OptLevel::Partial)
+                .try_optimize_traced(&bad, jobs, false)
+                .expect_err("the corrupt function must fault");
+            assert_eq!(err.function, "corrupt", "jobs {jobs}");
+            assert_eq!(err.kind_label(), "panic", "jobs {jobs}");
+            assert_eq!(err.pass, "pipeline", "jobs {jobs}");
         }
     }
 
@@ -331,9 +302,9 @@ mod tests {
             module.functions.push(f);
         }
         let opt = Optimizer::new(OptLevel::Distribution);
-        let (serial_m, serial_t) = opt.optimize_traced(&module, 1);
+        let (serial_m, serial_t) = opt.try_optimize_traced(&module, 1, false).unwrap();
         for jobs in [2, 4, 8] {
-            let (m, t) = opt.optimize_traced(&module, jobs);
+            let (m, t) = opt.try_optimize_traced(&module, jobs, false).unwrap();
             assert_eq!(format!("{serial_m}"), format!("{m}"), "jobs {jobs}");
             assert_eq!(serial_t.to_jsonl(), t.to_jsonl(), "jobs {jobs}");
             assert_eq!(serial_t.to_chrome(), t.to_chrome(), "jobs {jobs}");

@@ -15,7 +15,7 @@
 //! list, which is itself deterministic per function), so the breaker's
 //! trip point is reproducible — the parallel module driver exploits this
 //! by replaying the counts serially in module order; see
-//! [`crate::sandbox::SandboxedOptimizer::optimize_jobs`].
+//! [`crate::sandbox::run_module_governed`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;

@@ -18,7 +18,7 @@
 //! recorded as uncontained and fails the campaign.
 
 use epre::fault::FaultKind;
-use epre::{Budget, OptLevel, Optimizer};
+use epre::{catch_quiet, Budget, OptLevel, Optimizer};
 use epre_ir::Module;
 use epre_lint::{lint_function, LintOptions};
 
@@ -27,7 +27,7 @@ use crate::harden::Harness;
 use crate::inject::{mutate_module, PassFaultModel};
 use crate::oracle::{compare_modules, OracleConfig};
 use crate::rng::SplitMix64;
-use crate::sandbox::{catch_quiet, run_module_governed, FaultPolicy};
+use crate::sandbox::{run_module_governed, FaultPolicy};
 
 /// Every optimization level, the paper's four plus the LVN extension.
 pub const ALL_LEVELS: [OptLevel; 5] = [

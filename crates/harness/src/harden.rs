@@ -24,22 +24,19 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use epre::fault::PassFault;
-use epre::{Budget, OptLevel, Optimizer};
-use epre_ir::{parse_function, Function, Module};
+use epre::{map_functions, Budget, OptLevel, Optimizer};
+use epre_ir::{parse_function, Module};
 use epre_lint::LintOptions;
 
 use crate::breaker::{CircuitBreaker, Quarantine};
 use crate::journal::{header_line, load_journal, JournalLoad, JournalWriter};
 use crate::oracle::{compare_modules_detailed, Divergence, OracleConfig};
 use crate::rng::fingerprint64;
-use crate::sandbox::{
-    run_passes_governed, FaultPolicy, SandboxReport, SandboxedOptimizer,
-};
+use crate::sandbox::{run_module_governed, run_passes_governed, FaultPolicy, SandboxReport};
 use crate::watchdog::{optimize_module_watchdog, WatchdogConfig};
 
 /// The fault-tolerant optimizer: a level, a policy, an oracle, and the
@@ -236,8 +233,8 @@ impl Harness {
     /// Under [`FaultPolicy::FailFast`], the first pass fault in module
     /// function order.
     pub fn optimize_jobs(&self, module: &Module, jobs: usize) -> Result<HardenedOutput, PassFault> {
+        let level = self.level;
         let (out, report) = if let Some(deadline) = self.function_deadline {
-            let level = self.level;
             optimize_module_watchdog(
                 module,
                 Arc::new(move || Optimizer::new(level).passes()),
@@ -247,12 +244,17 @@ impl Harness {
                 &WatchdogConfig::new(deadline, jobs),
             )?
         } else {
-            SandboxedOptimizer::new(self.level, self.policy)
-                .with_budget(self.budget)
-                .with_breaker_threshold(self.breaker_threshold)
-                .optimize_jobs(module, jobs)?
+            run_module_governed(
+                module,
+                &|| Optimizer::new(level).passes(),
+                self.policy,
+                &LintOptions::invariants_only(),
+                &self.budget,
+                self.breaker_threshold,
+                jobs,
+            )?
         };
-        Ok(self.oracle_stage(module, out, report))
+        Ok(self.finish_with_oracle(module, out, report))
     }
 
     /// The shared back half of every hardened run: compare `out` against
@@ -266,13 +268,9 @@ impl Harness {
     pub fn finish_with_oracle(
         &self,
         input: &Module,
-        out: Module,
+        mut out: Module,
         report: SandboxReport,
     ) -> HardenedOutput {
-        self.oracle_stage(input, out, report)
-    }
-
-    fn oracle_stage(&self, input: &Module, mut out: Module, report: SandboxReport) -> HardenedOutput {
         let SandboxReport { faults, retries, skipped, quarantined } = report;
         let oracle = compare_modules_detailed(input, &out, &self.oracle);
         for d in &oracle.divergences {
@@ -343,93 +341,51 @@ impl Harness {
             (JournalWriter::create(path, &header)?, BTreeMap::new(), false)
         };
 
-        // Partition: a function is reused iff its journaled input
-        // fingerprint matches its current text and the journaled body
-        // still parses back to a function of the same name.
-        let n = module.functions.len();
-        let mut slots: Vec<Option<(Function, SandboxReport)>> = vec![None; n];
-        let mut fresh_idx: Vec<usize> = Vec::new();
-        for (i, f) in module.functions.iter().enumerate() {
-            let reused = entries.get(&f.name).and_then(|e| {
-                if e.input_fp != fingerprint64(&format!("{f}")) {
-                    return None;
-                }
-                let parsed = parse_function(&e.body).ok()?;
-                if parsed.name == f.name {
-                    Some(parsed)
-                } else {
-                    None
-                }
-            });
-            match reused {
-                Some(parsed) => slots[i] = Some((parsed, SandboxReport::default())),
-                None => fresh_idx.push(i),
-            }
-        }
-        let reused = n - fresh_idx.len();
-
-        // Optimize the fresh functions, journaling each the moment its
-        // pipeline finishes. Workers share the writer; record() is one
-        // locked write+flush, so a kill tears at most the final record.
-        type FreshSlot = Mutex<Option<Result<(Function, SandboxReport), PassFault>>>;
-        let fresh_slots: Vec<FreshSlot> = fresh_idx.iter().map(|_| Mutex::new(None)).collect();
-        let io_errors: Mutex<Vec<io::Error>> = Mutex::new(Vec::new());
-        let next = AtomicUsize::new(0);
-        let this = *self;
+        // Each function is replayed iff its journaled input fingerprint
+        // matches its current text and the journaled body still parses
+        // back to a function of the same name; every other function is
+        // optimized and journaled the moment its pipeline ends. Workers
+        // share the writer; record() is one locked write+flush, so a kill
+        // tears at most the final record.
+        let level = self.level;
         let opts = LintOptions::invariants_only();
-        std::thread::scope(|s| {
-            for _ in 0..jobs.max(1).min(fresh_idx.len().max(1)) {
-                s.spawn(|| {
-                    let passes = Optimizer::new(this.level).passes();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= fresh_idx.len() {
-                            break;
-                        }
-                        let src = &module.functions[fresh_idx[k]];
-                        let mut f = src.clone();
-                        let outcome = run_passes_governed(
-                            &mut f,
-                            &passes,
-                            this.policy,
-                            &opts,
-                            &this.budget,
-                            None,
-                        )
-                        .map(|rep| {
-                            let in_fp = fingerprint64(&format!("{src}"));
-                            if let Err(e) = writer.record(&src.name, in_fp, &format!("{f}")) {
-                                io_errors.lock().expect("io-error list poisoned").push(e);
-                            }
-                            (f, rep)
-                        });
-                        *fresh_slots[k].lock().expect("fresh slot poisoned") = Some(outcome);
-                    }
-                });
-            }
-        });
-        if let Some(e) = io_errors.into_inner().expect("io-error list poisoned").into_iter().next()
-        {
-            return Err(JournalError::Io(e));
-        }
-        for (k, slot) in fresh_slots.into_iter().enumerate() {
-            let outcome =
-                slot.into_inner().expect("fresh slot poisoned").expect("worker filled slot");
-            slots[fresh_idx[k]] = Some(outcome?);
-        }
+        let done = map_functions(
+            module,
+            jobs,
+            || Optimizer::new(level).passes(),
+            |passes, _, src| -> Result<_, JournalError> {
+                let in_fp = fingerprint64(&format!("{src}"));
+                let replayed = entries
+                    .get(&src.name)
+                    .filter(|e| e.input_fp == in_fp)
+                    .and_then(|e| parse_function(&e.body).ok())
+                    .filter(|parsed| parsed.name == src.name);
+                if let Some(parsed) = replayed {
+                    return Ok((parsed, None));
+                }
+                let mut f = src.clone();
+                let rep =
+                    run_passes_governed(&mut f, passes, self.policy, &opts, &self.budget, None)?;
+                writer.record(&src.name, in_fp, &format!("{f}"))?;
+                Ok((f, Some(rep)))
+            },
+        )?;
 
-        let mut out = module.clone();
-        out.functions.clear();
+        let mut functions = Vec::with_capacity(done.len());
         let mut report = SandboxReport::default();
-        for slot in slots {
-            let (f, rep) = slot.expect("every slot filled");
-            out.functions.push(f);
-            report.merge(rep);
+        let mut fresh = 0;
+        for (f, rep) in done {
+            functions.push(f);
+            if let Some(rep) = rep {
+                fresh += 1;
+                report.merge(rep);
+            }
         }
+        let out = Module { functions, data_words: module.data_words };
         Ok(JournaledOutcome {
-            output: self.oracle_stage(module, out, report),
-            reused,
-            fresh: fresh_idx.len(),
+            output: self.finish_with_oracle(module, out, report),
+            reused: module.functions.len() - fresh,
+            fresh,
             resumed_torn,
         })
     }
@@ -560,6 +516,41 @@ mod tests {
         assert!(!again.resumed_torn);
         assert_eq!(again.reused, 2);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The journaled driver is byte-identical to the plain hardened run at
+    /// jobs 1 and 4, and a journal written at one job count resumes at the
+    /// other: the journal records per-function results, not a schedule.
+    #[test]
+    fn journaled_run_is_byte_identical_at_jobs_1_and_4() {
+        let mut m = compile(SRC, NamingMode::Disciplined).unwrap();
+        m.functions.extend(compile(SRC2, NamingMode::Disciplined).unwrap().functions);
+        for i in 0..4 {
+            let mut f = m.functions[i % 2].clone();
+            f.name = format!("{}{i}", f.name);
+            m.functions.push(f);
+        }
+        let n = m.functions.len();
+        let h = Harness::new(OptLevel::Distribution, FaultPolicy::BestEffort);
+        let plain = format!("{}", h.optimize(&m).unwrap().module);
+        for (write_jobs, resume_jobs) in [(1, 4), (4, 1)] {
+            let path = tmp(&format!("jobs-{write_jobs}-{resume_jobs}"));
+            let full = h.optimize_journaled(&m, write_jobs, &path, false).unwrap();
+            assert_eq!((full.reused, full.fresh), (0, n), "jobs {write_jobs}");
+            assert_eq!(format!("{}", full.output.module), plain, "jobs {write_jobs}");
+            // Tear the final record, as a kill mid-write would.
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
+            let resumed = h.optimize_journaled(&m, resume_jobs, &path, true).unwrap();
+            assert!(resumed.resumed_torn, "jobs {write_jobs} -> {resume_jobs}");
+            assert_eq!((resumed.reused, resumed.fresh), (n - 1, 1), "jobs {resume_jobs}");
+            assert_eq!(
+                format!("{}", resumed.output.module),
+                plain,
+                "resume at jobs {resume_jobs} of a journal written at jobs {write_jobs}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -80,8 +80,5 @@ pub use oracle::{
 };
 pub use reduce::{reduce, FailureSpec, ReduceStats};
 pub use rng::{fingerprint64, SplitMix64};
-pub use sandbox::{
-    catch_quiet, run_module_governed, run_passes_governed, run_passes_sandboxed, FaultPolicy,
-    SandboxReport, SandboxedOptimizer,
-};
+pub use sandbox::{run_module_governed, run_passes_governed, FaultPolicy, SandboxReport};
 pub use watchdog::{optimize_module_watchdog, WatchdogConfig, WATCHDOG_PASS};

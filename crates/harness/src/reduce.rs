@@ -22,7 +22,6 @@ use epre_ir::{BlockId, Function, Inst, Module, Terminator};
 use epre_lint::{lint_function, LintOptions};
 
 use crate::oracle::{compare_modules, OracleConfig};
-use crate::sandbox::catch_quiet;
 
 /// A reusable failure predicate: "the interesting thing still happens".
 #[derive(Debug, Clone)]
@@ -54,11 +53,12 @@ impl FailureSpec {
     /// Does the failure hold on `m`?
     pub fn holds(&self, m: &Module) -> bool {
         match self {
+            // `try_optimize` contains panics as typed faults whose
+            // rendering carries the panic message.
             FailureSpec::PanicContains { level, needle } => {
-                match catch_quiet(|| Optimizer::new(*level).try_optimize(m)) {
-                    Err(panic_msg) => panic_msg.contains(needle.as_str()),
-                    Ok(Err(fault)) => fault.to_string().contains(needle.as_str()),
-                    Ok(Ok(_)) => false,
+                match Optimizer::new(*level).try_optimize(m) {
+                    Err(fault) => fault.to_string().contains(needle.as_str()),
+                    Ok(_) => false,
                 }
             }
             FailureSpec::LintCode { code } => {
@@ -68,9 +68,9 @@ impl FailureSpec {
                     .any(|f| lint_function(f, &opts).codes().contains(&code.as_str()))
             }
             FailureSpec::OracleMismatch { level, oracle } => {
-                match catch_quiet(|| Optimizer::new(*level).try_optimize(m)) {
-                    Ok(Ok(opt)) => !compare_modules(m, &opt, oracle).is_empty(),
-                    _ => false,
+                match Optimizer::new(*level).try_optimize(m) {
+                    Ok(opt) => !compare_modules(m, &opt, oracle).is_empty(),
+                    Err(_) => false,
                 }
             }
         }

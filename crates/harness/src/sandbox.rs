@@ -15,13 +15,10 @@
 //! real second chance. A per-pass [`CircuitBreaker`] quarantines a pass
 //! that keeps faulting across the functions of one module.
 
-use std::cell::Cell;
 use std::collections::HashSet;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::Once;
 
 use epre::fault::PassFault;
-use epre::{Budget, OptLevel, Optimizer};
+use epre::{catch_quiet, map_functions, Budget};
 use epre_analysis::AnalysisCache;
 use epre_ir::{Function, Module};
 use epre_lint::{lint_function, Diagnostic, LintOptions, Report, Severity};
@@ -78,47 +75,6 @@ impl SandboxReport {
         self.skipped += other.skipped;
         self.quarantined.extend(other.quarantined);
     }
-}
-
-thread_local! {
-    /// When set, the process-wide panic hook stays silent for panics on
-    /// this thread — the sandbox expects them and converts them to faults.
-    static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
-}
-
-static HOOK: Once = Once::new();
-
-/// Run `body`, catching any panic and returning its payload as a string.
-///
-/// The first call installs a process-wide panic-hook shim that suppresses
-/// hook output for panics occurring while this thread is inside
-/// `catch_quiet` — without it a fuzz campaign injecting thousands of
-/// faults would bury real output in backtrace noise. Panics on other
-/// threads keep the previous hook's behaviour.
-///
-/// # Errors
-/// The panic payload (downcast to a string where possible).
-pub fn catch_quiet<R>(body: impl FnOnce() -> R) -> Result<R, String> {
-    HOOK.call_once(|| {
-        let previous = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if !QUIET_PANICS.with(Cell::get) {
-                previous(info);
-            }
-        }));
-    });
-    QUIET_PANICS.with(|q| q.set(true));
-    let result = panic::catch_unwind(AssertUnwindSafe(body));
-    QUIET_PANICS.with(|q| q.set(false));
-    result.map_err(|payload| {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
 }
 
 fn fingerprints(report: &Report) -> HashSet<String> {
@@ -222,32 +178,20 @@ pub fn run_passes_governed(
     Ok(out)
 }
 
-/// [`run_passes_governed`] with the harness-default [`Budget::governed`]
-/// and no circuit breaker — the historical sandbox entry point.
-///
-/// # Errors
-/// Under [`FaultPolicy::FailFast`], the first fault.
-pub fn run_passes_sandboxed(
-    f: &mut Function,
-    passes: &[Box<dyn Pass>],
-    policy: FaultPolicy,
-    opts: &LintOptions,
-) -> Result<SandboxReport, PassFault> {
-    run_passes_governed(f, passes, policy, opts, &Budget::governed(), None)
-}
-
 /// Run a whole module through governed sandboxed pipelines, one pass list
-/// per function (fresh-built via `passes_for`, so worker threads never
+/// per worker (fresh-built via `passes_for`, so worker threads never
 /// share non-`Sync` pass objects), with a module-wide per-pass
 /// [`CircuitBreaker`].
 ///
-/// With `jobs > 1` the functions are optimized speculatively in parallel
-/// *as if every circuit were closed*, then reconciled serially in module
-/// order: a function whose speculative run either started after a circuit
-/// opened or would itself trip one is redone serially under the true
-/// breaker state. Healthy modules take zero redos; the output — module,
-/// faults, skip tally, quarantine list — is byte-identical to the serial
-/// run in every case.
+/// With `jobs > 1` the functions are first optimized speculatively on
+/// [`map_functions`] *as if every circuit were closed*, then reconciled
+/// serially in module order: a function whose speculative run either
+/// started after a circuit opened or would itself trip one is redone
+/// serially under the true breaker state. `jobs <= 1` skips the
+/// speculation, so the sweep runs every function under the true state.
+/// Healthy modules take zero redos; the output — module, faults, skip
+/// tally, quarantine list — is byte-identical to the serial run in every
+/// case.
 ///
 /// # Errors
 /// Under [`FaultPolicy::FailFast`], the fault of the earliest faulting
@@ -261,180 +205,54 @@ pub fn run_module_governed(
     breaker_threshold: usize,
     jobs: usize,
 ) -> Result<(Module, SandboxReport), PassFault> {
-    use std::sync::Mutex;
-
-    use epre::WorkShards;
-
-    let n = module.functions.len();
+    let speculative = if jobs > 1 {
+        map_functions(module, jobs, passes_for, |passes, _, src| {
+            let mut f = src.clone();
+            run_passes_governed(&mut f, passes, policy, opts, budget, None).map(|rep| (f, rep))
+        })?
+    } else {
+        Vec::new()
+    };
+    let mut speculative = speculative.into_iter();
     let mut breaker = CircuitBreaker::new(breaker_threshold);
-    let mut out = module.clone();
-    let mut report = SandboxReport::default();
-
-    if jobs <= 1 || n <= 1 {
-        let passes = passes_for();
-        for f in &mut out.functions {
-            report.merge(run_passes_governed(f, &passes, policy, opts, budget, Some(&mut breaker))?);
-        }
-        report.quarantined = breaker.quarantined().to_vec();
-        return Ok((out, report));
-    }
-
-    let shards = WorkShards::new(n, jobs.min(n));
-    type Slot = Mutex<Option<Result<(Function, SandboxReport), PassFault>>>;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for w in 0..jobs.min(n) {
-            let (shards, slots) = (&shards, &slots);
-            s.spawn(move || {
-                let passes = passes_for();
-                while let Some(i) = shards.pop(w) {
-                    let mut f = module.functions[i].clone();
-                    let outcome =
-                        run_passes_governed(&mut f, &passes, policy, opts, budget, None)
-                            .map(|rep| (f, rep));
-                    *slots[i].lock().expect("result slot poisoned") = Some(outcome);
-                }
-            });
-        }
-    });
-
-    out.functions.clear();
     let mut serial_passes: Option<Vec<Box<dyn Pass>>> = None;
-    for (i, slot) in slots.into_iter().enumerate() {
-        let speculative =
-            slot.into_inner().expect("result slot poisoned").expect("worker filled slot");
-        let (f, rep) = speculative?;
+    let mut functions = Vec::with_capacity(module.functions.len());
+    let mut report = SandboxReport::default();
+    for src in &module.functions {
         // The worker assumed every circuit was closed. That holds for this
         // function iff nothing was open at its entry and replaying its own
         // faults trips nothing; otherwise redo it under the true state.
-        let mut probe = breaker.clone();
-        let speculation_holds = !breaker.any_open()
-            && !rep.faults.iter().any(|ft| probe.record(&ft.pass, &ft.function));
-        if speculation_holds {
-            breaker = probe;
-            out.functions.push(f);
-            report.merge(rep);
-        } else {
-            let passes = serial_passes.get_or_insert_with(passes_for);
-            let mut f = module.functions[i].clone();
-            let rep =
-                run_passes_governed(&mut f, passes, policy, opts, budget, Some(&mut breaker))?;
-            out.functions.push(f);
-            report.merge(rep);
-        }
+        let accepted = speculative.next().filter(|(_, rep)| {
+            let mut probe = breaker.clone();
+            let holds = !breaker.any_open()
+                && !rep.faults.iter().any(|ft| probe.record(&ft.pass, &ft.function));
+            if holds {
+                breaker = probe;
+            }
+            holds
+        });
+        let (f, rep) = match accepted {
+            Some(done) => done,
+            None => {
+                let passes = serial_passes.get_or_insert_with(passes_for);
+                let mut f = src.clone();
+                let rep =
+                    run_passes_governed(&mut f, passes, policy, opts, budget, Some(&mut breaker))?;
+                (f, rep)
+            }
+        };
+        functions.push(f);
+        report.merge(rep);
     }
     report.quarantined = breaker.quarantined().to_vec();
-    Ok((out, report))
-}
-
-/// An [`Optimizer`] wrapper whose every pass invocation is sandboxed and
-/// budget-governed.
-#[derive(Debug, Clone, Copy)]
-pub struct SandboxedOptimizer {
-    level: OptLevel,
-    policy: FaultPolicy,
-    budget: Budget,
-    breaker_threshold: usize,
-}
-
-impl SandboxedOptimizer {
-    /// A sandboxed optimizer at `level` under `policy`, with the
-    /// deterministic [`Budget::governed`] resource caps and the default
-    /// circuit-breaker threshold.
-    pub fn new(level: OptLevel, policy: FaultPolicy) -> Self {
-        SandboxedOptimizer {
-            level,
-            policy,
-            budget: Budget::governed(),
-            breaker_threshold: CircuitBreaker::DEFAULT_THRESHOLD,
-        }
-    }
-
-    /// The wrapped level.
-    pub fn level(&self) -> OptLevel {
-        self.level
-    }
-
-    /// Replace the per-pass resource budget.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// The per-pass resource budget.
-    pub fn budget(&self) -> Budget {
-        self.budget
-    }
-
-    /// Replace the circuit-breaker fault threshold (clamped to ≥ 1).
-    pub fn with_breaker_threshold(mut self, threshold: usize) -> Self {
-        self.breaker_threshold = threshold.max(1);
-        self
-    }
-
-    /// Optimize one function in place with per-pass sandboxing (invariant
-    /// lint rules only — intermediate pipeline states legitimately carry
-    /// critical edges, dead code, and remaining redundancy). No circuit
-    /// breaker: quarantine is a module-scoped decision.
-    ///
-    /// # Errors
-    /// Under [`FaultPolicy::FailFast`], the first fault.
-    pub fn optimize_function(&self, f: &mut Function) -> Result<SandboxReport, PassFault> {
-        run_passes_governed(
-            f,
-            &Optimizer::new(self.level).passes(),
-            self.policy,
-            &LintOptions::invariants_only(),
-            &self.budget,
-            None,
-        )
-    }
-
-    /// Optimize a copy of the module with per-pass sandboxing, a shared
-    /// per-pass circuit breaker, and the configured budget.
-    ///
-    /// # Errors
-    /// Under [`FaultPolicy::FailFast`], the first fault in any function.
-    pub fn optimize(&self, module: &Module) -> Result<(Module, SandboxReport), PassFault> {
-        self.optimize_jobs(module, 1)
-    }
-
-    /// [`SandboxedOptimizer::optimize`] with up to `jobs` worker threads.
-    ///
-    /// Functions are distributed over a [`std::thread::scope`] pool and
-    /// reconciled in module order (see [`run_module_governed`]), so the
-    /// output module — and, because faults are collected per function
-    /// before merging, the report's fault order and the breaker's trip
-    /// points — is deterministic and identical to the serial run. The
-    /// panic-quieting hook in [`catch_quiet`] is keyed on a thread-local
-    /// flag, so each worker's contained panics stay silent without
-    /// affecting its siblings. `jobs <= 1` takes the exact serial path.
-    ///
-    /// # Errors
-    /// Under [`FaultPolicy::FailFast`], the fault of the earliest faulting
-    /// function in module order.
-    pub fn optimize_jobs(
-        &self,
-        module: &Module,
-        jobs: usize,
-    ) -> Result<(Module, SandboxReport), PassFault> {
-        run_module_governed(
-            module,
-            &|| Optimizer::new(self.level).passes(),
-            self.policy,
-            &LintOptions::invariants_only(),
-            &self.budget,
-            self.breaker_threshold,
-            jobs,
-        )
-    }
+    Ok((Module { functions, data_words: module.data_words }, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use epre::fault::FaultKind;
-    use epre::BudgetKind;
+    use epre::{BudgetKind, OptLevel, Optimizer};
     use epre_ir::{BinOp, FunctionBuilder, Inst, Ty};
     use epre_passes::passes::{ConstProp, Dce};
     use epre_passes::BudgetExceeded;
@@ -511,11 +329,13 @@ mod tests {
         let mut f = sample();
         let before = f.clone();
         let passes: Vec<Box<dyn Pass>> = vec![Box::new(Bomb), Box::new(ConstProp)];
-        let rep = run_passes_sandboxed(
+        let rep = run_passes_governed(
             &mut f,
             &passes,
             FaultPolicy::BestEffort,
             &LintOptions::invariants_only(),
+            &Budget::governed(),
+            None,
         )
         .unwrap();
         assert_eq!(rep.faults.len(), 1);
@@ -531,11 +351,13 @@ mod tests {
         let mut f = sample();
         let before = f.clone();
         let passes: Vec<Box<dyn Pass>> = vec![Box::new(UseGhost)];
-        let rep = run_passes_sandboxed(
+        let rep = run_passes_governed(
             &mut f,
             &passes,
             FaultPolicy::BestEffort,
             &LintOptions::invariants_only(),
+            &Budget::governed(),
+            None,
         )
         .unwrap();
         assert_eq!(rep.faults.len(), 1);
@@ -591,11 +413,13 @@ mod tests {
     fn fail_fast_surfaces_the_fault() {
         let mut f = sample();
         let passes: Vec<Box<dyn Pass>> = vec![Box::new(Dce), Box::new(Bomb)];
-        let e = run_passes_sandboxed(
+        let e = run_passes_governed(
             &mut f,
             &passes,
             FaultPolicy::FailFast,
             &LintOptions::invariants_only(),
+            &Budget::governed(),
+            None,
         )
         .unwrap_err();
         assert_eq!(e.pass, "bomb");
@@ -605,11 +429,13 @@ mod tests {
     fn retry_then_skip_counts_the_retry() {
         let mut f = sample();
         let passes: Vec<Box<dyn Pass>> = vec![Box::new(Bomb)];
-        let rep = run_passes_sandboxed(
+        let rep = run_passes_governed(
             &mut f,
             &passes,
             FaultPolicy::RetryThenSkip,
             &LintOptions::invariants_only(),
+            &Budget::governed(),
+            None,
         )
         .unwrap();
         assert_eq!(rep.retries, 1);
@@ -636,11 +462,13 @@ mod tests {
             }
         }
         let passes: Vec<Box<dyn Pass>> = vec![Box::new(Nop)];
-        let rep = run_passes_sandboxed(
+        let rep = run_passes_governed(
             &mut f,
             &passes,
             FaultPolicy::BestEffort,
             &LintOptions::invariants_only(),
+            &Budget::governed(),
+            None,
         )
         .unwrap();
         assert!(rep.faults.is_empty());
@@ -702,11 +530,19 @@ mod tests {
     }
 
     #[test]
-    fn sandboxed_optimizer_matches_plain_pipeline_on_clean_input() {
+    fn governed_module_matches_plain_pipeline_on_clean_input() {
         let mut m = Module::new();
         m.functions.push(sample());
-        let sandboxed = SandboxedOptimizer::new(OptLevel::Distribution, FaultPolicy::BestEffort);
-        let (out, rep) = sandboxed.optimize(&m).unwrap();
+        let (out, rep) = run_module_governed(
+            &m,
+            &|| Optimizer::new(OptLevel::Distribution).passes(),
+            FaultPolicy::BestEffort,
+            &LintOptions::invariants_only(),
+            &Budget::governed(),
+            CircuitBreaker::DEFAULT_THRESHOLD,
+            1,
+        )
+        .unwrap();
         assert!(rep.faults.is_empty(), "{:?}", rep.faults);
         assert!(rep.quarantined.is_empty());
         let plain = Optimizer::new(OptLevel::Distribution).optimize(&m);

@@ -507,13 +507,21 @@ impl ServerCore {
             }
         };
 
-        // Gate 3: the module must parse.
-        let module = match parse_module(&r.module_text) {
+        // Gate 3: the module must parse and pass the structural verifier
+        // (lint rules L001–L008): the passes and the oracle's interpreter
+        // assume verified input, so a dangling branch is refused here like
+        // a syntax error rather than reaching them.
+        let parsed = parse_module(&r.module_text)
+            .map_err(|e| format!("module does not parse: {e}"))
+            .and_then(|m| {
+                m.verify().map_err(|e| format!("module does not verify: {e}"))?;
+                Ok(m)
+            });
+        let module = match parsed {
             Ok(m) => m,
-            Err(e) => {
+            Err(message) => {
                 self.stats.rejected_parse.fetch_add(1, Ordering::Relaxed);
                 self.log_events(vec![shed_event(ErrorCode::Parse.label(), &r.client)]);
-                let message = format!("module does not parse: {e}");
                 return self.refuse(
                     rid, &r.client, "poison", ErrorCode::Parse, message, token, started, emit,
                 );

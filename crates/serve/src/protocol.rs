@@ -312,7 +312,8 @@ pub enum ErrorCode {
     /// This client's faults tripped the per-client quarantine; its
     /// requests are refused until the server restarts. Not retryable.
     Quarantined,
-    /// The module text did not parse. Not retryable.
+    /// The module text did not parse, or parsed into IR that fails the
+    /// structural verifier. Not retryable.
     Parse,
     /// The request frame itself was malformed. Not retryable.
     Protocol,

@@ -33,17 +33,20 @@
 //! ```
 //!
 //! `lint` exits 0 when no error-severity diagnostics were found, 1 when
-//! there were errors, 2 on usage or parse problems. `opt --verify-each`
-//! re-lints after every pass and aborts (exit 1) naming the pass that
-//! introduced an invariant violation; `opt --best-effort` instead contains
-//! pass faults (rollback + continue), reports them on stderr, and exits 3
-//! when anything was contained or rolled back (the output is still a safe,
-//! runnable module — the distinct code lets scripts notice the
-//! degradation). `--deadline-ms` imposes a per-pass wall-clock budget and
-//! a watchdog-enforced per-function deadline; `--max-growth` caps code
-//! growth as a ratio of the input size; `--journal PATH` write-ahead-logs
-//! every finished function so a killed run can continue with `--resume`,
-//! producing byte-identical output. All four require `--best-effort`.
+//! there were errors, 2 on usage or parse problems. `opt` refuses input
+//! that does not parse or does not pass the structural verifier (lint
+//! rules L001–L008) with exit 2, and exits 1 on a pass fault. `opt
+//! --verify-each` re-lints after every pass and aborts (exit 1) naming
+//! the pass that introduced an invariant violation; `opt --best-effort`
+//! instead contains pass faults (rollback + continue), reports them on
+//! stderr, and exits 3 when anything was contained or rolled back (the
+//! output is still a safe, runnable module — the distinct code lets
+//! scripts notice the degradation). `--deadline-ms` imposes a per-pass
+//! wall-clock budget and a watchdog-enforced per-function deadline;
+//! `--max-growth` caps code growth as a ratio of the input size;
+//! `--journal PATH` write-ahead-logs every finished function so a killed
+//! run can continue with `--resume`, producing byte-identical output.
+//! All four require `--best-effort`.
 //! `fuzz` exits 1 when any injected fault escaped containment. `reduce`
 //! prints the shrunk module on stdout and statistics on stderr, exiting 2
 //! when the failure predicate does not even hold on the input.
@@ -169,6 +172,15 @@ fn read_input(path: &str) -> Result<String, String> {
 fn parse_input(path: &str) -> Result<epre_ir::Module, String> {
     let text = read_input(path)?;
     parse_module(&text).map_err(|e| format!("parse error in `{path}`: {e}"))
+}
+
+/// [`parse_input`] plus the structural verifier (lint rules L001–L008):
+/// the optimizer's passes and the oracle's interpreter assume input that
+/// verifies, so anything else is refused like a parse error.
+fn parse_verified(path: &str) -> Result<epre_ir::Module, String> {
+    let module = parse_input(path)?;
+    module.verify().map_err(|e| format!("`{path}` does not verify: {e}"))?;
+    Ok(module)
 }
 
 fn cmd_lint(args: &[String]) -> ExitCode {
@@ -354,7 +366,7 @@ fn cmd_opt(args: &[String]) -> ExitCode {
         eprintln!("--resume requires --journal PATH");
         return ExitCode::from(2);
     }
-    let module = match parse_input(path) {
+    let module = match parse_verified(path) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("error: {e}");
@@ -460,9 +472,16 @@ fn cmd_opt(args: &[String]) -> ExitCode {
         if trace_path.is_some() {
             eprintln!("note: --trace is ignored under --timings");
         }
-        let (out, report) = opt.optimize_timed(&module);
-        eprint!("{report}");
-        out
+        match opt.try_optimize_timed(&module) {
+            Ok((out, report)) => {
+                eprint!("{report}");
+                out
+            }
+            Err(f) => {
+                eprintln!("error: {f}");
+                return ExitCode::from(1);
+            }
+        }
     } else if let Some(tpath) = &trace_path {
         match opt.try_optimize_traced(&module, jobs, false) {
             Ok((m, trace)) => {
@@ -478,7 +497,13 @@ fn cmd_opt(args: &[String]) -> ExitCode {
             }
         }
     } else {
-        opt.optimize_jobs(&module, jobs)
+        match opt.try_optimize_jobs(&module, jobs) {
+            Ok(m) => m,
+            Err(f) => {
+                eprintln!("error: {f}");
+                return ExitCode::from(1);
+            }
+        }
     };
     print!("{out}");
     ExitCode::SUCCESS

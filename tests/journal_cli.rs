@@ -1,7 +1,8 @@
 //! End-to-end checks of `epre opt --journal/--resume` through the real
 //! binary: a journaled run that is killed mid-write (simulated by tearing
 //! the journal tail) must resume to *byte-identical* stdout, and config
-//! mismatches or misuse of the flags must be refused with exit code 2.
+//! mismatches, misuse of the flags, or input that fails the structural
+//! verifier must be refused with exit code 2.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -173,4 +174,23 @@ fn best_effort_without_journal_matches_plain_opt_on_clean_input() {
     );
     assert_eq!(plain.stdout, hardened.stdout);
     let _ = std::fs::remove_file(&input);
+}
+
+/// A module that parses but fails the structural verifier (a jump to a
+/// block the function does not have, lint L002) is refused at the door
+/// with the parse-error exit code, whichever driver would have run it.
+#[test]
+fn unverifiable_input_is_refused_like_a_parse_error() {
+    let input = tmp("dangling.iloc");
+    std::fs::write(&input, "module data 0\nfunction corrupt()\nblock b0:\n  jump b7\nend\n")
+        .unwrap();
+    let input_s = input.to_str().unwrap();
+    for extra in [&["--jobs", "1"][..], &["--jobs", "4"], &["--best-effort"]] {
+        let out = epre(&[&["opt", input_s][..], extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 2, "opt {extra:?} must refuse; stderr: {stderr}");
+        assert!(stderr.contains("does not verify"), "opt {extra:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "opt {extra:?} printed a module");
+    }
+    std::fs::remove_file(&input).ok();
 }

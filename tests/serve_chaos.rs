@@ -589,6 +589,25 @@ fn garbage_frames_are_refused_typed_and_do_not_poison_the_daemon() {
     daemon.shutdown();
 }
 
+/// A module that parses but does not verify — a one-block function whose
+/// terminator jumps to a block it does not have (lint L002) — is refused
+/// with the typed `parse` code before any pass or the oracle sees it, and
+/// the daemon keeps serving well-formed clients afterwards.
+#[test]
+fn unverifiable_module_is_refused_typed_and_does_not_poison_the_daemon() {
+    let daemon = Daemon::spawn(&[]);
+    let dangling = "module data 0\nfunction corrupt()\nblock b0:\n  jump b7\nend\n";
+    match submit(&daemon.client(), &request(dangling)) {
+        Err(ClientError::Refused { code, .. }) => assert_eq!(code.label(), "parse"),
+        other => panic!("expected a typed parse refusal, got {other:?}"),
+    }
+
+    // The daemon is unharmed: a well-formed request still succeeds.
+    let out = submit(&daemon.client(), &request(&module_text())).expect("submit after refusal");
+    assert_eq!(out.done.status, "clean");
+    daemon.shutdown();
+}
+
 /// The flight recorder under fire: a SIGQUIT checkpoint accounts for
 /// every request the daemon has answered, the dump is valid JSONL, and
 /// after a SIGKILL mid-hammer the slow-request log (written *before*
