@@ -12,9 +12,11 @@
 //! Operands of commutative operators are stored in canonical (sorted)
 //! order so `a + b` and `b + a` denote the same expression.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
-use epre_ir::{BinOp, Const, Function, Inst, Reg, Ty, UnOp};
+use epre_ir::{BinOp, BlockId, Const, Function, Inst, Reg, Ty, UnOp};
 
 /// Dense identifier of an expression in a function's [`ExprUniverse`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -30,7 +32,7 @@ impl ExprId {
 /// A lexical expression: operator plus operand register names (or the
 /// constant, for `loadi`). Constants are expressions too — the paper's
 /// naming example treats `1` as the expression named `r1`.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ExprKey {
     /// A binary expression. For commutative operators the operands are
     /// stored with `lhs <= rhs`.
@@ -55,6 +57,23 @@ pub enum ExprKey {
     },
     /// A constant (`loadi`).
     Const(Const),
+}
+
+impl Hash for ExprKey {
+    /// Feeds the hasher one packed 128-bit word: the universe hashes every
+    /// instruction, and std's SipHash costs per byte and per call.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let head =
+            |tag: u128, op: u8, ty: Ty| tag << 80 | u128::from(op) << 72 | (ty as u128) << 64;
+        state.write_u128(match *self {
+            ExprKey::Bin { op, ty, lhs, rhs } => {
+                head(0, op as u8, ty) | u128::from(lhs.0) << 32 | u128::from(rhs.0)
+            }
+            ExprKey::Un { op, ty, src } => head(1, op as u8, ty) | u128::from(src.0),
+            ExprKey::Const(Const::Int(v)) => head(2, 0, Ty::Int) | u128::from(v as u64),
+            ExprKey::Const(Const::Float(v)) => head(2, 0, Ty::Float) | u128::from(v.to_bits()),
+        });
+    }
 }
 
 impl ExprKey {
@@ -100,43 +119,80 @@ pub struct ExprUniverse {
     names: Vec<Reg>,
     /// Whether every occurrence of the expression targets `names[e]`.
     disciplined: Vec<bool>,
-    /// For each register, the expressions that use it as an operand.
-    used_by: HashMap<Reg, Vec<ExprId>>,
+    /// The expressions that use register `r` as an operand are
+    /// `used_by[used_by_start[r]..used_by_start[r + 1]]`, in id order.
+    used_by_start: Vec<u32>,
+    used_by: Vec<ExprId>,
+    /// The expression of every instruction, block by block in program
+    /// order (`None` for copies, φs, loads, stores and calls).
+    inst_exprs: Vec<Option<ExprId>>,
+    /// Where each block's run starts in `inst_exprs`, plus the end.
+    block_starts: Vec<usize>,
 }
 
 impl ExprUniverse {
     /// Scan `f` and build its expression universe.
     pub fn new(f: &Function) -> Self {
         let mut u = ExprUniverse {
-            by_key: HashMap::new(),
+            by_key: HashMap::with_capacity(f.inst_count()),
             keys: Vec::new(),
             names: Vec::new(),
             disciplined: Vec::new(),
-            used_by: HashMap::new(),
+            used_by_start: vec![0; f.reg_count() + 1],
+            used_by: Vec::new(),
+            inst_exprs: Vec::with_capacity(f.inst_count()),
+            block_starts: Vec::with_capacity(f.blocks.len() + 1),
         };
-        for (_, block) in f.iter_blocks() {
+        // (operand, expression) pairs, in expression order.
+        let mut operand_of: Vec<(Reg, ExprId)> = Vec::new();
+        for block in &f.blocks {
+            u.block_starts.push(u.inst_exprs.len());
             for inst in &block.insts {
-                if let Some(key) = ExprKey::of_inst(inst) {
+                let id = ExprKey::of_inst(inst).map(|key| {
                     let dst = inst.dst().expect("expressions define a register");
-                    match u.by_key.get(&key) {
-                        Some(&id) => {
+                    match u.by_key.entry(key) {
+                        Entry::Occupied(e) => {
+                            let id = *e.get();
                             if u.names[id.index()] != dst {
                                 u.disciplined[id.index()] = false;
                             }
+                            id
                         }
-                        None => {
+                        Entry::Vacant(e) => {
                             let id = ExprId(u.keys.len() as u32);
-                            u.by_key.insert(key.clone(), id);
-                            for r in key.operands() {
-                                u.used_by.entry(r).or_default().push(id);
+                            match *e.key() {
+                                ExprKey::Bin { lhs, rhs, .. } => {
+                                    operand_of.push((lhs, id));
+                                    operand_of.push((rhs, id));
+                                }
+                                ExprKey::Un { src, .. } => operand_of.push((src, id)),
+                                ExprKey::Const(_) => {}
                             }
-                            u.keys.push(key);
+                            u.keys.push(e.key().clone());
+                            e.insert(id);
                             u.names.push(dst);
                             u.disciplined.push(true);
+                            id
                         }
                     }
-                }
+                });
+                u.inst_exprs.push(id);
             }
+        }
+        u.block_starts.push(u.inst_exprs.len());
+        // Counting sort of the pairs by operand; stable, so each list
+        // stays in expression order.
+        for &(r, _) in &operand_of {
+            u.used_by_start[r.index() + 1] += 1;
+        }
+        for i in 1..u.used_by_start.len() {
+            u.used_by_start[i] += u.used_by_start[i - 1];
+        }
+        let mut fill = u.used_by_start.clone();
+        u.used_by = vec![ExprId(0); operand_of.len()];
+        for (r, id) in operand_of {
+            u.used_by[fill[r.index()] as usize] = id;
+            fill[r.index()] += 1;
         }
         u
     }
@@ -174,7 +230,17 @@ impl ExprUniverse {
 
     /// Expressions that read register `r`.
     pub fn used_by(&self, r: Reg) -> &[ExprId] {
-        self.used_by.get(&r).map_or(&[], Vec::as_slice)
+        match (self.used_by_start.get(r.index()), self.used_by_start.get(r.index() + 1)) {
+            (Some(&start), Some(&end)) => &self.used_by[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+
+    /// The expression of each instruction of block `b` of the scanned
+    /// function, parallel to its `insts` (`None` where the instruction is
+    /// not a pure expression). Only valid while the block is unchanged.
+    pub fn block_exprs(&self, b: BlockId) -> &[Option<ExprId>] {
+        &self.inst_exprs[self.block_starts[b.index()]..self.block_starts[b.index() + 1]]
     }
 
     /// Iterate all `(id, key)` pairs.

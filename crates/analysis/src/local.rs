@@ -27,7 +27,8 @@ pub struct LocalPredicates {
 }
 
 impl LocalPredicates {
-    /// Compute the predicates for `f` over `universe`.
+    /// Compute the predicates for `f` over `universe`, which must have
+    /// been built from `f` as it is now.
     pub fn new(f: &Function, universe: &ExprUniverse) -> Self {
         let n = f.blocks.len();
         let cap = universe.len();
@@ -35,12 +36,13 @@ impl LocalPredicates {
         let mut antloc = vec![BitSet::new(cap); n];
         let mut comp = vec![BitSet::new(cap); n];
 
+        // `killed[e]`: some operand of e has been defined so far in b.
+        let mut killed = BitSet::new(cap);
         for (bid, block) in f.iter_blocks() {
             let bi = bid.index();
-            // `killed[e]`: some operand of e has been defined so far in b.
-            let mut killed = BitSet::new(cap);
-            for inst in &block.insts {
-                if let Some(e) = universe.id_of_inst(inst) {
+            killed.clear();
+            for (inst, &id) in block.insts.iter().zip(universe.block_exprs(bid)) {
+                if let Some(e) = id {
                     if !killed.contains(e.index()) {
                         antloc[bi].insert(e.index());
                     }

@@ -25,7 +25,7 @@
 //! Plain text, ASCII framing, length-prefixed bodies:
 //!
 //! ```text
-//! EPRE-JOURNAL v1 level=distribution policy=best-effort iters=200000 growth=64 deadline-ms=none
+//! EPRE-JOURNAL v2 level=distribution policy=best-effort iters=200000 growth=64 deadline-ms=none
 //! fn <name>
 //! in <16-hex input fingerprint>
 //! out <16-hex output fingerprint>
@@ -51,8 +51,11 @@ use epre::Budget;
 
 use crate::rng::fingerprint64;
 
-/// The format-version magic every journal starts with.
-pub const JOURNAL_MAGIC: &str = "EPRE-JOURNAL v1";
+/// The format-version magic every journal starts with. `v2` marks bodies
+/// whose registers were compacted after every SSA round trip; a `v1`
+/// journal's bodies use another register numbering, so resuming from one
+/// is refused rather than splicing two numberings into one module.
+pub const JOURNAL_MAGIC: &str = "EPRE-JOURNAL v2";
 
 /// The header line binding a journal to the run configuration that wrote
 /// it. Level, policy, and every budget dimension participate: a journal
@@ -522,6 +525,20 @@ mod tests {
             before + record_len("f", 0, "x\n") + record_len("long-name", 123_456, "a longer body here\n");
         assert_eq!(w.bytes_written(), expected);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), expected);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn v1_journal_is_refused() {
+        let path = tmp("v1");
+        let v1 = header().replacen(JOURNAL_MAGIC, "EPRE-JOURNAL v1", 1);
+        let w = JournalWriter::create(&path, &v1).unwrap();
+        w.record("foo", 0xAB, "body of foo\n").unwrap();
+        drop(w);
+        match load_journal(&path, &header()).unwrap() {
+            JournalLoad::Mismatch { found } => assert_eq!(found, v1),
+            other => panic!("a v1 journal must not be resumed: {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -198,6 +198,69 @@ impl Function {
     pub fn verify(&self) -> Result<(), crate::VerifyError> {
         crate::verify::verify_function(self)
     }
+
+    /// Renumber the registers densely, dropping every register that no
+    /// parameter, instruction or terminator mentions. Returns how many
+    /// were dropped.
+    ///
+    /// The renumbering is monotone: `a < b` holds after it exactly when it
+    /// held before, so every decision a pass takes by comparing register
+    /// numbers (a lowest-numbered representative, a canonical operand
+    /// order) comes out the same on the compacted function. SSA
+    /// construction and the passes that rebuild SSA allocate a fresh
+    /// register per definition and call this before they return, so later
+    /// register-indexed tables are sized by the registers in use rather
+    /// than by every register ever allocated.
+    ///
+    /// # Panics
+    /// Panics if the function names a register it never allocated.
+    pub fn compact_regs(&mut self) -> usize {
+        const DROPPED: u32 = u32::MAX;
+        let n = self.reg_ty.len();
+        let mut map = vec![DROPPED; n];
+        let mut mark = |r: Reg| {
+            map[r.index()] = 0;
+            r
+        };
+        for &p in &self.params {
+            mark(p);
+        }
+        for block in &mut self.blocks {
+            for inst in &mut block.insts {
+                if let Some(d) = inst.dst() {
+                    mark(d);
+                }
+                inst.map_uses(&mut mark);
+            }
+            block.term.map_uses(&mut mark);
+        }
+        let mut kept = Vec::with_capacity(n);
+        for (slot, &ty) in map.iter_mut().zip(&self.reg_ty) {
+            if *slot != DROPPED {
+                *slot = kept.len() as u32;
+                kept.push(ty);
+            }
+        }
+        let dropped = n - kept.len();
+        if dropped == 0 {
+            return 0;
+        }
+        let new = |r: Reg| Reg(map[r.index()]);
+        for p in &mut self.params {
+            *p = new(*p);
+        }
+        for block in &mut self.blocks {
+            for inst in &mut block.insts {
+                if let Some(d) = inst.dst() {
+                    inst.set_dst(new(d));
+                }
+                inst.map_uses(new);
+            }
+            block.term.map_uses(new);
+        }
+        self.reg_ty = kept;
+        dropped
+    }
 }
 
 /// A compilation unit: functions plus the size of the statically-allocated
@@ -296,6 +359,72 @@ mod tests {
         b.insts.push(Inst::Copy { dst: Reg(2), src: Reg(0) });
         assert_eq!(b.phi_count(), 2);
         assert_eq!(b.phis().count(), 2);
+    }
+
+    /// Parameters r2 and r0, in that call order, around the unreferenced
+    /// r1, r3 and r5.
+    fn sparse_function() -> Function {
+        let mut f = Function::new("s", Some(Ty::Int));
+        let a = f.new_reg(Ty::Int);
+        f.new_reg(Ty::Float);
+        let b = f.new_reg(Ty::Int);
+        f.new_reg(Ty::Int);
+        let d = f.new_reg(Ty::Int);
+        f.new_reg(Ty::Float);
+        let p = f.new_reg(Ty::Int);
+        f.params = vec![b, a];
+        let mut entry =
+            Block::new(Terminator::Branch { cond: d, then_to: BlockId(1), else_to: BlockId(1) });
+        entry.insts.push(Inst::Bin { op: BinOp::Sub, ty: Ty::Int, dst: d, lhs: b, rhs: a });
+        f.add_block(entry);
+        let mut exit = Block::new(Terminator::Return { value: Some(p) });
+        exit.insts.push(Inst::Bin { op: BinOp::Mul, ty: Ty::Int, dst: p, lhs: d, rhs: a });
+        f.add_block(exit);
+        f
+    }
+
+    #[test]
+    fn compact_regs_drops_unreferenced_registers_monotonically() {
+        let mut f = sparse_function();
+        assert!(f.verify().is_ok());
+        assert_eq!(f.compact_regs(), 3);
+        assert_eq!(f.reg_count(), 4);
+        assert!(f.verify().is_ok(), "{f}");
+        // r0, r2, r4, r6 become r0..r3 in the same order; parameters keep
+        // their call order and every type travels with its register.
+        assert_eq!(f.params, vec![Reg(1), Reg(0)]);
+        assert_eq!(f.reg_ty, vec![Ty::Int; 4]);
+        assert_eq!(
+            format!("{f}"),
+            "function s(r1:i, r0:i) -> i\n\
+             block b0:\n  r2 <- sub.i r1, r0\n  cbr r2 -> b1, b1\n\
+             block b1:\n  r3 <- mul.i r2, r0\n  ret r3\nend"
+        );
+    }
+
+    #[test]
+    fn compact_regs_is_idempotent_and_keeps_dense_functions() {
+        let mut f = sparse_function();
+        f.compact_regs();
+        let once = f.clone();
+        assert_eq!(f.compact_regs(), 0);
+        assert_eq!(f, once);
+        let mut dense = sample_function();
+        let before = dense.clone();
+        assert_eq!(dense.compact_regs(), 0);
+        assert_eq!(dense, before);
+    }
+
+    #[test]
+    fn compact_regs_keeps_unused_parameters() {
+        let mut f = Function::new("p", None);
+        f.new_reg(Ty::Int);
+        let unused = f.new_reg(Ty::Float);
+        f.params.push(unused);
+        f.add_block(Block::new(Terminator::Return { value: None }));
+        assert_eq!(f.compact_regs(), 1);
+        assert_eq!(f.params, vec![Reg(0)]);
+        assert_eq!(f.ty_of(Reg(0)), Ty::Float);
     }
 
     #[test]

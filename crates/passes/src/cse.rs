@@ -97,8 +97,8 @@ pub fn run(f: &mut Function, scope: CseScope) -> bool {
         have.intersect_with(&disciplined);
         let block = &mut f.blocks[bi];
         let mut keep = vec![true; block.insts.len()];
-        for (i, inst) in block.insts.iter().enumerate() {
-            if let Some(e) = universe.id_of_inst(inst) {
+        for (i, (inst, &id)) in block.insts.iter().zip(universe.block_exprs(bid)).enumerate() {
+            if let Some(e) = id {
                 if universe.is_disciplined(e) {
                     if have.contains(e.index()) {
                         keep[i] = false; // value already in its register

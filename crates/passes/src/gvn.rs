@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use epre_ir::{Function, Inst, Reg};
+use epre_ir::{BlockId, Function, Inst, Reg};
 use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
 
 use crate::budget::{Budget, BudgetExceeded};
@@ -76,13 +76,13 @@ pub fn run_budgeted(f: &mut Function, budget: &Budget) -> Result<bool, BudgetExc
 pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<GvnStats, BudgetExceeded> {
     build_ssa(f, SsaOptions { fold_copies: true });
     let (classes, ticks) = congruence_classes_budgeted(f, budget)?;
-    let mut distinct = classes.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
+    // Classes are numbered densely from zero.
+    let partitions = classes.iter().max().map_or(0, |&c| u64::from(c) + 1);
     let ops_renamed = rename(f, &classes);
     dedupe_phis(f);
     destroy_ssa(f);
-    Ok(GvnStats { partitions: distinct.len() as u64, ops_renamed, ticks })
+    f.compact_regs();
+    Ok(GvnStats { partitions, ops_renamed, ticks })
 }
 
 /// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
@@ -123,9 +123,23 @@ enum InitKey {
     Bin(epre_ir::BinOp, epre_ir::Ty),
     Un(epre_ir::UnOp, epre_ir::Ty),
     Phi(epre_ir::BlockId),
-    /// Parameters, loads, calls: opaque singletons (the payload makes the
-    /// key unique per definition).
-    Opaque(u32),
+    /// Parameters, loads, calls, and registers with no definition:
+    /// opaque singletons (the payload is the register).
+    Opaque(Reg),
+}
+
+/// What refinement needs of a register's definition: the operands whose
+/// classes must agree for two congruent registers.
+#[derive(Clone, Copy)]
+enum Def {
+    /// No operands: constants, parameters, loads, calls, undefined.
+    Leaf,
+    /// A binary operator; commutative operands compare as a set.
+    Bin { commutative: bool, lhs: Reg, rhs: Reg },
+    /// A unary operator.
+    Un(Reg),
+    /// A φ whose arguments are `phi_args[start..end]`.
+    Phi { start: u32, end: u32 },
 }
 
 /// Compute the congruence class of every register (indexed by register).
@@ -145,115 +159,102 @@ fn congruence_classes_budgeted(
 ) -> Result<(Vec<u32>, u64), BudgetExceeded> {
     let mut meter = budget.start(f);
     let nregs = f.reg_count();
-    // Gather definitions.
-    #[derive(Clone)]
-    enum Def {
-        None,
-        Param(u32),
-        Inst(Inst),
-    }
-    let mut defs: Vec<Def> = vec![Def::None; nregs];
-    for (i, &p) in f.params.iter().enumerate() {
-        defs[p.index()] = Def::Param(i as u32);
-    }
-    for (_, block) in f.iter_blocks() {
+    // Gather definitions and initial keys in one scan; each φ's block is
+    // the block being scanned. Parameters and undefined registers keep
+    // the default: an opaque singleton.
+    let mut defs: Vec<Def> = vec![Def::Leaf; nregs];
+    let mut keys: Vec<InitKey> = (0..nregs as u32).map(|r| InitKey::Opaque(Reg(r))).collect();
+    let mut phi_args: Vec<(BlockId, Reg)> = Vec::new();
+    for (bid, block) in f.iter_blocks() {
         for inst in &block.insts {
-            if let Some(d) = inst.dst() {
-                defs[d.index()] = Def::Inst(inst.clone());
-            }
+            let Some(d) = inst.dst() else { continue };
+            let (def, key) = match inst {
+                Inst::LoadI { value, .. } => (Def::Leaf, InitKey::Const(*value)),
+                Inst::Bin { op, ty, lhs, rhs, .. } => (
+                    Def::Bin { commutative: op.is_commutative(), lhs: *lhs, rhs: *rhs },
+                    InitKey::Bin(*op, *ty),
+                ),
+                Inst::Un { op, ty, src, .. } => (Def::Un(*src), InitKey::Un(*op, *ty)),
+                Inst::Phi { args, .. } => {
+                    let start = phi_args.len() as u32;
+                    phi_args.extend_from_slice(args);
+                    (Def::Phi { start, end: phi_args.len() as u32 }, InitKey::Phi(bid))
+                }
+                Inst::Load { .. } | Inst::Call { .. } => (Def::Leaf, InitKey::Opaque(d)),
+                Inst::Copy { .. } => unreachable!("copies folded during SSA construction"),
+                Inst::Store { .. } => unreachable!("stores define nothing"),
+            };
+            defs[d.index()] = def;
+            keys[d.index()] = key;
         }
     }
 
-    // Initial partition.
-    let mut class: Vec<u32> = (0..nregs as u32).collect();
+    // Initial partition: classes numbered in order of first appearance.
+    let mut class: Vec<u32> = Vec::with_capacity(nregs);
     {
         let mut key_ids: HashMap<InitKey, u32> = HashMap::new();
-        let mut opaque = 0u32;
-        let mut next = 0u32;
-        let mut id_of = |k: InitKey, key_ids: &mut HashMap<InitKey, u32>| -> u32 {
-            *key_ids.entry(k).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            })
-        };
-        for (r, def) in defs.iter().enumerate() {
-            let key = match def {
-                Def::None => {
-                    // Unused register allocation: unique key.
-                    opaque += 1;
-                    InitKey::Opaque(u32::MAX - opaque)
-                }
-                Def::Param(i) => InitKey::Opaque(1_000_000 + *i),
-                Def::Inst(inst) => match inst {
-                    Inst::LoadI { value, .. } => InitKey::Const(*value),
-                    Inst::Bin { op, ty, .. } => InitKey::Bin(*op, *ty),
-                    Inst::Un { op, ty, .. } => InitKey::Un(*op, *ty),
-                    Inst::Phi { .. } => {
-                        let b = f
-                            .iter_blocks()
-                            .find(|(_, blk)| {
-                                blk.phis().any(|p| p.dst() == inst.dst())
-                            })
-                            .map(|(b, _)| b)
-                            .expect("φ lives in some block");
-                        InitKey::Phi(b)
-                    }
-                    Inst::Load { .. } | Inst::Call { .. } => {
-                        opaque += 1;
-                        InitKey::Opaque(2_000_000 + opaque)
-                    }
-                    Inst::Copy { .. } => unreachable!("copies folded during SSA construction"),
-                    Inst::Store { .. } => unreachable!("stores define nothing"),
-                },
-            };
-            class[r] = id_of(key, &mut key_ids);
+        for key in keys {
+            let next = key_ids.len() as u32;
+            class.push(*key_ids.entry(key).or_insert(next));
         }
     }
 
     // Refinement to a fixed point: split classes whose members disagree on
-    // operand classes.
+    // operand classes. A register's signature is its class plus two
+    // operand slots; a φ's second slot holds the interned list of its
+    // argument classes.
+    const NONE: u32 = u32::MAX;
+    let mut sig_ids: HashMap<(u32, u32, u32), u32> = HashMap::new();
+    let mut list_ids: HashMap<Vec<u32>, u32> = HashMap::new();
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let mut list: Vec<u32> = Vec::new();
+    let mut new_class = vec![0u32; nregs];
     loop {
         meter.tick(f)?;
-        let mut sig_ids: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
-        let mut new_class = vec![0u32; nregs];
-        let mut next = 0u32;
+        sig_ids.clear();
+        list_ids.clear();
         for (r, def) in defs.iter().enumerate() {
-            let ops: Vec<u32> = match def {
-                Def::None | Def::Param(_) => vec![],
-                Def::Inst(inst) => match inst {
-                    Inst::Bin { op, lhs, rhs, .. } => {
-                        let (a, b) = (class[lhs.index()], class[rhs.index()]);
-                        if op.is_commutative() && b < a {
-                            vec![b, a]
-                        } else {
-                            vec![a, b]
+            let (a, b) = match *def {
+                Def::Leaf => (NONE, NONE),
+                Def::Bin { commutative, lhs, rhs } => {
+                    let (a, b) = (class[lhs.index()], class[rhs.index()]);
+                    if commutative && b < a {
+                        (b, a)
+                    } else {
+                        (a, b)
+                    }
+                }
+                Def::Un(src) => (class[src.index()], NONE),
+                Def::Phi { start, end } => {
+                    // Align by predecessor id so positional comparison is
+                    // meaningful across φs of the same block.
+                    pairs.clear();
+                    pairs.extend(
+                        phi_args[start as usize..end as usize]
+                            .iter()
+                            .map(|&(b, v)| (b.0, class[v.index()])),
+                    );
+                    pairs.sort_unstable();
+                    list.clear();
+                    list.extend(pairs.iter().map(|&(_, c)| c));
+                    let id = match list_ids.get(list.as_slice()) {
+                        Some(&id) => id,
+                        None => {
+                            let id = list_ids.len() as u32;
+                            list_ids.insert(list.clone(), id);
+                            id
                         }
-                    }
-                    Inst::Un { src, .. } => vec![class[src.index()]],
-                    Inst::Phi { args, .. } => {
-                        // Align by predecessor id so positional comparison
-                        // is meaningful across φs of the same block.
-                        let mut pairs: Vec<(u32, u32)> =
-                            args.iter().map(|&(b, v)| (b.0, class[v.index()])).collect();
-                        pairs.sort_unstable();
-                        pairs.into_iter().map(|(_, c)| c).collect()
-                    }
-                    _ => vec![],
-                },
+                    };
+                    (NONE, id)
+                }
             };
-            let sig = (class[r], ops);
-            let id = *sig_ids.entry(sig).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            });
-            new_class[r] = id;
+            let next = sig_ids.len() as u32;
+            new_class[r] = *sig_ids.entry((class[r], a, b)).or_insert(next);
         }
         if new_class == class {
             break;
         }
-        class = new_class;
+        std::mem::swap(&mut class, &mut new_class);
     }
     let ticks = meter.ticks();
     Ok((class, ticks))
@@ -265,14 +266,15 @@ fn congruence_classes_budgeted(
 fn rename(f: &mut Function, class: &[u32]) -> u64 {
     // Representative per class: a parameter if the class has one (the
     // signature must not change), otherwise the lowest-numbered member.
-    let mut rep: HashMap<u32, Reg> = HashMap::new();
-    for r in (0..f.reg_count()).rev() {
-        rep.insert(class[r], Reg(r as u32));
+    let n_classes = class.iter().max().map_or(0, |&c| c as usize + 1);
+    let mut rep: Vec<Reg> = vec![Reg(0); n_classes];
+    for (r, &c) in class.iter().enumerate().rev() {
+        rep[c as usize] = Reg(r as u32);
     }
     for &p in &f.params {
-        rep.insert(class[p.index()], p);
+        rep[class[p.index()] as usize] = p;
     }
-    let map = |r: Reg| rep[&class[r.index()]];
+    let map = |r: Reg| rep[class[r.index()] as usize];
 
     let mut renamed = 0u64;
     for block in &mut f.blocks {

@@ -275,8 +275,9 @@ fn run_once_metered(
         let block = &mut f.blocks[b];
         let mut killed = BitSet::new(cap);
         let mut keep: Vec<bool> = vec![true; block.insts.len()];
-        for (idx, inst) in block.insts.iter().enumerate() {
-            if let Some(e) = universe.id_of_inst(inst) {
+        let exprs = universe.block_exprs(BlockId(b as u32));
+        for (idx, (inst, &id)) in block.insts.iter().zip(exprs).enumerate() {
+            if let Some(e) = id {
                 if del.contains(e.index()) && !killed.contains(e.index()) {
                     keep[idx] = false;
                     any_change = true;

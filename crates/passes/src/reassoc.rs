@@ -29,8 +29,6 @@
 //!    paper's partial distribution: `a + b×((c+d)+e)` with `e` deeper
 //!    becomes `a + b×(c+d) + b×e`), and sums are re-sorted.
 
-use std::collections::HashMap;
-
 use epre_cfg::Cfg;
 use epre_ir::{BinOp, Const, Function, Inst, Reg, Terminator, Ty, UnOp};
 use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
@@ -106,6 +104,7 @@ pub fn reassociate_budgeted(
     // Step 2b+3: forward-propagate trees into every sink, reassociating
     // along the way.
     let distributions = forward_propagate(f, &ranks, options, &mut meter)?;
+    f.compact_regs();
 
     let ops_after = f.static_op_count();
     Ok(ReassocStats { ops_before, ops_after, regs_ranked, distributions })
@@ -179,8 +178,8 @@ enum Tree {
 struct Forwarder<'a> {
     ranks: &'a [u32],
     options: ReassocOptions,
-    /// Single (pure) definition per register, for tree building.
-    defs: HashMap<Reg, Inst>,
+    /// Single (pure) definition per register index, for tree building.
+    defs: Vec<Option<Inst>>,
     /// Output buffer for the block being rewritten.
     out: Vec<Inst>,
     /// Multiplier-over-sum distributions performed so far.
@@ -199,14 +198,14 @@ fn forward_propagate(
 ) -> Result<u64, BudgetExceeded> {
     // Pure expression defs (still single-assignment for expression
     // registers: copy targets — φ names — are multiply-defined but opaque).
-    let mut defs: HashMap<Reg, Inst> = HashMap::new();
-    let mut multiply_defined: HashMap<Reg, u32> = HashMap::new();
+    let mut defs: Vec<Option<Inst>> = vec![None; f.reg_count()];
+    let mut def_count: Vec<u32> = vec![0; f.reg_count()];
     for block in &f.blocks {
         for inst in &block.insts {
             if let Some(d) = inst.dst() {
-                *multiply_defined.entry(d).or_default() += 1;
+                def_count[d.index()] += 1;
                 if inst.is_expression() {
-                    defs.insert(d, inst.clone());
+                    defs[d.index()] = Some(inst.clone());
                 }
             }
         }
@@ -214,7 +213,11 @@ fn forward_propagate(
     // A register defined more than once cannot be treated as a tree node
     // (it is a variable); drop such defs. (Cannot arise from our SSA
     // pipeline, but `reassociate` accepts arbitrary verified input.)
-    defs.retain(|r, _| multiply_defined[r] == 1);
+    for (def, &count) in defs.iter_mut().zip(&def_count) {
+        if count > 1 {
+            *def = None;
+        }
+    }
 
     let mut fw = Forwarder { ranks, options, defs, out: Vec::new(), dists: 0 };
 
@@ -299,11 +302,17 @@ fn forward_propagate(
 }
 
 impl Forwarder<'_> {
+    /// The single pure definition of `r`, if it has one. Registers the
+    /// rewrite allocates have none.
+    fn def(&self, r: Reg) -> Option<&Inst> {
+        self.defs.get(r.index()).and_then(Option::as_ref)
+    }
+
     /// Materialize the value of `r` at the current point: returns `r`
     /// itself for leaves, or emits the reassociated tree and returns the
     /// register holding its root.
     fn materialize(&mut self, f: &mut Function, r: Reg) -> Reg {
-        if !self.defs.contains_key(&r) {
+        if self.def(r).is_none() {
             return r; // leaf: variable, parameter, load/call result
         }
         let tree = self.build_tree(r);
@@ -319,7 +328,7 @@ impl Forwarder<'_> {
     }
 
     fn build_tree(&self, r: Reg) -> Tree {
-        match self.defs.get(&r) {
+        match self.def(r) {
             None => Tree::Leaf(r),
             Some(inst) => match inst {
                 Inst::LoadI { value, .. } => Tree::Num(*value),

@@ -10,8 +10,6 @@
 //! Constant folding here mirrors the interpreter exactly (including *not*
 //! folding integer division by zero, which must still trap at run time).
 
-use std::collections::HashMap;
-
 use epre_analysis::AnalysisCache;
 use epre_ir::{BlockId, Const, Function, Inst, Reg, Terminator};
 use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
@@ -105,32 +103,31 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
     let mut meter = budget.start(f);
 
     let nregs = f.reg_count();
-    let mut value: Vec<Lattice> = vec![Lattice::Top, Lattice::Top]
-        .into_iter()
-        .cycle()
-        .take(nregs)
-        .collect();
+    let mut value: Vec<Lattice> = vec![Lattice::Top; nregs];
     for &p in &f.params {
         value[p.index()] = Lattice::Bottom;
     }
 
-    // def site and use sites per register.
-    let mut def_of: HashMap<Reg, (BlockId, usize)> = HashMap::new();
-    let mut uses_of: HashMap<Reg, Vec<(BlockId, usize)>> = HashMap::new();
+    // Use sites per register: the instructions, and the blocks whose
+    // terminator reads it.
+    let mut uses_of: Vec<Vec<(BlockId, usize)>> = vec![Vec::new(); nregs];
+    let mut term_users: Vec<Vec<BlockId>> = vec![Vec::new(); nregs];
     for (bid, block) in f.iter_blocks() {
         for (i, inst) in block.insts.iter().enumerate() {
-            if let Some(d) = inst.dst() {
-                def_of.insert(d, (bid, i));
-            }
             for u in inst.uses() {
-                uses_of.entry(u).or_default().push((bid, i));
+                uses_of[u.index()].push((bid, i));
             }
+        }
+        if let Terminator::Branch { cond: u, .. } | Terminator::Return { value: Some(u) } =
+            block.term
+        {
+            term_users[u.index()].push(bid);
         }
     }
 
     // Executable edges and visited blocks.
     let n = f.blocks.len();
-    let mut edge_exec: HashMap<(BlockId, BlockId), bool> = HashMap::new();
+    let mut edge_exec = ExecEdges::new(n);
     let mut block_visited = vec![false; n];
     let mut flow_work: Vec<(BlockId, BlockId)> = Vec::new();
     let mut ssa_work: Vec<Reg> = Vec::new();
@@ -139,13 +136,13 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
     let entry = BlockId::ENTRY;
     block_visited[entry.index()] = true;
     let eval_block = |f: &Function,
-                          b: BlockId,
-                          value: &mut Vec<Lattice>,
-                          ssa_work: &mut Vec<Reg>,
-                          flow_work: &mut Vec<(BlockId, BlockId)>,
-                          edge_exec: &HashMap<(BlockId, BlockId), bool>| {
-        for (i, inst) in f.block(b).insts.iter().enumerate() {
-            visit_inst(f, b, i, inst, value, ssa_work, edge_exec);
+                      b: BlockId,
+                      value: &mut Vec<Lattice>,
+                      ssa_work: &mut Vec<Reg>,
+                      flow_work: &mut Vec<(BlockId, BlockId)>,
+                      edge_exec: &ExecEdges| {
+        for inst in &f.block(b).insts {
+            visit_inst(b, inst, value, ssa_work, edge_exec);
         }
         visit_terminator(f, b, value, flow_work, edge_exec);
     };
@@ -154,46 +151,37 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
     while !flow_work.is_empty() || !ssa_work.is_empty() {
         while let Some((from, to)) = flow_work.pop() {
             meter.tick(f)?;
-            if *edge_exec.get(&(from, to)).unwrap_or(&false) {
+            if !edge_exec.insert(from, to) {
                 continue;
             }
-            edge_exec.insert((from, to), true);
             if !block_visited[to.index()] {
                 block_visited[to.index()] = true;
                 eval_block(f, to, &mut value, &mut ssa_work, &mut flow_work, &edge_exec);
             } else {
                 // Re-evaluate only the φs (a new incoming edge).
-                for (i, inst) in f.block(to).insts.iter().enumerate() {
-                    if matches!(inst, Inst::Phi { .. }) {
-                        visit_inst(f, to, i, inst, &mut value, &mut ssa_work, &edge_exec);
-                    } else {
-                        break;
-                    }
+                for inst in f.block(to).phis() {
+                    visit_inst(to, inst, &mut value, &mut ssa_work, &edge_exec);
                 }
             }
         }
         while let Some(r) = ssa_work.pop() {
             meter.tick(f)?;
-            if let Some(sites) = uses_of.get(&r) {
-                for &(b, i) in sites {
-                    if !block_visited[b.index()] {
-                        continue;
-                    }
-                    let inst = &f.block(b).insts[i];
-                    visit_inst(f, b, i, inst, &mut value, &mut ssa_work, &edge_exec);
+            for &(b, i) in &uses_of[r.index()] {
+                if block_visited[b.index()] {
+                    visit_inst(b, &f.block(b).insts[i], &mut value, &mut ssa_work, &edge_exec);
                 }
             }
             // The register may also feed a terminator.
-            for (bid, block) in f.iter_blocks() {
-                if block_visited[bid.index()] && block.term.uses().contains(&r) {
-                    visit_terminator(f, bid, &mut value, &mut flow_work, &edge_exec);
+            for &b in &term_users[r.index()] {
+                if block_visited[b.index()] {
+                    visit_terminator(f, b, &mut value, &mut flow_work, &edge_exec);
                 }
             }
         }
     }
 
     // Rewrite: constant definitions become loadi; constant branches fold.
-    for (bid, block) in f.blocks.iter_mut().enumerate() {
+    for block in &mut f.blocks {
         for inst in &mut block.insts {
             if matches!(inst, Inst::Call { .. } | Inst::Store { .. } | Inst::Load { .. }) {
                 continue; // side effects / memory stay
@@ -215,7 +203,6 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
                 stats.branches_folded += 1;
             }
         }
-        let _ = bid;
     }
     stats.ticks = meter.ticks();
 
@@ -227,17 +214,41 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
     drop_unreachable_with_phis(f, &mut cache);
     prune_phi_args_of_removed_edges(f, &mut cache);
     destroy_ssa(f);
+    f.compact_regs();
     Ok(stats)
 }
 
+/// The CFG edges proven executable, kept per source block: a terminator
+/// has at most two successors, so two slots replace a hashed edge set.
+struct ExecEdges(Vec<[Option<BlockId>; 2]>);
+
+impl ExecEdges {
+    fn new(n_blocks: usize) -> Self {
+        ExecEdges(vec![[None, None]; n_blocks])
+    }
+
+    fn contains(&self, from: BlockId, to: BlockId) -> bool {
+        self.0[from.index()].contains(&Some(to))
+    }
+
+    /// Mark `from -> to` executable; false if it already was.
+    fn insert(&mut self, from: BlockId, to: BlockId) -> bool {
+        let slots = &mut self.0[from.index()];
+        if slots.contains(&Some(to)) {
+            return false;
+        }
+        let free = slots.iter_mut().find(|s| s.is_none()).expect("at most two successors");
+        *free = Some(to);
+        true
+    }
+}
+
 fn visit_inst(
-    _f: &Function,
     b: BlockId,
-    _i: usize,
     inst: &Inst,
     value: &mut [Lattice],
     ssa_work: &mut Vec<Reg>,
-    edge_exec: &HashMap<(BlockId, BlockId), bool>,
+    edge_exec: &ExecEdges,
 ) {
     let Some(d) = inst.dst() else { return };
     let old = value[d.index()];
@@ -270,7 +281,7 @@ fn visit_inst(
         Inst::Phi { args, .. } => {
             let mut acc = Lattice::Top;
             for &(pb, r) in args {
-                if *edge_exec.get(&(pb, b)).unwrap_or(&false) {
+                if edge_exec.contains(pb, b) {
                     acc = acc.meet(value[r.index()]);
                 }
             }
@@ -296,17 +307,17 @@ fn visit_terminator(
     b: BlockId,
     value: &mut [Lattice],
     flow_work: &mut Vec<(BlockId, BlockId)>,
-    edge_exec: &HashMap<(BlockId, BlockId), bool>,
+    edge_exec: &ExecEdges,
 ) {
     match &f.block(b).term {
         Terminator::Jump { target } => {
-            if !*edge_exec.get(&(b, *target)).unwrap_or(&false) {
+            if !edge_exec.contains(b, *target) {
                 flow_work.push((b, *target));
             }
         }
         Terminator::Branch { cond, then_to, else_to } => {
             let push = |flow_work: &mut Vec<(BlockId, BlockId)>, t: BlockId| {
-                if !*edge_exec.get(&(b, t)).unwrap_or(&false) {
+                if !edge_exec.contains(b, t) {
                     flow_work.push((b, t));
                 }
             };

@@ -51,8 +51,9 @@ use epre_harness::{
 
 /// The cache file's header line. Versioned separately from the journal
 /// magic: a cache written by an incompatible server version is discarded
-/// wholesale, never misread.
-pub const CACHE_HEADER: &str = "EPRE-SERVE-CACHE v1";
+/// wholesale, never misread. `v1` answers predate register compaction and
+/// differ byte for byte from the answers this server computes.
+pub const CACHE_HEADER: &str = "EPRE-SERVE-CACHE v2";
 
 /// What [`ResultCache::open`] found on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -523,6 +524,24 @@ mod tests {
         let c2 = ResultCache::open(&path).unwrap();
         assert_eq!(c2.recovery().recovered, 1);
         assert!(!c2.recovery().discarded_incompatible);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn v1_cache_is_discarded() {
+        let path = tmp("v1");
+        {
+            let c = ResultCache::open(&path).unwrap();
+            c.insert("aaaa", "body\n").unwrap();
+        }
+        let text = fs::read_to_string(&path).unwrap();
+        let old = text.replacen(CACHE_HEADER, "EPRE-SERVE-CACHE v1", 1);
+        assert_ne!(old, text);
+        fs::write(&path, old).unwrap();
+        let c = ResultCache::open(&path).unwrap();
+        assert!(c.recovery().discarded_incompatible);
+        assert_eq!(c.recovery().recovered, 0);
+        assert_eq!(c.lookup("aaaa"), None);
         let _ = fs::remove_file(&path);
     }
 

@@ -30,8 +30,10 @@ pub struct SsaOptions {
 ///
 /// Every φ-node the pass inserts, and every renamed definition, uses a
 /// fresh register; original registers survive only as the names of their
-/// first (dominating) definitions where convenient. The function is left
-/// verifier-clean and SSA-verifier-clean.
+/// first (dominating) definitions where convenient. The registers the
+/// renaming leaves unreferenced are then dropped by a monotone
+/// [`Function::compact_regs`]. The function is left verifier-clean and
+/// SSA-verifier-clean.
 pub fn build_ssa(f: &mut Function, options: SsaOptions) {
     split_looping_entry(f);
     let cfg = Cfg::new(f);
@@ -57,19 +59,22 @@ pub fn build_ssa(f: &mut Function, options: SsaOptions) {
     }
 
     // 2. φ-placement on iterated dominance frontiers, pruned by liveness.
-    // phi_for[b] = registers needing a φ in b.
+    // phi_for[b] = registers needing a φ in b. The two per-block mark
+    // arrays are shared by all registers: register r stamps them with
+    // epoch r + 1, so no register pays to clear them.
     let mut phi_for: Vec<Vec<Reg>> = vec![Vec::new(); n_blocks];
-    for (r, sites) in def_sites.iter().enumerate().take(n_regs) {
-        let reg = Reg(r as u32);
+    let mut placed: Vec<u32> = vec![0; n_blocks];
+    let mut on_work: Vec<u32> = vec![0; n_blocks];
+    let mut work: Vec<BlockId> = Vec::new();
+    for (r, sites) in def_sites.iter().enumerate() {
         if sites.is_empty() {
             continue;
         }
-        let mut placed: Vec<bool> = vec![false; n_blocks];
-        let mut on_work: Vec<bool> = vec![false; n_blocks];
-        let mut work: Vec<BlockId> = Vec::new();
+        let reg = Reg(r as u32);
+        let epoch = reg.0 + 1;
         for &b in sites {
-            if !on_work[b.index()] {
-                on_work[b.index()] = true;
+            if on_work[b.index()] != epoch {
+                on_work[b.index()] = epoch;
                 work.push(b);
             }
         }
@@ -78,11 +83,11 @@ pub fn build_ssa(f: &mut Function, options: SsaOptions) {
                 continue;
             }
             for &d in dom.frontier(b) {
-                if !placed[d.index()] && live.live_in[d.index()].contains(reg.index()) {
-                    placed[d.index()] = true;
+                if placed[d.index()] != epoch && live.live_in[d.index()].contains(reg.index()) {
+                    placed[d.index()] = epoch;
                     phi_for[d.index()].push(reg);
-                    if !on_work[d.index()] {
-                        on_work[d.index()] = true;
+                    if on_work[d.index()] != epoch {
+                        on_work[d.index()] = epoch;
                         work.push(d);
                     }
                 }
@@ -121,15 +126,16 @@ pub fn build_ssa(f: &mut Function, options: SsaOptions) {
         f,
         cfg: &cfg,
         dom: &dom,
-        stacks: vec![Vec::new(); n_regs],
+        current: vec![UNDEFINED; n_regs],
+        undo: Vec::new(),
         phi_var: &phi_var,
         fold_copies: options.fold_copies,
-        n_orig_regs: n_regs,
     };
     for &p in &renamer.f.params.clone() {
-        renamer.stacks[p.index()].push(p);
+        renamer.define(p, p);
     }
     renamer.rename_block(BlockId::ENTRY);
+    f.compact_regs();
 }
 
 /// If the entry block has predecessors (a loop whose header is block 0),
@@ -160,90 +166,85 @@ fn split_looping_entry(f: &mut Function) {
     f.blocks[BlockId::ENTRY.index()].term = epre_ir::Terminator::Jump { target: nb };
 }
 
+/// Marks a register with no reaching definition in [`Renamer::current`].
+const UNDEFINED: Reg = Reg(u32::MAX);
+
 struct Renamer<'a> {
     f: &'a mut Function,
     cfg: &'a Cfg,
     dom: &'a Dominators,
-    /// Current SSA name stack per original register.
-    stacks: Vec<Vec<Reg>>,
+    /// The current SSA name of each original register on the path of the
+    /// dominator-tree walk, or [`UNDEFINED`].
+    current: Vec<Reg>,
+    /// `(register, previous name)` for every definition on the walk's
+    /// path, undone as the walk leaves the block that made it.
+    undo: Vec<(Reg, Reg)>,
     phi_var: &'a [Vec<Reg>],
     fold_copies: bool,
-    /// Registers >= this are SSA names we created, not original variables.
-    n_orig_regs: usize,
+}
+
+/// The current name of `v`. A use of a never-defined register (possible
+/// in ill-formed input) keeps its original name.
+fn name_of(current: &[Reg], v: Reg) -> Reg {
+    match current[v.index()] {
+        UNDEFINED => v,
+        name => name,
+    }
 }
 
 impl Renamer<'_> {
-    fn current(&self, v: Reg) -> Reg {
-        // A use of a never-defined register (possible in ill-formed input)
-        // keeps its original name.
-        self.stacks[v.index()].last().copied().unwrap_or(v)
+    fn define(&mut self, v: Reg, name: Reg) {
+        self.undo.push((v, self.current[v.index()]));
+        self.current[v.index()] = name;
     }
 
     fn rename_block(&mut self, b: BlockId) {
-        // Track how many pushes to pop on exit, per original register.
-        let mut pushed: Vec<Reg> = Vec::new();
+        let undo_mark = self.undo.len();
         let mut removed: Vec<usize> = Vec::new();
 
         let phi_count = self.f.block(b).phi_count();
         for i in 0..self.f.block(b).insts.len() {
-            let is_phi_slot = i < phi_count;
-            let mut inst = self.f.block(b).insts[i].clone();
-            if is_phi_slot {
+            if i < phi_count {
                 // φ definitions: dst is already a fresh register; it becomes
                 // the current name of the original variable.
                 let var = self.phi_var[b.index()][i];
-                let dst = inst.dst().expect("φ defines");
-                self.stacks[var.index()].push(dst);
-                pushed.push(var);
-                self.f.block_mut(b).insts[i] = inst;
+                let dst = self.f.block(b).insts[i].dst().expect("φ defines");
+                self.define(var, dst);
                 continue;
             }
             // Rewrite uses to current names.
-            inst.map_uses(|r| self.current(r));
+            let inst = &mut self.f.blocks[b.index()].insts[i];
+            inst.map_uses(|r| name_of(&self.current, r));
             // Copy folding: the copy's source name becomes the current name
             // of the destination variable, and the copy is dropped.
             if self.fold_copies {
-                if let Inst::Copy { dst, src } = inst {
-                    self.stacks[dst.index()].push(src);
-                    pushed.push(dst);
+                if let Inst::Copy { dst, src } = *inst {
+                    self.define(dst, src);
                     removed.push(i);
                     continue;
                 }
             }
             // Ordinary definition: fresh SSA name.
             if let Some(dst) = inst.dst() {
-                let ty = self.f.ty_of(dst);
-                let fresh = self.f.new_reg(ty);
-                inst.set_dst(fresh);
-                self.stacks[dst.index()].push(fresh);
-                pushed.push(dst);
+                let fresh = self.f.new_reg(self.f.ty_of(dst));
+                self.f.blocks[b.index()].insts[i].set_dst(fresh);
+                self.define(dst, fresh);
             }
-            self.f.block_mut(b).insts[i] = inst;
         }
         // Terminator uses.
-        let mut term = self.f.block(b).term.clone();
-        term.map_uses(|r| self.current(r));
-        self.f.block_mut(b).term = term;
+        self.f.blocks[b.index()].term.map_uses(|r| name_of(&self.current, r));
 
-        // Patch φ arguments of successors for the edge from b.
+        // Patch φ arguments of successors for the edge from b: each slot
+        // still holds the original variable, which its reaching name
+        // replaces.
         for &s in self.cfg.succs(b) {
             for (i, inst) in self.f.blocks[s.index()].insts.iter_mut().enumerate() {
-                match inst {
-                    Inst::Phi { args, .. } => {
-                        let var = self.phi_var[s.index()][i];
-                        for (pb, val) in args.iter_mut() {
-                            if *pb == b {
-                                // The slot still holds the original var; the
-                                // reaching name replaces it.
-                                let cur = self.stacks[var.index()]
-                                    .last()
-                                    .copied()
-                                    .unwrap_or(*val);
-                                *val = cur;
-                            }
-                        }
+                let Inst::Phi { args, .. } = inst else { break };
+                let var = self.phi_var[s.index()][i];
+                for (pb, val) in args.iter_mut() {
+                    if *pb == b {
+                        *val = name_of(&self.current, var);
                     }
-                    _ => break,
                 }
             }
         }
@@ -257,10 +258,10 @@ impl Renamer<'_> {
         for &i in removed.iter().rev() {
             self.f.block_mut(b).insts.remove(i);
         }
-        for v in pushed {
-            self.stacks[v.index()].pop();
+        while self.undo.len() > undo_mark {
+            let (v, previous) = self.undo.pop().expect("above the mark");
+            self.current[v.index()] = previous;
         }
-        let _ = self.n_orig_regs;
     }
 }
 

@@ -20,8 +20,7 @@
 use std::collections::HashMap;
 
 use epre_cfg::edit::split_critical_edges;
-use epre_cfg::Cfg;
-use epre_ir::{BlockId, Function, Inst, Reg};
+use epre_ir::{Function, Inst, Reg};
 
 /// Replace all φ-nodes of `f` with copies; on return the function contains
 /// no φ-nodes and is executable by the interpreter.
@@ -30,35 +29,29 @@ pub fn destroy_ssa(f: &mut Function) {
         return;
     }
     split_critical_edges(f);
-    let cfg = Cfg::new(f);
 
-    // Collect the parallel copy set per predecessor edge.
-    let mut edge_copies: HashMap<BlockId, Vec<(Reg, Reg)>> = HashMap::new();
-    for (bid, block) in f.iter_blocks() {
-        for inst in block.phis() {
+    // Collect the parallel copy set per predecessor, indexed by block so
+    // the copies (and any cycle-breaking temporaries) are emitted in
+    // block order on every run.
+    let mut edge_copies: Vec<Vec<(Reg, Reg)>> = vec![Vec::new(); f.blocks.len()];
+    for block in &mut f.blocks {
+        let n = block.phi_count();
+        for inst in block.insts.drain(..n) {
             if let Inst::Phi { dst, args } = inst {
-                for &(pb, src) in args {
-                    edge_copies.entry(pb).or_default().push((*dst, src));
+                for (pb, src) in args {
+                    edge_copies[pb.index()].push((dst, src));
                 }
             }
         }
-        let _ = bid;
-        let _ = &cfg;
-    }
-
-    // Remove the φs.
-    for block in &mut f.blocks {
-        let n = block.phi_count();
-        block.insts.drain(..n);
     }
 
     // Insert sequentialized copies at the end of each predecessor.
-    for (pb, copies) in edge_copies {
-        let seq = sequentialize(&copies, |ty_src| f.new_reg(f.ty_of(ty_src)));
-        let block = f.block_mut(pb);
-        for (dst, src) in seq {
-            block.insts.push(Inst::Copy { dst, src });
+    for (pb, copies) in edge_copies.iter().enumerate() {
+        if copies.is_empty() {
+            continue;
         }
+        let seq = sequentialize(copies, |ty_src| f.new_reg(f.ty_of(ty_src)));
+        f.blocks[pb].insts.extend(seq.into_iter().map(|(dst, src)| Inst::Copy { dst, src }));
     }
 }
 
@@ -100,7 +93,7 @@ fn sequentialize(copies: &[(Reg, Reg)], mut fresh: impl FnMut(Reg) -> Reg) -> Ve
 mod tests {
     use super::*;
     use crate::construct::{build_ssa, SsaOptions};
-    use epre_ir::{BinOp, Const, FunctionBuilder, Terminator, Ty};
+    use epre_ir::{BinOp, BlockId, Const, FunctionBuilder, Terminator, Ty};
 
     #[test]
     fn sequentialize_acyclic() {
@@ -264,5 +257,46 @@ mod tests {
             b.insts.iter().filter(|i| matches!(i, Inst::Copy { .. })).count()
         }).max().unwrap();
         assert_eq!(max_copies, 3, "swap requires a cycle-breaking temp");
+    }
+
+    /// `n` self-loops in a row, each swapping two values through φs, so
+    /// every back edge needs its own cycle-breaking temporary.
+    fn swap_loops(n: u32) -> Function {
+        use epre_ir::Block;
+        let mut f = Function::new("swaps", None);
+        let a0 = f.new_reg(Ty::Int);
+        let b0 = f.new_reg(Ty::Int);
+        let c = f.new_reg(Ty::Int);
+        let mut entry = Block::new(Terminator::Jump { target: BlockId(1) });
+        entry.insts.push(Inst::LoadI { dst: a0, value: Const::Int(1) });
+        entry.insts.push(Inst::LoadI { dst: b0, value: Const::Int(2) });
+        entry.insts.push(Inst::LoadI { dst: c, value: Const::Int(0) });
+        f.add_block(entry);
+        for k in 1..=n {
+            let (a, b) = (f.new_reg(Ty::Int), f.new_reg(Ty::Int));
+            let (prev, head) = (BlockId(k - 1), BlockId(k));
+            let mut block =
+                Block::new(Terminator::Branch { cond: c, then_to: head, else_to: BlockId(k + 1) });
+            block.insts.push(Inst::Phi { dst: a, args: vec![(prev, a0), (head, b)] });
+            block.insts.push(Inst::Phi { dst: b, args: vec![(prev, b0), (head, a)] });
+            f.add_block(block);
+        }
+        f.add_block(Block::new(Terminator::Return { value: None }));
+        f
+    }
+
+    #[test]
+    fn destruction_numbers_temporaries_the_same_on_every_run() {
+        let f = swap_loops(8);
+        assert!(f.verify().is_ok());
+        let texts: std::collections::HashSet<String> = (0..20)
+            .map(|_| {
+                let mut g = f.clone();
+                destroy_ssa(&mut g);
+                assert!(g.verify().is_ok());
+                g.to_string()
+            })
+            .collect();
+        assert_eq!(texts.len(), 1, "destroy_ssa output depends on the run");
     }
 }

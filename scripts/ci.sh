@@ -40,6 +40,22 @@ target/release/epre report --quick --out "$tmpdir/BENCH_TABLE1.json" > /dev/null
 grep -q '^{"bench":"table1","levels":\["baseline","partial","reassociation","distribution"\]' \
     "$tmpdir/BENCH_TABLE1.json"
 
+echo "==> perfbench build, unit tests and a traced opt-suite second"
+# The benchmark is a Cargo workspace of its own that calls the optimizer's
+# internals (expression universe, local predicates, dataflow solve, SSA
+# build and destroy), so the workspace build above never compiles it. The
+# traced run checks that traced and untraced output are identical, that
+# the per-layer times add up, that checksums match and that Table 1 op
+# counts hold; its last line must report `"correct": true`.
+# shellcheck disable=SC2086
+CARGO_TARGET_DIR=.bench_build cargo test $CARGO_FLAGS --manifest-path perfbench/Cargo.toml
+python3 perfbench/run.py --mixed-rate 75 --workload opt-suite --seed 1 --seconds 1 --trace 1 \
+    > "$tmpdir/perfbench.txt"
+tail -n 1 "$tmpdir/perfbench.txt" | grep -q '"correct": true' || {
+    echo "traced perfbench run did not report correct output" >&2
+    exit 1
+}
+
 echo "==> trace schema sanity"
 # Export a JSONL trace for a tiny module and require every line to carry
 # the telemetry schema: a leading dense seq plus pass and function tags.
