@@ -2,7 +2,15 @@
 
 use std::fmt;
 
+/// Capacities up to this many bits are stored inline, without a heap
+/// buffer. PRE's expression universes average 29 expressions, so nearly
+/// every set PRE and the dataflow solver make fits.
+const INLINE_BITS: usize = 128;
+
 /// A fixed-capacity set of small integers, stored one bit per element.
+///
+/// Sets of capacity at most 128 keep their bits inline and never allocate;
+/// larger ones own one heap buffer.
 ///
 /// All binary operations require both operands to have the same capacity;
 /// data-flow facts over a common universe always do.
@@ -19,33 +27,61 @@ use std::fmt;
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitSet {
-    words: Vec<u64>,
+    words: Words,
     capacity: usize,
+}
+
+/// A set's words. Bits at or above the capacity are always zero, so the
+/// derived equality and hash see only the elements.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Words {
+    Inline([u64; INLINE_BITS / 64]),
+    Heap(Box<[u64]>),
 }
 
 impl BitSet {
     /// An empty set able to hold elements `0..capacity`.
     pub fn new(capacity: usize) -> Self {
-        BitSet { words: vec![0; capacity.div_ceil(64)], capacity }
+        let words = if capacity <= INLINE_BITS {
+            Words::Inline([0; INLINE_BITS / 64])
+        } else {
+            Words::Heap(vec![0; capacity.div_ceil(64)].into_boxed_slice())
+        };
+        BitSet { words, capacity }
     }
 
     /// A set containing every element `0..capacity`.
     pub fn full(capacity: usize) -> Self {
-        let mut s = BitSet { words: vec![!0u64; capacity.div_ceil(64)], capacity };
+        let mut s = BitSet::new(capacity);
+        s.words_mut().fill(!0);
         s.trim();
         s
     }
 
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
+        }
+    }
+
+    /// Clear the bits at or above the capacity.
     fn trim(&mut self) {
         // Defensive form: never subtracts below zero and never shifts by 64,
         // so `capacity == 0` (empty-function universes from the reducer
         // corpus) and word-aligned capacities are both safe.
-        self.words.truncate(self.capacity.div_ceil(64));
-        let used = self.capacity % 64;
-        if used != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= !0u64 >> (64 - used);
-            }
+        let (cap, words) = (self.capacity, self.words_mut());
+        let used = cap.div_ceil(64);
+        words[used..].fill(0);
+        if cap % 64 != 0 {
+            words[used - 1] &= !0u64 >> (64 - cap % 64);
         }
     }
 
@@ -61,8 +97,9 @@ impl BitSet {
     pub fn insert(&mut self, i: usize) -> bool {
         assert!(i < self.capacity, "bit {i} out of capacity {}", self.capacity);
         let (w, b) = (i / 64, i % 64);
-        let fresh = self.words[w] & (1 << b) == 0;
-        self.words[w] |= 1 << b;
+        let word = &mut self.words_mut()[w];
+        let fresh = *word & (1 << b) == 0;
+        *word |= 1 << b;
         fresh
     }
 
@@ -70,8 +107,9 @@ impl BitSet {
     pub fn remove(&mut self, i: usize) -> bool {
         assert!(i < self.capacity, "bit {i} out of capacity {}", self.capacity);
         let (w, b) = (i / 64, i % 64);
-        let present = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
+        let word = &mut self.words_mut()[w];
+        let present = *word & (1 << b) != 0;
+        *word &= !(1 << b);
         present
     }
 
@@ -80,29 +118,29 @@ impl BitSet {
         if i >= self.capacity {
             return false;
         }
-        self.words[i / 64] & (1 << (i % 64)) != 0
+        self.words()[i / 64] & (1 << (i % 64)) != 0
     }
 
     /// Remove all elements.
     pub fn clear(&mut self) {
-        self.words.fill(0);
+        self.words_mut().fill(0);
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Is the set empty?
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// `self ∪= other`; returns true if `self` changed.
     pub fn union_with(&mut self, other: &BitSet) -> bool {
         debug_assert_eq!(self.capacity, other.capacity);
         let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             let new = *a | b;
             changed |= new != *a;
             *a = new;
@@ -114,7 +152,7 @@ impl BitSet {
     pub fn intersect_with(&mut self, other: &BitSet) -> bool {
         debug_assert_eq!(self.capacity, other.capacity);
         let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             let new = *a & b;
             changed |= new != *a;
             *a = new;
@@ -126,7 +164,7 @@ impl BitSet {
     pub fn difference_with(&mut self, other: &BitSet) -> bool {
         debug_assert_eq!(self.capacity, other.capacity);
         let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             let new = *a & !b;
             changed |= new != *a;
             *a = new;
@@ -135,7 +173,7 @@ impl BitSet {
     }
 
     /// Overwrite `self` with the contents of `other`, reusing the existing
-    /// word storage (no allocation when capacities match).
+    /// word storage (no allocation).
     ///
     /// ```
     /// use epre_analysis::BitSet;
@@ -151,7 +189,7 @@ impl BitSet {
     /// Panics (debug) if the capacities differ.
     pub fn assign_from(&mut self, other: &BitSet) {
         debug_assert_eq!(self.capacity, other.capacity);
-        self.words.copy_from_slice(&other.words);
+        self.words_mut().copy_from_slice(other.words());
     }
 
     /// `self ∪= (add − minus)` in one in-place sweep; returns true if
@@ -177,7 +215,7 @@ impl BitSet {
         debug_assert_eq!(self.capacity, add.capacity);
         debug_assert_eq!(self.capacity, minus.capacity);
         let mut changed = false;
-        for ((a, b), m) in self.words.iter_mut().zip(&add.words).zip(&minus.words) {
+        for ((a, b), m) in self.words_mut().iter_mut().zip(add.words()).zip(minus.words()) {
             let new = *a | (b & !m);
             changed |= new != *a;
             *a = new;
@@ -187,13 +225,14 @@ impl BitSet {
 
     /// Iterate the elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter { set: self, word: 0, bits: self.words.first().copied().unwrap_or(0) }
+        let words = self.words();
+        Iter { words, word: 0, bits: words.first().copied().unwrap_or(0) }
     }
 }
 
 /// Iterator over the elements of a [`BitSet`], produced by [`BitSet::iter`].
 pub struct Iter<'a> {
-    set: &'a BitSet,
+    words: &'a [u64],
     word: usize,
     bits: u64,
 }
@@ -209,10 +248,10 @@ impl Iterator for Iter<'_> {
                 return Some(self.word * 64 + b);
             }
             self.word += 1;
-            if self.word >= self.set.words.len() {
+            if self.word >= self.words.len() {
                 return None;
             }
-            self.bits = self.set.words[self.word];
+            self.bits = self.words[self.word];
         }
     }
 }
@@ -392,6 +431,29 @@ mod tests {
         from_bs.sort_unstable();
         from_hs.sort_unstable();
         assert_eq!(from_bs, from_hs);
+    }
+
+    #[test]
+    fn inline_and_heap_sets_agree() {
+        // The same elements at a capacity stored inline (128) and one on
+        // the heap (129) give the same answers, and trimming keeps the
+        // bits past the capacity clear in both.
+        for cap in [1usize, 64, 100, 128, 129, 200] {
+            let mut a = BitSet::full(cap);
+            let mut b = BitSet::new(cap);
+            for i in (0..cap).step_by(3) {
+                b.insert(i);
+            }
+            let expect: Vec<usize> = (0..cap).filter(|i| i % 3 != 0).collect();
+            assert!(a.difference_with(&b));
+            assert_eq!(a.iter().collect::<Vec<_>>(), expect, "cap {cap}");
+            assert_eq!(a.len() + b.len(), cap);
+            let copy = a.clone();
+            assert_eq!(copy, a);
+            a.union_with(&b);
+            assert_eq!(a, BitSet::full(cap));
+            assert!(!a.contains(cap));
+        }
     }
 
     #[test]

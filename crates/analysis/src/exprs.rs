@@ -16,6 +16,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
+use epre_cfg::Csr;
 use epre_ir::{BinOp, BlockId, Const, Function, Inst, Reg, Ty, UnOp};
 
 /// Dense identifier of an expression in a function's [`ExprUniverse`].
@@ -95,13 +96,16 @@ impl ExprKey {
         }
     }
 
-    /// The register operands of the expression (empty for constants).
-    pub fn operands(&self) -> Vec<Reg> {
-        match self {
-            ExprKey::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            ExprKey::Un { src, .. } => vec![*src],
-            ExprKey::Const(_) => vec![],
+    /// The register operands of the expression, in operand order (none for
+    /// constants). Allocates nothing.
+    pub fn operands(&self) -> impl Iterator<Item = Reg> + Clone {
+        match *self {
+            ExprKey::Bin { lhs, rhs, .. } => [Some(lhs), Some(rhs)],
+            ExprKey::Un { src, .. } => [Some(src), None],
+            ExprKey::Const(_) => [None, None],
         }
+        .into_iter()
+        .flatten()
     }
 }
 
@@ -119,10 +123,9 @@ pub struct ExprUniverse {
     names: Vec<Reg>,
     /// Whether every occurrence of the expression targets `names[e]`.
     disciplined: Vec<bool>,
-    /// The expressions that use register `r` as an operand are
-    /// `used_by[used_by_start[r]..used_by_start[r + 1]]`, in id order.
-    used_by_start: Vec<u32>,
-    used_by: Vec<ExprId>,
+    /// Row `r` lists the expressions that use register `r` as an operand,
+    /// in id order.
+    used_by: Csr<ExprId>,
     /// The expression of every instruction, block by block in program
     /// order (`None` for copies, φs, loads, stores and calls).
     inst_exprs: Vec<Option<ExprId>>,
@@ -131,70 +134,49 @@ pub struct ExprUniverse {
 }
 
 impl ExprUniverse {
-    /// Scan `f` and build its expression universe.
+    /// Scan `f` and build its expression universe. Every table is sized
+    /// up front from the instruction count, so the number of allocations
+    /// does not grow with the function.
     pub fn new(f: &Function) -> Self {
-        let mut u = ExprUniverse {
-            by_key: HashMap::with_capacity(f.inst_count()),
-            keys: Vec::new(),
-            names: Vec::new(),
-            disciplined: Vec::new(),
-            used_by_start: vec![0; f.reg_count() + 1],
-            used_by: Vec::new(),
-            inst_exprs: Vec::with_capacity(f.inst_count()),
-            block_starts: Vec::with_capacity(f.blocks.len() + 1),
-        };
-        // (operand, expression) pairs, in expression order.
-        let mut operand_of: Vec<(Reg, ExprId)> = Vec::new();
+        let n = f.inst_count();
+        let mut by_key: HashMap<ExprKey, ExprId> = HashMap::with_capacity(n);
+        let mut keys = Vec::with_capacity(n);
+        let mut names: Vec<Reg> = Vec::with_capacity(n);
+        let mut disciplined: Vec<bool> = Vec::with_capacity(n);
+        let mut inst_exprs = Vec::with_capacity(n);
+        let mut block_starts = Vec::with_capacity(f.blocks.len() + 1);
         for block in &f.blocks {
-            u.block_starts.push(u.inst_exprs.len());
+            block_starts.push(inst_exprs.len());
             for inst in &block.insts {
                 let id = ExprKey::of_inst(inst).map(|key| {
                     let dst = inst.dst().expect("expressions define a register");
-                    match u.by_key.entry(key) {
+                    match by_key.entry(key) {
                         Entry::Occupied(e) => {
                             let id = *e.get();
-                            if u.names[id.index()] != dst {
-                                u.disciplined[id.index()] = false;
+                            if names[id.index()] != dst {
+                                disciplined[id.index()] = false;
                             }
                             id
                         }
                         Entry::Vacant(e) => {
-                            let id = ExprId(u.keys.len() as u32);
-                            match *e.key() {
-                                ExprKey::Bin { lhs, rhs, .. } => {
-                                    operand_of.push((lhs, id));
-                                    operand_of.push((rhs, id));
-                                }
-                                ExprKey::Un { src, .. } => operand_of.push((src, id)),
-                                ExprKey::Const(_) => {}
-                            }
-                            u.keys.push(e.key().clone());
+                            let id = ExprId(keys.len() as u32);
+                            keys.push(e.key().clone());
                             e.insert(id);
-                            u.names.push(dst);
-                            u.disciplined.push(true);
+                            names.push(dst);
+                            disciplined.push(true);
                             id
                         }
                     }
                 });
-                u.inst_exprs.push(id);
+                inst_exprs.push(id);
             }
         }
-        u.block_starts.push(u.inst_exprs.len());
-        // Counting sort of the pairs by operand; stable, so each list
-        // stays in expression order.
-        for &(r, _) in &operand_of {
-            u.used_by_start[r.index() + 1] += 1;
-        }
-        for i in 1..u.used_by_start.len() {
-            u.used_by_start[i] += u.used_by_start[i - 1];
-        }
-        let mut fill = u.used_by_start.clone();
-        u.used_by = vec![ExprId(0); operand_of.len()];
-        for (r, id) in operand_of {
-            u.used_by[fill[r.index()] as usize] = id;
-            fill[r.index()] += 1;
-        }
-        u
+        block_starts.push(inst_exprs.len());
+        let operand_of = keys.iter().enumerate().flat_map(|(e, key)| {
+            key.operands().map(move |r| (r.index(), ExprId(e as u32)))
+        });
+        let used_by = Csr::from_pairs(f.reg_count(), operand_of);
+        ExprUniverse { by_key, keys, names, disciplined, used_by, inst_exprs, block_starts }
     }
 
     /// Number of distinct expressions.
@@ -230,9 +212,10 @@ impl ExprUniverse {
 
     /// Expressions that read register `r`.
     pub fn used_by(&self, r: Reg) -> &[ExprId] {
-        match (self.used_by_start.get(r.index()), self.used_by_start.get(r.index() + 1)) {
-            (Some(&start), Some(&end)) => &self.used_by[start as usize..end as usize],
-            _ => &[],
+        if r.index() < self.used_by.rows() {
+            self.used_by.row(r.index())
+        } else {
+            &[]
         }
     }
 
@@ -321,7 +304,7 @@ mod tests {
         assert_eq!(u.used_by(y).len(), 1);
         assert_eq!(u.used_by(s).len(), 0);
         let id = u.used_by(x)[0];
-        assert_eq!(u.key(id).operands(), vec![x, y]);
+        assert_eq!(u.key(id).operands().collect::<Vec<_>>(), vec![x, y]);
     }
 
     #[test]

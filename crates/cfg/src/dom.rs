@@ -7,6 +7,7 @@
 //! (TOPLAS 1991), the paper's reference \[11\], and drive φ-placement in
 //! `epre-ssa` as well as the dominator-based CSE of §5.3.
 
+use crate::csr::Csr;
 use crate::graph::Cfg;
 use crate::order::RpoNumbers;
 use epre_ir::{BlockId, Function};
@@ -17,10 +18,10 @@ pub struct Dominators {
     /// `idom[b]` — immediate dominator; entry's idom is itself; unreachable
     /// blocks have `None`.
     idom: Vec<Option<BlockId>>,
-    /// Children in the dominator tree.
-    children: Vec<Vec<BlockId>>,
+    /// Children in the dominator tree, in reverse postorder.
+    children: Csr<BlockId>,
     /// Dominance frontier of each block.
-    frontier: Vec<Vec<BlockId>>,
+    frontier: Csr<BlockId>,
     rpo: RpoNumbers,
 }
 
@@ -57,34 +58,30 @@ impl Dominators {
             }
         }
 
-        let mut children = vec![Vec::new(); n];
-        for &b in rpo.order() {
-            if b != BlockId::ENTRY {
-                if let Some(d) = idom[b.index()] {
-                    children[d.index()].push(b);
-                }
-            }
-        }
+        let order = rpo.order();
+        let children = Csr::from_pairs(
+            n,
+            order.iter().skip(1).filter_map(|&b| idom[b.index()].map(|d| (d.index(), b))),
+        );
 
         // Dominance frontiers (Cytron et al., fig. 10 — the "two-finger"
-        // formulation from CHK).
-        let mut frontier = vec![Vec::new(); n];
-        for &b in rpo.order() {
-            if cfg.preds(b).len() >= 2 {
-                for &p in cfg.preds(b) {
-                    if idom[p.index()].is_none() {
-                        continue;
-                    }
-                    let mut runner = p;
-                    while Some(runner) != idom[b.index()] {
-                        if !frontier[runner.index()].contains(&b) {
-                            frontier[runner.index()].push(b);
-                        }
-                        runner = idom[runner.index()].expect("runner is reachable");
-                    }
-                }
-            }
-        }
+        // formulation from CHK): each predecessor of a join block `b` walks
+        // up to `idom(b)`, adding `b` to the frontier of every block it
+        // passes. Two walks for the same `b` can pass the same block, and
+        // those repeats are adjacent in its row.
+        let idom_ref = &idom;
+        let walks = order.iter().filter(|&&b| cfg.preds(b).len() >= 2).flat_map(|&b| {
+            let stop = idom_ref[b.index()];
+            cfg.preds(b).iter().filter(|p| idom_ref[p.index()].is_some()).flat_map(move |&p| {
+                std::iter::successors(Some(p), |r| {
+                    Some(idom_ref[r.index()].expect("runner is reachable"))
+                })
+                .take_while(move |&r| Some(r) != stop)
+                .map(move |r| (r.index(), b))
+            })
+        });
+        let mut frontier = Csr::from_pairs(n, walks);
+        frontier.dedup_rows();
 
         Dominators { idom, children, frontier, rpo }
     }
@@ -120,12 +117,12 @@ impl Dominators {
 
     /// The children of `b` in the dominator tree.
     pub fn children(&self, b: BlockId) -> &[BlockId] {
-        &self.children[b.index()]
+        self.children.row(b.index())
     }
 
     /// The dominance frontier of `b`.
     pub fn frontier(&self, b: BlockId) -> &[BlockId] {
-        &self.frontier[b.index()]
+        self.frontier.row(b.index())
     }
 
     /// Is `b` reachable from the entry?

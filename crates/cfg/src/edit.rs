@@ -21,7 +21,7 @@ use epre_ir::{Block, BlockId, Function, Inst, Terminator};
 /// Panics if `from -> to` is not an edge of the function.
 pub fn split_edge(f: &mut Function, from: BlockId, to: BlockId) -> BlockId {
     assert!(
-        f.block(from).term.successors().contains(&to),
+        f.block(from).term.successors().any(|s| s == to),
         "{from} -> {to} is not an edge"
     );
     let nb = f.add_block(Block::new(Terminator::Jump { target: to }));

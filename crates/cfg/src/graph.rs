@@ -1,5 +1,6 @@
 //! Predecessor/successor maps: [`Cfg`].
 
+use crate::csr::Csr;
 use epre_ir::{BlockId, Function};
 
 /// The control-flow graph of a function, as dense predecessor and successor
@@ -12,57 +13,50 @@ use epre_ir::{BlockId, Function};
 /// PRE edge placement require.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
-    preds: Vec<Vec<BlockId>>,
-    succs: Vec<Vec<BlockId>>,
+    preds: Csr<BlockId>,
+    succs: Csr<BlockId>,
 }
 
 impl Cfg {
     /// Build the CFG snapshot of `f`.
     pub fn new(f: &Function) -> Self {
         let n = f.blocks.len();
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
-        for (id, block) in f.iter_blocks() {
-            let mut ss = block.term.successors();
-            ss.dedup();
-            // A two-way branch to the same block yields one edge; dedup()
-            // suffices because successors() lists at most two targets.
-            for s in &ss {
-                preds[s.index()].push(id);
-            }
-            succs[id.index()] = ss;
-        }
+        let edges = f.iter_blocks().flat_map(|(b, block)| {
+            // A two-way branch to the same block yields one edge; skipping
+            // a repeat suffices because successors() lists at most two.
+            let mut prev = None;
+            let ss = block.term.successors().filter(move |&s| prev.replace(s) != Some(s));
+            ss.map(move |s| (b.index(), s))
+        });
+        let succs = Csr::from_pairs(n, edges);
+        let preds = Csr::from_pairs(n, succs.pairs().map(|(b, s)| (s.index(), BlockId(b as u32))));
         Cfg { preds, succs }
     }
 
     /// Number of blocks the snapshot covers.
     pub fn len(&self) -> usize {
-        self.succs.len()
+        self.succs.rows()
     }
 
     /// True if the function had no blocks (never the case for verified IR).
     pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
+        self.succs.rows() == 0
     }
 
     /// The predecessors of `b`, each listed once, in discovery order.
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.index()]
+        self.preds.row(b.index())
     }
 
     /// The successors of `b`, each listed once, in terminator order.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.index()]
+        self.succs.row(b.index())
     }
 
     /// All `(from, to)` edges, in block order.
     pub fn edges(&self) -> Vec<(BlockId, BlockId)> {
-        let mut out = Vec::new();
-        for (i, ss) in self.succs.iter().enumerate() {
-            for &s in ss {
-                out.push((BlockId(i as u32), s));
-            }
-        }
+        let mut out = Vec::with_capacity(self.succs.items().len());
+        out.extend(self.succs.pairs().map(|(b, s)| (BlockId(b as u32), s)));
         out
     }
 
@@ -81,7 +75,8 @@ impl Cfg {
         if self.is_empty() {
             return seen;
         }
-        let mut stack = vec![BlockId::ENTRY];
+        let mut stack = Vec::with_capacity(self.len());
+        stack.push(BlockId::ENTRY);
         seen[BlockId::ENTRY.index()] = true;
         while let Some(b) = stack.pop() {
             for &s in self.succs(b) {

@@ -4,7 +4,8 @@
 //! pipeline (Briggs & Cooper, PLDI 1994):
 //!
 //! * [`Cfg`] — predecessor/successor maps derived from a function's
-//!   terminators,
+//!   terminators, stored as [`Csr`] tables (one flat array per map, the
+//!   layout every per-block list the passes rebuild shares),
 //! * [`order`] — postorder and the **reverse postorder** traversal that the
 //!   paper's rank computation walks (§3.1 "we traverse the control-flow
 //!   graph in reverse postorder, assigning ranks"),
@@ -41,12 +42,14 @@
 //! assert!(dom.dominates(head, body));
 //! ```
 
+pub mod csr;
 pub mod dom;
 pub mod edit;
 pub mod graph;
 pub mod loops;
 pub mod order;
 
+pub use csr::Csr;
 pub use dom::Dominators;
 pub use graph::Cfg;
 pub use loops::LoopInfo;

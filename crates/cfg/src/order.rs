@@ -20,8 +20,9 @@ pub fn postorder(cfg: &Cfg) -> Vec<BlockId> {
     }
     let mut visited = vec![false; cfg.len()];
     // Iterative DFS with an explicit child cursor so postorder matches the
-    // recursive definition exactly.
-    let mut stack: Vec<(BlockId, usize)> = vec![(BlockId::ENTRY, 0)];
+    // recursive definition exactly. Each block is pushed at most once.
+    let mut stack: Vec<(BlockId, usize)> = Vec::with_capacity(cfg.len());
+    stack.push((BlockId::ENTRY, 0));
     visited[BlockId::ENTRY.index()] = true;
     while let Some(&mut (b, ref mut next)) = stack.last_mut() {
         let succs = cfg.succs(b);

@@ -963,7 +963,11 @@ mod tests {
             .filter(|i| matches!(i, Inst::Bin { op: BinOp::Add, .. }))
             .collect();
         assert_eq!(adds[0].dst(), adds[1].dst());
-        assert_eq!(adds[0].uses(), adds[1].uses(), "operands canonicalized");
+        assert_eq!(
+            adds[0].uses().collect::<Vec<_>>(),
+            adds[1].uses().collect::<Vec<_>>(),
+            "operands canonicalized"
+        );
     }
 
     #[test]

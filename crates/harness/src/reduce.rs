@@ -297,7 +297,7 @@ fn reduce_operands(m: &Module, pred: &dyn Fn(&Module) -> bool, tests: &Cell<usiz
         for b in 0..nblocks {
             let ninsts = cur.functions[fi].blocks[b].insts.len();
             for i in 0..ninsts {
-                let uses = cur.functions[fi].blocks[b].insts[i].uses();
+                let uses: Vec<_> = cur.functions[fi].blocks[b].insts[i].uses().collect();
                 for u in uses {
                     let lowest = {
                         let f = &cur.functions[fi];

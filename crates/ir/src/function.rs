@@ -32,22 +32,26 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// The CFG successors named by this terminator, in order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump { target } => vec![*target],
-            Terminator::Branch { then_to, else_to, .. } => vec![*then_to, *else_to],
-            Terminator::Return { .. } => vec![],
-        }
+    /// The CFG successors named by this terminator, in order (a branch
+    /// with equal targets names its target twice). Allocates nothing.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> + Clone {
+        let (first, second) = match *self {
+            Terminator::Jump { target } => (Some(target), None),
+            Terminator::Branch { then_to, else_to, .. } => (Some(then_to), Some(else_to)),
+            Terminator::Return { .. } => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
-    /// The registers read by this terminator.
-    pub fn uses(&self) -> Vec<Reg> {
-        match self {
-            Terminator::Branch { cond, .. } => vec![*cond],
-            Terminator::Return { value: Some(v) } => vec![*v],
-            _ => vec![],
+    /// The registers read by this terminator (at most one). Allocates
+    /// nothing.
+    pub fn uses(&self) -> impl Iterator<Item = Reg> + Clone {
+        match *self {
+            Terminator::Branch { cond, .. } => Some(cond),
+            Terminator::Return { value } => value,
+            Terminator::Jump { .. } => None,
         }
+        .into_iter()
     }
 
     /// Apply `f` to every used register in place.
@@ -174,7 +178,7 @@ impl Function {
     }
 
     /// Iterator over `(BlockId, &Block)` pairs in index order.
-    pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockId, &Block)> {
+    pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockId, &Block)> + Clone {
         self.blocks.iter().enumerate().map(|(i, b)| (BlockId(i as u32), b))
     }
 
@@ -337,18 +341,21 @@ mod tests {
 
     #[test]
     fn terminator_successors() {
-        assert_eq!(Terminator::Jump { target: BlockId(3) }.successors(), vec![BlockId(3)]);
+        assert_eq!(
+            Terminator::Jump { target: BlockId(3) }.successors().collect::<Vec<_>>(),
+            vec![BlockId(3)]
+        );
         let b = Terminator::Branch { cond: Reg(0), then_to: BlockId(1), else_to: BlockId(2) };
-        assert_eq!(b.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(b.uses(), vec![Reg(0)]);
-        assert_eq!(Terminator::Return { value: None }.successors(), vec![]);
+        assert_eq!(b.successors().collect::<Vec<_>>(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(b.uses().collect::<Vec<_>>(), vec![Reg(0)]);
+        assert_eq!(Terminator::Return { value: None }.successors().collect::<Vec<_>>(), vec![]);
     }
 
     #[test]
     fn terminator_retarget() {
         let mut t = Terminator::Branch { cond: Reg(0), then_to: BlockId(1), else_to: BlockId(1) };
         t.retarget(BlockId(1), BlockId(5));
-        assert_eq!(t.successors(), vec![BlockId(5), BlockId(5)]);
+        assert_eq!(t.successors().collect::<Vec<_>>(), vec![BlockId(5), BlockId(5)]);
     }
 
     #[test]

@@ -289,17 +289,25 @@ impl Inst {
     }
 
     /// The registers used (read) by this instruction, in operand order.
-    pub fn uses(&self) -> Vec<Reg> {
-        match self {
-            Inst::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Un { src, .. } => vec![*src],
-            Inst::LoadI { .. } => vec![],
-            Inst::Copy { src, .. } => vec![*src],
-            Inst::Load { addr, .. } => vec![*addr],
-            Inst::Store { addr, value, .. } => vec![*addr, *value],
-            Inst::Call { args, .. } => args.clone(),
-            Inst::Phi { args, .. } => args.iter().map(|&(_, r)| r).collect(),
-        }
+    /// Iterating allocates nothing; collect when a `Vec` is needed.
+    pub fn uses(&self) -> impl Iterator<Item = Reg> + Clone + '_ {
+        let fixed = match *self {
+            Inst::Bin { lhs, rhs, .. } => [Some(lhs), Some(rhs)],
+            Inst::Store { addr, value, .. } => [Some(addr), Some(value)],
+            Inst::Un { src, .. } | Inst::Copy { src, .. } => [Some(src), None],
+            Inst::Load { addr, .. } => [Some(addr), None],
+            Inst::LoadI { .. } | Inst::Call { .. } | Inst::Phi { .. } => [None, None],
+        };
+        let args: &[Reg] = match self {
+            Inst::Call { args, .. } => args,
+            _ => &[],
+        };
+        let inputs: &[(BlockId, Reg)] = match self {
+            Inst::Phi { args, .. } => args,
+            _ => &[],
+        };
+        let inputs = inputs.iter().map(|&(_, r)| r);
+        fixed.into_iter().flatten().chain(args.iter().copied()).chain(inputs)
     }
 
     /// Apply `f` to every used (read) register in place.
@@ -428,7 +436,7 @@ mod tests {
             rhs: Reg(1),
         };
         assert_eq!(i.dst(), Some(Reg(2)));
-        assert_eq!(i.uses(), vec![Reg(0), Reg(1)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![Reg(0), Reg(1)]);
         assert!(i.is_expression());
         assert!(!i.has_side_effects());
 
@@ -438,7 +446,7 @@ mod tests {
             value: Reg(4),
         };
         assert_eq!(s.dst(), None);
-        assert_eq!(s.uses(), vec![Reg(3), Reg(4)]);
+        assert_eq!(s.uses().collect::<Vec<_>>(), vec![Reg(3), Reg(4)]);
         assert!(!s.is_expression());
         assert!(s.has_side_effects());
 
@@ -459,7 +467,7 @@ mod tests {
             args: vec![(BlockId(0), Reg(1)), (BlockId(1), Reg(2))],
         };
         i.map_uses(|r| Reg(r.0 + 10));
-        assert_eq!(i.uses(), vec![Reg(11), Reg(12)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![Reg(11), Reg(12)]);
         assert_eq!(i.dst(), Some(Reg(9)));
     }
 

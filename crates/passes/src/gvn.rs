@@ -437,7 +437,7 @@ mod tests {
             .flat_map(|b| &b.insts)
             .find(|i| matches!(i, Inst::Bin { op: BinOp::Sub, .. }))
             .unwrap();
-        let u = sub.uses();
+        let u: Vec<_> = sub.uses().collect();
         assert_eq!(u[0], u[1], "i and j proven congruent: {f}");
         // Semantics preserved.
         let mut m = epre_ir::Module::new();

@@ -410,7 +410,7 @@ mod tests {
         run(&mut f);
         let sub = &f.blocks[0].insts[1];
         assert!(matches!(sub, Inst::Bin { op: BinOp::Sub, .. }));
-        assert_eq!(sub.uses(), vec![x, y]);
+        assert_eq!(sub.uses().collect::<Vec<_>>(), vec![x, y]);
     }
 
     #[test]
@@ -424,7 +424,7 @@ mod tests {
         run(&mut f);
         let add = &f.blocks[0].insts[1];
         assert!(matches!(add, Inst::Bin { op: BinOp::Add, .. }));
-        assert_eq!(add.uses(), vec![x, x]);
+        assert_eq!(add.uses().collect::<Vec<_>>(), vec![x, x]);
     }
 
     #[test]
@@ -454,7 +454,7 @@ mod tests {
         let mut f = b.finish();
         run(&mut f);
         // The add reads x directly now; DCE would remove the copy.
-        assert_eq!(f.blocks[0].insts[1].uses(), vec![x, x]);
+        assert_eq!(f.blocks[0].insts[1].uses().collect::<Vec<_>>(), vec![x, x]);
     }
 
     #[test]
@@ -474,7 +474,7 @@ mod tests {
         assert!(matches!(f.blocks[0].insts[1], Inst::LoadI { value: Const::Int(2), .. }));
         // Second add reads p (copy-propagated), not a constant.
         assert!(matches!(f.blocks[0].insts[3], Inst::Bin { op: BinOp::Add, .. }));
-        assert_eq!(f.blocks[0].insts[3].uses(), vec![p, p]);
+        assert_eq!(f.blocks[0].insts[3].uses().collect::<Vec<_>>(), vec![p, p]);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! folding integer division by zero, which must still trap at run time).
 
 use epre_analysis::AnalysisCache;
+use epre_cfg::Csr;
 use epre_ir::{BlockId, Const, Function, Inst, Reg, Terminator};
 use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
 
@@ -110,20 +111,15 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
 
     // Use sites per register: the instructions, and the blocks whose
     // terminator reads it.
-    let mut uses_of: Vec<Vec<(BlockId, usize)>> = vec![Vec::new(); nregs];
-    let mut term_users: Vec<Vec<BlockId>> = vec![Vec::new(); nregs];
-    for (bid, block) in f.iter_blocks() {
-        for (i, inst) in block.insts.iter().enumerate() {
-            for u in inst.uses() {
-                uses_of[u.index()].push((bid, i));
-            }
-        }
-        if let Terminator::Branch { cond: u, .. } | Terminator::Return { value: Some(u) } =
-            block.term
-        {
-            term_users[u.index()].push(bid);
-        }
-    }
+    let inst_uses = f.iter_blocks().flat_map(|(bid, block)| {
+        block.insts.iter().enumerate().flat_map(move |(i, inst)| {
+            inst.uses().map(move |u| (u.index(), (bid, i)))
+        })
+    });
+    let uses_of = Csr::from_pairs(nregs, inst_uses);
+    let term_uses =
+        f.iter_blocks().flat_map(|(bid, block)| block.term.uses().map(move |u| (u.index(), bid)));
+    let term_users = Csr::from_pairs(nregs, term_uses);
 
     // Executable edges and visited blocks.
     let n = f.blocks.len();
@@ -166,13 +162,13 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
         }
         while let Some(r) = ssa_work.pop() {
             meter.tick(f)?;
-            for &(b, i) in &uses_of[r.index()] {
+            for &(b, i) in uses_of.row(r.index()) {
                 if block_visited[b.index()] {
                     visit_inst(b, &f.block(b).insts[i], &mut value, &mut ssa_work, &edge_exec);
                 }
             }
             // The register may also feed a terminator.
-            for &b in &term_users[r.index()] {
+            for &b in term_users.row(r.index()) {
                 if block_visited[b.index()] {
                     visit_terminator(f, b, &mut value, &mut flow_work, &edge_exec);
                 }

@@ -290,17 +290,22 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(self.err("unescaped control character in string"));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // encoding is already valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character in string"));
+                    // Copy the run up to the next quote, backslash or
+                    // control character at once. It ends on an ASCII byte,
+                    // so it is whole UTF-8 (the input is a &str), and
+                    // validating only the run keeps a string linear to
+                    // parse: a module text is one string of many KiB.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }

@@ -687,7 +687,16 @@ mod tests {
         let mut w = BufWriter::new(stream.try_clone().unwrap());
         let mut r = BufReader::new(stream);
         write_frame(&mut w, &Request::Stats.encode()).unwrap();
-        let frames = read_answer(&mut r);
+        let mut frames = read_answer(&mut r);
+        // The worker holding the last scan may not have read its EOF yet
+        // when this session's Stats is answered: ask again until it has
+        // counted, or a deadline passes.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while stats_counter(&frames, "conn_empty") < 3 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+            write_frame(&mut w, &Request::Stats.encode()).unwrap();
+            frames = read_answer(&mut r);
+        }
         assert_eq!(stats_counter(&frames, "conn_empty"), 3);
         assert_eq!(stats_counter(&frames, "goaway_draining"), 0, "no drain began");
         write_frame(&mut w, &Request::Shutdown.encode()).unwrap();

@@ -14,7 +14,7 @@
 //!    \[copies\] into φ-nodes" (§3.1).
 
 use epre_analysis::Liveness;
-use epre_cfg::{Cfg, Dominators};
+use epre_cfg::{Cfg, Csr, Dominators};
 use epre_ir::{BlockId, Function, Inst, Reg};
 
 /// Options controlling SSA construction.
@@ -43,30 +43,25 @@ pub fn build_ssa(f: &mut Function, options: SsaOptions) {
     let n_blocks = f.blocks.len();
     let n_regs = f.reg_count();
 
-    // 1. Definition sites per register (params define at entry).
-    let mut def_sites: Vec<Vec<BlockId>> = vec![Vec::new(); n_regs];
-    for &p in &f.params {
-        def_sites[p.index()].push(BlockId::ENTRY);
-    }
-    for (bid, block) in f.iter_blocks() {
-        for inst in &block.insts {
-            if let Some(d) = inst.dst() {
-                if def_sites[d.index()].last() != Some(&bid) {
-                    def_sites[d.index()].push(bid);
-                }
-            }
-        }
-    }
+    // 1. Definition sites per register (params define at entry), each
+    // block listed once.
+    let defs = f.iter_blocks().flat_map(|(bid, block)| {
+        block.insts.iter().filter_map(move |inst| inst.dst().map(|d| (d.index(), bid)))
+    });
+    let params = f.params.iter().map(|p| (p.index(), BlockId::ENTRY));
+    let mut def_sites = Csr::from_pairs(n_regs, params.chain(defs));
+    def_sites.dedup_rows();
 
     // 2. φ-placement on iterated dominance frontiers, pruned by liveness.
-    // phi_for[b] = registers needing a φ in b. The two per-block mark
-    // arrays are shared by all registers: register r stamps them with
-    // epoch r + 1, so no register pays to clear them.
-    let mut phi_for: Vec<Vec<Reg>> = vec![Vec::new(); n_blocks];
+    // Row b of `phi_for` lists the registers needing a φ in b. The two
+    // per-block mark arrays are shared by all registers: register r stamps
+    // them with epoch r + 1, so no register pays to clear them.
+    let mut placements: Vec<(usize, Reg)> = Vec::new();
     let mut placed: Vec<u32> = vec![0; n_blocks];
     let mut on_work: Vec<u32> = vec![0; n_blocks];
-    let mut work: Vec<BlockId> = Vec::new();
-    for (r, sites) in def_sites.iter().enumerate() {
+    let mut work: Vec<BlockId> = Vec::with_capacity(n_blocks);
+    for r in 0..n_regs {
+        let sites = def_sites.row(r);
         if sites.is_empty() {
             continue;
         }
@@ -85,7 +80,7 @@ pub fn build_ssa(f: &mut Function, options: SsaOptions) {
             for &d in dom.frontier(b) {
                 if placed[d.index()] != epoch && live.live_in[d.index()].contains(reg.index()) {
                     placed[d.index()] = epoch;
-                    phi_for[d.index()].push(reg);
+                    placements.push((d.index(), reg));
                     if on_work[d.index()] != epoch {
                         on_work[d.index()] = epoch;
                         work.push(d);
@@ -94,44 +89,41 @@ pub fn build_ssa(f: &mut Function, options: SsaOptions) {
             }
         }
     }
+    let phi_for = Csr::from_pairs(n_blocks, placements.iter().copied());
 
-    // Insert φ skeletons (args filled during renaming). Unreachable
-    // predecessors contribute no φ-input: the edge can never execute and
-    // the renaming walk (dominator tree from the entry) never visits them.
-    for (bi, regs) in phi_for.iter().enumerate() {
-        let bid = BlockId(bi as u32);
-        let preds: Vec<BlockId> =
-            cfg.preds(bid).iter().copied().filter(|&p| dom.is_reachable(p)).collect();
-        for &v in regs {
-            let ty = f.ty_of(v);
-            let dst = f.new_reg(ty);
+    // Insert φ skeletons (args filled during renaming), one splice per
+    // block. Fresh registers follow `phi_for` order, but the φs stand in
+    // the block in reverse order: φ i of block b is for register
+    // `phi_for[b][len - 1 - i]`. Unreachable predecessors contribute no
+    // φ-input: the edge can never execute and the renaming walk (dominator
+    // tree from the entry) never visits them.
+    let mut phis: Vec<Inst> = Vec::new();
+    for b in 0..n_blocks {
+        let bid = BlockId(b as u32);
+        for &v in phi_for.row(b) {
+            let dst = f.new_reg(f.ty_of(v));
             // Record the original variable in the args slot temporarily:
             // each pred maps to `v`, patched to the reaching name later.
-            let args = preds.iter().map(|&p| (p, v)).collect();
-            f.block_mut(bid).insts.insert(0, Inst::Phi { dst, args });
+            let preds = cfg.preds(bid).iter().filter(|&&p| dom.is_reachable(p));
+            phis.push(Inst::Phi { dst, args: preds.map(|&p| (p, v)).collect() });
+        }
+        if !phis.is_empty() {
+            f.blocks[b].insts.splice(0..0, phis.drain(..).rev());
         }
     }
 
-    // 3. Renaming. `phi_var[b]` remembers which original variable each φ in
-    // b stands for (parallel to the φ prefix, in insertion order).
-    // We reconstruct it from phi_for: φs were inserted in reverse order of
-    // phi_for (each insert pushes to front), so the prefix order is the
-    // reverse of phi_for[b].
-    let mut phi_var: Vec<Vec<Reg>> = vec![Vec::new(); n_blocks];
-    for (bi, regs) in phi_for.iter().enumerate() {
-        phi_var[bi] = regs.iter().rev().copied().collect();
-    }
-
+    // 3. Renaming.
     let mut renamer = Renamer {
         f,
         cfg: &cfg,
         dom: &dom,
         current: vec![UNDEFINED; n_regs],
         undo: Vec::new(),
-        phi_var: &phi_var,
+        phi_for: &phi_for,
         fold_copies: options.fold_copies,
     };
-    for &p in &renamer.f.params.clone() {
+    for i in 0..renamer.f.params.len() {
+        let p = renamer.f.params[i];
         renamer.define(p, p);
     }
     renamer.rename_block(BlockId::ENTRY);
@@ -179,7 +171,8 @@ struct Renamer<'a> {
     /// `(register, previous name)` for every definition on the walk's
     /// path, undone as the walk leaves the block that made it.
     undo: Vec<(Reg, Reg)>,
-    phi_var: &'a [Vec<Reg>],
+    /// The original register of each φ, as placed (see [`build_ssa`]).
+    phi_for: &'a Csr<Reg>,
     fold_copies: bool,
 }
 
@@ -192,6 +185,12 @@ fn name_of(current: &[Reg], v: Reg) -> Reg {
     }
 }
 
+/// The original register φ `i` of block `b` stands for.
+fn phi_var(phi_for: &Csr<Reg>, b: BlockId, i: usize) -> Reg {
+    let vars = phi_for.row(b.index());
+    vars[vars.len() - 1 - i]
+}
+
 impl Renamer<'_> {
     fn define(&mut self, v: Reg, name: Reg) {
         self.undo.push((v, self.current[v.index()]));
@@ -200,14 +199,13 @@ impl Renamer<'_> {
 
     fn rename_block(&mut self, b: BlockId) {
         let undo_mark = self.undo.len();
-        let mut removed: Vec<usize> = Vec::new();
 
         let phi_count = self.f.block(b).phi_count();
         for i in 0..self.f.block(b).insts.len() {
             if i < phi_count {
                 // φ definitions: dst is already a fresh register; it becomes
                 // the current name of the original variable.
-                let var = self.phi_var[b.index()][i];
+                let var = phi_var(self.phi_for, b, i);
                 let dst = self.f.block(b).insts[i].dst().expect("φ defines");
                 self.define(var, dst);
                 continue;
@@ -216,11 +214,10 @@ impl Renamer<'_> {
             let inst = &mut self.f.blocks[b.index()].insts[i];
             inst.map_uses(|r| name_of(&self.current, r));
             // Copy folding: the copy's source name becomes the current name
-            // of the destination variable, and the copy is dropped.
+            // of the destination variable, and the copy is dropped below.
             if self.fold_copies {
                 if let Inst::Copy { dst, src } = *inst {
                     self.define(dst, src);
-                    removed.push(i);
                     continue;
                 }
             }
@@ -240,7 +237,7 @@ impl Renamer<'_> {
         for &s in self.cfg.succs(b) {
             for (i, inst) in self.f.blocks[s.index()].insts.iter_mut().enumerate() {
                 let Inst::Phi { args, .. } = inst else { break };
-                let var = self.phi_var[s.index()][i];
+                let var = phi_var(self.phi_for, s, i);
                 for (pb, val) in args.iter_mut() {
                     if *pb == b {
                         *val = name_of(&self.current, var);
@@ -254,9 +251,9 @@ impl Renamer<'_> {
             self.rename_block(c);
         }
 
-        // Remove folded copies (back to front to keep indices valid).
-        for &i in removed.iter().rev() {
-            self.f.block_mut(b).insts.remove(i);
+        // Every copy of the block was folded.
+        if self.fold_copies {
+            self.f.block_mut(b).insts.retain(|inst| !matches!(inst, Inst::Copy { .. }));
         }
         while self.undo.len() > undo_mark {
             let (v, previous) = self.undo.pop().expect("above the mark");
@@ -420,6 +417,6 @@ mod tests {
             .iter()
             .find(|i| matches!(i, Inst::Bin { op: BinOp::Add, .. }))
             .unwrap();
-        assert!(add.uses().contains(&a));
+        assert!(add.uses().any(|u| u == a));
     }
 }

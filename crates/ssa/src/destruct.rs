@@ -20,6 +20,7 @@
 use std::collections::HashMap;
 
 use epre_cfg::edit::split_critical_edges;
+use epre_cfg::Csr;
 use epre_ir::{Function, Inst, Reg};
 
 /// Replace all φ-nodes of `f` with copies; on return the function contains
@@ -33,20 +34,23 @@ pub fn destroy_ssa(f: &mut Function) {
     // Collect the parallel copy set per predecessor, indexed by block so
     // the copies (and any cycle-breaking temporaries) are emitted in
     // block order on every run.
-    let mut edge_copies: Vec<Vec<(Reg, Reg)>> = vec![Vec::new(); f.blocks.len()];
+    let phis = f.blocks.iter().flat_map(|block| {
+        block.insts.iter().map_while(|inst| match inst {
+            Inst::Phi { dst, args } => Some((*dst, args)),
+            _ => None,
+        })
+    });
+    let copies =
+        phis.flat_map(|(dst, args)| args.iter().map(move |&(pb, src)| (pb.index(), (dst, src))));
+    let edge_copies = Csr::from_pairs(f.blocks.len(), copies);
     for block in &mut f.blocks {
         let n = block.phi_count();
-        for inst in block.insts.drain(..n) {
-            if let Inst::Phi { dst, args } = inst {
-                for (pb, src) in args {
-                    edge_copies[pb.index()].push((dst, src));
-                }
-            }
-        }
+        block.insts.drain(..n);
     }
 
     // Insert sequentialized copies at the end of each predecessor.
-    for (pb, copies) in edge_copies.iter().enumerate() {
+    for pb in 0..edge_copies.rows() {
+        let copies = edge_copies.row(pb);
         if copies.is_empty() {
             continue;
         }

@@ -1,0 +1,185 @@
+//! The allocation shape of the optimizer's rebuild path.
+//!
+//! Every pass rebuilds its CFG, dominator tree and expression universe,
+//! and walks every operand of every instruction, so allocations there are
+//! paid once per block, register or instruction on every rebuild. This
+//! test pins the shape, not a total: operand iteration and small bit sets
+//! allocate nothing, and the rebuilt analyses make a fixed number of
+//! allocations whatever the size of the function.
+//!
+//! Allocations are counted per thread, so the harness's other test
+//! threads do not disturb a measurement.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+use epre_analysis::{BitSet, ExprKey, ExprUniverse};
+use epre_cfg::{Cfg, Dominators};
+use epre_ir::{BinOp, BlockId, Const, Function, FunctionBuilder, Inst, Reg, Terminator, Ty, UnOp};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread tears down.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a const-initialised thread-local that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Run `f` and return what it returned plus the allocations (and
+/// reallocations) it made on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let r = f();
+    (r, ALLOCATIONS.with(Cell::get) - before)
+}
+
+#[test]
+fn the_counter_sees_allocations() {
+    let (v, n) = allocations(|| black_box(Vec::<u64>::with_capacity(4)));
+    drop(v);
+    assert_eq!(n, 1);
+}
+
+#[test]
+fn operand_iteration_allocates_nothing() {
+    let (a, b, c) = (Reg(0), Reg(1), Reg(2));
+    let insts = [
+        Inst::Bin { op: BinOp::Add, ty: Ty::Int, dst: c, lhs: a, rhs: b },
+        Inst::Un { op: UnOp::Neg, ty: Ty::Int, dst: c, src: a },
+        Inst::LoadI { dst: c, value: Const::Int(7) },
+        Inst::Copy { dst: c, src: b },
+        Inst::Load { ty: Ty::Int, dst: c, addr: a },
+        Inst::Store { ty: Ty::Int, addr: a, value: b },
+        Inst::Call { dst: Some((c, Ty::Int)), callee: "f".into(), args: vec![a, b, c] },
+        Inst::Phi { dst: c, args: vec![(BlockId(0), a), (BlockId(1), b)] },
+    ];
+    let terms = [
+        Terminator::Jump { target: BlockId(1) },
+        Terminator::Branch { cond: a, then_to: BlockId(1), else_to: BlockId(2) },
+        Terminator::Return { value: Some(b) },
+        Terminator::Return { value: None },
+    ];
+    let keys: Vec<ExprKey> = insts.iter().filter_map(ExprKey::of_inst).collect();
+    assert_eq!(keys.len(), 3);
+
+    let (sum, n) = allocations(|| {
+        let mut sum = 0u64;
+        for inst in &insts {
+            sum += inst.uses().map(|r| u64::from(r.0) + 1).sum::<u64>();
+        }
+        for t in &terms {
+            sum += t.uses().map(|r| u64::from(r.0) + 1).sum::<u64>();
+            sum += t.successors().map(|s| u64::from(s.0) + 1).sum::<u64>();
+        }
+        for k in &keys {
+            sum += k.operands().map(|r| u64::from(r.0) + 1).sum::<u64>();
+        }
+        black_box(sum)
+    });
+    assert_eq!(n, 0, "iterating operands allocated");
+    // Each register or block counts its number plus one: 19 from the
+    // instructions, 3 from terminator uses, 7 from successors and 4 from
+    // the keys of `add`, `neg` and `loadi`.
+    assert_eq!(sum, 33);
+}
+
+#[test]
+fn small_bit_sets_allocate_nothing() {
+    for cap in [0usize, 1, 63, 64, 65, 100, 128] {
+        let (sets, n) = allocations(|| {
+            let empty = BitSet::new(cap);
+            let full = BitSet::full(cap);
+            let copy = full.clone();
+            black_box((empty, full, copy))
+        });
+        drop(sets);
+        assert_eq!(n, 0, "bit sets of capacity {cap} allocated");
+    }
+    let (big, n) = allocations(|| black_box(BitSet::new(129)));
+    drop(big);
+    assert_eq!(n, 1, "a set above the inline capacity owns one buffer");
+}
+
+/// `segments` diamonds in a row, each with a loop from one arm back to its
+/// head and a bound of its own, computing into one variable:
+/// `3 * segments + 2` blocks, and new expressions in every segment.
+fn ladder(segments: usize) -> Function {
+    let mut b = FunctionBuilder::new("ladder", Some(Ty::Int));
+    let x = b.param(Ty::Int);
+    let acc = b.new_reg(Ty::Int);
+    let one = b.loadi(Const::Int(1));
+    b.copy_to(acc, one);
+    let mut bound = x;
+    for _ in 0..segments {
+        let head = b.current_block();
+        let (left, right, join) = (b.new_block(), b.new_block(), b.new_block());
+        bound = b.bin(BinOp::Add, Ty::Int, bound, x);
+        let c = b.bin(BinOp::CmpLt, Ty::Int, acc, bound);
+        b.branch(c, left, right);
+        b.switch_to(left);
+        let t = b.bin(BinOp::Add, Ty::Int, acc, x);
+        b.copy_to(acc, t);
+        b.jump(join);
+        b.switch_to(right);
+        let t = b.bin(BinOp::Mul, Ty::Int, acc, one);
+        b.copy_to(acc, t);
+        let d = b.bin(BinOp::CmpGt, Ty::Int, acc, x);
+        b.branch(d, head, join);
+        b.switch_to(join);
+    }
+    let exit = b.new_block();
+    b.jump(exit);
+    b.switch_to(exit);
+    b.ret(Some(acc));
+    b.finish()
+}
+
+#[test]
+fn analysis_rebuilds_allocate_independently_of_size() {
+    let small = ladder(6);
+    let large = ladder(66);
+    assert_eq!((small.blocks.len(), large.blocks.len()), (20, 200));
+
+    let count = |f: &Function| {
+        let (cfg, cfg_allocs) = allocations(|| Cfg::new(f));
+        let (dom, dom_allocs) = allocations(|| Dominators::new(f, &cfg));
+        let (universe, universe_allocs) = allocations(|| ExprUniverse::new(f));
+        drop((dom, universe));
+        (cfg_allocs, dom_allocs, universe_allocs)
+    };
+    let (small_counts, large_counts) = (count(&small), count(&large));
+    assert_eq!(
+        small_counts, large_counts,
+        "(Cfg, Dominators, ExprUniverse) allocations at 20 vs 200 blocks"
+    );
+}
