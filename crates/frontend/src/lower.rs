@@ -21,7 +21,9 @@
 
 use std::collections::HashMap;
 
-use epre_ir::{BinOp, Const, FunctionBuilder, Module, Reg, Ty, UnOp};
+use epre_ir::{
+    is_intrinsic, is_polymorphic_intrinsic, BinOp, Const, FunctionBuilder, Module, Reg, Ty, UnOp,
+};
 
 use crate::ast::{BinExpr, Decl, Expr, FunctionDef, Program, Stmt, TypeName};
 use crate::FrontendError;
@@ -698,20 +700,20 @@ impl<'a> FnLowerer<'a> {
             _ => {}
         }
         // Intrinsic library functions (opaque calls).
-        if epre_is_intrinsic(name) {
+        if is_intrinsic(name) {
             let mut regs = Vec::new();
             for a in args {
                 let (r, t) = self.expr(a)?;
                 // Polymorphic intrinsics keep their argument type; the
                 // float-only ones coerce.
-                let r = if matches!(name, "abs" | "sign" | "mod") {
+                let r = if is_polymorphic_intrinsic(name) {
                     r
                 } else {
                     self.coerce(r, t, Ty::Float)
                 };
                 regs.push(r);
             }
-            let ret_ty = if matches!(name, "abs" | "sign" | "mod") {
+            let ret_ty = if is_polymorphic_intrinsic(name) {
                 // Type follows the first argument.
                 self.b.ty_of(regs[0])
             } else {
@@ -881,25 +883,6 @@ fn stmt_line(s: &Stmt) -> usize {
         | Stmt::Call { line, .. }
         | Stmt::Return { line, .. } => *line,
     }
-}
-
-fn epre_is_intrinsic(name: &str) -> bool {
-    matches!(
-        name,
-        "sqrt"
-            | "exp"
-            | "log"
-            | "log10"
-            | "sin"
-            | "cos"
-            | "tan"
-            | "atan"
-            | "atan2"
-            | "pow"
-            | "abs"
-            | "sign"
-            | "mod"
-    )
 }
 
 #[cfg(test)]

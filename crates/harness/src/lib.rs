@@ -75,8 +75,8 @@ pub use journal::{
     JournalWriter, ResumeState, JOURNAL_MAGIC,
 };
 pub use oracle::{
-    classify, compare_modules, compare_modules_detailed, Agreement, Divergence, Observed,
-    OracleConfig, OracleOutcome,
+    classify, compare_function, compare_modules, compare_modules_detailed, Agreement, Divergence,
+    Observed, OracleConfig, OracleOutcome,
 };
 pub use reduce::{reduce, FailureSpec, ReduceStats};
 pub use rng::{fingerprint64, SplitMix64};

@@ -12,9 +12,20 @@
 //! *counted*, never silently dropped — an oracle whose every vector runs
 //! out of fuel has proven nothing, and [`OracleOutcome::inconclusive`]
 //! makes that visible to the harness and the CLI.
+//!
+//! Each side runs on one [`Interpreter`] for the whole module, reset
+//! before every run, so function names are resolved once per module. A
+//! run is skipped whenever its outcome is already known: a vector
+//! bit-identical to an earlier one of the same function replays that
+//! vector's verdict, and the candidate does not run when the reference ran
+//! out of fuel, since [`classify`] calls that inconclusive whatever the
+//! candidate does. Skipping changes no count but
+//! [`OracleOutcome::executions`].
+
+use std::collections::HashSet;
 
 use epre_interp::{ExecError, Interpreter, Value};
-use epre_ir::{Module, Ty};
+use epre_ir::{Function, Module, Ty};
 
 use crate::rng::{fingerprint64, SplitMix64};
 
@@ -31,7 +42,10 @@ pub struct OracleConfig {
     pub fuel: u64,
     /// Seed for argument generation. Equal seeds generate equal vectors.
     pub seed: u64,
-    /// Number of argument vectors tried per function.
+    /// Number of argument vectors drawn per function. Every vector counts
+    /// as a comparison, but one bit-identical to an earlier vector of the
+    /// same function is not executed again: it replays that vector's
+    /// verdict. A nullary function therefore runs once per side.
     pub vectors: usize,
 }
 
@@ -158,12 +172,61 @@ fn gen_args(rng: &mut SplitMix64, param_tys: &[Ty]) -> Vec<Value> {
         .collect()
 }
 
-/// Execute `module::name(args)` once under `fuel`.
-pub fn observe(module: &Module, name: &str, args: &[Value], fuel: u64) -> Observed {
-    let mut interp = Interpreter::new(module).with_fuel(fuel);
+/// Whether two argument vectors are bit-identical (so `-0.0` and `0.0`
+/// differ, unlike under `==`).
+fn same_bits(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| match (x, y) {
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => false,
+        })
+}
+
+/// Run `name(args)` on `interp` from its fresh state.
+fn execute(interp: &mut Interpreter<'_>, name: &str, args: &[Value]) -> Observed {
+    interp.reset();
     match interp.run(name, args) {
         Ok(v) => Observed::Returned(v),
         Err(e) => Observed::Failed(e),
+    }
+}
+
+/// What one distinct (function, vector) pair showed, kept so that a
+/// repeat of the vector replays it instead of running again.
+#[derive(Clone)]
+enum Verdict {
+    Agree,
+    Inconclusive,
+    Diverge { reference: Observed, candidate: Observed },
+}
+
+/// The two modules under comparison, each on one interpreter that every
+/// run reuses.
+struct Sides<'m> {
+    reference: Interpreter<'m>,
+    candidate: Interpreter<'m>,
+    /// Runs made so far, both sides together.
+    executions: usize,
+}
+
+impl Sides<'_> {
+    /// Run `name(args)` on both sides and judge the pair. The candidate
+    /// does not run when the reference ran out of fuel: [`classify`]
+    /// calls that inconclusive whatever the candidate does.
+    fn judge(&mut self, name: &str, args: &[Value]) -> Verdict {
+        let reference = execute(&mut self.reference, name, args);
+        self.executions += 1;
+        if matches!(reference, Observed::Failed(ExecError::OutOfFuel { .. })) {
+            return Verdict::Inconclusive;
+        }
+        let candidate = execute(&mut self.candidate, name, args);
+        self.executions += 1;
+        match classify(&reference, &candidate) {
+            Agreement::Agree => Verdict::Agree,
+            Agreement::Inconclusive => Verdict::Inconclusive,
+            Agreement::Diverge => Verdict::Diverge { reference, candidate },
+        }
     }
 }
 
@@ -177,6 +240,10 @@ pub struct OracleOutcome {
     pub inconclusive: usize,
     /// Total (function, vector) comparisons performed.
     pub comparisons: usize,
+    /// Interpreter runs on both sides together: at most two per
+    /// comparison, fewer where a repeated vector replayed an earlier
+    /// verdict or the reference ran out of fuel.
+    pub executions: usize,
 }
 
 /// Differentially execute every function of `reference` against
@@ -191,32 +258,68 @@ pub fn compare_modules_detailed(
     candidate: &Module,
     cfg: &OracleConfig,
 ) -> OracleOutcome {
+    compare_functions(reference, candidate, cfg, |_| true)
+}
+
+/// [`compare_modules_detailed`] restricted to the reference functions
+/// named `name`: the share of the module's outcome that they contribute.
+pub fn compare_function(
+    reference: &Module,
+    candidate: &Module,
+    name: &str,
+    cfg: &OracleConfig,
+) -> OracleOutcome {
+    compare_functions(reference, candidate, cfg, |f| f.name == name)
+}
+
+fn compare_functions(
+    reference: &Module,
+    candidate: &Module,
+    cfg: &OracleConfig,
+    selected: impl Fn(&Function) -> bool,
+) -> OracleOutcome {
+    let in_candidate: HashSet<&str> = candidate.functions.iter().map(|f| f.name.as_str()).collect();
+    let mut sides = Sides {
+        reference: Interpreter::new(reference).with_fuel(cfg.fuel),
+        candidate: Interpreter::new(candidate).with_fuel(cfg.fuel),
+        executions: 0,
+    };
     let mut outcome = OracleOutcome::default();
-    for f in &reference.functions {
-        if candidate.function(&f.name).is_none() {
+    // The current function's distinct vectors so far, with their verdicts.
+    let mut seen: Vec<(Vec<Value>, Verdict)> = Vec::new();
+    for f in reference.functions.iter().filter(|f| selected(f)) {
+        if !in_candidate.contains(f.name.as_str()) {
             continue;
         }
         // Per-function generator: a divergence report for function `g`
         // stays stable when unrelated functions are added or removed.
         let mut rng = SplitMix64::new(cfg.seed ^ fingerprint64(&f.name));
         let param_tys: Vec<Ty> = f.params.iter().map(|&r| f.ty_of(r)).collect();
+        seen.clear();
         for _ in 0..cfg.vectors {
             let args = gen_args(&mut rng, &param_tys);
-            let obs_ref = observe(reference, &f.name, &args, cfg.fuel);
-            let obs_cand = observe(candidate, &f.name, &args, cfg.fuel);
             outcome.comparisons += 1;
-            match classify(&obs_ref, &obs_cand) {
-                Agreement::Agree => {}
-                Agreement::Inconclusive => outcome.inconclusive += 1,
-                Agreement::Diverge => outcome.divergences.push(Divergence {
+            let verdict = match seen.iter().find(|(earlier, _)| same_bits(earlier, &args)) {
+                Some((_, verdict)) => verdict.clone(),
+                None => {
+                    let verdict = sides.judge(&f.name, &args);
+                    seen.push((args.clone(), verdict.clone()));
+                    verdict
+                }
+            };
+            match verdict {
+                Verdict::Agree => {}
+                Verdict::Inconclusive => outcome.inconclusive += 1,
+                Verdict::Diverge { reference, candidate } => outcome.divergences.push(Divergence {
                     function: f.name.clone(),
                     args,
-                    reference: obs_ref,
-                    candidate: obs_cand,
+                    reference,
+                    candidate,
                 }),
             }
         }
     }
+    outcome.executions = sides.executions;
     outcome
 }
 
@@ -230,6 +333,7 @@ mod tests {
     use super::*;
     use epre::{OptLevel, Optimizer};
     use epre_frontend::{compile, NamingMode};
+    use epre_ir::parse_module;
 
     const SRC: &str = "function foo(y, z)\n\
                        real y, z, s, x\n\
@@ -299,9 +403,105 @@ mod tests {
             out.inconclusive, out.comparisons,
             "every starved vector must be tallied inconclusive"
         );
+        // The candidate never runs after the reference ran out of fuel.
+        assert_eq!(out.executions, out.comparisons, "distinct vectors, reference side only");
         // With generous fuel the same comparison is fully conclusive.
         let out = compare_modules_detailed(&m, &m, &OracleConfig::default());
         assert_eq!(out.inconclusive, 0);
+        assert_eq!(out.executions, 2 * out.comparisons);
+    }
+
+    #[test]
+    fn repeated_vectors_replay_their_verdict() {
+        let module = |k: i64| {
+            let text = format!(
+                "module data 0\nfunction k() -> i\nblock b0:\n  r0 <- loadi {k}:i\n  ret r0\nend"
+            );
+            parse_module(&text).unwrap()
+        };
+        let (reference, candidate) = (module(1), module(2));
+        let out = compare_modules_detailed(&reference, &candidate, &OracleConfig::default());
+        // Three empty vectors: three comparisons and three divergence
+        // reports, but one run per side.
+        assert_eq!((out.comparisons, out.executions), (3, 2));
+        assert_eq!(out.divergences.len(), 3);
+        for d in &out.divergences {
+            assert_eq!(d.function, "k");
+            assert!(d.args.is_empty());
+            assert_eq!(d.reference, Observed::Returned(Some(Value::Int(1))));
+            assert_eq!(d.candidate, Observed::Returned(Some(Value::Int(2))));
+        }
+    }
+
+    /// The oracle without its shortcuts: a fresh interpreter for every
+    /// run, and every run made.
+    fn unshortened(reference: &Module, candidate: &Module, cfg: &OracleConfig) -> OracleOutcome {
+        let observe = |m: &Module, name: &str, args: &[Value]| {
+            execute(&mut Interpreter::new(m).with_fuel(cfg.fuel), name, args)
+        };
+        let mut out = OracleOutcome::default();
+        for f in &reference.functions {
+            if candidate.function(&f.name).is_none() {
+                continue;
+            }
+            let mut rng = SplitMix64::new(cfg.seed ^ fingerprint64(&f.name));
+            let param_tys: Vec<Ty> = f.params.iter().map(|&r| f.ty_of(r)).collect();
+            for _ in 0..cfg.vectors {
+                let args = gen_args(&mut rng, &param_tys);
+                let r = observe(reference, &f.name, &args);
+                let c = observe(candidate, &f.name, &args);
+                out.comparisons += 1;
+                out.executions += 2;
+                match classify(&r, &c) {
+                    Agreement::Agree => {}
+                    Agreement::Inconclusive => out.inconclusive += 1,
+                    Agreement::Diverge => out.divergences.push(Divergence {
+                        function: f.name.clone(),
+                        args,
+                        reference: r,
+                        candidate: c,
+                    }),
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn shortcuts_change_no_verdict_on_mutants() {
+        // Low fuel and many vectors make both shortcuts fire often.
+        let cfg = OracleConfig { fuel: 3_000, vectors: 8, ..OracleConfig::default() };
+        let mut rng = SplitMix64::new(0x0AC1E);
+        let (mut compared, mut diverged, mut saved) = (0, 0, 0);
+        for r in epre_suite::all_routines().iter().step_by(5) {
+            let base = r.compile(NamingMode::Disciplined).unwrap();
+            let opt = Optimizer::new(OptLevel::Distribution).optimize(&base);
+            for _ in 0..4 {
+                let Some((mutant, _)) = crate::inject::mutate_module(&base, &mut rng) else {
+                    continue;
+                };
+                for (reference, candidate) in [(&base, &mutant), (&mutant, &opt)] {
+                    // Mutants may crash the interpreter outright; the
+                    // oracle's callers contain that, and it is no verdict.
+                    let want = epre::catch_quiet(|| unshortened(reference, candidate, &cfg));
+                    let Ok(want) = want else { continue };
+                    let got = compare_modules_detailed(reference, candidate, &cfg);
+                    assert_eq!(got.comparisons, want.comparisons, "{}", r.name);
+                    assert_eq!(got.inconclusive, want.inconclusive, "{}", r.name);
+                    assert_eq!(got.divergences.len(), want.divergences.len(), "{}", r.name);
+                    for (g, w) in got.divergences.iter().zip(&want.divergences) {
+                        assert_eq!(g.function, w.function);
+                        assert!(same_bits(&g.args, &w.args), "{g} vs {w}");
+                        assert_eq!((&g.reference, &g.candidate), (&w.reference, &w.candidate));
+                    }
+                    assert!(got.executions <= want.executions);
+                    compared += 1;
+                    diverged += usize::from(!got.divergences.is_empty());
+                    saved += want.executions - got.executions;
+                }
+            }
+        }
+        assert!(compared >= 60 && diverged >= 10 && saved > 0, "{compared} {diverged} {saved}");
     }
 
     #[test]

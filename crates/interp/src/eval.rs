@@ -35,10 +35,14 @@ pub struct OpCounts {
 ///
 /// Memory persists across [`run`](Self::run) calls so drivers can call an
 /// initialization routine followed by a kernel; call
-/// [`reset`](Self::reset) to clear both memory and counters.
+/// [`reset`](Self::reset) to start again from the fresh state.
 #[derive(Debug)]
 pub struct Interpreter<'m> {
-    module: &'m Module,
+    /// The module's functions sorted by name, resolved once so that a run
+    /// or a call finds its function by binary search. Of several functions
+    /// of one name only the first is kept, the one [`Module::function`]
+    /// finds.
+    functions: Vec<(&'m str, &'m Function)>,
     memory: Vec<Value>,
     counts: OpCounts,
     fuel: u64,
@@ -56,8 +60,14 @@ const DEFAULT_DEPTH: u32 = 128;
 impl<'m> Interpreter<'m> {
     /// A fresh interpreter for `module` with zeroed memory.
     pub fn new(module: &'m Module) -> Self {
+        let mut functions: Vec<(&str, &Function)> =
+            module.functions.iter().map(|f| (f.name.as_str(), f)).collect();
+        // A stable sort keeps each name's first function ahead of its
+        // namesakes, and `dedup_by` keeps that one.
+        functions.sort_by(|a, b| a.0.cmp(b.0));
+        functions.dedup_by(|later, first| later.0 == first.0);
         Interpreter {
-            module,
+            functions,
             memory: vec![Value::Int(0); module.data_words],
             counts: OpCounts::default(),
             fuel: DEFAULT_FUEL,
@@ -88,10 +98,18 @@ impl<'m> Interpreter<'m> {
         self.memory.get(addr).copied()
     }
 
-    /// Clear memory and counters.
+    /// Return to the fresh state: zeroed memory and counts, the whole fuel
+    /// budget and the whole call depth.
     pub fn reset(&mut self) {
         self.memory.fill(Value::Int(0));
         self.counts = OpCounts::default();
+        self.fuel = self.fuel_budget;
+        self.depth = DEFAULT_DEPTH;
+    }
+
+    fn function(&self, name: &str) -> Option<&'m Function> {
+        let i = self.functions.binary_search_by(|&(n, _)| n.cmp(name)).ok()?;
+        Some(self.functions[i].1)
     }
 
     /// Execute `func` with `args`; returns its return value (or `None` for
@@ -100,10 +118,7 @@ impl<'m> Interpreter<'m> {
     /// # Errors
     /// Any [`ExecError`]; see that type for the catalogue.
     pub fn run(&mut self, func: &str, args: &[Value]) -> Result<Option<Value>, ExecError> {
-        let f = self
-            .module
-            .function(func)
-            .ok_or_else(|| ExecError::UnknownFunction(func.to_string()))?;
+        let f = self.function(func).ok_or_else(|| ExecError::UnknownFunction(func.to_string()))?;
         self.call_function(f, args)
     }
 
@@ -211,7 +226,6 @@ impl<'m> Interpreter<'m> {
                     Some(r) => Some(r?),
                     None => {
                         let g = self
-                            .module
                             .function(callee)
                             .ok_or_else(|| ExecError::UnknownCallee(callee.clone()))?;
                         self.call_function(g, &vals)?
@@ -537,18 +551,106 @@ mod tests {
         assert_eq!(i.run("mm", &[Value::Int(3), Value::Int(10)]).unwrap(), Some(Value::Int(14)));
     }
 
+    /// Functions that each leave state behind for the next run: `poke`
+    /// stores, `spin` spends all the fuel, `deep(n)` recurses `n` calls deep.
+    const RESET_SRC: &str = "module data 4
+function f(r0:i) -> i
+block b0:
+  ret r0
+end
+function poke(r0:i) -> i
+block b0:
+  r1 <- load.i [r0]
+  r2 <- loadi 7:i
+  store.i [r0] <- r2
+  ret r1
+end
+function spin()
+block b0:
+  jump b0
+end
+function deep(r0:i) -> i
+block b0:
+  cbr r0 -> b1, b2
+block b1:
+  r1 <- loadi 1:i
+  r2 <- sub.i r0, r1
+  r3 <- call deep(r2):i
+  ret r3
+block b2:
+  ret r0
+end
+";
+
     #[test]
     fn reset_clears_state() {
-        let mut b = FunctionBuilder::new("f", Some(Ty::Int));
-        let x = b.param(Ty::Int);
-        b.ret(Some(x));
-        let mut m = module_of(b.finish());
-        m.data_words = 4;
-        let mut i = Interpreter::new(&m);
-        i.run("f", &[Value::Int(1)]).unwrap();
+        const FUEL: u64 = 10_000;
+        let m = epre_ir::parse_module(RESET_SRC).unwrap();
+        let mut i = Interpreter::new(&m).with_fuel(FUEL);
+
+        // Without a reset, stores, counts and spent fuel carry over.
+        assert_eq!(i.run("poke", &[Value::Int(2)]), Ok(Some(Value::Int(0))));
+        assert_eq!(i.run("poke", &[Value::Int(2)]), Ok(Some(Value::Int(7))));
         assert!(i.counts().total > 0);
+        assert_eq!(i.run("spin", &[]), Err(ExecError::OutOfFuel { budget: FUEL }));
+        assert_eq!(i.run("f", &[Value::Int(1)]), Err(ExecError::OutOfFuel { budget: FUEL }));
         i.reset();
-        assert_eq!(i.counts().total, 0);
-        assert_eq!(i.peek(0), Some(Value::Int(0)));
+        assert_eq!(i.counts(), OpCounts::default());
+        assert_eq!(i.peek(2), Some(Value::Int(0)));
+        assert_eq!(i.run("f", &[Value::Int(1)]), Ok(Some(Value::Int(1))));
+
+        // Runaway recursion trips the depth guard long before the fuel runs
+        // out; a reset interpreter then recurses as deep as a fresh one.
+        // Each run below follows one that left memory, counts, fuel or
+        // depth behind, and must match a fresh interpreter exactly.
+        let runs: [(&str, &[Value]); 7] = [
+            ("poke", &[Value::Int(2)]),
+            ("poke", &[Value::Int(2)]),
+            ("spin", &[]),
+            ("f", &[Value::Int(3)]),
+            ("deep", &[Value::Int(1000)]),
+            ("deep", &[Value::Int(120)]),
+            ("f", &[Value::Int(4)]),
+        ];
+        for (name, args) in runs {
+            i.reset();
+            let mut fresh = Interpreter::new(&m).with_fuel(FUEL);
+            assert_eq!(i.run(name, args), fresh.run(name, args), "{name}{args:?}");
+            assert_eq!(i.counts(), fresh.counts(), "{name}{args:?}");
+            for addr in 0..4 {
+                assert_eq!(i.peek(addr), fresh.peek(addr), "{name}{args:?} word {addr}");
+            }
+        }
+        let mut fresh = Interpreter::new(&m).with_fuel(FUEL);
+        let tripped = fresh.run("deep", &[Value::Int(1000)]);
+        assert_eq!(tripped, Err(ExecError::OutOfFuel { budget: FUEL }));
+        assert!(fresh.counts().total < FUEL, "the depth guard, not the fuel, stopped it");
+        assert_eq!(fresh.run("deep", &[Value::Int(120)]), Ok(Some(Value::Int(0))));
+    }
+
+    #[test]
+    fn first_function_of_a_name_wins() {
+        let text = "module data 0
+function f() -> i
+block b0:
+  r0 <- loadi 1:i
+  ret r0
+end
+function f() -> i
+block b0:
+  r0 <- loadi 2:i
+  ret r0
+end
+function g() -> i
+block b0:
+  r0 <- call f():i
+  ret r0
+end
+";
+        let m = epre_ir::parse_module(text).unwrap();
+        let mut i = Interpreter::new(&m);
+        assert_eq!(i.run("f", &[]), Ok(Some(Value::Int(1))));
+        assert_eq!(i.run("g", &[]), Ok(Some(Value::Int(1))));
+        assert!(std::ptr::eq(i.function("f").unwrap(), m.function("f").unwrap()));
     }
 }

@@ -9,7 +9,8 @@ use crate::error::ExecError;
 use crate::value::Value;
 
 /// Evaluate intrinsic `name` on `args`, or return `None` if `name` is not
-/// an intrinsic (the caller then looks for a user function).
+/// one of [`epre_ir::INTRINSICS`] (the caller then looks for a user
+/// function).
 ///
 /// # Errors
 /// Returns [`ExecError::IntrinsicType`] on argument type/arity mismatch.
@@ -67,26 +68,6 @@ pub fn eval_intrinsic(name: &str, args: &[Value]) -> Option<Result<Value, ExecEr
     })
 }
 
-/// Is `name` an intrinsic? (Used by the front end's call type-checking.)
-pub fn is_intrinsic(name: &str) -> bool {
-    matches!(
-        name,
-        "sqrt"
-            | "exp"
-            | "log"
-            | "log10"
-            | "sin"
-            | "cos"
-            | "tan"
-            | "atan"
-            | "atan2"
-            | "pow"
-            | "abs"
-            | "sign"
-            | "mod"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,7 +115,18 @@ mod tests {
     #[test]
     fn unknown_name_is_none() {
         assert!(eval_intrinsic("frobnicate", &[]).is_none());
-        assert!(!is_intrinsic("frobnicate"));
-        assert!(is_intrinsic("atan2"));
+        assert!(!epre_ir::is_intrinsic("frobnicate"));
+        assert!(epre_ir::is_intrinsic("atan2"));
+    }
+
+    #[test]
+    fn evaluates_exactly_the_ir_intrinsics() {
+        for name in epre_ir::INTRINSICS {
+            assert!(eval_intrinsic(name, &[]).is_some(), "`{name}` is not evaluated");
+        }
+        for name in ["", "SQRT", "sqrt ", "log2", "min", "float", "int", "drv"] {
+            assert!(!epre_ir::is_intrinsic(name));
+            assert!(eval_intrinsic(name, &[]).is_none(), "`{name}` is evaluated");
+        }
     }
 }

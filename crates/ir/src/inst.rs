@@ -255,6 +255,26 @@ pub enum Inst {
     },
 }
 
+/// The intrinsic library functions an [`Inst::Call`] may name in place of
+/// a module function: the FORTRAN library calls of the benchmark suite.
+/// The front end types calls to them and the interpreter evaluates them.
+pub const INTRINSICS: [&str; 13] = [
+    "sqrt", "exp", "log", "log10", "sin", "cos", "tan", "atan", "atan2", "pow", "abs", "sign",
+    "mod",
+];
+
+/// Is `callee` one of the [`INTRINSICS`]?
+pub fn is_intrinsic(callee: &str) -> bool {
+    INTRINSICS.contains(&callee)
+}
+
+/// Is `callee` an intrinsic whose arguments and result keep the type of
+/// its first argument (`abs`, `sign`, `mod`)? The other intrinsics take
+/// and return floats.
+pub fn is_polymorphic_intrinsic(callee: &str) -> bool {
+    matches!(callee, "abs" | "sign" | "mod")
+}
+
 impl Inst {
     /// The register defined by this instruction, if any.
     pub fn dst(&self) -> Option<Reg> {

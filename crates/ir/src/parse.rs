@@ -32,10 +32,19 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError { line, message: message.into() })
 }
 
+/// The largest data segment, in words, that [`parse_module`] accepts.
+///
+/// Whoever runs a module allocates its whole data segment up front, so
+/// the header must not let outside text size that allocation. The cap is
+/// about 800 times the largest segment in the benchmark suite (1,296
+/// words).
+pub const MAX_DATA_WORDS: usize = 1 << 20;
+
 /// Parse a module: a `module data N` header followed by functions.
 ///
 /// # Errors
-/// Returns a [`ParseError`] naming the first malformed line.
+/// Returns a [`ParseError`] naming the first malformed line, including a
+/// data segment larger than [`MAX_DATA_WORDS`].
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
     let mut lines = number_lines(text);
     let mut module = Module::new();
@@ -48,6 +57,10 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
         .ok_or(ParseError { line: n, message: "expected `module data N`".into() })?;
     module.data_words =
         rest.trim().parse().map_err(|_| ParseError { line: n, message: "bad data size".into() })?;
+    if module.data_words > MAX_DATA_WORDS {
+        let words = module.data_words;
+        return err(n, format!("data segment of {words} words exceeds {MAX_DATA_WORDS}"));
+    }
     while let Some((n, line)) = peek_line(&mut lines) {
         if line.starts_with("function ") {
             module.functions.push(parse_function_lines(&mut lines)?);
@@ -451,6 +464,18 @@ mod tests {
         assert_eq!(m.functions.len(), 2);
         let m2 = parse_module(&format!("{m}")).unwrap();
         assert_eq!(m, m2);
+    }
+
+    #[test]
+    fn oversized_data_segment_is_refused() {
+        let body = "function a()\nblock b0:\n  ret\nend";
+        let at_cap = format!("module data {MAX_DATA_WORDS}\n{body}");
+        assert_eq!(parse_module(&at_cap).unwrap().data_words, MAX_DATA_WORDS);
+        for n in [MAX_DATA_WORDS as u64 + 1, 1_000_000_000_000_000_000] {
+            let e = parse_module(&format!("module data {n}\n{body}")).unwrap_err();
+            assert_eq!(e.line, 1);
+            assert!(e.message.contains("exceeds"), "{e}");
+        }
     }
 
     #[test]

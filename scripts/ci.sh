@@ -17,13 +17,15 @@ cargo build --release $CARGO_FLAGS
 echo "==> cargo test -q"
 cargo test -q $CARGO_FLAGS
 
-echo "==> output identity in release (golden outputs, register space, --jobs)"
+echo "==> output identity in release (golden outputs and oracle, register space, --jobs, wide modules)"
 # The benchmark measures release builds, where debug assertions (bit-set
-# capacity checks among them) are off; the optimizer's output must be the
-# same there. Reuses the release artifacts built above.
+# capacity checks among them) are off; the optimizer's output and the
+# oracle's verdicts must be the same there, and the oracle must stay
+# linear in a module's function count. Reuses the release artifacts built
+# above.
 # shellcheck disable=SC2086
-cargo test --release -q $CARGO_FLAGS --test golden_outputs --test register_space \
-    --test parallel_equivalence
+cargo test --release -q $CARGO_FLAGS --test golden_outputs --test golden_oracle \
+    --test oracle_wide_modules --test register_space --test parallel_equivalence
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace $CARGO_FLAGS -- -D warnings

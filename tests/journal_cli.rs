@@ -1,8 +1,9 @@
 //! End-to-end checks of `epre opt --journal/--resume` through the real
 //! binary: a journaled run that is killed mid-write (simulated by tearing
 //! the journal tail) must resume to *byte-identical* stdout, and config
-//! mismatches, misuse of the flags, or input that fails the structural
-//! verifier must be refused with exit code 2.
+//! mismatches, misuse of the flags, input that fails the structural
+//! verifier, or a data segment beyond the parser's cap must be refused
+//! with exit code 2.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -190,6 +191,25 @@ fn unverifiable_input_is_refused_like_a_parse_error() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(code(&out), 2, "opt {extra:?} must refuse; stderr: {stderr}");
         assert!(stderr.contains("does not verify"), "opt {extra:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "opt {extra:?} printed a module");
+    }
+    std::fs::remove_file(&input).ok();
+}
+
+/// A `module data` header beyond the parser's cap is a parse error, so
+/// no driver allocates the segment it asks for.
+#[test]
+fn oversized_data_segment_is_refused_like_a_parse_error() {
+    let input = tmp("oversized.iloc");
+    let text = "module data 1000000000000000000\n\
+                function f() -> i\nblock b0:\n  r0 <- loadi 1:i\n  ret r0\nend\n";
+    std::fs::write(&input, text).unwrap();
+    let input_s = input.to_str().unwrap();
+    for extra in [&["--jobs", "1"][..], &["--best-effort"]] {
+        let out = epre(&[&["opt", input_s][..], extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 2, "opt {extra:?} must refuse; stderr: {stderr}");
+        assert!(stderr.contains("exceeds"), "opt {extra:?}: {stderr}");
         assert!(out.stdout.is_empty(), "opt {extra:?} printed a module");
     }
     std::fs::remove_file(&input).ok();

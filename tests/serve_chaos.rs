@@ -608,6 +608,28 @@ fn unverifiable_module_is_refused_typed_and_does_not_poison_the_daemon() {
     daemon.shutdown();
 }
 
+/// A module whose `module data` header asks for more words than the
+/// parser accepts is refused with the typed `parse` code before anything
+/// allocates its data segment, and the daemon's only worker keeps
+/// answering. The function is one no other request sends, so the answer
+/// cannot come from the cache, whose key ignores the header.
+#[test]
+fn oversized_data_segment_is_refused_typed_and_the_worker_survives() {
+    let daemon = Daemon::spawn(&["--workers", "1"]);
+    let client = ClientConfig { read_timeout: Duration::from_secs(10), ..daemon.client() };
+    let oversized = "module data 1000000000000000000\n\
+                     function oversized() -> i\nblock b0:\n  r0 <- loadi 77:i\n  ret r0\nend\n";
+    match submit(&client, &request(oversized)) {
+        Err(ClientError::Refused { code, .. }) => assert_eq!(code.label(), "parse"),
+        other => panic!("expected a typed parse refusal, got {other:?}"),
+    }
+
+    // The only worker is unharmed: a well-formed request still succeeds.
+    let out = submit(&client, &request(&module_text())).expect("submit after refusal");
+    assert_eq!(out.done.status, "clean");
+    daemon.shutdown();
+}
+
 /// The flight recorder under fire: a SIGQUIT checkpoint accounts for
 /// every request the daemon has answered, the dump is valid JSONL, and
 /// after a SIGKILL mid-hammer the slow-request log (written *before*
