@@ -1,5 +1,5 @@
-//! Wall-clock instrumentation of the pipeline: the `--timings` CLI mode
-//! and the `throughput` benchmark are both built on this module.
+//! Wall-clock instrumentation of the pipeline behind the `--timings` CLI
+//! mode.
 //!
 //! The paper reports *dynamic operation counts* (Table 1); this module
 //! measures the optimizer itself — how long each pass takes, how often it
@@ -7,14 +7,13 @@
 //! avoids recomputing CFGs, orders, dominators, and expression universes.
 //! Timing is serial by construction (per-pass attribution across worker
 //! threads would perturb the numbers it reports); module-level parallel
-//! speedups are measured end-to-end by the benchmark instead.
+//! speedups are measured end-to-end by `perfbench/` instead.
 //!
 //! Since the telemetry layer landed, this module is an *aggregation view*
 //! over the traced pipeline ([`Optimizer::try_optimize_traced`] with wall
 //! clocks enabled): the spans already carry measured nanoseconds, change
 //! reports, and cache totals, and this module folds them into the same
-//! [`ModuleTimings`] report (text and JSON formats unchanged) the
-//! `--timings` flag has always printed.
+//! [`ModuleTimings`] report the `--timings` flag has always printed.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -60,38 +59,6 @@ pub struct ModuleTimings {
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
-}
-
-impl ModuleTimings {
-    /// Render the report as a small JSON object (hand-rolled: the
-    /// workspace carries no serialization dependency). Durations are in
-    /// milliseconds.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{{\"level\":\"{}\",\"functions\":{},\"total_ms\":{:.3},",
-            self.level, self.functions, ms(self.total)
-        ));
-        s.push_str(&format!(
-            "\"cache\":{{\"hits\":{},\"misses\":{}}},\"passes\":[",
-            self.cache.hits, self.cache.misses
-        ));
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"pass\":\"{}\",\"ms\":{:.3},\"invocations\":{},\"changed\":{},\"rounds\":{}}}",
-                p.pass,
-                ms(p.duration),
-                p.invocations,
-                p.changed,
-                p.rounds
-            ));
-        }
-        s.push_str("]}");
-        s
-    }
 }
 
 impl fmt::Display for ModuleTimings {
@@ -199,16 +166,6 @@ impl Optimizer {
             },
         ))
     }
-
-    /// Optimize a copy of the module serially, timing every pass.
-    ///
-    /// See [`Optimizer::try_optimize_timed`] for the non-panicking route.
-    pub fn optimize_timed(&self, module: &Module) -> (Module, ModuleTimings) {
-        match self.try_optimize_timed(module) {
-            Ok(pair) => pair,
-            Err(fault) => panic!("{fault}"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +189,7 @@ mod tests {
     fn timed_run_matches_plain_and_reports_every_pass() {
         let m = compile(FOO, NamingMode::Disciplined).unwrap();
         let opt = Optimizer::new(OptLevel::Distribution);
-        let (timed, report) = opt.optimize_timed(&m);
+        let (timed, report) = opt.try_optimize_timed(&m).unwrap();
         let plain = opt.optimize(&m);
         assert_eq!(format!("{timed}"), format!("{plain}"), "timing must not change the output");
         assert_eq!(report.level, "distribution");
@@ -247,21 +204,5 @@ mod tests {
         assert!(coalesce.rounds >= coalesce.invocations as u64, "{coalesce:?}");
         let rendered = format!("{report}");
         assert!(rendered.contains("round(s)"), "{rendered}");
-    }
-
-    #[test]
-    fn json_rendering_is_well_formed_enough() {
-        let m = compile(FOO, NamingMode::Disciplined).unwrap();
-        let (_, report) = Optimizer::new(OptLevel::Partial).optimize_timed(&m);
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"level\":\"partial\""), "{json}");
-        assert!(json.contains("\"passes\":["), "{json}");
-        assert!(json.contains("\"pass\":\"pre\""), "{json}");
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces: {json}"
-        );
     }
 }

@@ -59,6 +59,6 @@ pub mod verify;
 pub use builder::FunctionBuilder;
 pub use function::{Block, Function, Module, Terminator};
 pub use inst::{is_intrinsic, is_polymorphic_intrinsic, BinOp, Inst, UnOp, INTRINSICS};
-pub use parse::{parse_function, parse_module, ParseError, MAX_DATA_WORDS};
+pub use parse::{parse_function, parse_module, ParseError, MAX_DATA_WORDS, MAX_REGS};
 pub use types::{BlockId, Const, Reg, Ty};
 pub use verify::{verify_function, verify_function_all, VerifyError, VerifyErrorKind};

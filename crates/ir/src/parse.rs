@@ -40,11 +40,21 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
 /// words).
 pub const MAX_DATA_WORDS: usize = 1 << 20;
 
+/// The most register slots that [`parse_module`] allocates for a module.
+///
+/// A function gets one slot for every number up to the largest register
+/// it names, so a single `r4000000000` in the text would otherwise size a
+/// huge allocation. The slots are summed over the module's functions, so
+/// many small functions cannot add up either. The whole benchmark suite
+/// needs 3,281 slots, and its largest function 600.
+pub const MAX_REGS: usize = 1 << 20;
+
 /// Parse a module: a `module data N` header followed by functions.
 ///
 /// # Errors
 /// Returns a [`ParseError`] naming the first malformed line, including a
-/// data segment larger than [`MAX_DATA_WORDS`].
+/// data segment larger than [`MAX_DATA_WORDS`] and register slots beyond
+/// [`MAX_REGS`].
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
     let mut lines = number_lines(text);
     let mut module = Module::new();
@@ -61,9 +71,10 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
         let words = module.data_words;
         return err(n, format!("data segment of {words} words exceeds {MAX_DATA_WORDS}"));
     }
+    let mut slots = 0;
     while let Some((n, line)) = peek_line(&mut lines) {
         if line.starts_with("function ") {
-            module.functions.push(parse_function_lines(&mut lines)?);
+            module.functions.push(parse_function_lines(&mut lines, &mut slots)?);
         } else {
             return err(n, format!("unexpected line: {line}"));
         }
@@ -74,10 +85,11 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
 /// Parse a single function (no module header).
 ///
 /// # Errors
-/// Returns a [`ParseError`] naming the first malformed line.
+/// Returns a [`ParseError`] naming the first malformed line, including
+/// register slots beyond [`MAX_REGS`].
 pub fn parse_function(text: &str) -> Result<Function, ParseError> {
     let mut lines = number_lines(text);
-    let f = parse_function_lines(&mut lines)?;
+    let f = parse_function_lines(&mut lines, &mut 0)?;
     if let Some((n, line)) = peek_line(&mut lines) {
         return err(n, format!("trailing input: {line}"));
     }
@@ -104,17 +116,28 @@ fn peek_line<'a>(lines: &mut Lines<'a>) -> Option<(usize, &'a str)> {
     lines.peek().copied()
 }
 
-fn parse_function_lines(lines: &mut Lines<'_>) -> Result<Function, ParseError> {
+/// Split `s` around the text between its first `(` and its last `)`.
+fn split_parens(s: &str, line: usize) -> Result<(&str, &str, &str), ParseError> {
+    let open = s.find('(').ok_or_else(|| ParseError { line, message: "missing `(`".into() })?;
+    let close = s.rfind(')').ok_or_else(|| ParseError { line, message: "missing `)`".into() })?;
+    if close < open {
+        return err(line, "`)` before `(`");
+    }
+    Ok((&s[..open], &s[open + 1..close], &s[close + 1..]))
+}
+
+/// Parse one function. `slots` counts the register slots allocated so
+/// far in the module; this function's are added and checked against
+/// [`MAX_REGS`] before any of them is allocated.
+fn parse_function_lines(lines: &mut Lines<'_>, slots: &mut usize) -> Result<Function, ParseError> {
     let (hn, header) =
         next_line(lines).ok_or(ParseError { line: 0, message: "expected function header".into() })?;
     let header = header
         .strip_prefix("function ")
         .ok_or(ParseError { line: hn, message: "expected `function`".into() })?;
-    let open = header.find('(').ok_or(ParseError { line: hn, message: "missing `(`".into() })?;
-    let close = header.rfind(')').ok_or(ParseError { line: hn, message: "missing `)`".into() })?;
-    let name = header[..open].trim().to_string();
-    let params_text = &header[open + 1..close];
-    let ret_ty = match header[close + 1..].trim() {
+    let (name, params_text, ret_text) = split_parens(header, hn)?;
+    let name = name.trim().to_string();
+    let ret_ty = match ret_text.trim() {
         "" => None,
         s => Some(parse_ty(s.strip_prefix("->").unwrap_or(s).trim(), hn)?),
     };
@@ -165,6 +188,10 @@ fn parse_function_lines(lines: &mut Lines<'_>) -> Result<Function, ParseError> {
         }
     }
 
+    *slots = slots.saturating_add(usize::try_from(max_reg + 1).unwrap_or(usize::MAX));
+    if *slots > MAX_REGS {
+        return err(hn, format!("{} register slots exceed {MAX_REGS}", *slots));
+    }
     // Allocate registers densely (types default to Int for never-typed regs).
     for i in 0..=max_reg {
         let ty = reg_tys.get(&(i as u32)).copied().unwrap_or(Ty::Int);
@@ -388,11 +415,10 @@ fn parse_inst(
 }
 
 fn parse_call_tail(s: &str, n: usize) -> Result<(String, Vec<Reg>), ParseError> {
-    let open = s.find('(').ok_or(ParseError { line: n, message: "call missing `(`".into() })?;
-    let close = s.rfind(')').ok_or(ParseError { line: n, message: "call missing `)`".into() })?;
-    let callee = s[..open].trim().to_string();
+    let (callee, args_text, _) = split_parens(s, n)?;
+    let callee = callee.trim().to_string();
     let mut args = Vec::new();
-    for a in s[open + 1..close].split(',').map(str::trim).filter(|a| !a.is_empty()) {
+    for a in args_text.split(',').map(str::trim).filter(|a| !a.is_empty()) {
         args.push(parse_reg(a, n)?);
     }
     Ok((callee, args))
@@ -475,6 +501,17 @@ mod tests {
             let e = parse_module(&format!("module data {n}\n{body}")).unwrap_err();
             assert_eq!(e.line, 1);
             assert!(e.message.contains("exceeds"), "{e}");
+        }
+    }
+
+    #[test]
+    fn register_slots_are_capped() {
+        let f = |reg: usize| format!("function a()\nblock b0:\n  r{reg} <- loadi 1:i\n  ret\nend");
+        assert_eq!(parse_function(&f(MAX_REGS - 1)).unwrap().reg_count(), MAX_REGS);
+        for reg in [MAX_REGS, u32::MAX as usize] {
+            let e = parse_function(&f(reg)).unwrap_err();
+            assert_eq!(e.line, 1, "{e}");
+            assert!(e.message.contains("register slots exceed"), "{e}");
         }
     }
 

@@ -34,8 +34,10 @@
 //! * [`lvn`] — hash-based local value numbering.
 //!
 //! All passes preserve the structural verifier and the interpreter-observable
-//! semantics of the function; the property tests at the crate root check
-//! both on randomly generated programs.
+//! semantics of the function. The suite gates check both on the 50
+//! routines at every level (`crates/suite/tests/lint_pipeline.rs` and
+//! `levels.rs`); the property tests over generated programs sit behind
+//! the `prop-tests` feature and do not run in the default build.
 //!
 //! ## Change reporting and analysis preservation
 //!

@@ -23,7 +23,7 @@
 //! with a deadline.
 //!
 //! The report carries per-class p50/p95/p99 latency and throughput, and
-//! renders both as text and as a JSON run entry for `BENCH_SERVE.json`.
+//! renders as a text table.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -86,8 +86,8 @@ impl Default for LoadgenConfig {
 }
 
 /// The optimization level the generator submits under (and computes
-/// ground truth for): the paper's full pipeline, same as the serve
-/// bench.
+/// ground truth for): the paper's full pipeline, as in perfbench's serve
+/// workloads.
 const LEVEL: &str = "distribution";
 
 const CLASSES: [&str; 4] = ["cold", "warm", "poison", "oversized"];
@@ -165,50 +165,6 @@ impl LoadgenReport {
             return 0.0;
         }
         self.total_ops() as f64 * 1e3 / self.duration_ms as f64
-    }
-
-    /// The run as a `BENCH_SERVE.json` entry (appended with
-    /// [`epre_bench::merge_named_runs`] by the CLI; `run` numbering is
-    /// the merger's job).
-    pub fn json_entry(&self) -> String {
-        let mut s = format!(
-            "{{\"loadgen\":true,\"clients\":{},\"duration_ms\":{},\"total_ops\":{},\
-             \"rps\":{:.3},\"reconnects\":{},\"wrong\":{},\"hangs\":{},\"failures\":{},\
-             \"classes\":{{",
-            self.clients,
-            self.duration_ms,
-            self.total_ops(),
-            self.rps(),
-            self.reconnects,
-            self.wrongs(),
-            self.hangs(),
-            self.failures(),
-        );
-        for (i, (name, c)) in self.classes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let rps = if self.duration_ms == 0 {
-                0.0
-            } else {
-                c.ops as f64 * 1e3 / self.duration_ms as f64
-            };
-            s.push_str(&format!(
-                "\"{name}\":{{\"ops\":{},\"rps\":{rps:.3},\"p50_ms\":{:.3},\
-                 \"p95_ms\":{:.3},\"p99_ms\":{:.3}}}",
-                c.ops,
-                c.percentile_us(50.0) as f64 / 1e3,
-                c.percentile_us(95.0) as f64 / 1e3,
-                c.percentile_us(99.0) as f64 / 1e3,
-            ));
-        }
-        s.push_str("}}");
-        if let Some(server) = &self.server {
-            // Splice the daemon's own view in before the closing brace.
-            s.pop();
-            s.push_str(&format!(",\"server\":{server}}}"));
-        }
-        s
     }
 
     /// A human-readable summary table.
@@ -579,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_text_and_json() {
+    fn report_renders_the_text_table() {
         let mut cold = ClassStats { ops: 3, ..Default::default() };
         cold.latencies_us = vec![1000, 2000, 3000];
         let report = LoadgenReport {
@@ -594,14 +550,13 @@ mod tests {
         };
         assert_eq!(report.total_ops(), 3);
         assert_eq!(report.rps(), 3.0);
-        let json = report.json_entry();
-        assert!(json.starts_with("{\"loadgen\":true,"), "{json}");
-        assert!(json.contains("\"cold\":{\"ops\":3,\"rps\":3.000,\"p50_ms\":2.000"), "{json}");
-        assert!(json.contains("\"p95_ms\":3.000,\"p99_ms\":3.000"), "{json}");
-        assert!(json.contains("\"wrong\":0,\"hangs\":0"), "{json}");
         let text = report.render_text();
-        assert!(text.contains("cold"), "{text}");
-        assert!(text.contains("p99ms"), "{text}");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "loadgen: 2 client(s), 1000ms, 3 op(s), 3 op/s, 1 reconnect(s)");
+        assert_eq!(lines[1], "  class      ops  wrong  hang  fail    p50ms    p95ms    p99ms");
+        // Nearest-rank p50 2 ms, p95 and p99 3 ms; no wrong answer or hang.
+        assert_eq!(lines[2], "  cold         3      0     0     0     2.00     3.00     3.00");
+        assert!(!text.contains("server metrics snapshot"), "{text}");
     }
 
     #[test]
@@ -631,17 +586,20 @@ mod tests {
             )),
             "{fragment}"
         );
-        // And the fragment rides into the run entry.
+        // And the fragment rides into the report's last line.
         let report = LoadgenReport {
             clients: 1,
             duration_ms: 10,
             classes: vec![("cold".into(), ClassStats::default())],
             reconnects: 0,
-            server: Some(fragment),
+            server: Some(fragment.clone()),
         };
-        let json = report.json_entry();
-        assert!(json.contains(",\"server\":{\"requests\":10,"), "{json}");
-        assert!(json.ends_with("}}"), "{json}");
+        let text = report.render_text();
+        assert!(
+            text.ends_with(&format!("  server metrics snapshot: {fragment}\n")),
+            "{text}"
+        );
+        assert!(text.contains("server metrics snapshot: {\"requests\":10,"), "{text}");
     }
 
     #[test]

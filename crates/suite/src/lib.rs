@@ -29,8 +29,10 @@ mod doduc;
 mod fmm;
 mod misc;
 
+use std::collections::HashSet;
+
 use epre_frontend::{compile, FrontendError, NamingMode};
-use epre_ir::Module;
+use epre_ir::{Inst, Module};
 
 /// One suite routine: a named mini-FORTRAN program plus its driver.
 #[derive(Debug, Clone)]
@@ -66,6 +68,38 @@ pub fn all_routines() -> Vec<Routine> {
     v.extend(misc::routines());
     v.sort_by_key(|r| r.name);
     v
+}
+
+/// All 50 routines fused into one module of 108 functions, so a
+/// per-function driver (`--jobs`, the daemon) has real work to share out.
+///
+/// Each function's name, and each call to a function of the same
+/// routine, is prefixed with `<routine>__` to keep names unique;
+/// intrinsic calls are left alone. The routines' data segments overlap,
+/// so the fused module is for optimizing, not for running.
+///
+/// # Panics
+/// Panics if a bundled routine fails to compile (the suite's own tests
+/// check that they all do).
+pub fn fused_module() -> Module {
+    let mut out = Module::new();
+    for r in all_routines() {
+        let m = r.compile(NamingMode::Disciplined).unwrap_or_else(|e| panic!("{}: {e}", r.name));
+        let local: HashSet<String> = m.functions.iter().map(|f| f.name.clone()).collect();
+        out.data_words = out.data_words.max(m.data_words);
+        for mut f in m.functions {
+            f.name = format!("{}__{}", r.name, f.name);
+            for inst in f.blocks.iter_mut().flat_map(|b| &mut b.insts) {
+                if let Inst::Call { callee, .. } = inst {
+                    if local.contains(callee.as_str()) {
+                        *callee = format!("{}__{}", r.name, callee);
+                    }
+                }
+            }
+            out.functions.push(f);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -106,6 +140,19 @@ mod tests {
                 m.verify().unwrap_or_else(|e| panic!("{}: {e}", r.name));
             }
         }
+    }
+
+    #[test]
+    fn fused_module_has_unique_names_and_resolves_local_calls() {
+        let m = fused_module();
+        let names: HashSet<&str> = m.functions.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!((m.functions.len(), names.len()), (108, 108), "function names unique");
+        for inst in m.functions.iter().flat_map(|f| &f.blocks).flat_map(|b| &b.insts) {
+            if let Inst::Call { callee, .. } = inst {
+                assert!(names.contains(callee.as_str()) || epre_ir::is_intrinsic(callee), "{callee}");
+            }
+        }
+        m.verify().unwrap();
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   fixed compile-time ladder [`LATENCY_BUCKETS_US`], so two registries
 //!   that observed the same multiset of values render byte-identically
 //!   regardless of observation order, thread interleaving, or merge
-//!   order — the property the bench trajectory and CI greps rely on.
+//!   order — the property the CI greps rely on.
 //! - **Integer-only.** Values are `u64` (microseconds for latency), so
 //!   the JSON render stays inside the serve protocol's integer-only JSON
 //!   subset and reconciles exactly, with no float formatting drift.

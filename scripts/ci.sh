@@ -1,7 +1,8 @@
 #!/bin/sh
 # The tier-1 gate in one command: build, test, lint with warnings hard,
-# then a one-repetition benchmark smoke to prove the measurement path
-# still runs. Anything here failing means the tree is not mergeable.
+# then a one-second traced benchmark run to prove the measurement path
+# still runs. Anything here failing means the tree is not mergeable, and
+# the last stage fails if the run changed the working tree.
 #
 # Extra cargo flags (e.g. --offline on an air-gapped box) can be passed
 # through CARGO_FLAGS: `CARGO_FLAGS=--offline scripts/ci.sh`.
@@ -9,6 +10,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 CARGO_FLAGS="${CARGO_FLAGS:-}"
+tree_before="$(git status --porcelain --untracked-files=all)"
 
 echo "==> cargo build --release"
 # shellcheck disable=SC2086  # CARGO_FLAGS is intentionally word-split
@@ -17,30 +19,22 @@ cargo build --release $CARGO_FLAGS
 echo "==> cargo test -q"
 cargo test -q $CARGO_FLAGS
 
-echo "==> output identity in release (golden outputs and oracle, register space, --jobs, wide modules)"
+echo "==> release tests (golden outputs and oracle, register space, --jobs, wide modules, warm resubmit)"
 # The benchmark measures release builds, where debug assertions (bit-set
 # capacity checks among them) are off; the optimizer's output and the
-# oracle's verdicts must be the same there, and the oracle must stay
-# linear in a module's function count. Reuses the release artifacts built
+# oracle's verdicts must be the same there (also at --jobs 2/4/8 on the
+# fused suite module), and the oracle must stay linear in a module's
+# function count. A warm resubmit of the fused suite must replay it
+# byte-identically and at least 5x faster than a cold submit, a timing
+# gate that only release builds run. Reuses the release artifacts built
 # above.
 # shellcheck disable=SC2086
 cargo test --release -q $CARGO_FLAGS --test golden_outputs --test golden_oracle \
-    --test oracle_wide_modules --test register_space --test parallel_equivalence
+    --test oracle_wide_modules --test register_space --test parallel_equivalence \
+    --test serve_warm_resubmit
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace $CARGO_FLAGS -- -D warnings
-
-echo "==> bench smoke"
-CARGO_FLAGS="$CARGO_FLAGS" scripts/bench_smoke.sh
-
-echo "==> BENCH_OPT schema check (cpus, coalesce_share, monotonic runs)"
-# Every appended run must record the host's cpu count (so parallel
-# speedups are interpretable) and the coalesce share of pass time (so the
-# hot-spot trajectory is visible per PR); the bench itself asserts the
-# appended run keeps the monotonic `run` history, and `epre report` below
-# refuses to read the file otherwise — a second, independent enforcement.
-grep -q '"cpus":' BENCH_OPT.json || { echo "BENCH_OPT.json missing cpus field" >&2; exit 1; }
-grep -q '"coalesce_share":' BENCH_OPT.json || { echo "BENCH_OPT.json missing coalesce_share field" >&2; exit 1; }
 
 echo "==> report smoke (epre report --quick)"
 tmpdir="$(mktemp -d)"
@@ -204,48 +198,31 @@ target/release/epre submit --shutdown --addr "$addr" > /dev/null
 wait "$serve_pid" || { echo "daemon did not exit cleanly after SIGQUIT" >&2; exit 1; }
 serve_pid=""
 
-echo "==> serve bench smoke"
-# shellcheck disable=SC2086
-cargo bench -p epre-bench --bench serve $CARGO_FLAGS -- --quick
-grep -q '^{"bench":"serve","runs":\[' BENCH_SERVE.json || {
-    echo "BENCH_SERVE.json schema check failed" >&2
-    exit 1
-}
-
 echo "==> loadgen smoke (sustained mixed load, zero wrong answers)"
 # ~10s of cold/warm/poison/oversized traffic against a self-served
 # daemon with a tight cache cap. The binary itself exits nonzero on any
-# wrong answer, hang, or cap breach; the greps then pin the recorded
-# schema: a loadgen run with per-class percentiles must have landed in
-# BENCH_SERVE.json.
+# wrong answer, hang, or cap breach; the greps then pin its report: the
+# per-class percentile columns and, from --metrics-snapshot, the daemon's
+# own view of the load (scraped live metrics, distilled).
 target/release/epre loadgen --clients 4 --duration-ms 8000 \
     --cache-max-bytes 65536 --seed 2026 --metrics-snapshot > "$tmpdir/loadgen.txt"
-grep -q '"loadgen":true' BENCH_SERVE.json || {
-    echo "BENCH_SERVE.json missing the loadgen run" >&2
+grep -q 'p50ms    p95ms    p99ms$' "$tmpdir/loadgen.txt" || {
+    echo "loadgen report missing the per-class percentile columns" >&2
     exit 1
 }
-grep -q '"p50_ms":' BENCH_SERVE.json && grep -q '"p95_ms":' BENCH_SERVE.json \
-    && grep -q '"p99_ms":' BENCH_SERVE.json || {
-    echo "BENCH_SERVE.json loadgen run missing per-class percentiles" >&2
-    exit 1
-}
-# --metrics-snapshot rides along: the recorded run carries the daemon's
-# own view of the load (scraped live metrics, distilled).
-grep -q '"server":{"requests":' BENCH_SERVE.json || {
-    echo "BENCH_SERVE.json loadgen run missing the server metrics snapshot" >&2
+grep -qF 'server metrics snapshot: {"requests":' "$tmpdir/loadgen.txt" || {
+    echo "loadgen report missing the server metrics snapshot" >&2
     exit 1
 }
 
-echo "==> report refuses a non-monotonic BENCH_SERVE.json"
-# A corrupted run history must be an error, not a silently absorbed
-# trend: `epre report` in a directory whose BENCH_SERVE.json runs go
-# backwards has to exit nonzero before measuring anything.
-mkdir -p "$tmpdir/refuse"
-printf '{"bench":"serve","runs":[{"run":1},{"run":0}]}\n' > "$tmpdir/refuse/BENCH_SERVE.json"
-if (cd "$tmpdir/refuse" && "$OLDPWD/target/release/epre" report --quick \
-        --out t.json > /dev/null 2>&1); then
-    echo "report accepted a non-monotonic BENCH_SERVE.json" >&2
+echo "==> working tree unchanged"
+# CI must leave the checkout as it found it: no stage may write into a
+# tracked file or leave an unignored one behind.
+tree_after="$(git status --porcelain --untracked-files=all)"
+[ "$tree_before" = "$tree_after" ] || {
+    echo "scripts/ci.sh changed the working tree:" >&2
+    printf 'before:\n%s\nafter:\n%s\n' "$tree_before" "$tree_after" >&2
     exit 1
-fi
+}
 
 echo "==> ci: all green"

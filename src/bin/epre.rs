@@ -28,7 +28,7 @@
 //! epre metrics [--addr HOST:PORT] [--json]        scrape the daemon's live metrics
 //! epre loadgen [--addr HOST:PORT] [--clients N] [--duration-ms N] [--seed N]
 //!              [--mix COLD:WARM:POISON:OVERSIZED] [--warm-pool N] [--cache-max-bytes N]
-//!              [--out PATH] [--no-record] [--metrics-snapshot]
+//!              [--metrics-snapshot]
 //!                                                 mixed-workload load generator
 //! ```
 //!
@@ -61,10 +61,7 @@
 //! exponential-backoff retries, exiting 0 on a clean response, 3 on a
 //! degraded one (faults were contained; the module on stdout is still
 //! safe), 1 when the server refused or every retry failed, 2 on usage
-//! errors. `report` refuses (exit 1) to run when an existing
-//! `BENCH_OPT.json` or `BENCH_SERVE.json` carries a non-monotonic
-//! `runs[]` history — the signature of hand-editing or
-//! concurrent-writer corruption.
+//! errors.
 //!
 //! The daemon serves keep-alive sessions: one connection carries many
 //! requests, ended by a typed `goaway` frame on idle timeout
@@ -79,11 +76,10 @@
 //! drives a daemon (a self-hosted ephemeral one by default, or
 //! `--addr`) with N concurrent retrying clients for a fixed duration,
 //! mixing cold/warm/poison/oversized traffic, checks every answer
-//! against ground truth, appends per-class p50/p95/p99 latency and
-//! throughput to `BENCH_SERVE.json` (unless `--no-record`), and exits 1
-//! on any wrong answer or hang. With `--metrics-snapshot` it also
-//! scrapes the daemon's live metrics at the end of the run and records
-//! a distilled snapshot in the same entry.
+//! against ground truth, prints per-class p50/p95/p99 latency and
+//! throughput, and exits 1 on any wrong answer or hang. With
+//! `--metrics-snapshot` it also scrapes the daemon's live metrics at the
+//! end of the run and prints a distilled snapshot after the table.
 //!
 //! The daemon is observable while it runs: `epre metrics` (or `epre
 //! submit --metrics`) scrapes per-class latency histograms, queue and
@@ -146,7 +142,7 @@ const USAGE: &str = "usage:\n  \
     epre submit <file.iloc|-> [--addr HOST:PORT] [--level L] [--policy best-effort|retry-then-skip] [--deadline-ms N] [--retries N] [--seed N] [--client ID]\n  \
     epre submit (--stats | --ping | --shutdown | --metrics) [--addr HOST:PORT]\n  \
     epre metrics [--addr HOST:PORT] [--json]\n  \
-    epre loadgen [--addr HOST:PORT] [--clients N] [--duration-ms N] [--seed N] [--mix COLD:WARM:POISON:OVERSIZED] [--warm-pool N] [--cache-max-bytes N] [--out PATH] [--no-record] [--metrics-snapshot]";
+    epre loadgen [--addr HOST:PORT] [--clients N] [--duration-ms N] [--seed N] [--mix COLD:WARM:POISON:OVERSIZED] [--warm-pool N] [--cache-max-bytes N] [--metrics-snapshot]";
 
 /// Render `trace` in the chosen export format and write it to `path`.
 fn write_trace(path: &str, trace: &Trace, format: &str) -> Result<(), String> {
@@ -468,7 +464,7 @@ fn cmd_opt(args: &[String]) -> ExitCode {
         }
     } else if timings {
         // Per-pass attribution requires the serial pipeline; --jobs is
-        // measured end-to-end by the `throughput` benchmark instead.
+        // measured end-to-end by perfbench's `opt-suite` workload instead.
         if trace_path.is_some() {
             eprintln!("note: --trace is ignored under --timings");
         }
@@ -673,34 +669,12 @@ fn cmd_report(args: &[String]) -> ExitCode {
             }
         }
     }
-    // A corrupted bench history invalidates any trend the report would
-    // sit next to: refuse before doing the expensive measurement.
-    for bench_file in ["BENCH_OPT.json", "BENCH_SERVE.json"] {
-        if let Ok(history) = std::fs::read_to_string(bench_file) {
-            if !epre_bench::runs_monotonic(&history) {
-                eprintln!(
-                    "error: {bench_file} run history is not monotonic (hand-edited or \
-                     corrupted?); move the file aside and re-run the benches"
-                );
-                return ExitCode::from(1);
-            }
-        }
-    }
     let table = collect_table1(quick);
     let json_body = table.to_json();
     if json {
         println!("{json_body}");
     } else {
         print!("{}", table.render_text());
-        // The serving story next to the paper's table: the latest
-        // recorded loadgen run, when one exists.
-        if let Some(line) = std::fs::read_to_string("BENCH_SERVE.json")
-            .ok()
-            .as_deref()
-            .and_then(effective_pre::report::latest_loadgen_summary)
-        {
-            println!("{line}");
-        }
     }
     if let Err(e) = std::fs::write(&out_path, format!("{json_body}\n")) {
         eprintln!("error: writing `{out_path}`: {e}");
@@ -1347,8 +1321,6 @@ fn cmd_loadgen(args: &[String]) -> ExitCode {
     let mut cfg = LoadgenConfig::default();
     let mut addr: Option<String> = None;
     let mut cache_max_bytes: u64 = 256 * 1024;
-    let mut out_path = String::from("BENCH_SERVE.json");
-    let mut record = true;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -1415,14 +1387,6 @@ fn cmd_loadgen(args: &[String]) -> ExitCode {
                     }
                 }
             }
-            "--out" => {
-                let Some(p) = it.next() else {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::from(2);
-                };
-                out_path = p.clone();
-            }
-            "--no-record" => record = false,
             "--metrics-snapshot" => cfg.metrics_snapshot = true,
             other => {
                 eprintln!("unknown argument `{other}`\n{USAGE}");
@@ -1521,20 +1485,6 @@ fn cmd_loadgen(args: &[String]) -> ExitCode {
             None => {
                 eprintln!("error: could not read cache_file_bytes from the daemon's stats");
                 failed = true;
-            }
-        }
-    }
-    if record {
-        let existing = std::fs::read_to_string(&out_path).ok();
-        let json = epre_bench::merge_named_runs("serve", existing.as_deref(), &report.json_entry());
-        match std::fs::write(&out_path, &json) {
-            Ok(()) => println!(
-                "wrote {out_path} ({} run(s) on record)",
-                epre_bench::next_run_number(&json)
-            ),
-            Err(e) => {
-                eprintln!("error: writing `{out_path}`: {e}");
-                return ExitCode::from(2);
             }
         }
     }

@@ -11,7 +11,7 @@ use epre_frontend::NamingMode;
 use epre_telemetry::{Table1, Table1Row};
 
 /// How many routines `--quick` keeps (the front of the alphabetical
-/// suite order, like the quick mode of the throughput benchmark).
+/// suite order).
 pub const QUICK_ROUTINES: usize = 8;
 
 /// Measure the suite at every paper level and assemble the Table 1 data.
@@ -44,54 +44,6 @@ pub fn collect_table1(quick: bool) -> Table1 {
     Table1 { levels, rows }
 }
 
-/// One-line summary of the most recent loadgen run in a
-/// `BENCH_SERVE.json` history, rendered next to Table 1 by
-/// `epre report` so the serving story sits beside the paper's numbers.
-///
-/// This string-scans instead of parsing: the history carries float
-/// fields (`rps`, `p99_ms`) that the workspace's integer-only JSON
-/// codec rejects by design, and the report needs exactly four values
-/// per class. Returns `None` when the history has no loadgen entry or
-/// the entry is missing the scanned fields.
-pub fn latest_loadgen_summary(history: &str) -> Option<String> {
-    let tag = "\"loadgen\":true";
-    let pos = history.rfind(tag)?;
-    let entry = &history[pos..];
-    let run = history[..pos].rfind("\"run\":").and_then(|rp| {
-        let digits: String =
-            history[rp + "\"run\":".len()..].chars().take_while(char::is_ascii_digit).collect();
-        digits.parse::<u64>().ok()
-    });
-    let rps = scan_number(entry, "rps")?;
-    let classes = &entry[entry.find("\"classes\":{")?..];
-    let mut parts = Vec::new();
-    let mut rest = classes;
-    // Each per-class object opens `"<name>":{"ops":`; the first
-    // `p99_ms` after that anchor belongs to the same class.
-    while let Some(p) = rest.find("\":{\"ops\":") {
-        let before = &rest[..p];
-        let name = &before[before.rfind('"').map_or(0, |i| i + 1)..];
-        if let Some(p99) = scan_number(&rest[p..], "p99_ms") {
-            parts.push(format!("{name} p99 {p99} ms"));
-        }
-        rest = &rest[p + "\":{\"ops\":".len()..];
-    }
-    if parts.is_empty() {
-        return None;
-    }
-    let run_label = run.map_or_else(String::new, |r| format!(" run {r}"));
-    Some(format!("serve loadgen{run_label}: {rps} rps — {}", parts.join(", ")))
-}
-
-/// The digits-and-dot span right after `"key":`, or `None` when the key
-/// is absent or its value does not start numeric.
-fn scan_number<'a>(s: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let rest = &s[s.find(&needle)? + needle.len()..];
-    let end = rest.find(|c: char| !c.is_ascii_digit() && c != '.').unwrap_or(rest.len());
-    (end > 0).then(|| &rest[..end])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,30 +62,5 @@ mod tests {
         // The renderings work end to end on real data.
         assert!(t.render_text().lines().count() == QUICK_ROUTINES + 2);
         assert!(t.to_json().starts_with("{\"bench\":\"table1\""));
-    }
-
-    #[test]
-    fn loadgen_summary_scans_the_latest_run() {
-        let history = concat!(
-            "{\"bench\":\"serve\",\"runs\":[",
-            "{\"run\":0,\"loadgen\":true,\"clients\":2,\"duration_ms\":100,",
-            "\"total_ops\":5,\"rps\":50.000,\"reconnects\":0,\"wrong\":0,",
-            "\"hangs\":0,\"failures\":0,\"classes\":{",
-            "\"cold\":{\"ops\":3,\"rps\":30.0,\"p50_ms\":1.0,\"p95_ms\":2.0,\"p99_ms\":2.500}}},",
-            "{\"run\":1,\"loadgen\":true,\"clients\":4,\"duration_ms\":200,",
-            "\"total_ops\":40,\"rps\":200.125,\"reconnects\":1,\"wrong\":0,",
-            "\"hangs\":0,\"failures\":2,\"classes\":{",
-            "\"cold\":{\"ops\":20,\"rps\":100.0,\"p50_ms\":1.0,\"p95_ms\":2.0,\"p99_ms\":3.250},",
-            "\"warm\":{\"ops\":20,\"rps\":100.0,\"p50_ms\":0.2,\"p95_ms\":0.4,\"p99_ms\":0.875}}}",
-            "]}\n",
-        );
-        let line = latest_loadgen_summary(history).unwrap();
-        assert_eq!(
-            line,
-            "serve loadgen run 1: 200.125 rps — cold p99 3.250 ms, warm p99 0.875 ms"
-        );
-        // No loadgen entry → no line, not a bogus one.
-        assert_eq!(latest_loadgen_summary("{\"bench\":\"serve\",\"runs\":[]}"), None);
-        assert_eq!(latest_loadgen_summary(""), None);
     }
 }

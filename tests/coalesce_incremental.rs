@@ -11,17 +11,16 @@
 //!   zero divergences between old-pipeline and new-pipeline outputs;
 //! * **fixed-point completeness** — immediately after the new pass runs,
 //!   zero coalescable (non-self, type-compatible, non-param-pair,
-//!   non-interfering) copies remain in any function;
-//! * **scheduling determinism** — the rewritten pass produces
-//!   byte-identical modules at `--jobs 1/2/8` over the combined suite.
-
-use std::collections::HashSet;
+//!   non-interfering) copies remain in any function.
+//!
+//! Byte-identity across `--jobs` on the fused suite module lives in
+//! `tests/parallel_equivalence.rs`.
 
 use epre::{run_pass_cached, OptLevel, Optimizer};
 use epre_analysis::{AnalysisCache, PreservedAnalyses};
 use epre_frontend::NamingMode;
 use epre_harness::{compare_modules_detailed, OracleConfig};
-use epre_ir::{Function, Inst, Module};
+use epre_ir::{Function, Module};
 use epre_passes::{coalesce, Pass};
 
 const ALL_LEVELS: [OptLevel; 5] = [
@@ -119,47 +118,6 @@ fn coalescer_leaves_zero_coalescable_copies_suite_wide() {
         let m = r.compile(NamingMode::Disciplined).unwrap_or_else(|e| panic!("{}: {e}", r.name));
         for level in ALL_LEVELS {
             let _ = optimize_with(&m, level, false, true);
-        }
-    }
-}
-
-/// All 50 routines fused into one module (same construction as the
-/// throughput benchmark) so the work-stealing parallel driver has real
-/// work to shard.
-fn combined_module() -> Module {
-    let mut out = Module::new();
-    for r in epre_suite::all_routines() {
-        let m = r.compile(NamingMode::Disciplined).unwrap_or_else(|e| panic!("{}: {e}", r.name));
-        let local: HashSet<String> = m.functions.iter().map(|f| f.name.clone()).collect();
-        out.data_words = out.data_words.max(m.data_words);
-        for mut f in m.functions {
-            f.name = format!("{}__{}", r.name, f.name);
-            for block in &mut f.blocks {
-                for inst in &mut block.insts {
-                    if let Inst::Call { callee, .. } = inst {
-                        if local.contains(callee.as_str()) {
-                            *callee = format!("{}__{}", r.name, callee);
-                        }
-                    }
-                }
-            }
-            out.functions.push(f);
-        }
-    }
-    out
-}
-
-/// Byte-identity of the rewritten pass under the work-stealing driver:
-/// jobs 1, 2, and 8 must produce the same module text.
-#[test]
-fn rewritten_coalescer_jobs_1_2_8_byte_identity() {
-    let m = combined_module();
-    for level in [OptLevel::Baseline, OptLevel::Distribution] {
-        let opt = Optimizer::new(level);
-        let serial = format!("{}", opt.optimize_jobs(&m, 1));
-        for jobs in [2, 8] {
-            let parallel = format!("{}", opt.optimize_jobs(&m, jobs));
-            assert_eq!(serial, parallel, "jobs={jobs} diverged at {level:?}");
         }
     }
 }

@@ -2,8 +2,10 @@
 //! binary: a journaled run that is killed mid-write (simulated by tearing
 //! the journal tail) must resume to *byte-identical* stdout, and config
 //! mismatches, misuse of the flags, input that fails the structural
-//! verifier, or a data segment beyond the parser's cap must be refused
-//! with exit code 2.
+//! verifier, and input the parser refuses (`parse_refusals`) must be
+//! refused with exit code 2.
+
+mod parse_refusals;
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -196,21 +198,23 @@ fn unverifiable_input_is_refused_like_a_parse_error() {
     std::fs::remove_file(&input).ok();
 }
 
-/// A `module data` header beyond the parser's cap is a parse error, so
-/// no driver allocates the segment it asks for.
+/// Every parse refusal — a `module data` header or register numbers
+/// beyond the parser's caps, parentheses in the wrong order — exits 2
+/// like any parse error, before a driver allocates what the text asks
+/// for or slices it out of order.
 #[test]
 fn oversized_data_segment_is_refused_like_a_parse_error() {
-    let input = tmp("oversized.iloc");
-    let text = "module data 1000000000000000000\n\
-                function f() -> i\nblock b0:\n  r0 <- loadi 1:i\n  ret r0\nend\n";
-    std::fs::write(&input, text).unwrap();
+    let input = tmp("refused.iloc");
     let input_s = input.to_str().unwrap();
-    for extra in [&["--jobs", "1"][..], &["--best-effort"]] {
-        let out = epre(&[&["opt", input_s][..], extra].concat());
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(code(&out), 2, "opt {extra:?} must refuse; stderr: {stderr}");
-        assert!(stderr.contains("exceeds"), "opt {extra:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "opt {extra:?} printed a module");
+    for (what, text, message) in parse_refusals::rows() {
+        std::fs::write(&input, text).unwrap();
+        for extra in [&["--jobs", "1"][..], &["--best-effort"]] {
+            let out = epre(&[&["opt", input_s][..], extra].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(code(&out), 2, "{what}: opt {extra:?} must refuse; stderr: {stderr}");
+            assert!(stderr.contains(message), "{what}: opt {extra:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{what}: opt {extra:?} printed a module");
+        }
     }
     std::fs::remove_file(&input).ok();
 }

@@ -4,13 +4,13 @@
 //!
 //! - the loadgen percentile math (`ClassStats::percentile_us`) against
 //!   hand-computed nearest-rank values on known distributions, so a
-//!   refactor cannot silently shift what "p99" means in
-//!   `BENCH_SERVE.json`;
+//!   refactor cannot silently shift what "p99" means in the loadgen
+//!   report;
 //! - property tests over the live-metrics histograms: bucket counts
 //!   always sum to the observation count, merging commutes, and merged
 //!   renders are byte-deterministic regardless of observation order,
-//!   partitioning, or merge order. These are the properties the bench
-//!   trajectory and the CI metrics grep rely on.
+//!   partitioning, or merge order. These are the properties the CI
+//!   metrics grep relies on.
 //!
 //! The property tests use a seeded LCG rather than a proptest
 //! dependency, matching the workspace's offline-registry constraint.

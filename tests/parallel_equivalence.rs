@@ -1,7 +1,8 @@
 //! Serial/parallel equivalence of the module driver: `optimize_jobs(N)`
 //! must be **byte-identical** to the serial pipeline — same IR, same
 //! fault handling — at every optimization level, over the whole
-//! 50-routine suite and the harness's repro corpus.
+//! 50-routine suite (routine by routine and fused into one module) and
+//! the harness's repro corpus.
 //!
 //! Determinism is a hard requirement of the parallel pass manager: worker
 //! scheduling must never leak into the output (functions are reassembled
@@ -32,6 +33,21 @@ fn suite_parallel_output_is_byte_identical_to_serial() {
                 let parallel = format!("{}", opt.optimize_jobs(&m, jobs));
                 assert_eq!(serial, parallel, "{} at {level:?}, jobs={jobs}", r.name);
             }
+        }
+    }
+}
+
+/// The fused 108-function suite module gives the work-stealing driver
+/// real work to share out between workers.
+#[test]
+fn fused_suite_module_is_byte_identical_at_jobs_2_4_8() {
+    let m = epre_suite::fused_module();
+    for level in ALL_LEVELS {
+        let opt = Optimizer::new(level);
+        let serial = format!("{}", opt.optimize(&m));
+        for jobs in [2, 4, 8] {
+            let parallel = format!("{}", opt.optimize_jobs(&m, jobs));
+            assert_eq!(serial, parallel, "fused suite at {level:?}, jobs={jobs}");
         }
     }
 }

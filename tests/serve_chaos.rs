@@ -8,6 +8,8 @@
 //! **bounded recovery** (a restart over crash wreckage serves correct
 //! answers immediately).
 
+mod parse_refusals;
+
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -203,31 +205,7 @@ fn chaos_injection_degrades_but_never_lies() {
 /// clean answer and oracle equivalence for the degraded one.
 #[test]
 fn full_suite_campaign_survives_kill_and_injection() {
-    use std::collections::HashSet;
-
-    use epre_ir::{Inst, Module};
-
-    // Fuse the suite as the throughput bench does: prefixed names keep
-    // functions unique, local call targets follow.
-    let mut fused = Module::new();
-    for r in epre_suite::all_routines() {
-        let m = r.compile(NamingMode::Disciplined).unwrap();
-        let local: HashSet<String> = m.functions.iter().map(|f| f.name.clone()).collect();
-        fused.data_words = fused.data_words.max(m.data_words);
-        for mut f in m.functions {
-            f.name = format!("{}__{}", r.name, f.name);
-            for block in &mut f.blocks {
-                for inst in &mut block.insts {
-                    if let Inst::Call { callee, .. } = inst {
-                        if local.contains(callee.as_str()) {
-                            *callee = format!("{}__{}", r.name, callee);
-                        }
-                    }
-                }
-            }
-            fused.functions.push(f);
-        }
-    }
+    let fused = epre_suite::fused_module();
     let text = format!("{fused}");
     let n = fused.functions.len() as u64;
 
@@ -608,25 +586,30 @@ fn unverifiable_module_is_refused_typed_and_does_not_poison_the_daemon() {
     daemon.shutdown();
 }
 
-/// A module whose `module data` header asks for more words than the
-/// parser accepts is refused with the typed `parse` code before anything
-/// allocates its data segment, and the daemon's only worker keeps
-/// answering. The function is one no other request sends, so the answer
-/// cannot come from the cache, whose key ignores the header.
+/// Every parse refusal — a `module data` header or register numbers
+/// beyond the parser's caps, parentheses in the wrong order — is answered
+/// with the typed `parse` code before anything allocates what the text
+/// asks for, and the daemon's only worker keeps answering after each.
+/// The data-segment row's function is one no other request sends, so its
+/// answer cannot come from the cache, whose key ignores the header.
 #[test]
 fn oversized_data_segment_is_refused_typed_and_the_worker_survives() {
     let daemon = Daemon::spawn(&["--workers", "1"]);
     let client = ClientConfig { read_timeout: Duration::from_secs(10), ..daemon.client() };
-    let oversized = "module data 1000000000000000000\n\
-                     function oversized() -> i\nblock b0:\n  r0 <- loadi 77:i\n  ret r0\nend\n";
-    match submit(&client, &request(oversized)) {
-        Err(ClientError::Refused { code, .. }) => assert_eq!(code.label(), "parse"),
-        other => panic!("expected a typed parse refusal, got {other:?}"),
-    }
+    for (what, text, fragment) in parse_refusals::rows() {
+        match submit(&client, &request(&text)) {
+            Err(ClientError::Refused { code, message }) => {
+                assert_eq!(code.label(), "parse", "{what}");
+                assert!(message.contains(fragment), "{what}: {message}");
+            }
+            other => panic!("{what}: expected a typed parse refusal, got {other:?}"),
+        }
 
-    // The only worker is unharmed: a well-formed request still succeeds.
-    let out = submit(&client, &request(&module_text())).expect("submit after refusal");
-    assert_eq!(out.done.status, "clean");
+        // The only worker is unharmed: a well-formed request still succeeds.
+        let out = submit(&client, &request(&module_text()))
+            .unwrap_or_else(|e| panic!("{what}: submit after refusal: {e}"));
+        assert_eq!(out.done.status, "clean", "{what}");
+    }
     daemon.shutdown();
 }
 
