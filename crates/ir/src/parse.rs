@@ -4,8 +4,8 @@
 //! an example. Parsing reconstructs the exact register and block numbering
 //! of the printed function, so `parse(print(f)) == f`.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::iter::Peekable;
 
 use crate::function::{Block, Function, Module, Terminator};
 use crate::inst::{BinOp, Inst, UnOp};
@@ -28,8 +28,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// An error for `line`. Callers build one only on their failure branch
+/// (`ok_or_else`, `map_err`), so a successful parse formats no message.
+fn error(line: usize, message: impl Into<String>) -> ParseError {
+    ParseError { line, message: message.into() }
+}
+
 fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError { line, message: message.into() })
+    Err(error(line, message))
 }
 
 /// The largest data segment, in words, that [`parse_module`] accepts.
@@ -58,21 +64,16 @@ pub const MAX_REGS: usize = 1 << 20;
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
     let mut lines = number_lines(text);
     let mut module = Module::new();
-    let (n, first) = next_line(&mut lines).ok_or(ParseError {
-        line: 0,
-        message: "empty input".into(),
-    })?;
-    let rest = first
-        .strip_prefix("module data ")
-        .ok_or(ParseError { line: n, message: "expected `module data N`".into() })?;
-    module.data_words =
-        rest.trim().parse().map_err(|_| ParseError { line: n, message: "bad data size".into() })?;
+    let (n, first) = lines.next().ok_or_else(|| error(0, "empty input"))?;
+    let rest =
+        first.strip_prefix("module data ").ok_or_else(|| error(n, "expected `module data N`"))?;
+    module.data_words = rest.trim().parse().map_err(|_| error(n, "bad data size"))?;
     if module.data_words > MAX_DATA_WORDS {
         let words = module.data_words;
         return err(n, format!("data segment of {words} words exceeds {MAX_DATA_WORDS}"));
     }
     let mut slots = 0;
-    while let Some((n, line)) = peek_line(&mut lines) {
+    while let Some(&(n, line)) = lines.peek() {
         if line.starts_with("function ") {
             module.functions.push(parse_function_lines(&mut lines, &mut slots)?);
         } else {
@@ -90,51 +91,95 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
 pub fn parse_function(text: &str) -> Result<Function, ParseError> {
     let mut lines = number_lines(text);
     let f = parse_function_lines(&mut lines, &mut 0)?;
-    if let Some((n, line)) = peek_line(&mut lines) {
+    if let Some((n, line)) = lines.next() {
         return err(n, format!("trailing input: {line}"));
     }
     Ok(f)
 }
 
-type Lines<'a> = std::iter::Peekable<std::vec::IntoIter<(usize, &'a str)>>;
-
-fn number_lines(text: &str) -> Lines<'_> {
+/// The lines that carry content, trimmed and numbered from 1; blank lines
+/// and `#` comments are skipped.
+fn number_lines(text: &str) -> Peekable<impl Iterator<Item = (usize, &str)>> {
     text.lines()
         .enumerate()
         .map(|(i, l)| (i + 1, l.trim()))
         .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
-        .collect::<Vec<_>>()
-        .into_iter()
         .peekable()
-}
-
-fn next_line<'a>(lines: &mut Lines<'a>) -> Option<(usize, &'a str)> {
-    lines.next()
-}
-
-fn peek_line<'a>(lines: &mut Lines<'a>) -> Option<(usize, &'a str)> {
-    lines.peek().copied()
 }
 
 /// Split `s` around the text between its first `(` and its last `)`.
 fn split_parens(s: &str, line: usize) -> Result<(&str, &str, &str), ParseError> {
-    let open = s.find('(').ok_or_else(|| ParseError { line, message: "missing `(`".into() })?;
-    let close = s.rfind(')').ok_or_else(|| ParseError { line, message: "missing `)`".into() })?;
+    let open = s.find('(').ok_or_else(|| error(line, "missing `(`"))?;
+    let close = s.rfind(')').ok_or_else(|| error(line, "missing `)`"))?;
     if close < open {
         return err(line, "`)` before `(`");
     }
     Ok((&s[..open], &s[open + 1..close], &s[close + 1..]))
 }
 
+/// The register types a function's text implies, by register number, and
+/// how many register slots it needs: one past the largest number named.
+///
+/// Types are kept only below [`MAX_REGS`]: a function that names a
+/// register at or above it is refused once its `end` is read, so those
+/// types would never be used, and outside text cannot size the table.
+struct RegTypes {
+    tys: Vec<Option<Ty>>,
+    slots: usize,
+}
+
+impl RegTypes {
+    fn new() -> Self {
+        RegTypes { tys: Vec::new(), slots: 0 }
+    }
+
+    /// `r`'s entry, growing the table to it; `None` at or above the cap.
+    fn entry(&mut self, r: Reg) -> Option<&mut Option<Ty>> {
+        let i = r.index();
+        if i >= MAX_REGS {
+            return None;
+        }
+        if i >= self.tys.len() {
+            self.tys.resize(i + 1, None);
+        }
+        Some(&mut self.tys[i])
+    }
+
+    /// Record a use of `r`, typed if the use gives a type: the first
+    /// typed use wins.
+    fn note(&mut self, r: Reg, ty: Option<Ty>) {
+        self.slots = self.slots.max(r.index().saturating_add(1));
+        if let Some(ty) = ty {
+            if let Some(entry) = self.entry(r) {
+                entry.get_or_insert(ty);
+            }
+        }
+    }
+
+    /// Record a parameter: a repeated parameter takes its last type.
+    fn param(&mut self, r: Reg, ty: Ty) {
+        self.note(r, None);
+        if let Some(entry) = self.entry(r) {
+            *entry = Some(ty);
+        }
+    }
+
+    /// `r`'s type as recorded so far.
+    fn get(&self, r: Reg) -> Option<Ty> {
+        self.tys.get(r.index()).copied().flatten()
+    }
+}
+
 /// Parse one function. `slots` counts the register slots allocated so
 /// far in the module; this function's are added and checked against
 /// [`MAX_REGS`] before any of them is allocated.
-fn parse_function_lines(lines: &mut Lines<'_>, slots: &mut usize) -> Result<Function, ParseError> {
-    let (hn, header) =
-        next_line(lines).ok_or(ParseError { line: 0, message: "expected function header".into() })?;
-    let header = header
-        .strip_prefix("function ")
-        .ok_or(ParseError { line: hn, message: "expected `function`".into() })?;
+fn parse_function_lines<'a>(
+    lines: &mut Peekable<impl Iterator<Item = (usize, &'a str)>>,
+    slots: &mut usize,
+) -> Result<Function, ParseError> {
+    let (hn, header) = lines.next().ok_or_else(|| error(0, "expected function header"))?;
+    let header =
+        header.strip_prefix("function ").ok_or_else(|| error(hn, "expected `function`"))?;
     let (name, params_text, ret_text) = split_parens(header, hn)?;
     let name = name.trim().to_string();
     let ret_ty = match ret_text.trim() {
@@ -144,23 +189,17 @@ fn parse_function_lines(lines: &mut Lines<'_>, slots: &mut usize) -> Result<Func
 
     let mut func = Function::new(name, ret_ty);
     // Track the types of registers we must allocate (dense numbering).
-    let mut reg_tys: HashMap<u32, Ty> = HashMap::new();
-    let mut max_reg: i64 = -1;
-
-    let mut params = Vec::new();
+    let mut reg_tys = RegTypes::new();
     for p in params_text.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         let (r, ty) = parse_typed_reg(p, hn)?;
-        params.push(r);
-        reg_tys.insert(r.0, ty);
-        max_reg = max_reg.max(r.0 as i64);
+        func.params.push(r);
+        reg_tys.param(r, ty);
     }
-    func.params = params;
 
     // Collect blocks.
     let mut blocks: Vec<(usize, Vec<Inst>, Option<Terminator>)> = Vec::new();
     loop {
-        let (n, line) =
-            next_line(lines).ok_or(ParseError { line: 0, message: "unexpected EOF".into() })?;
+        let (n, line) = lines.next().ok_or_else(|| error(0, "unexpected EOF"))?;
         if line == "end" {
             break;
         }
@@ -180,28 +219,22 @@ fn parse_function_lines(lines: &mut Lines<'_>, slots: &mut usize) -> Result<Func
             }
             match parse_terminator(line, n)? {
                 Some(t) => cur.2 = Some(t),
-                None => {
-                    let inst = parse_inst(line, n, &mut reg_tys, &mut max_reg)?;
-                    cur.1.push(inst);
-                }
+                None => cur.1.push(parse_inst(line, n, &mut reg_tys)?),
             }
         }
     }
 
-    *slots = slots.saturating_add(usize::try_from(max_reg + 1).unwrap_or(usize::MAX));
+    *slots = slots.saturating_add(reg_tys.slots);
     if *slots > MAX_REGS {
         return err(hn, format!("{} register slots exceed {MAX_REGS}", *slots));
     }
     // Allocate registers densely (types default to Int for never-typed regs).
-    for i in 0..=max_reg {
-        let ty = reg_tys.get(&(i as u32)).copied().unwrap_or(Ty::Int);
-        func.new_reg(ty);
-    }
+    func.reg_ty =
+        (0..reg_tys.slots).map(|i| reg_tys.get(Reg(i as u32)).unwrap_or(Ty::Int)).collect();
+    func.blocks.reserve_exact(blocks.len());
     for (n, insts, term) in blocks {
-        let term = term.ok_or(ParseError { line: n, message: "block lacks terminator".into() })?;
-        let mut b = Block::new(term);
-        b.insts = insts;
-        func.add_block(b);
+        let term = term.ok_or_else(|| error(n, "block lacks terminator"))?;
+        func.add_block(Block { insts, term });
     }
     Ok(func)
 }
@@ -215,49 +248,33 @@ fn parse_ty(s: &str, line: usize) -> Result<Ty, ParseError> {
 }
 
 fn parse_reg(s: &str, line: usize) -> Result<Reg, ParseError> {
-    let digits = s.strip_prefix('r').ok_or(ParseError {
-        line,
-        message: format!("bad register `{s}`"),
-    })?;
-    digits
-        .parse()
+    s.strip_prefix('r')
+        .and_then(|digits| digits.parse().ok())
         .map(Reg)
-        .map_err(|_| ParseError { line, message: format!("bad register `{s}`") })
+        .ok_or_else(|| error(line, format!("bad register `{s}`")))
 }
 
 fn parse_block_id(s: &str, line: usize) -> Result<BlockId, ParseError> {
-    let digits =
-        s.strip_prefix('b').ok_or(ParseError { line, message: format!("bad block `{s}`") })?;
-    digits
-        .parse()
+    s.strip_prefix('b')
+        .and_then(|digits| digits.parse().ok())
         .map(BlockId)
-        .map_err(|_| ParseError { line, message: format!("bad block `{s}`") })
+        .ok_or_else(|| error(line, format!("bad block `{s}`")))
 }
 
 fn parse_typed_reg(s: &str, line: usize) -> Result<(Reg, Ty), ParseError> {
-    let (r, t) = s.split_once(':').ok_or(ParseError {
-        line,
-        message: format!("expected `rN:ty`, got `{s}`"),
-    })?;
+    let (r, t) =
+        s.split_once(':').ok_or_else(|| error(line, format!("expected `rN:ty`, got `{s}`")))?;
     Ok((parse_reg(r.trim(), line)?, parse_ty(t.trim(), line)?))
 }
 
 fn parse_const(s: &str, line: usize) -> Result<Const, ParseError> {
-    let (v, t) = s.rsplit_once(':').ok_or(ParseError {
-        line,
-        message: format!("expected `value:ty`, got `{s}`"),
-    })?;
+    let (v, t) =
+        s.rsplit_once(':').ok_or_else(|| error(line, format!("expected `value:ty`, got `{s}`")))?;
     match t.trim() {
-        "i" => v
-            .trim()
-            .parse()
-            .map(Const::Int)
-            .map_err(|_| ParseError { line, message: format!("bad int `{v}`") }),
-        "f" => v
-            .trim()
-            .parse()
-            .map(Const::Float)
-            .map_err(|_| ParseError { line, message: format!("bad float `{v}`") }),
+        "i" => v.trim().parse().map(Const::Int).map_err(|_| error(line, format!("bad int `{v}`"))),
+        "f" => {
+            v.trim().parse().map(Const::Float).map_err(|_| error(line, format!("bad float `{v}`")))
+        }
         _ => err(line, format!("bad const type `{t}`")),
     }
 }
@@ -267,12 +284,8 @@ fn parse_terminator(line: &str, n: usize) -> Result<Option<Terminator>, ParseErr
         return Ok(Some(Terminator::Jump { target: parse_block_id(rest.trim(), n)? }));
     }
     if let Some(rest) = line.strip_prefix("cbr ") {
-        let (cond, targets) = rest
-            .split_once("->")
-            .ok_or(ParseError { line: n, message: "cbr missing `->`".into() })?;
-        let (t, e) = targets
-            .split_once(',')
-            .ok_or(ParseError { line: n, message: "cbr missing `,`".into() })?;
+        let (cond, targets) = rest.split_once("->").ok_or_else(|| error(n, "cbr missing `->`"))?;
+        let (t, e) = targets.split_once(',').ok_or_else(|| error(n, "cbr missing `,`"))?;
         return Ok(Some(Terminator::Branch {
             cond: parse_reg(cond.trim(), n)?,
             then_to: parse_block_id(t.trim(), n)?,
@@ -288,128 +301,106 @@ fn parse_terminator(line: &str, n: usize) -> Result<Option<Terminator>, ParseErr
     Ok(None)
 }
 
-/// Record an operand-type observation for `r`.
-fn note_ty(reg_tys: &mut HashMap<u32, Ty>, max_reg: &mut i64, r: Reg, ty: Option<Ty>) {
-    *max_reg = (*max_reg).max(r.0 as i64);
-    if let Some(ty) = ty {
-        reg_tys.entry(r.0).or_insert(ty);
-    }
-}
-
-fn parse_inst(
-    line: &str,
-    n: usize,
-    reg_tys: &mut HashMap<u32, Ty>,
-    max_reg: &mut i64,
-) -> Result<Inst, ParseError> {
+fn parse_inst(line: &str, n: usize, reg_tys: &mut RegTypes) -> Result<Inst, ParseError> {
     // Store / void call have no `<-` with a register on the left.
     if let Some(rest) = line.strip_prefix("store.") {
-        let (ty_s, rest) =
-            rest.split_once(' ').ok_or(ParseError { line: n, message: "bad store".into() })?;
+        let (ty_s, rest) = rest.split_once(' ').ok_or_else(|| error(n, "bad store"))?;
         let ty = parse_ty(ty_s, n)?;
-        let (addr_s, val_s) = rest
-            .split_once("<-")
-            .ok_or(ParseError { line: n, message: "store missing `<-`".into() })?;
+        let (addr_s, val_s) =
+            rest.split_once("<-").ok_or_else(|| error(n, "store missing `<-`"))?;
         let addr = parse_reg(addr_s.trim().trim_start_matches('[').trim_end_matches(']'), n)?;
         let value = parse_reg(val_s.trim(), n)?;
-        note_ty(reg_tys, max_reg, addr, Some(Ty::Int));
-        note_ty(reg_tys, max_reg, value, Some(ty));
+        reg_tys.note(addr, Some(Ty::Int));
+        reg_tys.note(value, Some(ty));
         return Ok(Inst::Store { ty, addr, value });
     }
     if let Some(rest) = line.strip_prefix("call ") {
         let (callee, args) = parse_call_tail(rest, n)?;
         for &a in &args {
-            note_ty(reg_tys, max_reg, a, None);
+            reg_tys.note(a, None);
         }
         return Ok(Inst::Call { dst: None, callee, args });
     }
 
     let (dst_s, rhs) = line
         .split_once("<-")
-        .ok_or(ParseError { line: n, message: format!("unrecognized instruction `{line}`") })?;
+        .ok_or_else(|| error(n, format!("unrecognized instruction `{line}`")))?;
     let dst = parse_reg(dst_s.trim(), n)?;
     let rhs = rhs.trim();
 
     if let Some(rest) = rhs.strip_prefix("loadi ") {
         let value = parse_const(rest.trim(), n)?;
-        note_ty(reg_tys, max_reg, dst, Some(value.ty()));
+        reg_tys.note(dst, Some(value.ty()));
         return Ok(Inst::LoadI { dst, value });
     }
     if let Some(rest) = rhs.strip_prefix("copy ") {
         let src = parse_reg(rest.trim(), n)?;
-        note_ty(reg_tys, max_reg, src, None);
+        reg_tys.note(src, None);
         // dst type mirrors src when known; recorded later if src typed.
-        note_ty(reg_tys, max_reg, dst, reg_tys.get(&src.0).copied());
+        reg_tys.note(dst, reg_tys.get(src));
         return Ok(Inst::Copy { dst, src });
     }
     if let Some(rest) = rhs.strip_prefix("load.") {
-        let (ty_s, addr_s) =
-            rest.split_once(' ').ok_or(ParseError { line: n, message: "bad load".into() })?;
+        let (ty_s, addr_s) = rest.split_once(' ').ok_or_else(|| error(n, "bad load"))?;
         let ty = parse_ty(ty_s, n)?;
         let addr = parse_reg(addr_s.trim().trim_start_matches('[').trim_end_matches(']'), n)?;
-        note_ty(reg_tys, max_reg, addr, Some(Ty::Int));
-        note_ty(reg_tys, max_reg, dst, Some(ty));
+        reg_tys.note(addr, Some(Ty::Int));
+        reg_tys.note(dst, Some(ty));
         return Ok(Inst::Load { ty, dst, addr });
     }
     if let Some(rest) = rhs.strip_prefix("call ") {
-        let (body, ty_s) = rest
-            .rsplit_once(':')
-            .ok_or(ParseError { line: n, message: "typed call missing `:ty`".into() })?;
+        let (body, ty_s) =
+            rest.rsplit_once(':').ok_or_else(|| error(n, "typed call missing `:ty`"))?;
         let ty = parse_ty(ty_s.trim(), n)?;
         let (callee, args) = parse_call_tail(body, n)?;
         for &a in &args {
-            note_ty(reg_tys, max_reg, a, None);
+            reg_tys.note(a, None);
         }
-        note_ty(reg_tys, max_reg, dst, Some(ty));
+        reg_tys.note(dst, Some(ty));
         return Ok(Inst::Call { dst: Some((dst, ty)), callee, args });
     }
     if let Some(rest) = rhs.strip_prefix("phi ") {
         let inner = rest.trim().trim_start_matches('[').trim_end_matches(']');
         let mut args = Vec::new();
         for pair in inner.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            let (b, r) = pair
-                .split_once(':')
-                .ok_or(ParseError { line: n, message: "phi arg missing `:`".into() })?;
+            let (b, r) = pair.split_once(':').ok_or_else(|| error(n, "phi arg missing `:`"))?;
             let r = parse_reg(r.trim(), n)?;
-            note_ty(reg_tys, max_reg, r, None);
+            reg_tys.note(r, None);
             args.push((parse_block_id(b.trim(), n)?, r));
         }
-        note_ty(reg_tys, max_reg, dst, None);
+        reg_tys.note(dst, None);
         return Ok(Inst::Phi { dst, args });
     }
 
-    // Binary / unary: `mnemonic.ty operands`.
-    let (mn, rest) = rhs
-        .split_once(' ')
-        .ok_or(ParseError { line: n, message: format!("unrecognized rhs `{rhs}`") })?;
-    let (mn, ty_s) = mn
-        .split_once('.')
-        .ok_or(ParseError { line: n, message: format!("missing type suffix on `{mn}`") })?;
+    // Binary / unary: `mnemonic.ty operands`, split at the first comma.
+    let (mn, rest) =
+        rhs.split_once(' ').ok_or_else(|| error(n, format!("unrecognized rhs `{rhs}`")))?;
+    let (mn, ty_s) =
+        mn.split_once('.').ok_or_else(|| error(n, format!("missing type suffix on `{mn}`")))?;
     let ty = parse_ty(ty_s, n)?;
-    let operands: Vec<&str> = rest.split(',').map(str::trim).collect();
-    for op in BinOp::ALL {
-        if op.mnemonic() == mn {
-            if operands.len() != 2 {
-                return err(n, "binary op needs two operands");
-            }
-            let lhs = parse_reg(operands[0], n)?;
-            let rhs_r = parse_reg(operands[1], n)?;
-            note_ty(reg_tys, max_reg, lhs, Some(ty));
-            note_ty(reg_tys, max_reg, rhs_r, Some(ty));
-            note_ty(reg_tys, max_reg, dst, Some(op.result_ty(ty)));
-            return Ok(Inst::Bin { op, ty, dst, lhs, rhs: rhs_r });
-        }
+    let (first, second) = match rest.split_once(',') {
+        Some((a, b)) => (a.trim(), Some(b)),
+        None => (rest.trim(), None),
+    };
+    if let Some(op) = BinOp::ALL.into_iter().find(|op| op.mnemonic() == mn) {
+        let Some(second) = second.filter(|s| !s.contains(',')) else {
+            return err(n, "binary op needs two operands");
+        };
+        let lhs = parse_reg(first, n)?;
+        let rhs_r = parse_reg(second.trim(), n)?;
+        reg_tys.note(lhs, Some(ty));
+        reg_tys.note(rhs_r, Some(ty));
+        reg_tys.note(dst, Some(op.result_ty(ty)));
+        return Ok(Inst::Bin { op, ty, dst, lhs, rhs: rhs_r });
     }
-    for op in UnOp::ALL {
-        if op.mnemonic() == mn {
-            if operands.len() != 1 {
-                return err(n, "unary op needs one operand");
-            }
-            let src = parse_reg(operands[0], n)?;
-            note_ty(reg_tys, max_reg, src, Some(ty));
-            note_ty(reg_tys, max_reg, dst, Some(op.result_ty(ty)));
-            return Ok(Inst::Un { op, ty, dst, src });
+    if let Some(op) = UnOp::ALL.into_iter().find(|op| op.mnemonic() == mn) {
+        if second.is_some() {
+            return err(n, "unary op needs one operand");
         }
+        let src = parse_reg(first, n)?;
+        reg_tys.note(src, Some(ty));
+        reg_tys.note(dst, Some(op.result_ty(ty)));
+        return Ok(Inst::Un { op, ty, dst, src });
     }
     err(n, format!("unknown mnemonic `{mn}`"))
 }
@@ -542,6 +533,106 @@ mod tests {
     fn rejects_sparse_blocks() {
         let text = "function f()\nblock b1:\n  ret\nend";
         assert!(parse_function(text).is_err());
+    }
+
+    /// One malformed input per failure site, with the exact error it
+    /// gives. `M` rows go through [`parse_module`], `F` rows through
+    /// [`parse_function`], and an `I` row is one instruction line (line
+    /// 3) of a function otherwise well formed.
+    #[test]
+    fn every_failure_site_gives_its_exact_error() {
+        enum Via {
+            M,
+            F,
+            I,
+        }
+        use Via::{F, I, M};
+        let rows: &[(Via, &str, usize, &str)] = &[
+            // Module header.
+            (M, "", 0, "empty input"),
+            (M, "# only a comment\n\n", 0, "empty input"),
+            (M, "data 4\n", 1, "expected `module data N`"),
+            (M, "module data x\n", 1, "bad data size"),
+            (M, "module data 1048577\n", 1, "data segment of 1048577 words exceeds 1048576"),
+            (M, "module data 0\nblock b0:\n", 2, "unexpected line: block b0:"),
+            // Function header and block structure.
+            (F, "", 0, "expected function header"),
+            (F, "block b0:\n  ret\nend", 1, "expected `function`"),
+            (F, "function f\nblock b0:\n  ret\nend", 1, "missing `(`"),
+            (F, "function f(\nblock b0:\n  ret\nend", 1, "missing `)`"),
+            (F, "function f)(\nblock b0:\n  ret\nend", 1, "`)` before `(`"),
+            (F, "function f() -> x\nblock b0:\n  ret\nend", 1, "bad type `x`"),
+            (F, "function f(r0)\nblock b0:\n  ret\nend", 1, "expected `rN:ty`, got `r0`"),
+            (F, "function f(x0:i)\nblock b0:\n  ret\nend", 1, "bad register `x0`"),
+            (F, "function f()\nblock b0:\n  ret", 0, "unexpected EOF"),
+            (F, "function f()\nblock x0:\n  ret\nend", 2, "bad block `x0`"),
+            (F, "function f()\nblock bx:\n  ret\nend", 2, "bad block `bx`"),
+            (
+                F,
+                "function f()\nblock b1:\n  ret\nend",
+                2,
+                "blocks must be dense and ordered; got b1",
+            ),
+            (F, "function f()\n  ret\nend", 2, "instruction before first block"),
+            (F, "function f()\nblock b0:\n  ret\n  ret\nend", 4, "instruction after terminator"),
+            (F, "function f()\nblock b0:\n  r0 <- loadi 1:i\nend", 2, "block lacks terminator"),
+            (F, "function f()\nblock b0:\n  ret\nend\nextra", 5, "trailing input: extra"),
+            (
+                F,
+                "function f()\nblock b0:\n  r1048576 <- loadi 1:i\n  ret\nend",
+                1,
+                "1048577 register slots exceed 1048576",
+            ),
+            // Terminators.
+            (F, "function f()\nblock b0:\n  jump x1\nend", 3, "bad block `x1`"),
+            (F, "function f()\nblock b0:\n  cbr r0 b1, b2\nend", 3, "cbr missing `->`"),
+            (F, "function f()\nblock b0:\n  cbr r0 -> b1 b2\nend", 3, "cbr missing `,`"),
+            (F, "function f()\nblock b0:\n  ret x0\nend", 3, "bad register `x0`"),
+            // Instructions.
+            (I, "store.i", 3, "bad store"),
+            (I, "store.x [r0] <- r1", 3, "bad type `x`"),
+            (I, "store.i [r0] r1", 3, "store missing `<-`"),
+            (I, "call g(", 3, "missing `)`"),
+            (I, "call g)(", 3, "`)` before `(`"),
+            (I, "r0 loadi 1:i", 3, "unrecognized instruction `r0 loadi 1:i`"),
+            (I, "x0 <- loadi 1:i", 3, "bad register `x0`"),
+            (I, "rx <- loadi 1:i", 3, "bad register `rx`"),
+            (I, "r0 <- loadi 1", 3, "expected `value:ty`, got `1`"),
+            (I, "r0 <- loadi 1.5:i", 3, "bad int `1.5`"),
+            (I, "r0 <- loadi x:f", 3, "bad float `x`"),
+            (I, "r0 <- loadi 1:x", 3, "bad const type `x`"),
+            (I, "r0 <- copy x1", 3, "bad register `x1`"),
+            (I, "r0 <- load.i", 3, "bad load"),
+            (I, "r0 <- call g()", 3, "typed call missing `:ty`"),
+            (I, "r0 <- call g(x1):i", 3, "bad register `x1`"),
+            (I, "r0 <- phi [b0 r1]", 3, "phi arg missing `:`"),
+            (I, "r0 <- phi [x0: r1]", 3, "bad block `x0`"),
+            (I, "r0 <- nop", 3, "unrecognized rhs `nop`"),
+            (I, "r0 <- add r1, r2", 3, "missing type suffix on `add`"),
+            (I, "r0 <- add.x r1, r2", 3, "bad type `x`"),
+            (I, "r0 <- add.i r1", 3, "binary op needs two operands"),
+            (I, "r0 <- add.i r1, r2, r3", 3, "binary op needs two operands"),
+            (I, "r0 <- add.i r1,", 3, "bad register ``"),
+            (I, "r0 <- add.i r1, x2", 3, "bad register `x2`"),
+            (I, "r0 <- neg.i r1, r2", 3, "unary op needs one operand"),
+            (I, "r0 <- neg.i r1,", 3, "unary op needs one operand"),
+            (I, "r0 <- neg.i x1", 3, "bad register `x1`"),
+            (I, "r0 <- bogus.i r1", 3, "unknown mnemonic `bogus`"),
+        ];
+        let mut wrong = Vec::new();
+        for (via, text, line, message) in rows {
+            let got = match via {
+                M => parse_module(text).map(drop),
+                F => parse_function(text).map(drop),
+                I => parse_function(&format!("function f()\nblock b0:\n  {text}\n  ret\nend"))
+                    .map(drop),
+            };
+            let want = ParseError { line: *line, message: (*message).to_string() };
+            if got.as_ref() != Err(&want) {
+                wrong.push(format!("{text:?}: got {got:?}, want {want:?}"));
+            }
+        }
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
     }
 
     #[test]

@@ -37,7 +37,7 @@ use epre_harness::{
     header_line, run_module_governed, FaultPolicy, Harness, OracleConfig, PassFaultModel,
     QuarantineOutcome, SandboxReport, ServeQuarantine,
 };
-use epre_ir::{parse_function, parse_module, Function};
+use epre_ir::{parse_function, parse_module, Function, Module};
 use epre_lint::LintOptions;
 use epre_telemetry::{Event, FunctionTrace, Trace, Tracer, Value};
 
@@ -565,8 +565,10 @@ impl ServerCore {
                     rid, &r.client, "shed", ErrorCode::Deadline, message, token, started, emit,
                 );
             };
-            let mut sub = module.clone();
-            sub.functions = miss_idx.iter().map(|&i| module.functions[i].clone()).collect();
+            let sub = Module {
+                functions: miss_idx.iter().map(|&i| module.functions[i].clone()).collect(),
+                data_words: module.data_words,
+            };
             let chaos = self.config.chaos;
             let metrics = &self.metrics;
             let passes_for = move || {
@@ -617,9 +619,10 @@ impl ServerCore {
         // and name-checked above — a second oracle run would re-prove a
         // proven fact at full interpretation cost, which is exactly the
         // work the cache exists to skip.
-        let mut candidate = module.clone();
-        candidate.functions =
-            slots.into_iter().map(|s| s.expect("every slot filled")).collect();
+        let candidate = Module {
+            functions: slots.into_iter().map(|s| s.expect("every slot filled")).collect(),
+            data_words: module.data_words,
+        };
         let out = if miss_idx.is_empty() {
             epre_harness::HardenedOutput {
                 module: candidate,
@@ -671,14 +674,17 @@ impl ServerCore {
         }
 
         // Per-client quarantine evidence: each contained fault counts
-        // once per distinct (pass, module) pair.
-        let module_fp = format!("{:016x}", epre_harness::fingerprint64(&r.module_text));
+        // once per distinct (pass, module) pair. A clean answer has no
+        // evidence, so only a faulted one fingerprints the request text.
         let mut client_quarantined = false;
-        for fault in &out.faults {
-            if self.quarantine.record(&r.client, &fault.pass, &module_fp)
-                == QuarantineOutcome::Tripped
-            {
-                client_quarantined = true;
+        if !out.faults.is_empty() {
+            let module_fp = format!("{:016x}", epre_harness::fingerprint64(&r.module_text));
+            for fault in &out.faults {
+                if self.quarantine.record(&r.client, &fault.pass, &module_fp)
+                    == QuarantineOutcome::Tripped
+                {
+                    client_quarantined = true;
+                }
             }
         }
 

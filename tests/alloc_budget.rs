@@ -1,11 +1,14 @@
-//! The allocation shape of the optimizer's rebuild path.
+//! The allocation shape of the optimizer's rebuild path and of the ILOC
+//! parser.
 //!
 //! Every pass rebuilds its CFG, dominator tree and expression universe,
 //! and walks every operand of every instruction, so allocations there are
-//! paid once per block, register or instruction on every rebuild. This
-//! test pins the shape, not a total: operand iteration and small bit sets
-//! allocate nothing, and the rebuilt analyses make a fixed number of
-//! allocations whatever the size of the function.
+//! paid once per block, register or instruction on every rebuild. Every
+//! `epre serve` request is parsed, and every warm hit re-parses its cached
+//! body. This test pins the shape, not a total: operand iteration and
+//! small bit sets allocate nothing, the rebuilt analyses make a fixed
+//! number of allocations whatever the size of the function, and parsing
+//! allocates what the parsed function owns, not a message per operand.
 //!
 //! Allocations are counted per thread, so the harness's other test
 //! threads do not disturb a measurement.
@@ -16,7 +19,10 @@ use std::hint::black_box;
 
 use epre_analysis::{BitSet, ExprKey, ExprUniverse};
 use epre_cfg::{Cfg, Dominators};
-use epre_ir::{BinOp, BlockId, Const, Function, FunctionBuilder, Inst, Reg, Terminator, Ty, UnOp};
+use epre_ir::{
+    parse_function, BinOp, BlockId, Const, Function, FunctionBuilder, Inst, Reg, Terminator, Ty,
+    UnOp,
+};
 
 struct Counting;
 
@@ -181,5 +187,25 @@ fn analysis_rebuilds_allocate_independently_of_size() {
     assert_eq!(
         small_counts, large_counts,
         "(Cfg, Dominators, ExprUniverse) allocations at 20 vs 200 blocks"
+    );
+}
+
+#[test]
+fn parsing_allocates_a_small_constant_per_block() {
+    let count = |f: &Function| {
+        let text = f.to_string();
+        let (parsed, allocs) = allocations(|| parse_function(&text));
+        assert_eq!(parsed.as_ref(), Ok(f), "the printed function parses back to itself");
+        (text.lines().count(), allocs)
+    };
+    let (small_lines, small) = count(&ladder(6));
+    let (large_lines, large) = count(&ladder(66));
+    assert_eq!((small_lines, large_lines), (86, 866));
+    println!("parsing 20 vs 200 blocks: {small} vs {large} allocations");
+    // The parsed function owns about one buffer per block (its
+    // instructions); 180 more blocks may cost at most two each.
+    assert!(
+        large - small <= 2 * 180,
+        "parsing 20 vs 200 blocks made {small} vs {large} allocations"
     );
 }
