@@ -256,6 +256,13 @@ impl Iterator for Iter<'_> {
     }
 }
 
+impl Default for BitSet {
+    /// The empty set of capacity 0.
+    fn default() -> Self {
+        BitSet::new(0)
+    }
+}
+
 impl fmt::Debug for BitSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()

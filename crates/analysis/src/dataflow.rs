@@ -46,7 +46,7 @@ pub enum Meet {
 /// `outs[b] = gen[b] ∪ (ins[b] − kill[b])`. For backward problems the roles
 /// mirror: `outs[b]` is the meet over successors and
 /// `ins[b] = gen[b] ∪ (outs[b] − kill[b])`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Solution {
     /// Fact at block entry.
     pub ins: Vec<BitSet>,
@@ -62,63 +62,88 @@ pub struct Solution {
 /// # Panics
 /// Panics if `gen`/`kill` lengths disagree with the CFG block count.
 pub fn solve(cfg: &Cfg, dir: Direction, meet: Meet, gen: &[BitSet], kill: &[BitSet]) -> Solution {
-    let n = cfg.len();
-    assert_eq!(gen.len(), n, "gen sets per block");
-    assert_eq!(kill.len(), n, "kill sets per block");
-    let universe = gen.first().map_or(0, BitSet::capacity);
-
-    let empty = BitSet::new(universe);
-    let top = match meet {
-        Meet::Union => BitSet::new(universe),
-        Meet::Intersection => BitSet::full(universe),
-    };
-
-    let mut ins = vec![top.clone(); n];
-    let mut outs = vec![top.clone(); n];
-
     // Process order: RPO for forward, postorder for backward.
-    let order: Vec<BlockId> = match dir {
+    let order = match dir {
         Direction::Forward => order::reverse_postorder(cfg),
         Direction::Backward => order::postorder(cfg),
     };
+    let mut solution = Solution::default();
+    solution.solve_ordered(cfg, &order, dir, meet, gen, kill);
+    solution
+}
 
-    // Unreachable blocks keep ⊤ (they impose no constraints); we simply
-    // never visit them. The two scratch sets below are the only buffers the
-    // whole fixed-point iteration touches: every sweep computes the meet and
-    // the transfer in place and swaps, so no per-iteration allocation.
-    let mut scratch_meet = BitSet::new(universe);
-    let mut scratch_flow = BitSet::new(universe);
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            let bi = b.index();
-            let neighbors = match dir {
-                Direction::Forward => cfg.preds(b),
-                Direction::Backward => cfg.succs(b),
-            };
-            {
-                let facts = match dir {
-                    Direction::Forward => &outs,
-                    Direction::Backward => &ins,
+impl Solution {
+    /// [`solve`] into `self`, reusing its storage, visiting the blocks in
+    /// `order`: the reverse postorder of `cfg` for a forward problem, its
+    /// postorder for a backward one. A caller that solves several problems
+    /// on one CFG computes the orders once.
+    ///
+    /// # Panics
+    /// Panics if `gen`/`kill` lengths disagree with the CFG block count.
+    pub fn solve_ordered(
+        &mut self,
+        cfg: &Cfg,
+        order: &[BlockId],
+        dir: Direction,
+        meet: Meet,
+        gen: &[BitSet],
+        kill: &[BitSet],
+    ) {
+        let n = cfg.len();
+        assert_eq!(gen.len(), n, "gen sets per block");
+        assert_eq!(kill.len(), n, "kill sets per block");
+        let universe = gen.first().map_or(0, BitSet::capacity);
+
+        let empty = BitSet::new(universe);
+        let top = match meet {
+            Meet::Union => BitSet::new(universe),
+            Meet::Intersection => BitSet::full(universe),
+        };
+
+        let Solution { ins, outs } = self;
+        ins.clear();
+        ins.resize(n, top.clone());
+        outs.clear();
+        outs.resize(n, top);
+
+        // Unreachable blocks keep ⊤ (they impose no constraints); we simply
+        // never visit them. The two scratch sets below are the only buffers
+        // the whole fixed-point iteration touches: every sweep computes the
+        // meet and the transfer in place and swaps, so no per-iteration
+        // allocation.
+        let mut scratch_meet = BitSet::new(universe);
+        let mut scratch_flow = BitSet::new(universe);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in order {
+                let bi = b.index();
+                let neighbors = match dir {
+                    Direction::Forward => cfg.preds(b),
+                    Direction::Backward => cfg.succs(b),
                 };
-                meet_into(&mut scratch_meet, neighbors, facts, meet, &empty);
-            }
-            // Transfer: flow = gen ∪ (meet − kill).
-            scratch_flow.assign_from(&gen[bi]);
-            scratch_flow.union_with_minus(&scratch_meet, &kill[bi]);
-            let (block_in, block_out) = match dir {
-                Direction::Forward => (&mut ins[bi], &mut outs[bi]),
-                Direction::Backward => (&mut outs[bi], &mut ins[bi]),
-            };
-            if scratch_meet != *block_in || scratch_flow != *block_out {
-                std::mem::swap(block_in, &mut scratch_meet);
-                std::mem::swap(block_out, &mut scratch_flow);
-                changed = true;
+                {
+                    let facts = match dir {
+                        Direction::Forward => &*outs,
+                        Direction::Backward => &*ins,
+                    };
+                    meet_into(&mut scratch_meet, neighbors, facts, meet, &empty);
+                }
+                // Transfer: flow = gen ∪ (meet − kill).
+                scratch_flow.assign_from(&gen[bi]);
+                scratch_flow.union_with_minus(&scratch_meet, &kill[bi]);
+                let (block_in, block_out) = match dir {
+                    Direction::Forward => (&mut ins[bi], &mut outs[bi]),
+                    Direction::Backward => (&mut outs[bi], &mut ins[bi]),
+                };
+                if scratch_meet != *block_in || scratch_flow != *block_out {
+                    std::mem::swap(block_in, &mut scratch_meet);
+                    std::mem::swap(block_out, &mut scratch_flow);
+                    changed = true;
+                }
             }
         }
     }
-    Solution { ins, outs }
 }
 
 /// Meet the neighbors' facts into `acc` (overwriting it) without

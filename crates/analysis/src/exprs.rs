@@ -13,11 +13,10 @@
 //! order so `a + b` and `b + a` denote the same expression.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use epre_cfg::Csr;
-use epre_ir::{BinOp, BlockId, Const, Function, Inst, Reg, Ty, UnOp};
+use epre_ir::{BinOp, BlockId, Const, Function, Inst, MixMap, Reg, Ty, UnOp};
 
 /// Dense identifier of an expression in a function's [`ExprUniverse`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -62,7 +61,7 @@ pub enum ExprKey {
 
 impl Hash for ExprKey {
     /// Feeds the hasher one packed 128-bit word: the universe hashes every
-    /// instruction, and std's SipHash costs per byte and per call.
+    /// instruction, and a hasher costs per call.
     fn hash<H: Hasher>(&self, state: &mut H) {
         let head =
             |tag: u128, op: u8, ty: Ty| tag << 80 | u128::from(op) << 72 | (ty as u128) << 64;
@@ -115,9 +114,12 @@ impl ExprKey {
 /// occurrence. Under the §2.2 naming discipline every occurrence has the
 /// same destination; [`ExprUniverse::is_disciplined`] reports whether that
 /// held, and PRE refuses to transform expressions for which it did not.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A universe may also hold only some of the function's expressions (see
+/// [`ExprUniverse::rebuild`]); the others then read as non-expressions.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExprUniverse {
-    by_key: HashMap<ExprKey, ExprId>,
+    by_key: MixMap<ExprKey, ExprId>,
     keys: Vec<ExprKey>,
     /// Canonical destination register per expression.
     names: Vec<Reg>,
@@ -127,28 +129,52 @@ pub struct ExprUniverse {
     /// in id order.
     used_by: Csr<ExprId>,
     /// The expression of every instruction, block by block in program
-    /// order (`None` for copies, φs, loads, stores and calls).
+    /// order (`None` for copies, φs, loads, stores, calls and
+    /// non-members).
     inst_exprs: Vec<Option<ExprId>>,
     /// Where each block's run starts in `inst_exprs`, plus the end.
     block_starts: Vec<usize>,
 }
 
 impl ExprUniverse {
-    /// Scan `f` and build its expression universe. Every table is sized
-    /// up front from the instruction count, so the number of allocations
-    /// does not grow with the function.
+    /// Scan `f` and build its expression universe: [`ExprUniverse::rebuild`]
+    /// with every key a member. Every table is sized up front from the
+    /// instruction count, so the number of allocations does not grow with
+    /// the function.
     pub fn new(f: &Function) -> Self {
+        let mut universe = ExprUniverse::default();
+        universe.rebuild(f, |_| true);
+        universe
+    }
+
+    /// Rescan `f` into `self`, keeping only the expressions whose key
+    /// `member` accepts. Members are numbered in order of first occurrence,
+    /// so the ids of a restricted universe keep the relative order they
+    /// have in the full one, and each member's name and discipline are what
+    /// the full universe records for it; [`ExprUniverse::used_by`] lists
+    /// member readers only. Instructions whose key is no member map to
+    /// `None`, like non-expressions. The tables keep their storage, so a
+    /// rescan that fits allocates nothing.
+    pub fn rebuild(&mut self, f: &Function, mut member: impl FnMut(&ExprKey) -> bool) {
         let n = f.inst_count();
-        let mut by_key: HashMap<ExprKey, ExprId> = HashMap::with_capacity(n);
-        let mut keys = Vec::with_capacity(n);
-        let mut names: Vec<Reg> = Vec::with_capacity(n);
-        let mut disciplined: Vec<bool> = Vec::with_capacity(n);
-        let mut inst_exprs = Vec::with_capacity(n);
-        let mut block_starts = Vec::with_capacity(f.blocks.len() + 1);
+        let ExprUniverse { by_key, keys, names, disciplined, used_by, inst_exprs, block_starts } =
+            self;
+        by_key.clear();
+        by_key.reserve(n);
+        keys.clear();
+        keys.reserve(n);
+        names.clear();
+        names.reserve(n);
+        disciplined.clear();
+        disciplined.reserve(n);
+        inst_exprs.clear();
+        inst_exprs.reserve(n);
+        block_starts.clear();
+        block_starts.reserve(f.blocks.len() + 1);
         for block in &f.blocks {
             block_starts.push(inst_exprs.len());
             for inst in &block.insts {
-                let id = ExprKey::of_inst(inst).map(|key| {
+                let id = ExprKey::of_inst(inst).filter(&mut member).map(|key| {
                     let dst = inst.dst().expect("expressions define a register");
                     match by_key.entry(key) {
                         Entry::Occupied(e) => {
@@ -175,8 +201,7 @@ impl ExprUniverse {
         let operand_of = keys.iter().enumerate().flat_map(|(e, key)| {
             key.operands().map(move |r| (r.index(), ExprId(e as u32)))
         });
-        let used_by = Csr::from_pairs(f.reg_count(), operand_of);
-        ExprUniverse { by_key, keys, names, disciplined, used_by, inst_exprs, block_starts }
+        used_by.refill(f.reg_count(), operand_of);
     }
 
     /// Number of distinct expressions.
@@ -191,7 +216,12 @@ impl ExprUniverse {
 
     /// Look up the id of an instruction's expression.
     pub fn id_of_inst(&self, inst: &Inst) -> Option<ExprId> {
-        ExprKey::of_inst(inst).and_then(|k| self.by_key.get(&k).copied())
+        ExprKey::of_inst(inst).and_then(|k| self.id(&k))
+    }
+
+    /// Look up the id of an expression by its key.
+    pub fn id(&self, key: &ExprKey) -> Option<ExprId> {
+        self.by_key.get(key).copied()
     }
 
     /// The key of expression `e`.

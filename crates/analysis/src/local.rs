@@ -16,7 +16,7 @@ use epre_ir::Function;
 
 /// The three local predicate vectors, one [`BitSet`] per block, each over
 /// the function's [`ExprUniverse`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LocalPredicates {
     /// `TRANSP` per block.
     pub transp: Vec<BitSet>,
@@ -30,11 +30,22 @@ impl LocalPredicates {
     /// Compute the predicates for `f` over `universe`, which must have
     /// been built from `f` as it is now.
     pub fn new(f: &Function, universe: &ExprUniverse) -> Self {
+        let mut predicates = LocalPredicates::default();
+        predicates.recompute(f, universe);
+        predicates
+    }
+
+    /// [`LocalPredicates::new`] into `self`, reusing the vectors' storage.
+    pub fn recompute(&mut self, f: &Function, universe: &ExprUniverse) {
         let n = f.blocks.len();
         let cap = universe.len();
-        let mut transp = vec![BitSet::full(cap); n];
-        let mut antloc = vec![BitSet::new(cap); n];
-        let mut comp = vec![BitSet::new(cap); n];
+        let LocalPredicates { transp, antloc, comp } = self;
+        transp.clear();
+        transp.resize(n, BitSet::full(cap));
+        antloc.clear();
+        antloc.resize(n, BitSet::new(cap));
+        comp.clear();
+        comp.resize(n, BitSet::new(cap));
 
         // `killed[e]`: some operand of e has been defined so far in b.
         let mut killed = BitSet::new(cap);
@@ -59,7 +70,6 @@ impl LocalPredicates {
                 }
             }
         }
-        LocalPredicates { transp, antloc, comp }
     }
 }
 

@@ -21,6 +21,13 @@ pub struct Csr<T> {
     items: Vec<T>,
 }
 
+impl<T> Default for Csr<T> {
+    /// The table of no rows.
+    fn default() -> Self {
+        Csr { offsets: Vec::new(), items: Vec::new() }
+    }
+}
+
 impl<T: Copy> Csr<T> {
     /// Group `(row, item)` pairs into `rows` rows by a stable counting
     /// sort: each row keeps its items in the order the pairs came.
@@ -33,28 +40,44 @@ impl<T: Copy> Csr<T> {
         I: IntoIterator<Item = (usize, T)>,
         I::IntoIter: Clone,
     {
+        let mut table = Csr::default();
+        table.refill(rows, pairs);
+        table
+    }
+
+    /// Make `self` the table [`Csr::from_pairs`] would build, reusing its
+    /// storage: a refill that fits in the old table allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if a pair names a row `>= rows`.
+    pub fn refill<I>(&mut self, rows: usize, pairs: I)
+    where
+        I: IntoIterator<Item = (usize, T)>,
+        I::IntoIter: Clone,
+    {
         let pairs = pairs.into_iter();
         // offsets[k + 2] counts row k. After the prefix sum offsets[k + 1]
         // is where row k starts, and filling moves it to where row k ends,
         // which is where row k + 1 starts; the last slot is then spare.
-        let mut offsets = vec![0u32; rows + 2];
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(rows + 2, 0);
         for (k, _) in pairs.clone() {
             offsets[k + 2] += 1;
         }
         for k in 2..offsets.len() {
             offsets[k] += offsets[k - 1];
         }
-        let mut items = match pairs.clone().next() {
-            Some((_, seed)) => vec![seed; offsets[rows + 1] as usize],
-            None => Vec::new(),
-        };
+        self.items.clear();
+        if let Some((_, seed)) = pairs.clone().next() {
+            self.items.resize(offsets[rows + 1] as usize, seed);
+        }
         for (k, item) in pairs {
             let at = &mut offsets[k + 1];
-            items[*at as usize] = item;
+            self.items[*at as usize] = item;
             *at += 1;
         }
         offsets.pop();
-        Csr { offsets, items }
     }
 
     /// Drop each item equal to the one before it in its row, in place.
@@ -80,7 +103,7 @@ impl<T: Copy> Csr<T> {
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.offsets.len() - 1
+        self.offsets.len().saturating_sub(1)
     }
 
     /// Row `k`.
@@ -135,6 +158,16 @@ mod tests {
         assert!(t.row(1).is_empty());
         assert_eq!(t.row(2), &[7]);
         assert_eq!(t.items().len(), 4);
+    }
+
+    #[test]
+    fn refill_equals_a_fresh_table() {
+        let mut t = Csr::from_pairs(4, [(1, 10), (3, 40), (1, 50)]);
+        t.refill(3, [(2, 7), (0, 8)]);
+        assert_eq!(t, Csr::from_pairs(3, [(2, 7), (0, 8)]));
+        t.refill(2, []);
+        assert_eq!(t, Csr::from_pairs(2, []));
+        assert_eq!(Csr::<u8>::default().rows(), 0);
     }
 
     #[test]

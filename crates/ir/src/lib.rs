@@ -50,6 +50,7 @@
 
 pub mod builder;
 pub mod function;
+pub mod hash;
 pub mod inst;
 pub mod parse;
 pub mod print;
@@ -58,6 +59,7 @@ pub mod verify;
 
 pub use builder::FunctionBuilder;
 pub use function::{Block, Function, Module, Terminator};
+pub use hash::{MixMap, MixState};
 pub use inst::{is_intrinsic, is_polymorphic_intrinsic, BinOp, Inst, UnOp, INTRINSICS};
 pub use parse::{parse_function, parse_module, ParseError, MAX_DATA_WORDS, MAX_REGS};
 pub use types::{BlockId, Const, Reg, Ty};

@@ -22,9 +22,7 @@
 //! during this phase; no instructions are added, deleted, or moved" —
 //! except the φs, which SSA destruction then turns into copies.
 
-use std::collections::HashMap;
-
-use epre_ir::{BlockId, Function, Inst, Reg};
+use epre_ir::{BlockId, Function, Inst, MixMap, Reg};
 use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
 
 use crate::budget::{Budget, BudgetExceeded};
@@ -192,7 +190,7 @@ fn congruence_classes_budgeted(
     // Initial partition: classes numbered in order of first appearance.
     let mut class: Vec<u32> = Vec::with_capacity(nregs);
     {
-        let mut key_ids: HashMap<InitKey, u32> = HashMap::new();
+        let mut key_ids: MixMap<InitKey, u32> = MixMap::default();
         for key in keys {
             let next = key_ids.len() as u32;
             class.push(*key_ids.entry(key).or_insert(next));
@@ -204,8 +202,8 @@ fn congruence_classes_budgeted(
     // operand slots; a φ's second slot holds the interned list of its
     // argument classes.
     const NONE: u32 = u32::MAX;
-    let mut sig_ids: HashMap<(u32, u32, u32), u32> = HashMap::new();
-    let mut list_ids: HashMap<Vec<u32>, u32> = HashMap::new();
+    let mut sig_ids: MixMap<(u32, u32, u32), u32> = MixMap::default();
+    let mut list_ids: MixMap<Vec<u32>, u32> = MixMap::default();
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     let mut list: Vec<u32> = Vec::new();
     let mut new_class = vec![0u32; nregs];

@@ -18,9 +18,7 @@
 //! * **branch folding** — a conditional branch on a known constant becomes
 //!   a jump (the `clean` pass then drops the dead arm).
 
-use std::collections::HashMap;
-
-use epre_ir::{BinOp, Const, Function, Inst, Reg, Terminator, Ty, UnOp};
+use epre_ir::{BinOp, Const, Function, Inst, MixMap, Reg, Terminator, Ty, UnOp};
 
 /// What one peephole run did to the function — consumed by the pass
 /// manager to invalidate cached analyses with edge-level precision.
@@ -56,8 +54,9 @@ pub fn run(f: &mut Function) -> bool {
 pub fn run_detailed(f: &mut Function) -> Outcome {
     debug_assert!(f.blocks.iter().all(|b| b.phi_count() == 0), "peephole expects φ-free code");
     let mut outcome = Outcome::default();
+    let mut env = Env { defs: vec![0; f.reg_count()], ..Env::default() };
     for bi in 0..f.blocks.len() {
-        let block = rewrite_block(f, bi);
+        let block = rewrite_block(f, bi, &mut env);
         outcome.insts_changed |= block.insts_changed;
         outcome.cfg_changed |= block.cfg_changed;
         outcome.rewrites += block.rewrites;
@@ -66,20 +65,81 @@ pub fn run_detailed(f: &mut Function) -> Outcome {
     outcome
 }
 
-fn rewrite_block(f: &mut Function, bi: usize) -> Outcome {
-    // Local environment: constants and copy sources, invalidated on
-    // redefinition.
-    let mut consts: HashMap<Reg, Const> = HashMap::new();
-    let mut copies: HashMap<Reg, Reg> = HashMap::new();
-    // neg_of[d] = y when `d <- neg y` is the latest definition of d.
-    let mut neg_of: HashMap<Reg, Reg> = HashMap::new();
+/// The local value environment of the block being rewritten: constants,
+/// copy sources and negation operands seen so far in it, each forgotten
+/// when the register it describes or reads is redefined.
+///
+/// A copy or negation entry records how often its source had been defined
+/// when the entry was made, and holds only while that count stands, so a
+/// definition invalidates every entry reading it at once instead of
+/// scanning the environment for them.
+#[derive(Default)]
+struct Env {
+    consts: MixMap<Reg, Const>,
+    copies: MixMap<Reg, (Reg, u32)>,
+    /// `d -> y` when `d <- neg y` is the latest definition of d.
+    negs: MixMap<Reg, (Reg, u32)>,
+    /// Definitions of each register so far in the function.
+    defs: Vec<u32>,
+}
 
+impl Env {
+    fn clear(&mut self) {
+        self.consts.clear();
+        self.copies.clear();
+        self.negs.clear();
+    }
+
+    fn defs_of(&self, r: Reg) -> u32 {
+        self.defs.get(r.index()).copied().unwrap_or(0)
+    }
+
+    /// `(src, defs of src)`, the entry for a mapping that reads `src`.
+    fn entry(&self, src: Reg) -> (Reg, u32) {
+        (src, self.defs_of(src))
+    }
+
+    /// The source the entry names, if it has not been redefined since.
+    fn current(&self, entry: Option<&(Reg, u32)>) -> Option<Reg> {
+        entry.and_then(|&(src, defs)| (self.defs_of(src) == defs).then_some(src))
+    }
+
+    fn constant(&self, r: Reg) -> Option<Const> {
+        self.consts.get(&r).copied()
+    }
+
+    /// What `r` reads through a copy: one step is enough, because sources
+    /// are themselves resolved when their copy is recorded.
+    fn resolve(&self, r: Reg) -> Reg {
+        self.current(self.copies.get(&r)).unwrap_or(r)
+    }
+
+    /// `y` if `r <- neg y` holds.
+    fn neg_of(&self, r: Reg) -> Option<Reg> {
+        self.current(self.negs.get(&r))
+    }
+
+    /// `d` is being redefined: forget what described it, and let the
+    /// entries that read it lapse.
+    fn define(&mut self, d: Reg) {
+        self.consts.remove(&d);
+        self.copies.remove(&d);
+        self.negs.remove(&d);
+        if d.index() >= self.defs.len() {
+            self.defs.resize(d.index() + 1, 0);
+        }
+        self.defs[d.index()] = self.defs[d.index()].wrapping_add(1);
+    }
+}
+
+fn rewrite_block(f: &mut Function, bi: usize, env: &mut Env) -> Outcome {
+    env.clear();
     let mut outcome = Outcome::default();
     let block = &mut f.blocks[bi];
     for inst in &mut block.insts {
         // Copy-propagate operands first.
         inst.map_uses(|r| {
-            let resolved = resolve(&copies, r);
+            let resolved = env.resolve(r);
             if resolved != r {
                 outcome.insts_changed = true;
                 outcome.rewrites += 1;
@@ -89,7 +149,7 @@ fn rewrite_block(f: &mut Function, bi: usize) -> Outcome {
 
         // Invalidate environment entries that depended on the defined reg
         // *after* computing the rewrite (the definition happens last).
-        let rewritten = simplify(inst, &consts, &neg_of);
+        let rewritten = simplify(inst, env);
         if let Some(new) = rewritten {
             if *inst != new {
                 outcome.insts_changed = true;
@@ -100,33 +160,31 @@ fn rewrite_block(f: &mut Function, bi: usize) -> Outcome {
 
         if let Some(d) = inst.dst() {
             // Any mapping reading d is now stale.
-            consts.remove(&d);
-            neg_of.remove(&d);
-            copies.remove(&d);
-            copies.retain(|_, src| *src != d);
-            neg_of.retain(|_, src| *src != d);
+            env.define(d);
         }
         match inst {
             Inst::LoadI { dst, value } => {
-                consts.insert(*dst, *value);
+                env.consts.insert(*dst, *value);
             }
             Inst::Copy { dst, src } => {
                 if dst != src {
-                    copies.insert(*dst, *src);
+                    let entry = env.entry(*src);
+                    env.copies.insert(*dst, entry);
                 }
-                if let Some(c) = consts.get(src).copied() {
-                    consts.insert(*dst, c);
+                if let Some(c) = env.constant(*src) {
+                    env.consts.insert(*dst, c);
                 }
             }
             Inst::Un { op: UnOp::Neg, dst, src, .. } => {
-                neg_of.insert(*dst, *src);
+                let entry = env.entry(*src);
+                env.negs.insert(*dst, entry);
             }
             _ => {}
         }
     }
     // Terminator: copy-propagate and fold constant branches.
     block.term.map_uses(|r| {
-        let resolved = resolve(&copies, r);
+        let resolved = env.resolve(r);
         if resolved != r {
             outcome.insts_changed = true;
             outcome.rewrites += 1;
@@ -134,7 +192,7 @@ fn rewrite_block(f: &mut Function, bi: usize) -> Outcome {
         resolved
     });
     if let Terminator::Branch { cond, then_to, else_to } = block.term {
-        if let Some(c) = consts.get(&cond) {
+        if let Some(c) = env.constant(cond) {
             let target = if c.is_zero() { else_to } else { then_to };
             block.term = Terminator::Jump { target };
             outcome.cfg_changed = true;
@@ -144,22 +202,12 @@ fn rewrite_block(f: &mut Function, bi: usize) -> Outcome {
     outcome
 }
 
-fn resolve(copies: &HashMap<Reg, Reg>, r: Reg) -> Reg {
-    // One-step resolution is enough: sources are themselves resolved when
-    // their copy was recorded.
-    copies.get(&r).copied().unwrap_or(r)
-}
-
 /// Attempt to rewrite one instruction given the local environment.
-fn simplify(
-    inst: &Inst,
-    consts: &HashMap<Reg, Const>,
-    neg_of: &HashMap<Reg, Reg>,
-) -> Option<Inst> {
+fn simplify(inst: &Inst, env: &Env) -> Option<Inst> {
     match inst {
         Inst::Bin { op, ty, dst, lhs, rhs } => {
-            let lc = consts.get(lhs).copied();
-            let rc = consts.get(rhs).copied();
+            let lc = env.constant(*lhs);
+            let rc = env.constant(*rhs);
             // Full constant folding.
             if let (Some(a), Some(b)) = (lc, rc) {
                 if let Some(v) = fold_bin_const(*op, *ty, a, b) {
@@ -178,10 +226,10 @@ fn simplify(
                         }
                     }
                     // Subtraction reconstruction: x + (-y) => x - y.
-                    if let Some(&y) = neg_of.get(rhs) {
+                    if let Some(y) = env.neg_of(*rhs) {
                         return Some(Inst::Bin { op: BinOp::Sub, ty: *ty, dst: *dst, lhs: *lhs, rhs: y });
                     }
-                    if let Some(&y) = neg_of.get(lhs) {
+                    if let Some(y) = env.neg_of(*lhs) {
                         return Some(Inst::Bin { op: BinOp::Sub, ty: *ty, dst: *dst, lhs: *rhs, rhs: y });
                     }
                 }
@@ -195,7 +243,7 @@ fn simplify(
                         }
                     }
                     // x - (-y) => x + y.
-                    if let Some(&y) = neg_of.get(rhs) {
+                    if let Some(y) = env.neg_of(*rhs) {
                         return Some(Inst::Bin { op: BinOp::Add, ty: *ty, dst: *dst, lhs: *lhs, rhs: y });
                     }
                 }
@@ -243,14 +291,14 @@ fn simplify(
             None
         }
         Inst::Un { op, ty, dst, src } => {
-            if let Some(c) = consts.get(src) {
-                if let Some(v) = fold_un_const(*op, *c) {
+            if let Some(c) = env.constant(*src) {
+                if let Some(v) = fold_un_const(*op, c) {
                     return Some(Inst::LoadI { dst: *dst, value: v });
                 }
             }
             // Double negation: neg(neg x) => copy x.
             if *op == UnOp::Neg {
-                if let Some(&inner) = neg_of.get(src) {
+                if let Some(inner) = env.neg_of(*src) {
                     return Some(Inst::Copy { dst: *dst, src: inner });
                 }
             }
@@ -475,6 +523,25 @@ mod tests {
         // Second add reads p (copy-propagated), not a constant.
         assert!(matches!(f.blocks[0].insts[3], Inst::Bin { op: BinOp::Add, .. }));
         assert_eq!(f.blocks[0].insts[3].uses().collect::<Vec<_>>(), vec![p, p]);
+    }
+
+    #[test]
+    fn redefining_a_source_forgets_copies_and_negations_of_it() {
+        // a <- copy y; t <- neg y; y <- copy q; s <- add a, t: neither `a`
+        // nor `t` may be read through the redefined `y`.
+        let mut b = FunctionBuilder::new("f", Some(Ty::Int));
+        let y = b.param(Ty::Int);
+        let q = b.param(Ty::Int);
+        let a = b.copy(y);
+        let t = b.un(UnOp::Neg, Ty::Int, y);
+        b.copy_to(y, q);
+        let s = b.bin(BinOp::Add, Ty::Int, a, t);
+        b.ret(Some(s));
+        let mut f = b.finish();
+        run(&mut f);
+        let add = &f.blocks[0].insts[3];
+        assert!(matches!(add, Inst::Bin { op: BinOp::Add, .. }), "{f}");
+        assert_eq!(add.uses().collect::<Vec<_>>(), vec![a, t], "{f}");
     }
 
     #[test]

@@ -27,13 +27,20 @@
 //! different registers ([`ExprUniverse::is_disciplined`]); global value
 //! numbering's renaming (the paper's §3.2) is what makes that rare.
 //!
-//! A key property, used by the paper's argument and our property tests:
-//! **PRE never lengthens an execution path** — the dynamic operation count
-//! of the transformed function never exceeds the original on any input.
+//! A key property, used by the paper's argument: **PRE never lengthens an
+//! execution path** — the dynamic operation count of the transformed
+//! function never exceeds the original on any input.
+//!
+//! Rounds after the first are incremental (`Rounds`): they keep the
+//! first round's CFG and solve only the expressions the previous round
+//! can have affected. Every system above is solved bit by bit, so the
+//! other expressions keep the empty INSERT and DELETE they had.
 
-use epre_analysis::{solve, BitSet, Direction, ExprId, ExprKey, ExprUniverse, LocalPredicates, Meet};
+use epre_analysis::{
+    BitSet, Direction, ExprId, ExprKey, ExprUniverse, LocalPredicates, Meet, Solution,
+};
 use epre_cfg::edit::split_critical_edges;
-use epre_cfg::{reverse_postorder, Cfg, Csr};
+use epre_cfg::{postorder, Cfg, Csr};
 use epre_ir::{BlockId, Function, Inst};
 
 use crate::budget::{Budget, BudgetExceeded, Meter};
@@ -101,9 +108,10 @@ pub fn run_budgeted(f: &mut Function, budget: &Budget) -> Result<bool, BudgetExc
 pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<PreStats, BudgetExceeded> {
     let mut meter = budget.start(f);
     let mut stats = PreStats::default();
+    let mut rounds = Rounds::default();
     for _ in 0..10 {
         meter.tick(f)?;
-        if !run_once_metered(f, &mut meter, &mut stats)? {
+        if !rounds.run(f, &mut meter, &mut stats)? {
             break;
         }
         stats.rounds += 1;
@@ -135,107 +143,185 @@ pub fn run_counted(
 /// changed (edges split, insertions, or deletions).
 pub fn run_once(f: &mut Function) -> bool {
     let mut meter = Budget::UNLIMITED.start(f);
-    match run_once_metered(f, &mut meter, &mut PreStats::default()) {
+    match Rounds::default().run(f, &mut meter, &mut PreStats::default()) {
         Ok(changed) => changed,
         Err(_) => unreachable!("unlimited budget cannot be exceeded"),
     }
 }
 
-/// [`run_once`] charging its LATER/LATERIN sweeps to a caller-owned
-/// [`Meter`], so the budget spans all rounds of an outer fixed point.
-fn run_once_metered(
-    f: &mut Function,
-    meter: &mut Meter,
-    stats: &mut PreStats,
-) -> Result<bool, BudgetExceeded> {
-    debug_assert!(f.blocks.iter().all(|b| b.phi_count() == 0), "PRE expects φ-free code");
-    let splits = split_critical_edges(f);
-    stats.edges_split += splits as u64;
-    let cfg = Cfg::new(f);
-    let universe = ExprUniverse::new(f);
-    if universe.is_empty() {
-        return Ok(splits > 0);
-    }
-    let sys = Earliest::new(f, &cfg, &universe);
-    let (later, laterin) = later_laterin(&cfg, &sys, || meter.tick(f))?;
-    #[cfg(test)]
-    tests::assert_round_robin_agrees(&sys, &later, &laterin);
-    let cap = universe.len();
-
-    // INSERT / DELETE.
-    let mut any_change = splits > 0;
-    let mut scratch = BitSet::new(cap);
-    let mut insert: Vec<(BlockId, BlockId, Vec<ExprId>)> = Vec::new();
-    for (k, &(i, j)) in sys.edges.iter().enumerate() {
-        scratch.assign_from(&later[k]);
-        scratch.difference_with(&laterin[j.index()]);
-        if !scratch.is_empty() {
-            insert.push((i, j, scratch.iter().map(|x| ExprId(x as u32)).collect()));
-        }
-    }
-
-    // Deletions first (they index the original instruction streams).
-    let mut killed = BitSet::new(cap);
-    for (b, (antloc, laterin)) in sys.antloc.iter().zip(&laterin).enumerate().skip(1) {
-        let del = &mut scratch;
-        del.assign_from(antloc);
-        del.difference_with(laterin);
-        if del.is_empty() {
-            continue;
-        }
-        killed.clear();
-        let mut exprs = universe.block_exprs(BlockId(b as u32)).iter();
-        f.blocks[b].insts.retain(|inst| {
-            let mut keep = true;
-            if let Some(e) = *exprs.next().expect("one entry per instruction") {
-                if del.contains(e.index()) && !killed.contains(e.index()) {
-                    keep = false;
-                    any_change = true;
-                    stats.occurrences_deleted += 1;
-                }
-            }
-            if let Some(d) = inst.dst() {
-                for &e in universe.used_by(d) {
-                    killed.insert(e.index());
-                }
-            }
-            keep
-        });
-    }
-
-    // Insertions.
-    for (i, j, exprs) in insert {
-        any_change = true;
-        stats.exprs_hoisted += exprs.len() as u64;
-        let insts = materialize(&universe, &exprs);
-        if cfg.succs(i).len() == 1 {
-            let block = &mut f.blocks[i.index()];
-            block.insts.extend(insts);
-        } else {
-            debug_assert_eq!(cfg.preds(j).len(), 1, "critical edges were split");
-            f.blocks[j.index()].insts.splice(0..0, insts);
-        }
-    }
-
-    debug_assert!(f.verify().is_ok(), "PRE broke the verifier: {f}");
-    Ok(any_change)
+/// The state one invocation carries from round to round.
+///
+/// The first round splits the critical edges and solves over the full
+/// universe. After that split no edge is critical, and a round only
+/// deletes and inserts instructions inside blocks: it adds no block and
+/// touches no terminator. So every later round keeps the first round's
+/// [`Shape`], and solves over a universe restricted to what the previous
+/// round can have affected (see [`Rounds::restrict`]).
+#[derive(Default)]
+struct Rounds {
+    /// Rounds run so far.
+    done: u32,
+    /// The CFG after the first round's split, and what the solves derive
+    /// from it.
+    shape: Option<Shape>,
+    /// The first round's universe. No later round meets a key it lacks:
+    /// rounds insert only expressions of their own universe.
+    first: ExprUniverse,
+    /// The universe of the latest round after the first.
+    restricted: ExprUniverse,
+    /// The expressions the latest round inserted or deleted, as ids of its
+    /// universe.
+    moved: BitSet,
+    /// The next round's members, as ids of `first`.
+    members: BitSet,
+    /// The bit-set systems, kept for their storage.
+    systems: Systems,
 }
 
-/// PRE's systems for one round, solved up to EARLIEST: the inputs of the
-/// LATER/LATERIN fixed point.
-struct Earliest {
+impl Rounds {
+    /// Run one round; returns true if it changed the function.
+    fn run(
+        &mut self,
+        f: &mut Function,
+        meter: &mut Meter,
+        stats: &mut PreStats,
+    ) -> Result<bool, BudgetExceeded> {
+        debug_assert!(f.blocks.iter().all(|b| b.phi_count() == 0), "PRE expects φ-free code");
+        #[cfg(test)]
+        let reference = (self.done > 0).then(|| f.clone());
+        let splits = if self.done == 0 {
+            let splits = split_critical_edges(f);
+            self.shape = Some(Shape::new(f));
+            self.first.rebuild(f, |_| true);
+            self.members = BitSet::new(self.first.len());
+            splits
+        } else {
+            self.restrict(f);
+            0
+        };
+        stats.edges_split += splits as u64;
+        self.done += 1;
+        let universe = if self.done == 1 { &self.first } else { &self.restricted };
+        let shape = self.shape.as_ref().expect("the first round sets the shape");
+        self.moved = if universe.is_empty() {
+            BitSet::default()
+        } else {
+            let systems = &mut self.systems;
+            systems.solve(f, shape, universe, || meter.tick(f))?;
+            #[cfg(test)]
+            tests::assert_round_robin_agrees(shape, systems);
+            systems.apply(f, shape, universe, stats)
+        };
+        let changed = splits > 0 || !self.moved.is_empty();
+        #[cfg(test)]
+        if let Some(reference) = reference {
+            tests::assert_full_round_agrees(reference, f, changed);
+        }
+        Ok(changed)
+    }
+
+    /// Restrict the round about to run to the expressions the previous
+    /// round moved, and every expression that reads the name of one. A
+    /// move changes only the occurrences of the moved expressions and the
+    /// definitions of their names, so every other expression keeps its
+    /// TRANSP, ANTLOC, COMP and discipline on an unchanged CFG, and with
+    /// them its empty INSERT and DELETE.
+    ///
+    /// Members are matched by key, not by destination register: a register
+    /// may be the name of several keys, and an undisciplined expression has
+    /// occurrences with several destinations. Readers come from the first
+    /// round's `used_by`, disciplined or not. An undisciplined expression
+    /// is never deleted, but LATER can still place it wherever LATERIN
+    /// meets an edge whose LATER holds it and one whose LATER does not:
+    /// out of an unreachable cycle, where LATERIN stays ⊤, or into a loop
+    /// that never exits, where ANTIN is ⊤ once the loop is transparent for
+    /// it. A move that changes its TRANSP can thus change its placement.
+    fn restrict(&mut self, f: &Function) {
+        let last = if self.done == 1 { &self.first } else { &self.restricted };
+        self.members.clear();
+        for m in self.moved.iter().map(|m| ExprId(m as u32)) {
+            let id = self.first.id(last.key(m)).expect("the first round met every key");
+            self.members.insert(id.index());
+            for reader in self.first.used_by(last.name(m)) {
+                self.members.insert(reader.index());
+            }
+        }
+        let (first, members) = (&self.first, &self.members);
+        self.restricted
+            .rebuild(f, |key| first.id(key).is_some_and(|id| members.contains(id.index())));
+    }
+}
+
+/// The CFG of the function after the first round's split, with the edge
+/// lists and block orders the solves need.
+struct Shape {
+    cfg: Cfg,
     /// Every CFG edge, in [`Cfg::edges`] order; edge `k` is `edges[k]`.
     edges: Vec<(BlockId, BlockId)>,
-    /// EARLIEST per edge.
-    earliest: Vec<BitSet>,
-    /// ANTLOC per block, restricted to disciplined expressions.
-    antloc: Vec<BitSet>,
+    /// The ids of the edges leaving and entering each block.
+    out_edges: Csr<usize>,
+    in_edges: Csr<usize>,
+    /// The reachable blocks in reverse postorder, then the unreachable ones
+    /// in index order: the LATER sweep. Its first `reachable` entries are
+    /// the reverse postorder AVAIL visits.
+    sweep: Vec<BlockId>,
+    reachable: usize,
+    /// The postorder ANTIC visits.
+    postorder: Vec<BlockId>,
 }
 
-impl Earliest {
-    /// Solve AVAIL and ANTIC over `universe` and derive EARLIEST on every
-    /// edge of `cfg`, the snapshot of φ-free `f` with critical edges split.
-    fn new(f: &Function, cfg: &Cfg, universe: &ExprUniverse) -> Self {
+impl Shape {
+    fn new(f: &Function) -> Self {
+        let cfg = Cfg::new(f);
+        let n = cfg.len();
+        let edges = cfg.edges();
+        let edge_ids = || edges.iter().enumerate();
+        let out_edges = Csr::from_pairs(n, edge_ids().map(|(k, &(i, _))| (i.index(), k)));
+        let in_edges = Csr::from_pairs(n, edge_ids().map(|(k, &(_, j))| (j.index(), k)));
+        let postorder = postorder(&cfg);
+        let mut sweep: Vec<BlockId> = Vec::with_capacity(n);
+        sweep.extend(postorder.iter().rev());
+        let reachable = sweep.len();
+        let mut listed = vec![false; n];
+        for &b in &sweep {
+            listed[b.index()] = true;
+        }
+        sweep.extend((0..n).filter(|&b| !listed[b]).map(|b| BlockId(b as u32)));
+        Shape { cfg, edges, out_edges, in_edges, sweep, reachable, postorder }
+    }
+}
+
+/// PRE's bit-set systems for one round. Each round overwrites them, so
+/// later rounds reuse their storage.
+#[derive(Default)]
+struct Systems {
+    /// TRANSP, and ANTLOC and COMP restricted to disciplined expressions.
+    local: LocalPredicates,
+    /// ¬TRANSP per block.
+    kill: Vec<BitSet>,
+    avail: Solution,
+    antic: Solution,
+    /// EARLIEST per edge.
+    earliest: Vec<BitSet>,
+    /// LATER per edge and LATERIN per block.
+    later: Vec<BitSet>,
+    laterin: Vec<BitSet>,
+    /// Scratch for [`materialize`]: the expressions still to place on an
+    /// edge, and the instructions placed.
+    pending: Vec<ExprId>,
+    placed: Vec<Inst>,
+}
+
+impl Systems {
+    /// Solve the systems for φ-free `f` over `universe`, on `shape`, with
+    /// one `tick` per LATER/LATERIN sweep.
+    fn solve(
+        &mut self,
+        f: &Function,
+        shape: &Shape,
+        universe: &ExprUniverse,
+        tick: impl FnMut() -> Result<(), BudgetExceeded>,
+    ) -> Result<(), BudgetExceeded> {
         let cap = universe.len();
         // Only disciplined expressions participate (see module docs).
         let mut disciplined = BitSet::new(cap);
@@ -244,129 +330,191 @@ impl Earliest {
                 disciplined.insert(e.index());
             }
         }
-        // Take the local predicates apart rather than cloning them: ANTLOC
-        // and COMP are masked in place.
-        let LocalPredicates { transp, mut antloc, mut comp } = LocalPredicates::new(f, universe);
-        for (a, c) in antloc.iter_mut().zip(&mut comp) {
+        self.local.recompute(f, universe);
+        let LocalPredicates { transp, antloc, comp } = &mut self.local;
+        for (a, c) in antloc.iter_mut().zip(comp.iter_mut()) {
             a.intersect_with(&disciplined);
             c.intersect_with(&disciplined);
         }
-        // kill = ¬TRANSP.
-        let kill: Vec<BitSet> = transp
-            .iter()
-            .map(|t| {
-                let mut k = BitSet::full(cap);
-                k.difference_with(t);
-                k
-            })
-            .collect();
+        self.kill.clear();
+        self.kill.extend(transp.iter().map(|t| {
+            let mut k = BitSet::full(cap);
+            k.difference_with(t);
+            k
+        }));
 
-        let avail = solve(cfg, Direction::Forward, Meet::Intersection, &comp, &kill);
-        let antic = solve(cfg, Direction::Backward, Meet::Intersection, &antloc, &kill);
+        let (cfg, kill) = (&shape.cfg, &self.kill);
+        let rpo = &shape.sweep[..shape.reachable];
+        self.avail.solve_ordered(cfg, rpo, Direction::Forward, Meet::Intersection, comp, kill);
+        let po = &shape.postorder;
+        self.antic.solve_ordered(cfg, po, Direction::Backward, Meet::Intersection, antloc, kill);
 
         // EARLIEST per edge, rewritten from the textbook form into pure set
         // subtraction:
         //   EARLIEST(i,j) = ANTIN(j) − AVOUT(i) − (TRANSP(i) ∩ ANTOUT(i))
         // (the last term is dropped for the entry block, whose AVOUT
         // boundary already handles it).
-        let edges = cfg.edges();
+        let (avail, antic) = (&self.avail, &self.antic);
         let mut scratch = BitSet::new(cap);
-        let earliest = edges
-            .iter()
-            .map(|&(i, j)| {
-                let mut e = antic.ins[j.index()].clone();
-                e.difference_with(&avail.outs[i.index()]);
-                if i != BlockId::ENTRY {
-                    scratch.assign_from(&transp[i.index()]);
-                    scratch.intersect_with(&antic.outs[i.index()]);
-                    e.difference_with(&scratch);
-                }
-                e
-            })
-            .collect();
-        Earliest { edges, earliest, antloc }
+        self.earliest.clear();
+        self.earliest.extend(shape.edges.iter().map(|&(i, j)| {
+            let mut e = antic.ins[j.index()].clone();
+            e.difference_with(&avail.outs[i.index()]);
+            if i != BlockId::ENTRY {
+                scratch.assign_from(&transp[i.index()]);
+                scratch.intersect_with(&antic.outs[i.index()]);
+                e.difference_with(&scratch);
+            }
+            e
+        }));
+        self.later_laterin(shape, cap, tick)
     }
-}
 
-/// LATER per edge and LATERIN per block, at their greatest fixed point,
-/// with one `tick` per sweep.
-///
-/// Each sweep visits the blocks one by one, the reachable ones in reverse
-/// postorder and then the unreachable ones in index order, and updates
-/// LATERIN of the block from its in-edges and then LATER on its
-/// out-edges, so most facts flow forward within one sweep. Both systems
-/// start at ⊤: the sweep reads LATER on back edges before it writes them,
-/// and starting LATER at EARLIEST would settle on a smaller fixed point.
-/// Unreachable blocks must be swept too, or their sets stay at ⊤.
-/// LATERIN is ∅ at the entry and at any other block without in-edges.
-fn later_laterin(
-    cfg: &Cfg,
-    sys: &Earliest,
-    mut tick: impl FnMut() -> Result<(), BudgetExceeded>,
-) -> Result<(Vec<BitSet>, Vec<BitSet>), BudgetExceeded> {
-    let n = cfg.len();
-    let cap = sys.antloc.first().map_or(0, BitSet::capacity);
-    let edge_ids = || sys.edges.iter().enumerate();
-    let out_edges = Csr::from_pairs(n, edge_ids().map(|(k, &(i, _))| (i.index(), k)));
-    let in_edges = Csr::from_pairs(n, edge_ids().map(|(k, &(_, j))| (j.index(), k)));
-    let mut order = reverse_postorder(cfg);
-    let mut listed = vec![false; n];
-    for &b in &order {
-        listed[b.index()] = true;
-    }
-    order.extend((0..n).filter(|&b| !listed[b]).map(|b| BlockId(b as u32)));
-
-    let mut later = vec![BitSet::full(cap); sys.edges.len()];
-    let mut laterin = vec![BitSet::full(cap); n];
-    if let Some(entry) = laterin.first_mut() {
-        entry.clear();
-    }
-    // Each set is recomputed into one scratch buffer and swapped in on
-    // change: no allocation per sweep.
-    let mut scratch = BitSet::new(cap);
-    loop {
-        tick()?;
-        let mut changed = false;
-        for &b in &order {
-            let bi = b.index();
-            if b != BlockId::ENTRY {
-                // LATERIN(b) = ∩ LATER over the in-edges of b.
-                match in_edges.row(bi).split_first() {
-                    None => scratch.clear(),
-                    Some((&first, rest)) => {
-                        scratch.assign_from(&later[first]);
-                        for &k in rest {
-                            scratch.intersect_with(&later[k]);
+    /// LATER per edge and LATERIN per block, at their greatest fixed point,
+    /// with one `tick` per sweep.
+    ///
+    /// Each sweep visits the blocks in [`Shape::sweep`] order, the
+    /// reachable ones in reverse postorder and then the unreachable ones in
+    /// index order, and updates LATERIN of the block from its in-edges and
+    /// then LATER on its out-edges, so most facts flow forward within one
+    /// sweep. Both systems start at ⊤: the sweep reads LATER on back edges
+    /// before it writes them, and starting LATER at EARLIEST would settle
+    /// on a smaller fixed point. Unreachable blocks must be swept too, or
+    /// their sets stay at ⊤. LATERIN is ∅ at the entry and at any other
+    /// block without in-edges.
+    fn later_laterin(
+        &mut self,
+        shape: &Shape,
+        cap: usize,
+        mut tick: impl FnMut() -> Result<(), BudgetExceeded>,
+    ) -> Result<(), BudgetExceeded> {
+        let Systems { local, earliest, later, laterin, .. } = self;
+        later.clear();
+        later.resize(shape.edges.len(), BitSet::full(cap));
+        laterin.clear();
+        laterin.resize(shape.cfg.len(), BitSet::full(cap));
+        if let Some(entry) = laterin.first_mut() {
+            entry.clear();
+        }
+        // Each set is recomputed into one scratch buffer and swapped in on
+        // change: no allocation per sweep.
+        let mut scratch = BitSet::new(cap);
+        loop {
+            tick()?;
+            let mut changed = false;
+            for &b in &shape.sweep {
+                let bi = b.index();
+                if b != BlockId::ENTRY {
+                    // LATERIN(b) = ∩ LATER over the in-edges of b.
+                    match shape.in_edges.row(bi).split_first() {
+                        None => scratch.clear(),
+                        Some((&first, rest)) => {
+                            scratch.assign_from(&later[first]);
+                            for &k in rest {
+                                scratch.intersect_with(&later[k]);
+                            }
                         }
                     }
+                    if scratch != laterin[bi] {
+                        std::mem::swap(&mut laterin[bi], &mut scratch);
+                        changed = true;
+                    }
                 }
-                if scratch != laterin[bi] {
-                    std::mem::swap(&mut laterin[bi], &mut scratch);
-                    changed = true;
+                for &k in shape.out_edges.row(bi) {
+                    // LATER(b,j) = EARLIEST(b,j) ∪ (LATERIN(b) − ANTLOC(b))
+                    scratch.assign_from(&earliest[k]);
+                    scratch.union_with_minus(&laterin[bi], &local.antloc[bi]);
+                    if scratch != later[k] {
+                        std::mem::swap(&mut later[k], &mut scratch);
+                        changed = true;
+                    }
                 }
             }
-            for &k in out_edges.row(bi) {
-                // LATER(b,j) = EARLIEST(b,j) ∪ (LATERIN(b) − ANTLOC(b))
-                scratch.assign_from(&sys.earliest[k]);
-                scratch.union_with_minus(&laterin[bi], &sys.antloc[bi]);
-                if scratch != later[k] {
-                    std::mem::swap(&mut later[k], &mut scratch);
-                    changed = true;
-                }
+            if !changed {
+                return Ok(());
             }
         }
-        if !changed {
-            return Ok((later, laterin));
+    }
+
+    /// Apply DELETE and INSERT to `f`, the function the systems were solved
+    /// for, and return the expressions moved, as ids of `universe`.
+    fn apply(
+        &mut self,
+        f: &mut Function,
+        shape: &Shape,
+        universe: &ExprUniverse,
+        stats: &mut PreStats,
+    ) -> BitSet {
+        let Systems { local, later, laterin, pending, placed, .. } = self;
+        let cap = universe.len();
+        let mut moved = BitSet::new(cap);
+        let mut scratch = BitSet::new(cap);
+
+        // Deletions first (they index the instruction streams the universe
+        // scanned).
+        let mut killed = BitSet::new(cap);
+        for (b, (antloc, laterin)) in local.antloc.iter().zip(&*laterin).enumerate().skip(1) {
+            let del = &mut scratch;
+            del.assign_from(antloc);
+            del.difference_with(laterin);
+            if del.is_empty() {
+                continue;
+            }
+            killed.clear();
+            let mut exprs = universe.block_exprs(BlockId(b as u32)).iter();
+            f.blocks[b].insts.retain(|inst| {
+                let mut keep = true;
+                if let Some(e) = *exprs.next().expect("one entry per instruction") {
+                    if del.contains(e.index()) && !killed.contains(e.index()) {
+                        keep = false;
+                        moved.insert(e.index());
+                        stats.occurrences_deleted += 1;
+                    }
+                }
+                if let Some(d) = inst.dst() {
+                    for &e in universe.used_by(d) {
+                        killed.insert(e.index());
+                    }
+                }
+                keep
+            });
         }
+
+        // Insertions: INSERT(i,j) = LATER(i,j) − LATERIN(j), edge by edge.
+        for (k, &(i, j)) in shape.edges.iter().enumerate() {
+            let insert = &mut scratch;
+            insert.assign_from(&later[k]);
+            insert.difference_with(&laterin[j.index()]);
+            if insert.is_empty() {
+                continue;
+            }
+            moved.union_with(insert);
+            stats.exprs_hoisted += insert.len() as u64;
+            materialize(universe, insert, pending, placed);
+            if shape.cfg.succs(i).len() == 1 {
+                f.blocks[i.index()].insts.append(placed);
+            } else {
+                debug_assert_eq!(shape.cfg.preds(j).len(), 1, "critical edges were split");
+                f.blocks[j.index()].insts.splice(0..0, placed.drain(..));
+            }
+        }
+
+        debug_assert!(f.verify().is_ok(), "PRE broke the verifier: {f}");
+        moved
     }
 }
 
-/// Build the instructions for a set of expressions inserted on one edge,
-/// in dependency order (an expression whose operand is another inserted
-/// expression's name comes after it).
-fn materialize(universe: &ExprUniverse, exprs: &[ExprId]) -> Vec<Inst> {
-    let mut pending: Vec<ExprId> = exprs.to_vec();
-    let mut out = Vec::with_capacity(pending.len());
+/// Build into `placed` the instructions for a set of expressions inserted
+/// on one edge, in dependency order (an expression whose operand is
+/// another inserted expression's name comes after it).
+fn materialize(
+    universe: &ExprUniverse,
+    exprs: &BitSet,
+    pending: &mut Vec<ExprId>,
+    placed: &mut Vec<Inst>,
+) {
+    pending.clear();
+    pending.extend(exprs.iter().map(|x| ExprId(x as u32)));
     while !pending.is_empty() {
         let pick = pending
             .iter()
@@ -376,9 +524,8 @@ fn materialize(universe: &ExprUniverse, exprs: &[ExprId]) -> Vec<Inst> {
             })
             .unwrap_or(0); // cycle cannot arise from hash-table naming
         let e = pending.remove(pick);
-        out.push(inst_of(universe, e));
+        placed.push(inst_of(universe, e));
     }
-    out
 }
 
 fn inst_of(universe: &ExprUniverse, e: ExprId) -> Inst {
@@ -399,15 +546,18 @@ mod tests {
     thread_local! {
         /// PRE rounds on this thread whose sweep was checked.
         static SWEEPS_CHECKED: Cell<usize> = const { Cell::new(0) };
+        /// Restricted rounds on this thread checked against a full round.
+        static ROUNDS_CHECKED: Cell<usize> = const { Cell::new(0) };
     }
 
     /// The LATER/LATERIN solve as this module first wrote it: edge-order
     /// round robin, LATER recomputed for every edge and then LATERIN for
     /// every block but the entry, from LATERIN at ⊤ and LATER at EARLIEST.
     /// Kept as the reference the block sweep must agree with.
-    fn round_robin_later(sys: &Earliest, n: usize) -> (Vec<BitSet>, Vec<BitSet>) {
-        let cap = sys.antloc.first().map_or(0, BitSet::capacity);
-        let (edges, earliest, antloc) = (&sys.edges, &sys.earliest, &sys.antloc);
+    fn round_robin_later(shape: &Shape, sys: &Systems) -> (Vec<BitSet>, Vec<BitSet>) {
+        let n = shape.cfg.len();
+        let (edges, earliest, antloc) = (&shape.edges, &sys.earliest, &sys.local.antloc);
+        let cap = antloc.first().map_or(0, BitSet::capacity);
         let mut in_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (k, &(_, to)) in edges.iter().enumerate() {
             in_edges[to.index()].push(k);
@@ -449,13 +599,18 @@ mod tests {
     }
 
     /// INSERT per edge and DELETE per block (empty at the entry).
-    fn insert_delete(sys: &Earliest, later: &[BitSet], laterin: &[BitSet]) -> [Vec<BitSet>; 2] {
-        let insert = sys.edges.iter().zip(later).map(|(&(_, j), l)| {
+    fn insert_delete(
+        shape: &Shape,
+        antloc: &[BitSet],
+        later: &[BitSet],
+        laterin: &[BitSet],
+    ) -> [Vec<BitSet>; 2] {
+        let insert = shape.edges.iter().zip(later).map(|(&(_, j), l)| {
             let mut s = l.clone();
             s.difference_with(&laterin[j.index()]);
             s
         });
-        let delete = sys.antloc.iter().zip(laterin).enumerate().map(|(b, (a, l))| {
+        let delete = antloc.iter().zip(laterin).enumerate().map(|(b, (a, l))| {
             let mut s = a.clone();
             s.difference_with(l);
             if b == 0 {
@@ -468,13 +623,26 @@ mod tests {
 
     /// Called on every PRE round of this crate's tests: the block sweep
     /// must place exactly what the round robin places.
-    pub(super) fn assert_round_robin_agrees(sys: &Earliest, later: &[BitSet], laterin: &[BitSet]) {
-        let (rr_later, rr_laterin) = round_robin_later(sys, laterin.len());
-        let [insert, delete] = insert_delete(sys, later, laterin);
-        let [rr_insert, rr_delete] = insert_delete(sys, &rr_later, &rr_laterin);
+    pub(super) fn assert_round_robin_agrees(shape: &Shape, sys: &Systems) {
+        let (rr_later, rr_laterin) = round_robin_later(shape, sys);
+        let antloc = &sys.local.antloc;
+        let [insert, delete] = insert_delete(shape, antloc, &sys.later, &sys.laterin);
+        let [rr_insert, rr_delete] = insert_delete(shape, antloc, &rr_later, &rr_laterin);
         assert_eq!(insert, rr_insert, "INSERT differs from the round robin's");
         assert_eq!(delete, rr_delete, "DELETE differs from the round robin's");
         SWEEPS_CHECKED.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Called after every restricted round of this crate's tests, with the
+    /// function as the round found it: a full round ([`run_once`]) on that
+    /// function must leave exactly what the restricted round left, and
+    /// report the same change.
+    pub(super) fn assert_full_round_agrees(mut reference: Function, f: &Function, changed: bool) {
+        let before = reference.clone();
+        let full_changed = run_once(&mut reference);
+        assert_eq!(*f, reference, "a restricted round differs from a full round on\n{before}");
+        assert_eq!(changed, full_changed, "a restricted round reports another change on\n{before}");
+        ROUNDS_CHECKED.with(|c| c.set(c.get() + 1));
     }
 
     /// Run PRE on `f` and check that at least one round compared the
@@ -827,6 +995,163 @@ mod tests {
         bld.ret(Some(n));
         let mut f = bld.finish();
         run_checked(&mut f);
+    }
+
+    /// Run PRE on `f` and return how many restricted rounds were checked
+    /// against a full round.
+    fn restricted_rounds_checked(f: &mut Function) -> usize {
+        let before = ROUNDS_CHECKED.with(Cell::get);
+        run(f);
+        assert!(f.verify().is_ok(), "{f}");
+        ROUNDS_CHECKED.with(Cell::get) - before
+    }
+
+    /// A second-order chain in a rotated loop: each round hoists one more
+    /// link, the `loadi` first, so five restricted rounds follow the first:
+    /// four that hoist a multiplication and a closing one.
+    #[test]
+    fn restricted_rounds_follow_a_hoisting_chain() {
+        let mut b = FunctionBuilder::new("chain", Some(Ty::Int));
+        let x = b.param(Ty::Int);
+        let body = b.new_block();
+        let exit = b.new_block();
+        let acc = b.new_reg(Ty::Int);
+        let z = b.loadi(Const::Int(0));
+        b.copy_to(acc, z);
+        let g = b.bin(BinOp::CmpGe, Ty::Int, acc, x);
+        b.branch(g, exit, body);
+        b.switch_to(body);
+        let mut link = b.loadi(Const::Int(3));
+        for _ in 0..4 {
+            link = b.bin(BinOp::Mul, Ty::Int, link, x);
+        }
+        let t = b.bin(BinOp::Add, Ty::Int, acc, link);
+        b.copy_to(acc, t);
+        let c = b.bin(BinOp::CmpLt, Ty::Int, acc, x);
+        b.branch(c, body, exit);
+        b.switch_to(exit);
+        b.ret(Some(acc));
+        let mut f = b.finish();
+        assert_eq!(restricted_rounds_checked(&mut f), 5, "{f}");
+        let stats = run_budgeted_stats(&mut f.clone(), &Budget::UNLIMITED).unwrap();
+        assert_eq!(stats.rounds, 0, "the fixed point needs no further round");
+    }
+
+    /// The front end's `inideb` with its entry branch made `cbr r9 -> b2,
+    /// b2`, which leaves the loop `b1` reachable only from itself, and the
+    /// second `r21 <- loadi 0.1:f` in `b1` retargeted to `r13`. LATERIN
+    /// stays ⊤ in the unreachable loop, so every round places its
+    /// undisciplined expressions on the loop's exit edge again, and `r13`
+    /// names two keys: a restricted round must match its members by key.
+    /// PRE runs all 10 rounds and grows the function from 51 to 113
+    /// instructions; the expected text is what full rounds produce.
+    #[test]
+    fn unreachable_loop_moves_undisciplined_expressions() {
+        let input = include_str!("../testdata/inideb_unreachable_loop.iloc");
+        let expected = include_str!("../testdata/inideb_unreachable_loop.pre.iloc");
+        let mut m = epre_ir::parse_module(input).unwrap();
+        let f = &mut m.functions[0];
+        assert_eq!(f.inst_count(), 51);
+        let before = ROUNDS_CHECKED.with(Cell::get);
+        let stats = run_budgeted_stats(f, &Budget::UNLIMITED).unwrap();
+        assert_eq!(ROUNDS_CHECKED.with(Cell::get) - before, 9);
+        assert_eq!(
+            (stats.rounds, stats.edges_split, stats.exprs_hoisted, stats.occurrences_deleted),
+            (10, 1, 93, 31)
+        );
+        assert_eq!(f.inst_count(), 113);
+        assert_eq!(m.to_string(), expected);
+    }
+
+    /// A loop that never exits, entered from the entry and from a block
+    /// without predecessors, computes `loadi 7` and two copies of `c + x`
+    /// into different registers: `c + x` is undisciplined. The first round
+    /// hoists the constant onto the loop's entry edge. That makes the loop
+    /// transparent for `c + x`, so ANTIN holds it there, while LATERIN is
+    /// ∅ along the edge from the predecessor-less block: the second round
+    /// inserts `c + x` on the entry edge, though the first moved no `c +
+    /// x`. A restricted round must therefore follow undisciplined readers
+    /// too.
+    #[test]
+    fn restricted_rounds_follow_undisciplined_readers() {
+        let mut b = FunctionBuilder::new("r", Some(Ty::Int));
+        let x = b.param(Ty::Int);
+        let p = b.param(Ty::Int);
+        let body = b.new_block();
+        let dead = b.new_block();
+        let exit = b.new_block();
+        b.branch(p, body, exit);
+        b.switch_to(body);
+        let c = b.loadi(Const::Int(7));
+        b.bin(BinOp::Add, Ty::Int, c, x);
+        b.bin(BinOp::Add, Ty::Int, c, x);
+        b.jump(body);
+        b.switch_to(dead);
+        b.jump(body);
+        b.switch_to(exit);
+        b.ret(Some(x));
+        let mut f = b.finish();
+        let mut once = f.clone();
+        run_once(&mut once);
+        assert_eq!(count_adds(&once), 2, "{once}");
+        assert!(restricted_rounds_checked(&mut f) > 0);
+        assert!(count_adds(&f) > 2, "the second round inserts `c + x`: {f}");
+    }
+
+    /// The suite's 50 routines in both naming modes, as the front end
+    /// emits them and after reassociation (with and without distribution)
+    /// and GVN: every restricted round equals a full round.
+    #[test]
+    fn restricted_rounds_equal_full_rounds_on_the_suite() {
+        use crate::reassoc::{reassociate, ReassocOptions};
+        use epre_frontend::NamingMode;
+        let mut checked = 0;
+        for r in epre_suite::all_routines() {
+            for mode in [NamingMode::Disciplined, NamingMode::Simple] {
+                let m = r.compile(mode).unwrap_or_else(|e| panic!("{}: {e}", r.name));
+                for f in &m.functions {
+                    checked += restricted_rounds_checked(&mut f.clone());
+                    for distribute in [false, true] {
+                        let mut g = f.clone();
+                        reassociate(&mut g, ReassocOptions { distribute });
+                        crate::gvn::run(&mut g);
+                        checked += restricted_rounds_checked(&mut g);
+                    }
+                }
+            }
+        }
+        assert!(checked > 1_000, "only {checked} restricted rounds");
+    }
+
+    /// 1,000 seeded mutants of the suite (dropped, duplicated and swapped
+    /// instructions, retargeted branches, clobbered definitions), each
+    /// mutated function that passes the verifier run through PRE: every
+    /// restricted round equals a full round.
+    #[test]
+    fn restricted_rounds_equal_full_rounds_on_mutants() {
+        use epre_frontend::NamingMode;
+        use epre_harness::{mutate_module, SplitMix64};
+        let modules: Vec<epre_ir::Module> = epre_suite::all_routines()
+            .iter()
+            .map(|r| r.compile(NamingMode::Disciplined).unwrap())
+            .collect();
+        let mut rng = SplitMix64::new(0x5eed_0024);
+        let (mut mutants, mut checked) = (0, 0);
+        for i in 0..5_000 {
+            if mutants == 1_000 {
+                break;
+            }
+            let Some((mutant, what)) = mutate_module(&modules[i % modules.len()], &mut rng) else {
+                continue;
+            };
+            let f = mutant.functions.iter().find(|f| f.name == what.function).unwrap();
+            if f.verify().is_ok() {
+                mutants += 1;
+                checked += restricted_rounds_checked(&mut f.clone());
+            }
+        }
+        assert_eq!(mutants, 1_000);
+        assert!(checked > 500, "only {checked} restricted rounds");
     }
 
     /// Mini-FORTRAN routines through the front end, in both naming

@@ -136,8 +136,7 @@ pub fn build_ssa(f: &mut Function, options: SsaOptions) {
 /// dominates everything and receives no back edges; the front end never
 /// produces such shapes but hand-built or generated IR can.
 fn split_looping_entry(f: &mut Function) {
-    let cfg = Cfg::new(f);
-    if cfg.preds(BlockId::ENTRY).is_empty() {
+    if !f.blocks.iter().any(|b| b.term.successors().any(|s| s == BlockId::ENTRY)) {
         return;
     }
     let insts = std::mem::take(&mut f.blocks[BlockId::ENTRY.index()].insts);
@@ -418,5 +417,34 @@ mod tests {
             .find(|i| matches!(i, Inst::Bin { op: BinOp::Add, .. }))
             .unwrap();
         assert!(add.uses().any(|u| u == a));
+    }
+
+    #[test]
+    fn entry_with_a_back_edge_moves_into_a_body_block() {
+        // b0: i = i + 1; if i < n goto b0 else b1 — block 0 heads a loop.
+        let mut b = FunctionBuilder::new("e", Some(Ty::Int));
+        let n = b.param(Ty::Int);
+        let i = b.param(Ty::Int);
+        let exit = b.new_block();
+        let one = b.loadi(Const::Int(1));
+        let t = b.bin(BinOp::Add, Ty::Int, i, one);
+        b.copy_to(i, t);
+        let c = b.bin(BinOp::CmpLt, Ty::Int, i, n);
+        b.branch(c, BlockId::ENTRY, exit);
+        b.switch_to(exit);
+        b.ret(Some(i));
+        let mut f = b.finish();
+        build_ssa(&mut f, SsaOptions { fold_copies: true });
+        verify_ssa(&f).unwrap();
+        assert_eq!(f.blocks.len(), 3);
+        let body = BlockId(2);
+        assert_eq!(f.blocks[0].term, epre_ir::Terminator::Jump { target: body });
+        assert!(f.blocks[0].insts.is_empty());
+        assert_eq!(f.block(body).phi_count(), 1, "{f}");
+        // A function without an edge into block 0 keeps its blocks.
+        let (mut g, _) = join_fixture();
+        let blocks = g.blocks.len();
+        build_ssa(&mut g, SsaOptions { fold_copies: true });
+        assert_eq!(g.blocks.len(), blocks);
     }
 }

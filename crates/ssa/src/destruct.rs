@@ -17,11 +17,9 @@
 //! blocks", §3.1), so this module is shared between the reassociation pass
 //! and the generic out-of-SSA epilogue used after SCCP, GVN, and DCE.
 
-use std::collections::HashMap;
-
 use epre_cfg::edit::split_critical_edges;
 use epre_cfg::Csr;
-use epre_ir::{Function, Inst, Reg};
+use epre_ir::{Function, Inst, MixMap, Reg};
 
 /// Replace all φ-nodes of `f` with copies; on return the function contains
 /// no φ-nodes and is executable by the interpreter.
@@ -68,7 +66,7 @@ fn sequentialize(copies: &[(Reg, Reg)], mut fresh: impl FnMut(Reg) -> Reg) -> Ve
     let mut pending: Vec<(Reg, Reg)> = copies.iter().copied().filter(|(d, s)| d != s).collect();
     let mut out = Vec::new();
     // Current location of each original source value.
-    let mut loc: HashMap<Reg, Reg> = HashMap::new();
+    let mut loc: MixMap<Reg, Reg> = MixMap::default();
     for &(_, s) in &pending {
         loc.insert(s, s);
     }
@@ -98,6 +96,7 @@ mod tests {
     use super::*;
     use crate::construct::{build_ssa, SsaOptions};
     use epre_ir::{BinOp, BlockId, Const, FunctionBuilder, Terminator, Ty};
+    use std::collections::HashMap;
 
     #[test]
     fn sequentialize_acyclic() {

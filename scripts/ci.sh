@@ -19,20 +19,23 @@ cargo build --release $CARGO_FLAGS
 echo "==> cargo test -q"
 cargo test -q $CARGO_FLAGS
 
-echo "==> release tests (golden outputs and oracle, register space, --jobs, wide modules, allocation shapes, warm resubmit)"
+echo "==> release tests (golden outputs and oracle, register space, --jobs, wide modules, peephole on long blocks, allocation shapes, hasher seeds, warm resubmit)"
 # The benchmark measures release builds, where debug assertions (bit-set
 # capacity checks among them) are off; the optimizer's output and the
 # oracle's verdicts must be the same there (also at --jobs 2/4/8 on the
 # fused suite module), and the oracle must stay linear in a module's
-# function count. The allocation shapes of the analysis rebuilds and of
-# the ILOC parser are what the release benchmark pays. A warm resubmit of
-# the fused suite must replay it byte-identically and at least 5x faster
-# than a cold submit, a timing gate that only release builds run. Reuses
-# the release artifacts built above.
+# function count, peephole in a block's length. The allocation shapes of
+# the analysis rebuilds, of PRE's later rounds and of the ILOC parser are
+# what the release benchmark pays. Two `epre opt` processes hash with two
+# seeds and must print the same bytes, serially and at --jobs 4. A warm
+# resubmit of the fused suite must replay it byte-identically and at
+# least 5x faster than a cold submit, a timing gate that only release
+# builds run. Reuses the release artifacts built above.
 # shellcheck disable=SC2086
 cargo test --release -q $CARGO_FLAGS --test golden_outputs --test golden_oracle \
-    --test oracle_wide_modules --test register_space --test parallel_equivalence \
-    --test alloc_budget --test serve_warm_resubmit
+    --test oracle_wide_modules --test peephole_linear --test register_space \
+    --test parallel_equivalence --test alloc_budget --test hasher_seed \
+    --test serve_warm_resubmit
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace $CARGO_FLAGS -- -D warnings

@@ -7,8 +7,9 @@
 //! `epre serve` request is parsed, and every warm hit re-parses its cached
 //! body. This test pins the shape, not a total: operand iteration and
 //! small bit sets allocate nothing, the rebuilt analyses make a fixed
-//! number of allocations whatever the size of the function, and parsing
-//! allocates what the parsed function owns, not a message per operand.
+//! number of allocations whatever the size of the function, PRE's rounds
+//! after the first reuse the first round's storage, and parsing allocates
+//! what the parsed function owns, not a message per operand.
 //!
 //! Allocations are counted per thread, so the harness's other test
 //! threads do not disturb a measurement.
@@ -23,6 +24,7 @@ use epre_ir::{
     parse_function, BinOp, BlockId, Const, Function, FunctionBuilder, Inst, Reg, Terminator, Ty,
     UnOp,
 };
+use epre_passes::{pre, Budget};
 
 struct Counting;
 
@@ -207,5 +209,54 @@ fn parsing_allocates_a_small_constant_per_block() {
     assert!(
         large - small <= 2 * 180,
         "parsing 20 vs 200 blocks made {small} vs {large} allocations"
+    );
+}
+
+/// A rotated loop whose body computes `links` chains of `depth`
+/// multiplications, each started by a `loadi`: PRE hoists one more link of
+/// every chain per round, so it runs `depth + 1` changing rounds and one
+/// closing round.
+fn hoisting_chains(links: usize, depth: usize) -> Function {
+    let mut b = FunctionBuilder::new("chains", Some(Ty::Int));
+    let x = b.param(Ty::Int);
+    let (body, exit) = (b.new_block(), b.new_block());
+    let acc = b.new_reg(Ty::Int);
+    let zero = b.loadi(Const::Int(0));
+    b.copy_to(acc, zero);
+    let enter = b.bin(BinOp::CmpGe, Ty::Int, acc, x);
+    b.branch(enter, exit, body);
+    b.switch_to(body);
+    for k in 0..links {
+        let mut link = b.loadi(Const::Int(k as i64 + 3));
+        for _ in 0..depth {
+            link = b.bin(BinOp::Mul, Ty::Int, link, x);
+        }
+        let t = b.bin(BinOp::Add, Ty::Int, acc, link);
+        b.copy_to(acc, t);
+    }
+    let again = b.bin(BinOp::CmpLt, Ty::Int, acc, x);
+    b.branch(again, body, exit);
+    b.switch_to(exit);
+    b.ret(Some(acc));
+    b.finish()
+}
+
+#[test]
+fn pre_rounds_after_the_first_allocate_a_small_constant() {
+    let f = hoisting_chains(4, 5);
+    let (mut once, mut all) = (f.clone(), f);
+    let (_, first) = allocations(|| pre::run_once(&mut once));
+    let (stats, total) = allocations(|| pre::run_budgeted_stats(&mut all, &Budget::UNLIMITED));
+    let stats = stats.expect("unlimited budget");
+    assert_eq!((stats.rounds, stats.exprs_hoisted), (6, 24), "{all}");
+    // Six changing rounds and the closing one: six after the first. Debug
+    // builds also run the verifier after every round, which allocates
+    // about seven times.
+    let per_round = (total - first) as f64 / 6.0;
+    let bound = if cfg!(debug_assertions) { 12.0 } else { 4.0 };
+    println!("PRE: first round {first} allocations, {per_round:.1} per later round");
+    assert!(
+        per_round <= bound,
+        "PRE's later rounds made {per_round:.1} allocations each ({total} in all, {first} in the first)"
     );
 }
