@@ -6,21 +6,16 @@
 //! and several times *within* passes like `sccp` and `clean`. The
 //! [`AnalysisCache`] removes that cost without giving up the filter
 //! structure: the pipeline owns one cache per function, passes request
-//! analyses through it, and invalidation is driven by what each pass
-//! *reports* ([`PreservedAnalyses`]) rather than by pessimistic
-//! recomputation.
+//! analyses through it, and each pass drops exactly the entries its edits
+//! make stale (`invalidate_*`, or [`AnalysisCache::retain`] with a
+//! [`PreservedAnalyses`] set) rather than recomputing pessimistically.
 //!
 //! The contract (enforced in debug builds by [`AnalysisCache::validate`]):
-//!
-//! * a pass that reports **no IR change** preserves every cached analysis;
-//! * a pass that reports a change preserves exactly the set named by its
-//!   `preserves()` declaration — everything else is dropped;
-//! * a cached entry, when present, is always equal to what a fresh
-//!   computation over the current function would produce.
-//!
-//! A pass that lies — mutating the CFG while claiming to preserve it —
-//! is caught by `validate` and surfaced as a verifier-kind pass fault by
-//! the pipeline.
+//! when a pass returns, a cached entry, when present, is always equal to
+//! what a fresh computation over the current function would produce. A
+//! pass that breaks it — mutating the CFG and leaving the cached one in
+//! place — is caught by `validate` and surfaced as a verifier-kind pass
+//! fault by the pipeline.
 
 use epre_cfg::{order, Cfg, Dominators};
 use epre_ir::{BlockId, Function};
@@ -51,7 +46,7 @@ impl PreservedAnalyses {
         PreservedAnalyses { cfg: false, universe: false, liveness: false }
     }
 
-    /// Everything survives — what a pass reporting "no change" implies.
+    /// Everything survives.
     pub fn all() -> Self {
         PreservedAnalyses { cfg: true, universe: true, liveness: true }
     }
@@ -266,8 +261,7 @@ impl AnalysisCache {
         self.liveness = None;
     }
 
-    /// Keep exactly the analyses in `preserved`, dropping the rest. This is
-    /// what the pipeline applies after a pass reports an IR change.
+    /// Keep exactly the analyses in `preserved`, dropping the rest.
     pub fn retain(&mut self, preserved: PreservedAnalyses) {
         if !preserved.preserves_cfg() {
             self.invalidate_cfg();
@@ -303,9 +297,9 @@ impl AnalysisCache {
     /// Check every cached entry against a fresh computation over `f`.
     ///
     /// This is the cache-soundness oracle the pipeline runs in debug
-    /// builds after each pass: a pass that mutated the IR while reporting
-    /// "unchanged", or that broke an analysis its `preserves()` declaration
-    /// claimed to keep, produces a mismatch here and is blamed by name.
+    /// builds after each pass: a pass that mutated the IR but left an
+    /// analysis it broke in the cache produces a mismatch here and is
+    /// blamed by name.
     ///
     /// # Errors
     /// A human-readable description of the first stale entry found.

@@ -17,7 +17,8 @@ use epre_frontend::NamingMode;
 use epre_interp::Interpreter;
 use epre_ir::Function;
 use epre_passes::passes::{Clean, Coalesce, ConstProp, Dce, Gvn, Lvn, Peephole, Pre, Reassociate};
-use epre_passes::{cse, Pass};
+use epre_passes::cse::{self, CseScope};
+use epre_passes::Pass;
 use epre_suite::all_routines;
 
 #[derive(Copy, Clone)]
@@ -40,11 +41,11 @@ fn optimize(f: &mut Function, v: Variant) {
     // otherwise swamp the signal.
     match v {
         Variant::DomCse => {
-            cse::run_dominator(f);
+            cse::run(f, CseScope::Dominators);
             Lvn.run(f);
         }
         Variant::AvailCse => {
-            cse::run_available(f);
+            cse::run(f, CseScope::Available);
             Lvn.run(f);
         }
         Variant::Pre => {

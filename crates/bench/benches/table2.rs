@@ -6,7 +6,8 @@
 //! Usage: `cargo bench -p epre-bench --bench table2`
 
 use epre_frontend::NamingMode;
-use epre_passes::reassoc::{reassociate, ReassocOptions};
+use epre_passes::passes::Reassociate;
+use epre_passes::Pass;
 use epre_suite::all_routines;
 
 fn main() {
@@ -20,9 +21,9 @@ fn main() {
         let mut before = 0usize;
         let mut after = 0usize;
         for f in &mut module.functions {
-            let stats = reassociate(f, ReassocOptions { distribute: true });
-            before += stats.ops_before;
-            after += stats.ops_after;
+            before += f.static_op_count();
+            Reassociate { distribute: true }.run(f);
+            after += f.static_op_count();
         }
         before_total += before;
         after_total += after;

@@ -15,8 +15,6 @@ use std::fmt;
 use epre_lint::Diagnostic;
 use epre_passes::BudgetExceeded;
 
-use crate::verify_each::PipelineViolation;
-
 /// What went wrong when a pass ran.
 #[derive(Debug, Clone)]
 pub enum FaultKind {
@@ -122,12 +120,6 @@ impl fmt::Display for PassFault {
 }
 
 impl std::error::Error for PassFault {}
-
-impl From<PipelineViolation> for PassFault {
-    fn from(v: PipelineViolation) -> Self {
-        PassFault::lint(v.pass, v.function, v.errors)
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -54,9 +54,9 @@ pub use epre_passes::{Budget, BudgetExceeded, BudgetKind};
 pub use fault::{FaultKind, PassFault};
 pub use request::RequestBudget;
 pub use shards::{catch_quiet, map_functions};
-pub use pipeline::{run_pass_budgeted, run_pass_cached, run_pass_checked, OptLevel, Optimizer};
-pub use stages::{run_staged, try_run_staged, Stage, StagedOutput};
+pub use pipeline::{run_pass_budgeted, run_pass_cached, OptLevel, Optimizer};
+pub use stages::{try_run_staged, Stage, StagedOutput};
 pub use stats::{measure, measure_module, Measurement};
 pub use timings::{ModuleTimings, PassTiming};
 pub use trace::{opcode_histogram, run_pass_traced};
-pub use verify_each::{run_passes_verified, PassBlame, PipelineViolation};
+pub use verify_each::{run_passes_verified, PassBlame};

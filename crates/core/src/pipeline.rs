@@ -214,31 +214,14 @@ impl Optimizer {
     }
 }
 
-/// Run one pass over `f`, verifying the result in debug builds.
-///
-/// This is the shared primitive under every pipeline mode: the plain
-/// pipeline panics on the returned fault, `verify_each` substitutes the
-/// lint suite, and the `epre-harness` sandbox adds `catch_unwind` and
-/// rollback around it. Returns the pass's change report.
-///
-/// # Errors
-/// A [`PassFault`] with [`FaultKind::Verify`](crate::fault::FaultKind) when
-/// the debug-build verifier rejects the pass's output.
-pub fn run_pass_checked(pass: &dyn Pass, f: &mut Function) -> Result<bool, PassFault> {
-    let mut cache = AnalysisCache::new();
-    run_pass_cached(pass, f, &mut cache)
-}
-
 /// Run one pass over `f` through a shared [`AnalysisCache`], verifying
-/// both the IR and the cache in debug builds.
+/// both the IR and the cache in debug builds: [`run_pass_budgeted`] with
+/// no budget.
 ///
-/// This is [`run_pass_checked`] with analysis memoization: the pass runs
-/// via [`Pass::run_cached`], which invalidates exactly the analyses the
-/// pass does not declare preserved. Debug builds then hold the pass to
-/// its word — [`AnalysisCache::validate`] recomputes every cached
-/// analysis from scratch and compares; a stale entry means the pass lied
-/// about [`Pass::preserves`] (or failed to report a change) and becomes a
-/// [`PassFault`] with kind `verify` naming that pass. Release builds skip
+/// The pass keeps the cache consistent with `f` itself. Debug builds hold
+/// it to that — [`AnalysisCache::validate`] recomputes every cached
+/// analysis from scratch and compares; a stale entry becomes a
+/// [`PassFault`] with kind `verify` naming the pass. Release builds skip
 /// both checks and keep only the memoization.
 ///
 /// # Errors
@@ -280,7 +263,7 @@ pub fn run_pass_budgeted(
 
 /// Judge the `outcome` of one budgeted run of `pass` over `f`: a budget
 /// trip becomes a [`PassFault`], and debug builds hold the result to the
-/// IR verifier and the cache to the pass's word. Shared by
+/// IR verifier and the cache to the one cache rule. Shared by
 /// [`run_pass_budgeted`] and the traced pipeline.
 pub(crate) fn check_pass(
     pass: &dyn Pass,
@@ -305,21 +288,49 @@ pub(crate) fn check_pass(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use epre_frontend::{compile, NamingMode};
     use epre_interp::{Interpreter, Value};
 
-    const FOO: &str = "function foo(y, z)\n\
-                       real y, z, s, x\n\
-                       integer i\n\
-                       begin\n\
-                       s = 0\n\
-                       x = y + z\n\
-                       do i = x, 100\n\
-                         s = i + s + x\n\
-                       enddo\n\
-                       return s\nend\n";
+    /// The paper's running example (Figure 2), shared by the crate's tests.
+    pub(crate) const FOO: &str = "function foo(y, z)\n\
+                                  real y, z, s, x\n\
+                                  integer i\n\
+                                  begin\n\
+                                  s = 0\n\
+                                  x = y + z\n\
+                                  do i = x, 100\n\
+                                    s = i + s + x\n\
+                                  enddo\n\
+                                  return s\nend\n";
+
+    /// Hold a module driver to fault containment: a module whose first
+    /// function jumps to a block it does not have (the CFG constructor
+    /// panics, index out of bounds, inside the first pass) must come back
+    /// as a typed `panic` fault blamed on pass `pipeline` and function
+    /// `corrupt`, at every `jobs`, while its healthy siblings are unaffected.
+    pub(crate) fn assert_contains_worker_panics<T>(
+        drive: impl Fn(&Module, usize) -> Result<T, PassFault>,
+    ) {
+        let module = compile(FOO, NamingMode::Disciplined).unwrap();
+        let mut bad = module.clone();
+        let mut f = Function::new("corrupt", None);
+        f.add_block(epre_ir::Block::new(epre_ir::Terminator::Jump {
+            target: epre_ir::BlockId(7),
+        }));
+        bad.functions.insert(0, f);
+        bad.functions.push(module.functions[0].clone());
+        bad.functions.last_mut().unwrap().name = "foo2".into();
+        for jobs in [1, 2, 4, 8] {
+            let Err(err) = drive(&bad, jobs) else {
+                panic!("jobs {jobs}: the corrupt function must fault")
+            };
+            assert_eq!(err.function, "corrupt", "jobs {jobs}");
+            assert_eq!(err.kind_label(), "panic", "jobs {jobs}");
+            assert_eq!(err.pass, "pipeline", "jobs {jobs}");
+        }
+    }
 
     fn counts(level: OptLevel) -> (Option<Value>, u64) {
         let m = compile(FOO, NamingMode::Disciplined).unwrap();
@@ -453,30 +464,14 @@ mod tests {
     /// unaffected and the blamed function is deterministic.
     #[test]
     fn parallel_driver_contains_worker_panics() {
-        let module = compile(FOO, NamingMode::Disciplined).unwrap();
-        let mut bad = module.clone();
-        // A jump to a block the function does not have makes the CFG
-        // constructor panic (index out of bounds) inside the first pass.
-        let mut f = Function::new("corrupt", None);
-        f.add_block(epre_ir::Block::new(epre_ir::Terminator::Jump {
-            target: epre_ir::BlockId(7),
-        }));
-        bad.functions.insert(0, f);
-        bad.functions.push(module.functions[0].clone());
-        bad.functions.last_mut().unwrap().name = "foo2".into();
-        for jobs in [1, 2, 4, 8] {
-            let err = Optimizer::new(OptLevel::Partial)
-                .try_optimize_jobs(&bad, jobs)
-                .expect_err("the corrupt function must fault");
-            assert_eq!(err.function, "corrupt", "jobs {jobs}");
-            assert_eq!(err.kind_label(), "panic", "jobs {jobs}");
-            assert_eq!(err.pass, "pipeline", "jobs {jobs}");
-        }
+        let opt = Optimizer::new(OptLevel::Partial);
+        assert_contains_worker_panics(|m, jobs| opt.try_optimize_jobs(m, jobs));
     }
 
-    /// Cache soundness: a pass that rewires the CFG while claiming (via a
-    /// `false` change report) that every analysis is still valid must be
-    /// caught by the debug-build cache validation and blamed by name.
+    /// Cache soundness: a pass that rewires the CFG but leaves the cache
+    /// untouched must be caught by the debug-build cache validation and
+    /// blamed by name. Reporting the change does not excuse it: the flag
+    /// is a report, not an invalidation signal.
     #[cfg(debug_assertions)]
     #[test]
     fn lying_pass_is_caught_by_cache_validation() {
@@ -487,12 +482,17 @@ mod tests {
             fn name(&self) -> &'static str {
                 "liar"
             }
-            fn run(&self, f: &mut Function) -> bool {
+            fn run_budgeted(
+                &self,
+                f: &mut Function,
+                _cache: &mut AnalysisCache,
+                _budget: &Budget,
+            ) -> Result<bool, BudgetExceeded> {
                 // Rewire the entry to return directly: the IR still
                 // verifies (the old successor is merely unreachable), but
                 // any cached CFG is now stale.
                 f.blocks[0].term = Terminator::Return { value: None };
-                false // the lie: "nothing changed, keep every analysis"
+                Ok(true)
             }
         }
 
@@ -504,7 +504,7 @@ mod tests {
         let mut f = b.finish();
 
         let mut cache = AnalysisCache::new();
-        cache.cfg(&f); // warm the entry the lie will invalidate
+        cache.cfg(&f); // warm the entry the rewrite makes stale
         let err = run_pass_cached(&Liar, &mut f, &mut cache)
             .expect_err("stale cache must be detected");
         assert_eq!(err.pass, "liar");
@@ -512,8 +512,8 @@ mod tests {
         assert!(format!("{err}").contains("stale analysis cache"), "{err}");
     }
 
-    /// The honest version of the same rewrite reports its change, the
-    /// cache drops the stale entries, and the pipeline continues.
+    /// The honest version of the same rewrite drops the analyses it
+    /// breaks, the cache validates, and the pipeline continues.
     #[test]
     fn honest_change_report_keeps_the_cache_consistent() {
         use epre_ir::Terminator;
@@ -523,9 +523,15 @@ mod tests {
             fn name(&self) -> &'static str {
                 "honest"
             }
-            fn run(&self, f: &mut Function) -> bool {
+            fn run_budgeted(
+                &self,
+                f: &mut Function,
+                cache: &mut AnalysisCache,
+                _budget: &Budget,
+            ) -> Result<bool, BudgetExceeded> {
                 f.blocks[0].term = Terminator::Return { value: None };
-                true
+                cache.invalidate_cfg();
+                Ok(true)
             }
         }
 
@@ -541,6 +547,6 @@ mod tests {
         let changed = run_pass_cached(&Honest, &mut f, &mut cache)
             .expect("an honest pass passes validation");
         assert!(changed);
-        assert!(!cache.has_cfg(), "the change report must drop the cached CFG");
+        assert!(!cache.has_cfg(), "the pass must drop the cached CFG");
     }
 }

@@ -1,12 +1,12 @@
 //! Staged execution of the pipeline, for reproducing the paper's running
 //! example (Figures 2–10): the IR snapshot after every transformation.
 
+use epre_analysis::AnalysisCache;
 use epre_ir::Function;
-use epre_passes::passes::{Clean, Coalesce, ConstProp, Dce, Gvn, Peephole, Pre, Reassociate};
-use epre_passes::Pass;
 use epre_ssa::{build_ssa, SsaOptions};
 
 use crate::fault::PassFault;
+use crate::pipeline::{run_pass_cached, OptLevel, Optimizer};
 
 /// A stage of the paper's walkthrough, matching its figure numbers.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -38,7 +38,7 @@ impl Stage {
     ];
 }
 
-/// The snapshots produced by [`run_staged`].
+/// The snapshots produced by [`try_run_staged`].
 #[derive(Debug, Clone)]
 pub struct StagedOutput {
     /// `(stage, description, snapshot)` triples in pipeline order.
@@ -52,95 +52,66 @@ impl StagedOutput {
     }
 }
 
-/// Debug-build verification between stages, naming the stage and the
-/// function through the typed [`PassFault`] route so a broken snapshot is
-/// attributable at a glance.
-fn debug_verify_stage(f: &Function, stage: Stage) -> Result<(), PassFault> {
-    if cfg!(debug_assertions) {
-        if let Err(e) = f.verify() {
-            return Err(PassFault::verify(format!("stage {stage:?}"), &f.name, e.to_string()));
-        }
-    }
-    Ok(())
-}
-
-/// Run the `distribution`-level pipeline over `f`, capturing the IR after
-/// each of the paper's walkthrough stages and reporting a typed fault
-/// instead of panicking.
+/// Run the `distribution`-level pipeline (`reassociation` when
+/// `distribute` is off) over `f`, capturing the IR after each of the
+/// paper's walkthrough stages and reporting a typed fault instead of
+/// panicking.
+///
+/// The passes are the level's [`Optimizer::passes`], run through one
+/// cache exactly as the pipeline runs them, so the final snapshot is the
+/// level's output.
 ///
 /// # Errors
-/// The [`PassFault`] of the first stage whose snapshot fails debug-build
-/// verification.
+/// The [`PassFault`] of the first pass whose output fails debug-build
+/// verification, or a stage-named fault when the pruned-SSA view does.
 pub fn try_run_staged(f: &Function, distribute: bool) -> Result<StagedOutput, PassFault> {
     let mut snapshots = Vec::new();
-    let mut cur = f.clone();
-    snapshots.push((Stage::Intermediate, Stage::ALL[0].1, cur.clone()));
+    // The stages are taken in the order `Stage::ALL` lists them.
+    let mut stages = Stage::ALL.into_iter();
+    let mut snapshot = |g: &Function| {
+        let (stage, what) = stages.next().expect("one snapshot per stage");
+        snapshots.push((stage, what, g.clone()));
+    };
+    snapshot(f);
 
     // Figure 4 is a *view*: the pipeline's reassociation pass builds SSA
     // internally, so reproduce the snapshot on a scratch copy.
-    let mut ssa_view = cur.clone();
+    let mut ssa_view = f.clone();
     build_ssa(&mut ssa_view, SsaOptions { fold_copies: true });
-    debug_verify_stage(&ssa_view, Stage::PrunedSsa)?;
-    snapshots.push((Stage::PrunedSsa, Stage::ALL[1].1, ssa_view));
+    if cfg!(debug_assertions) {
+        if let Err(e) = ssa_view.verify() {
+            let stage = format!("stage {:?}", Stage::PrunedSsa);
+            return Err(PassFault::verify(stage, &f.name, e.to_string()));
+        }
+    }
+    snapshot(&ssa_view);
 
-    Reassociate { distribute }.run(&mut cur);
-    debug_verify_stage(&cur, Stage::Reassociated)?;
-    snapshots.push((Stage::Reassociated, Stage::ALL[2].1, cur.clone()));
-
-    Gvn.run(&mut cur);
-    debug_verify_stage(&cur, Stage::ValueNumbered)?;
-    snapshots.push((Stage::ValueNumbered, Stage::ALL[3].1, cur.clone()));
-
-    Pre.run(&mut cur);
-    debug_verify_stage(&cur, Stage::AfterPre)?;
-    snapshots.push((Stage::AfterPre, Stage::ALL[4].1, cur.clone()));
-
-    ConstProp.run(&mut cur);
-    Peephole.run(&mut cur);
-    Dce.run(&mut cur);
-    Coalesce.run(&mut cur);
-    Clean.run(&mut cur);
-    debug_verify_stage(&cur, Stage::Final)?;
-    snapshots.push((Stage::Final, Stage::ALL[5].1, cur));
+    let level = if distribute { OptLevel::Distribution } else { OptLevel::Reassociation };
+    let mut cur = f.clone();
+    let mut cache = AnalysisCache::new();
+    for pass in Optimizer::new(level).passes() {
+        run_pass_cached(pass.as_ref(), &mut cur, &mut cache)?;
+        // Figures 5-9 close with reassociation, GVN and PRE.
+        if pass.name().starts_with("reassociate") || matches!(pass.name(), "gvn" | "pre") {
+            snapshot(&cur);
+        }
+    }
+    snapshot(&cur);
 
     Ok(StagedOutput { snapshots })
-}
-
-/// Run the `distribution`-level pipeline over `f`, capturing the IR after
-/// each of the paper's walkthrough stages.
-///
-/// # Panics
-/// Panics with the [`PassFault`] rendering when a stage snapshot fails
-/// debug-build verification; see [`try_run_staged`] for the non-panicking
-/// route.
-pub fn run_staged(f: &Function, distribute: bool) -> StagedOutput {
-    match try_run_staged(f, distribute) {
-        Ok(out) => out,
-        Err(fault) => panic!("{fault}"),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::FOO;
     use epre_frontend::{compile, NamingMode};
     use epre_interp::{Interpreter, Value};
-
-    const FOO: &str = "function foo(y, z)\n\
-                       real y, z, s, x\n\
-                       integer i\n\
-                       begin\n\
-                       s = 0\n\
-                       x = y + z\n\
-                       do i = x, 100\n\
-                         s = i + s + x\n\
-                       enddo\n\
-                       return s\nend\n";
 
     #[test]
     fn all_stages_recorded_and_verified() {
         let m = compile(FOO, NamingMode::Simple).unwrap();
-        let staged = run_staged(m.function("foo").unwrap(), true);
+        let staged = try_run_staged(m.function("foo").unwrap(), true).expect("stages verify");
         assert_eq!(staged.snapshots.len(), 6);
         for (stage, _, f) in &staged.snapshots {
             assert!(f.verify().is_ok(), "stage {stage:?} fails verification");
@@ -153,7 +124,7 @@ mod tests {
     #[test]
     fn final_stage_runs_and_beats_input() {
         let m = compile(FOO, NamingMode::Simple).unwrap();
-        let staged = run_staged(m.function("foo").unwrap(), true);
+        let staged = try_run_staged(m.function("foo").unwrap(), true).expect("stages verify");
         let mut m0 = epre_ir::Module::new();
         m0.functions.push(staged.stage(Stage::Intermediate).clone());
         let mut m1 = epre_ir::Module::new();
@@ -179,7 +150,7 @@ mod tests {
         // Check the spirit: dynamic counts improve for several trip counts
         // including the zero-trip path.
         let m = compile(FOO, NamingMode::Simple).unwrap();
-        let staged = run_staged(m.function("foo").unwrap(), true);
+        let staged = try_run_staged(m.function("foo").unwrap(), true).expect("stages verify");
         for (y, z) in [(200.0, 200.0), (1.0, 2.0), (50.0, 0.0)] {
             let mut m0 = epre_ir::Module::new();
             m0.functions.push(staged.stage(Stage::Intermediate).clone());

@@ -10,8 +10,8 @@
 //! speedups are measured end-to-end by `perfbench/` instead.
 //!
 //! Since the telemetry layer landed, this module is an *aggregation view*
-//! over the traced pipeline ([`Optimizer::try_optimize_traced`] with wall
-//! clocks enabled): the spans already carry measured nanoseconds, change
+//! over the serial traced pipeline ([`Optimizer::try_optimize_traced`] at
+//! `jobs = 1`): the spans already carry measured nanoseconds, change
 //! reports, and cache totals, and this module folds them into the same
 //! [`ModuleTimings`] report the `--timings` flag has always printed.
 
@@ -113,9 +113,9 @@ impl Optimizer {
             .collect();
         let mut cache_totals = CacheStats::default();
         let start = Instant::now();
-        // Serial traced run with wall clocks on: the spans carry the
-        // per-pass nanoseconds and change reports this view aggregates.
-        let (out, trace) = self.try_optimize_traced(module, 1, true)?;
+        // Serial traced run: the spans carry the per-pass nanoseconds and
+        // change reports this view aggregates.
+        let (out, trace) = self.try_optimize_traced(module, 1)?;
         let total = start.elapsed();
         for e in &trace.events {
             match e.kind.as_str() {
@@ -171,19 +171,9 @@ impl Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::FOO;
     use crate::pipeline::OptLevel;
     use epre_frontend::{compile, NamingMode};
-
-    const FOO: &str = "function foo(y, z)\n\
-                       real y, z, s, x\n\
-                       integer i\n\
-                       begin\n\
-                       s = 0\n\
-                       x = y + z\n\
-                       do i = x, 100\n\
-                         s = i + s + x\n\
-                       enddo\n\
-                       return s\nend\n";
 
     #[test]
     fn timed_run_matches_plain_and_reports_every_pass() {

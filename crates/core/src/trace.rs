@@ -20,8 +20,8 @@
 //! rather than the clock, lanes are keyed by module position rather than
 //! worker thread, and the merge concatenates lanes in module order — so
 //! the exported trace is byte-identical at `--jobs 1/2/8`. Wall-clock
-//! time is recorded on the events only when `wall` is requested (the
-//! `--timings` path) and is never exported.
+//! time is recorded on every span for the `--timings` aggregation and is
+//! never exported.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -65,9 +65,9 @@ pub fn opcode_histogram(f: &Function) -> BTreeMap<String, u64> {
 }
 
 /// Run one pass over `f` with tracing: [`crate::run_pass_budgeted`] plus
-/// a `span` and a `provenance` event recorded into `trace`. When `wall`
-/// is set the span also carries measured wall-clock nanoseconds (never
-/// exported; the `--timings` aggregation reads them back).
+/// a `span` and a `provenance` event recorded into `trace`. The span also
+/// carries measured wall-clock nanoseconds (never exported; the
+/// `--timings` aggregation reads them back).
 ///
 /// # Errors
 /// A [`PassFault`] with kind `budget` or `verify`, exactly as
@@ -78,14 +78,13 @@ pub fn run_pass_traced(
     cache: &mut AnalysisCache,
     budget: &Budget,
     trace: &mut FunctionTrace,
-    wall: bool,
 ) -> Result<bool, PassFault> {
     let before = opcode_histogram(f);
     let ops_before = f.static_op_count() as u64;
     let mut counters = PassCounters::new();
-    let t0 = wall.then(Instant::now);
+    let t0 = Instant::now();
     let outcome = pass.run_instrumented(f, cache, budget, &mut counters);
-    let wall_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+    let wall_ns = t0.elapsed().as_nanos() as u64;
     let changed = check_pass(pass, f, cache, outcome)?;
     let after = opcode_histogram(f);
     let ops_after = f.static_op_count() as u64;
@@ -126,12 +125,11 @@ fn optimize_function_traced(
     passes: &[Box<dyn Pass>],
     f: &mut Function,
     lane: u32,
-    wall: bool,
 ) -> Result<FunctionTrace, PassFault> {
     let mut trace = FunctionTrace::new(&f.name, lane);
     let mut cache = AnalysisCache::new();
     for pass in passes {
-        run_pass_traced(pass.as_ref(), f, &mut cache, &opt.budget(), &mut trace, wall)?;
+        run_pass_traced(pass.as_ref(), f, &mut cache, &opt.budget(), &mut trace)?;
     }
     let stats = cache.stats();
     trace.instant(
@@ -154,9 +152,6 @@ impl Optimizer {
     /// across `jobs` values: lanes are keyed by module position and
     /// merged in module order, and all exported numbers are virtual.
     /// Panics are contained exactly as in [`Optimizer::try_optimize_jobs`].
-    /// `wall` forces the serial path (per-pass wall-clock attribution
-    /// across workers would perturb what it measures) and records real
-    /// nanoseconds on the events for the `--timings` aggregation.
     ///
     /// # Errors
     /// The first [`PassFault`] in module function order.
@@ -164,16 +159,14 @@ impl Optimizer {
         &self,
         module: &Module,
         jobs: usize,
-        wall: bool,
     ) -> Result<(Module, Trace), PassFault> {
-        let jobs = if wall { 1 } else { jobs };
         let traced = map_functions(
             module,
             jobs,
             || self.passes(),
             |passes, i, src| {
                 let mut f = src.clone();
-                optimize_function_traced(self, passes, &mut f, i as u32, wall)
+                optimize_function_traced(self, passes, &mut f, i as u32)
                     .map(|trace| (f, trace))
             },
         )?;
@@ -185,20 +178,10 @@ impl Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::{assert_contains_worker_panics, FOO};
     use crate::pipeline::OptLevel;
     use epre_frontend::{compile, NamingMode};
     use epre_telemetry::ledgers_from_trace;
-
-    const FOO: &str = "function foo(y, z)\n\
-                       real y, z, s, x\n\
-                       integer i\n\
-                       begin\n\
-                       s = 0\n\
-                       x = y + z\n\
-                       do i = x, 100\n\
-                         s = i + s + x\n\
-                       enddo\n\
-                       return s\nend\n";
 
     #[test]
     fn histogram_totals_match_static_op_count() {
@@ -216,7 +199,7 @@ mod tests {
         for level in OptLevel::PAPER_LEVELS {
             let opt = Optimizer::new(level);
             let plain = opt.optimize(&m);
-            let (traced, trace) = opt.try_optimize_traced(&m, 1, false).unwrap();
+            let (traced, trace) = opt.try_optimize_traced(&m, 1).unwrap();
             assert_eq!(format!("{plain}"), format!("{traced}"), "{level:?}");
             assert!(!trace.events.is_empty());
             // One span + one provenance per pass, one cache event.
@@ -232,7 +215,7 @@ mod tests {
     fn span_counters_report_pass_work() {
         let m = compile(FOO, NamingMode::Disciplined).unwrap();
         let (_, trace) =
-            Optimizer::new(OptLevel::Distribution).try_optimize_traced(&m, 1, false).unwrap();
+            Optimizer::new(OptLevel::Distribution).try_optimize_traced(&m, 1).unwrap();
         let pre_span = trace
             .events
             .iter()
@@ -256,7 +239,7 @@ mod tests {
     fn ledgers_from_traced_run_conserve() {
         let m = compile(FOO, NamingMode::Disciplined).unwrap();
         let (out, trace) =
-            Optimizer::new(OptLevel::Distribution).try_optimize_traced(&m, 1, false).unwrap();
+            Optimizer::new(OptLevel::Distribution).try_optimize_traced(&m, 1).unwrap();
         let ledgers = ledgers_from_trace(&trace);
         assert_eq!(ledgers.len(), m.functions.len());
         for (ledger, (fin, fout)) in
@@ -273,23 +256,8 @@ mod tests {
     /// does: the same typed fault at every `jobs`, inline included.
     #[test]
     fn traced_driver_contains_worker_panics() {
-        let module = compile(FOO, NamingMode::Disciplined).unwrap();
-        let mut bad = module.clone();
-        // A jump to a block the function does not have makes the CFG
-        // constructor panic (index out of bounds) inside the first pass.
-        let mut f = Function::new("corrupt", None);
-        f.add_block(epre_ir::Block::new(Terminator::Jump { target: epre_ir::BlockId(7) }));
-        bad.functions.insert(0, f);
-        bad.functions.push(module.functions[0].clone());
-        bad.functions.last_mut().unwrap().name = "foo2".into();
-        for jobs in [1, 2, 4, 8] {
-            let err = Optimizer::new(OptLevel::Partial)
-                .try_optimize_traced(&bad, jobs, false)
-                .expect_err("the corrupt function must fault");
-            assert_eq!(err.function, "corrupt", "jobs {jobs}");
-            assert_eq!(err.kind_label(), "panic", "jobs {jobs}");
-            assert_eq!(err.pass, "pipeline", "jobs {jobs}");
-        }
+        let opt = Optimizer::new(OptLevel::Partial);
+        assert_contains_worker_panics(|m, jobs| opt.try_optimize_traced(m, jobs));
     }
 
     #[test]
@@ -302,9 +270,9 @@ mod tests {
             module.functions.push(f);
         }
         let opt = Optimizer::new(OptLevel::Distribution);
-        let (serial_m, serial_t) = opt.try_optimize_traced(&module, 1, false).unwrap();
+        let (serial_m, serial_t) = opt.try_optimize_traced(&module, 1).unwrap();
         for jobs in [2, 4, 8] {
-            let (m, t) = opt.try_optimize_traced(&module, jobs, false).unwrap();
+            let (m, t) = opt.try_optimize_traced(&module, jobs).unwrap();
             assert_eq!(format!("{serial_m}"), format!("{m}"), "jobs {jobs}");
             assert_eq!(serial_t.to_jsonl(), t.to_jsonl(), "jobs {jobs}");
             assert_eq!(serial_t.to_chrome(), t.to_chrome(), "jobs {jobs}");

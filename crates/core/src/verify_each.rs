@@ -7,19 +7,20 @@
 //! the pipeline starts (pre-existing findings belong to the *input*, not
 //! to any pass), re-lint after each pass, and diff the reports by
 //! diagnostic fingerprint. A pass that introduces a new **error**-severity
-//! finding aborts the pipeline with a [`PipelineViolation`] naming the
-//! pass, the function, and exactly the violations it introduced; new
+//! finding aborts the pipeline with a [`PassFault`] of kind `lint` naming
+//! the pass, the function, and exactly the violations it introduced; new
 //! warnings are collected per pass as [`PassBlame`] entries for quality
 //! tracking.
 
 use std::collections::HashSet;
-use std::fmt;
 
 use epre_ir::{Function, Module};
 use epre_lint::{lint_function, Diagnostic, LintOptions, Severity};
 use epre_passes::Pass;
 
+use crate::fault::PassFault;
 use crate::pipeline::Optimizer;
+use crate::shards::map_functions;
 
 /// New findings (any severity) first observed right after one pass ran.
 #[derive(Debug, Clone)]
@@ -30,49 +31,19 @@ pub struct PassBlame {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// A pass introduced error-severity lint findings: the IR invariants were
-/// broken by that specific pass.
-#[derive(Debug, Clone)]
-pub struct PipelineViolation {
-    /// The function being optimized.
-    pub function: String,
-    /// The pass being blamed.
-    pub pass: &'static str,
-    /// The new error-severity findings that pass introduced.
-    pub errors: Vec<Diagnostic>,
-}
-
-impl fmt::Display for PipelineViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "pass `{}` broke function `{}`: {} new violation(s)",
-            self.pass,
-            self.function,
-            self.errors.len()
-        )?;
-        for d in &self.errors {
-            writeln!(f, "  {d}")?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for PipelineViolation {}
-
 /// Run `passes` over `f` in order, linting after every pass.
 ///
 /// Returns the per-pass blame log of new non-error findings on success.
 ///
 /// # Errors
-/// Returns a [`PipelineViolation`] naming the offending pass as soon as a
+/// A [`PassFault`] of kind `lint` naming the offending pass as soon as a
 /// pass introduces an error-severity finding; `f` is left in the broken
 /// state that pass produced, for inspection.
 pub fn run_passes_verified(
     f: &mut Function,
     passes: &[Box<dyn Pass>],
     opts: &LintOptions,
-) -> Result<Vec<PassBlame>, PipelineViolation> {
+) -> Result<Vec<PassBlame>, PassFault> {
     let mut seen: HashSet<String> =
         lint_function(f, opts).diagnostics.iter().map(Diagnostic::fingerprint).collect();
     let mut blames = Vec::new();
@@ -88,7 +59,7 @@ pub fn run_passes_verified(
         let errors: Vec<Diagnostic> =
             new.iter().filter(|d| d.severity() == Severity::Error).cloned().collect();
         if !errors.is_empty() {
-            return Err(PipelineViolation { function: f.name.clone(), pass: pass.name(), errors });
+            return Err(PassFault::lint(pass.name(), &f.name, errors));
         }
         if !new.is_empty() {
             blames.push(PassBlame { pass: pass.name(), diagnostics: new });
@@ -104,46 +75,48 @@ impl Optimizer {
     /// carry critical edges, dead code, and remaining redundancy).
     ///
     /// # Errors
-    /// Returns a [`PipelineViolation`] blaming the first pass that
+    /// A [`PassFault`] of kind `lint` blaming the first pass that
     /// introduces an invariant violation.
     pub fn optimize_function_verified(
         &self,
         f: &mut Function,
-    ) -> Result<Vec<PassBlame>, PipelineViolation> {
+    ) -> Result<Vec<PassBlame>, PassFault> {
         run_passes_verified(f, &self.passes(), &LintOptions::invariants_only())
     }
 
-    /// [`Optimizer::optimize`] in `verify_each` mode.
+    /// [`Optimizer::try_optimize_jobs`] in `verify_each` mode: one
+    /// [`map_functions`] call, so the output and the reported fault are the
+    /// same at every `jobs`, and a pass panic is contained as a
+    /// [`PassFault`] with kind `panic` (pass `pipeline`).
     ///
     /// # Errors
-    /// Returns the first [`PipelineViolation`] found in any function.
-    pub fn optimize_verified(&self, module: &Module) -> Result<Module, PipelineViolation> {
-        let mut out = module.clone();
-        for f in &mut out.functions {
-            self.optimize_function_verified(f)?;
-        }
-        Ok(out)
+    /// The first [`PassFault`] in module function order.
+    pub fn optimize_verified(&self, module: &Module, jobs: usize) -> Result<Module, PassFault> {
+        let lint = LintOptions::invariants_only();
+        let functions = map_functions(
+            module,
+            jobs,
+            || self.passes(),
+            |passes, _, src| {
+                let mut f = src.clone();
+                run_passes_verified(&mut f, passes, &lint).map(|_| f)
+            },
+        )?;
+        Ok(Module { functions, data_words: module.data_words })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
+    use crate::pipeline::tests::{assert_contains_worker_panics, FOO};
     use crate::pipeline::OptLevel;
+    use epre_analysis::AnalysisCache;
     use epre_frontend::{compile, NamingMode};
     use epre_ir::{Inst, Ty};
     use epre_passes::passes::{ConstProp, Dce};
-
-    const FOO: &str = "function foo(y, z)\n\
-                       real y, z, s, x\n\
-                       integer i\n\
-                       begin\n\
-                       s = 0\n\
-                       x = y + z\n\
-                       do i = x, 100\n\
-                         s = i + s + x\n\
-                       enddo\n\
-                       return s\nend\n";
+    use epre_passes::{Budget, BudgetExceeded};
 
     #[test]
     fn every_level_is_invariant_clean_on_example() {
@@ -152,7 +125,7 @@ mod tests {
         {
             let m = compile(FOO, NamingMode::Disciplined).unwrap();
             let opt = Optimizer::new(level);
-            let verified = opt.optimize_verified(&m).expect("no pass breaks invariants");
+            let verified = opt.optimize_verified(&m, 1).expect("no pass breaks invariants");
             // verify_each must not change what the pipeline produces.
             let plain = opt.optimize(&m);
             assert_eq!(format!("{verified}"), format!("{plain}"));
@@ -166,11 +139,17 @@ mod tests {
         fn name(&self) -> &'static str {
             "use-ghost"
         }
-        fn run(&self, f: &mut Function) -> bool {
+        fn run_budgeted(
+            &self,
+            f: &mut Function,
+            cache: &mut AnalysisCache,
+            _budget: &Budget,
+        ) -> Result<bool, BudgetExceeded> {
             let dst = f.new_reg(Ty::Int);
             let ghost = f.new_reg(Ty::Int);
             f.blocks[0].insts.push(Inst::Copy { dst, src: ghost });
-            true
+            cache.invalidate_all();
+            Ok(true)
         }
     }
 
@@ -184,8 +163,8 @@ mod tests {
             .expect_err("the broken pass must be caught");
         assert_eq!(e.pass, "use-ghost", "blame names the culprit: {e}");
         assert_eq!(e.function, "foo");
-        assert!(!e.errors.is_empty());
-        assert_eq!(e.errors[0].rule.code(), "L020", "{e}");
+        let FaultKind::Lint(errors) = &e.kind else { panic!("a lint fault: {e}") };
+        assert_eq!(errors[0].rule.code(), "L020", "{e}");
     }
 
     /// A pass that does nothing; pre-existing input findings must not be
@@ -195,9 +174,22 @@ mod tests {
         fn name(&self) -> &'static str {
             "nop"
         }
-        fn run(&self, _f: &mut Function) -> bool {
-            false
+        fn run_budgeted(
+            &self,
+            _f: &mut Function,
+            _cache: &mut AnalysisCache,
+            _budget: &Budget,
+        ) -> Result<bool, BudgetExceeded> {
+            Ok(false)
         }
+    }
+
+    /// A pass panic under `verify_each` is contained as a typed fault at
+    /// every `jobs`, exactly as in the plain driver.
+    #[test]
+    fn verified_driver_contains_worker_panics() {
+        let opt = Optimizer::new(OptLevel::Partial);
+        assert_contains_worker_panics(|m, jobs| opt.optimize_verified(m, jobs));
     }
 
     #[test]

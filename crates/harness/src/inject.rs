@@ -277,13 +277,6 @@ impl Pass for NonTerminatingPass {
         "nonterminating"
     }
 
-    fn run(&self, _f: &mut Function) -> bool {
-        for spin in 0..NONTERMINATING_SELF_CAP {
-            std::hint::black_box(spin);
-        }
-        false
-    }
-
     fn run_budgeted(
         &self,
         f: &mut Function,
@@ -291,7 +284,10 @@ impl Pass for NonTerminatingPass {
         budget: &Budget,
     ) -> Result<bool, BudgetExceeded> {
         if budget.max_iters.is_none() && budget.deadline.is_none() {
-            return Ok(self.run(f));
+            for spin in 0..NONTERMINATING_SELF_CAP {
+                std::hint::black_box(spin);
+            }
+            return Ok(false);
         }
         let mut meter = budget.start(f);
         loop {
@@ -327,27 +323,22 @@ impl Pass for QuadraticGrowthPass {
         "quadratic-growth"
     }
 
-    fn run(&self, f: &mut Function) -> bool {
-        if f.blocks.is_empty() {
-            return false;
-        }
-        while f.static_op_count() < GROWTH_SELF_CAP_OPS {
-            Self::grow_round(f);
-        }
-        true
-    }
-
     fn run_budgeted(
         &self,
         f: &mut Function,
-        _cache: &mut AnalysisCache,
+        cache: &mut AnalysisCache,
         budget: &Budget,
     ) -> Result<bool, BudgetExceeded> {
         if f.blocks.is_empty() {
             return Ok(false);
         }
+        // Every round adds instructions: nothing cached survives.
+        cache.invalidate_all();
         if !budget.is_limited() {
-            return Ok(self.run(f));
+            while f.static_op_count() < GROWTH_SELF_CAP_OPS {
+                Self::grow_round(f);
+            }
+            return Ok(true);
         }
         let mut meter = budget.start(f);
         loop {

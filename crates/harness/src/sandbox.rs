@@ -280,7 +280,12 @@ mod tests {
         fn name(&self) -> &'static str {
             "bomb"
         }
-        fn run(&self, _f: &mut Function) -> bool {
+        fn run_budgeted(
+            &self,
+            _f: &mut Function,
+            _cache: &mut AnalysisCache,
+            _budget: &Budget,
+        ) -> Result<bool, BudgetExceeded> {
             panic!("deliberate detonation");
         }
     }
@@ -291,11 +296,17 @@ mod tests {
         fn name(&self) -> &'static str {
             "use-ghost"
         }
-        fn run(&self, f: &mut Function) -> bool {
+        fn run_budgeted(
+            &self,
+            f: &mut Function,
+            cache: &mut AnalysisCache,
+            _budget: &Budget,
+        ) -> Result<bool, BudgetExceeded> {
             let dst = f.new_reg(Ty::Int);
             let ghost = f.new_reg(Ty::Int);
             f.blocks[0].insts.push(Inst::Copy { dst, src: ghost });
-            true
+            cache.invalidate_all();
+            Ok(true)
         }
     }
 
@@ -306,9 +317,6 @@ mod tests {
     impl Pass for Spinner {
         fn name(&self) -> &'static str {
             "spinner"
-        }
-        fn run(&self, _f: &mut Function) -> bool {
-            false
         }
         fn run_budgeted(
             &self,
@@ -457,8 +465,13 @@ mod tests {
             fn name(&self) -> &'static str {
                 "nop"
             }
-            fn run(&self, _f: &mut Function) -> bool {
-                false
+            fn run_budgeted(
+                &self,
+                _f: &mut Function,
+                _cache: &mut AnalysisCache,
+                _budget: &Budget,
+            ) -> Result<bool, BudgetExceeded> {
+                Ok(false)
             }
         }
         let passes: Vec<Box<dyn Pass>> = vec![Box::new(Nop)];

@@ -27,63 +27,35 @@ pub struct CleanStats {
     pub blocks_removed: u64,
 }
 
-/// Run the clean pass to a fixed point. Returns true if anything changed.
-pub fn run(f: &mut Function) -> bool {
-    run_with_cache(f, &mut AnalysisCache::new())
-}
+impl CleanStats {
+    /// Did the invocation change the function at all?
+    pub fn changed(&self) -> bool {
+        self.rounds > 0
+    }
 
-/// [`run`] against a caller-owned [`AnalysisCache`]. One cache serves the
-/// whole fixed point: a quiescing round (the common case — the last round,
-/// and for already-clean functions the only one) builds the CFG once and
-/// the sub-passes that follow reuse it — and leave it for the pipeline.
-/// Each structural edit invalidates precisely what it breaks, so the
-/// cache is consistent on return.
-pub fn run_with_cache(f: &mut Function, cache: &mut AnalysisCache) -> bool {
-    match run_budgeted(f, cache, &Budget::UNLIMITED) {
-        Ok(any) => any,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
+    /// Fold the stats into a trace span's counters.
+    pub fn report(&self, counters: &mut PassCounters) {
+        counters.add("rounds", self.rounds);
+        counters.add("blocks_removed", self.blocks_removed);
     }
 }
 
-/// [`run_with_cache`] under a resource [`Budget`]: one cooperative
-/// checkpoint per tidying round (each round applies all four
+/// Run the clean pass to a fixed point against the pipeline's
+/// [`AnalysisCache`], under a resource [`Budget`].
+///
+/// One cache serves the whole fixed point: a quiescing round (the common
+/// case — the last round, and for already-clean functions the only one)
+/// builds the CFG once and the sub-passes that follow reuse it — and
+/// leave it for the pipeline. Each structural edit invalidates precisely
+/// what it breaks, so the cache is consistent on return. There is one
+/// cooperative checkpoint per tidying round (each round applies all four
 /// transformations once; a round that changes nothing ends the fixed
 /// point).
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a round starts over budget; edits already made
 /// stay made (callers needing atomicity run a clone).
-pub fn run_budgeted(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-) -> Result<bool, BudgetExceeded> {
-    run_budgeted_stats(f, cache, budget).map(|s| s.rounds > 0)
-}
-
-/// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
-/// the stats folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_counted(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let stats = run_budgeted_stats(f, cache, budget)?;
-    counters.add("rounds", stats.rounds);
-    counters.add("blocks_removed", stats.blocks_removed);
-    Ok(stats.rounds > 0)
-}
-
-/// [`run_budgeted`], additionally reporting what the invocation did as a
-/// [`CleanStats`].
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_budgeted_stats(
+pub fn run(
     f: &mut Function,
     cache: &mut AnalysisCache,
     budget: &Budget,
@@ -246,6 +218,7 @@ impl RetargetMap for Terminator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{passes::Clean, Pass};
     use epre_ir::{Const, FunctionBuilder, Inst, Ty};
 
     #[test]
@@ -256,7 +229,7 @@ mod tests {
         b.switch_to(dead);
         b.ret(None);
         let mut f = b.finish();
-        run(&mut f);
+        Clean.run(&mut f);
         assert_eq!(f.blocks.len(), 1);
         assert!(f.verify().is_ok());
     }
@@ -270,7 +243,7 @@ mod tests {
         b.switch_to(t);
         b.ret(None);
         let mut f = b.finish();
-        run(&mut f);
+        Clean.run(&mut f);
         // Branch folded to jump, then merged: one block remains.
         assert_eq!(f.blocks.len(), 1);
         assert!(matches!(f.blocks[0].term, Terminator::Return { .. }));
@@ -292,7 +265,7 @@ mod tests {
         b.switch_to(end);
         b.ret(None);
         let mut f = b.finish();
-        run(&mut f);
+        Clean.run(&mut f);
         // Both empty arms bypassed; branch targets coincide and fold; all
         // merges leave a single block.
         assert_eq!(f.blocks.len(), 1);
@@ -313,7 +286,7 @@ mod tests {
         let z = b.bin(epre_ir::BinOp::Mul, Ty::Int, y, y);
         b.ret(Some(z));
         let mut f = b.finish();
-        run(&mut f);
+        Clean.run(&mut f);
         assert_eq!(f.blocks.len(), 1);
         assert_eq!(f.blocks[0].insts.len(), 3);
         assert!(f.verify().is_ok());
@@ -334,7 +307,7 @@ mod tests {
         b.switch_to(exit);
         b.ret(None);
         let mut f = b.finish();
-        run(&mut f);
+        Clean.run(&mut f);
         assert!(f.verify().is_ok());
         // entry merges into head; body and exit survive: 3 blocks.
         assert_eq!(f.blocks.len(), 3);
@@ -354,7 +327,7 @@ mod tests {
         b.switch_to(l2);
         b.jump(l1);
         let mut f = b.finish();
-        run(&mut f);
+        Clean.run(&mut f);
         assert!(f.verify().is_ok());
         // The self-loop shape survives in some form.
         let cfg = epre_cfg::Cfg::new(&f);
@@ -378,9 +351,9 @@ mod tests {
         b.switch_to(j);
         b.ret(Some(x));
         let mut f = b.finish();
-        run(&mut f);
+        Clean.run(&mut f);
         let once = f.clone();
-        run(&mut f);
+        Clean.run(&mut f);
         assert_eq!(f, once);
         let _ = Inst::Copy { dst: x, src: x };
     }

@@ -68,67 +68,37 @@ pub struct CoalesceStats {
     pub liveness_builds: u64,
 }
 
-/// Run coalescing rounds until no copy can be merged. Returns true if any
-/// copy was removed.
-pub fn run(f: &mut Function) -> bool {
-    run_with_cache(f, &mut AnalysisCache::new())
-}
+impl CoalesceStats {
+    /// Did the invocation change the function at all?
+    pub fn changed(&self) -> bool {
+        self.self_copies_removed + self.copies_coalesced > 0
+    }
 
-/// [`run`] against a caller-owned [`AnalysisCache`]. Coalescing renames
-/// registers and deletes copies but never touches block structure: every
-/// round's liveness shares one cached CFG, which also survives the pass.
-/// The renames make any cached expression universe and liveness stale, so
-/// a changing run invalidates both before returning.
-pub fn run_with_cache(f: &mut Function, cache: &mut AnalysisCache) -> bool {
-    match run_budgeted(f, cache, &Budget::UNLIMITED) {
-        Ok(any) => any,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
+    /// Fold the stats into a trace span's counters.
+    pub fn report(&self, counters: &mut PassCounters) {
+        counters.add("copies_coalesced", self.copies_coalesced);
+        counters.add("self_copies_removed", self.self_copies_removed);
+        counters.add("rounds", self.rounds);
+        counters.add("liveness_builds", self.liveness_builds);
     }
 }
 
-/// [`run_with_cache`] under a resource [`Budget`]: one cooperative
-/// checkpoint per merged batch (each batch scans the function once,
-/// merges every non-interfering copy it finds, and applies one rename
-/// sweep — batches are the unit of progress, and of divergence if a
-/// broken interference rule kept re-introducing copies).
+/// Run coalescing rounds until no copy can be merged, against the
+/// pipeline's [`AnalysisCache`], under a resource [`Budget`].
+///
+/// Coalescing renames registers and deletes copies but never touches
+/// block structure: every round's liveness shares one cached CFG, which
+/// also survives the pass. The renames make any cached expression
+/// universe and liveness stale, so each changing step invalidates both.
+/// There is one cooperative checkpoint per merged batch (each batch scans
+/// the function once, merges every non-interfering copy it finds, and
+/// applies one rename sweep — batches are the unit of progress, and of
+/// divergence if a broken interference rule kept re-introducing copies).
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a batch starts over budget; merges already
 /// performed stay performed (callers needing atomicity run a clone).
-pub fn run_budgeted(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-) -> Result<bool, BudgetExceeded> {
-    run_budgeted_stats(f, cache, budget)
-        .map(|s| s.self_copies_removed + s.copies_coalesced > 0)
-}
-
-/// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
-/// the stats folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_counted(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let stats = run_budgeted_stats(f, cache, budget)?;
-    counters.add("copies_coalesced", stats.copies_coalesced);
-    counters.add("self_copies_removed", stats.self_copies_removed);
-    counters.add("rounds", stats.rounds);
-    counters.add("liveness_builds", stats.liveness_builds);
-    Ok(stats.self_copies_removed + stats.copies_coalesced > 0)
-}
-
-/// [`run_budgeted`], additionally reporting what the invocation did as a
-/// [`CoalesceStats`].
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_budgeted_stats(
+pub fn run(
     f: &mut Function,
     cache: &mut AnalysisCache,
     budget: &Budget,
@@ -538,6 +508,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{passes::Coalesce, Pass};
     use epre_ir::{BinOp, Const, FunctionBuilder, Ty};
 
     #[test]
@@ -549,7 +520,7 @@ mod tests {
         let v = b.copy(t);
         b.ret(Some(v));
         let mut f = b.finish();
-        run(&mut f);
+        Coalesce.run(&mut f);
         assert_eq!(f.inst_count(), 1);
         assert!(f.verify().is_ok());
     }
@@ -570,7 +541,7 @@ mod tests {
         let before_copies =
             f.blocks[0].insts.iter().filter(|i| matches!(i, Inst::Copy { .. })).count();
         assert_eq!(before_copies, 2);
-        run(&mut f);
+        Coalesce.run(&mut f);
         // v = copy x must stay (x redefined while v lives); x = copy x2 can
         // merge (x2 dies at the copy... x2 defined while x lives? x is used
         // after, via s = v + x — but that is the NEW x. x's old value dies
@@ -589,7 +560,7 @@ mod tests {
         b.copy_to(x, y); // x = y, then return x
         b.ret(Some(x));
         let mut f = b.finish();
-        run(&mut f);
+        Coalesce.run(&mut f);
         // The copy must survive: params cannot merge.
         assert_eq!(f.inst_count(), 1);
         assert_eq!(f.params, vec![x, y]);
@@ -604,7 +575,7 @@ mod tests {
         // Hand-build an ill-typed copy is rejected by the verifier, so just
         // check run() is a no-op on a copy-free function.
         let before = f.clone();
-        run(&mut f);
+        Coalesce.run(&mut f);
         assert_eq!(f, before);
     }
 
@@ -615,7 +586,7 @@ mod tests {
         b.copy_to(x, x);
         b.ret(Some(x));
         let mut f = b.finish();
-        run(&mut f);
+        Coalesce.run(&mut f);
         assert_eq!(f.inst_count(), 0);
     }
 
@@ -642,7 +613,7 @@ mod tests {
         b.switch_to(exit);
         b.ret(Some(i));
         let mut f = b.finish();
-        run(&mut f);
+        Coalesce.run(&mut f);
         // i2/i copy merges (i's old value dead at the copy); z/i copy
         // merges as well once i2 is renamed.
         let copies =
@@ -675,7 +646,7 @@ mod tests {
         let mut f = build();
         let mut fr = build();
         let params = f.params.clone();
-        run(&mut f);
+        Coalesce.run(&mut f);
         reference::run(&mut fr);
         assert_eq!(f, fr, "incremental and reference coalescers must agree");
         // The param-param copy survives, params keep their registers.
@@ -702,7 +673,7 @@ mod tests {
         b.ret(Some(c4));
         let mut f = b.finish();
         let mut cache = AnalysisCache::new();
-        let stats = run_budgeted_stats(&mut f, &mut cache, &Budget::UNLIMITED).unwrap();
+        let stats = run(&mut f, &mut cache, &Budget::UNLIMITED).unwrap();
         assert_eq!(stats.copies_coalesced, 4);
         // All four merge in the first batch (a chain never interferes),
         // plus one empty scan proving the fixed point.
@@ -728,7 +699,7 @@ mod tests {
         b.ret(Some(s));
         let mut f = b.finish();
         assert!(coalescable_copies(&f) > 0);
-        run(&mut f);
+        Coalesce.run(&mut f);
         assert_eq!(coalescable_copies(&f), 0);
     }
 }

@@ -120,16 +120,6 @@ pub fn run(f: &mut Function, scope: CseScope) -> bool {
     changed
 }
 
-/// Convenience wrapper: dominator-scoped CSE.
-pub fn run_dominator(f: &mut Function) -> bool {
-    run(f, CseScope::Dominators)
-}
-
-/// Convenience wrapper: available-expressions CSE.
-pub fn run_available(f: &mut Function) -> bool {
-    run(f, CseScope::Available)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,11 +160,11 @@ mod tests {
     #[test]
     fn avail_handles_if_then_else_dominator_does_not() {
         let (mut f1, _) = branchy();
-        run_dominator(&mut f1);
+        run(&mut f1, CseScope::Dominators);
         assert_eq!(count_adds(&f1), 3, "no arm dominates the join");
 
         let (mut f2, _) = branchy();
-        run_available(&mut f2);
+        run(&mut f2, CseScope::Available);
         assert_eq!(count_adds(&f2), 2, "available on both paths: join copy deleted");
     }
 
@@ -195,10 +185,10 @@ mod tests {
             b.finish()
         };
         let mut f = mk();
-        run_dominator(&mut f);
+        run(&mut f, CseScope::Dominators);
         assert_eq!(count_adds(&f), 1);
         let mut f = mk();
-        run_available(&mut f);
+        run(&mut f, CseScope::Available);
         assert_eq!(count_adds(&f), 1);
     }
 
@@ -218,7 +208,7 @@ mod tests {
         b.push(Inst::Bin { op: BinOp::Add, ty: Ty::Int, dst: n, lhs: x, rhs: y });
         b.ret(Some(n));
         let mut f = b.finish();
-        run_available(&mut f);
+        run(&mut f, CseScope::Available);
         assert_eq!(count_adds(&f), 2);
     }
 
@@ -249,7 +239,7 @@ mod tests {
         b.ret(Some(i));
         let mut f = b.finish();
         let before = count_adds(&f);
-        run_available(&mut f);
+        run(&mut f, CseScope::Available);
         assert_eq!(count_adds(&f), before, "x+y stays in the loop under AVAIL CSE");
     }
 
@@ -263,7 +253,7 @@ mod tests {
         let m = b.bin(BinOp::Mul, Ty::Int, s1, s2);
         b.ret(Some(m));
         let mut f = b.finish();
-        run_available(&mut f);
+        run(&mut f, CseScope::Available);
         assert_eq!(count_adds(&f), 2);
     }
 }

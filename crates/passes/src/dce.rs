@@ -25,65 +25,35 @@ pub struct DceStats {
     pub rounds: u64,
 }
 
-/// Run DCE to a fixed point. Returns true if any instruction was deleted;
-/// the deleted-ops count is observable through
-/// [`Function::static_op_count`].
-pub fn run(f: &mut Function) -> bool {
-    run_with_cache(f, &mut AnalysisCache::new())
-}
+impl DceStats {
+    /// Did the invocation change the function at all?
+    pub fn changed(&self) -> bool {
+        self.ops_killed > 0
+    }
 
-/// [`run`] against a caller-owned [`AnalysisCache`] (the pipeline's, when
-/// driven through `Pass::run_cached`). DCE deletes instructions but never
-/// blocks or edges: a cached CFG is reused across every liveness round of
-/// the fixed point — and survives the pass for its successors. Liveness
-/// itself is served through the cache too: each deleting round invalidates
-/// it (plus the expression universe), and the final quiescing round leaves
-/// a valid entry behind for the next liveness consumer (coalescing, which
-/// runs immediately after DCE at every level).
-pub fn run_with_cache(f: &mut Function, cache: &mut AnalysisCache) -> bool {
-    match run_budgeted(f, cache, &Budget::UNLIMITED) {
-        Ok(any) => any,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
+    /// Fold the stats into a trace span's counters.
+    pub fn report(&self, counters: &mut PassCounters) {
+        counters.add("ops_killed", self.ops_killed);
+        counters.add("rounds", self.rounds);
     }
 }
 
-/// [`run_with_cache`] under a resource [`Budget`]: one cooperative
-/// checkpoint per liveness round of the fixed point.
+/// Run DCE to a fixed point against the pipeline's [`AnalysisCache`],
+/// under a resource [`Budget`].
+///
+/// DCE deletes instructions but never blocks or edges: a cached CFG is
+/// reused across every liveness round of the fixed point — and survives
+/// the pass for its successors. Liveness itself is served through the
+/// cache too: each deleting round invalidates it (plus the expression
+/// universe), and the final quiescing round leaves a valid entry behind
+/// for the next liveness consumer (coalescing, which runs immediately
+/// after DCE at every level). There is one cooperative checkpoint per
+/// liveness round.
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a round starts over budget; instructions
 /// already deleted stay deleted (callers needing atomicity run a clone).
-pub fn run_budgeted(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-) -> Result<bool, BudgetExceeded> {
-    run_budgeted_stats(f, cache, budget).map(|s| s.ops_killed > 0)
-}
-
-/// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
-/// the stats folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_counted(
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let stats = run_budgeted_stats(f, cache, budget)?;
-    counters.add("ops_killed", stats.ops_killed);
-    counters.add("rounds", stats.rounds);
-    Ok(stats.ops_killed > 0)
-}
-
-/// [`run_budgeted`], additionally reporting what the invocation did as a
-/// [`DceStats`].
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_budgeted_stats(
+pub fn run(
     f: &mut Function,
     cache: &mut AnalysisCache,
     budget: &Budget,
@@ -137,7 +107,7 @@ pub fn run_budgeted_stats(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{passes::Dce, Pass};
     use epre_ir::{BinOp, Const, FunctionBuilder, Inst, Ty};
 
     #[test]
@@ -150,7 +120,7 @@ mod tests {
         let _z = b.bin(BinOp::Mul, Ty::Int, y, y);
         b.ret(Some(x));
         let mut f = b.finish();
-        run(&mut f);
+        Dce.run(&mut f);
         assert_eq!(f.inst_count(), 0);
         assert!(f.verify().is_ok());
     }
@@ -163,7 +133,7 @@ mod tests {
         let y = b.bin(BinOp::Add, Ty::Int, x, c);
         b.ret(Some(y));
         let mut f = b.finish();
-        run(&mut f);
+        Dce.run(&mut f);
         assert_eq!(f.inst_count(), 2);
     }
 
@@ -176,7 +146,7 @@ mod tests {
         let _unused = b.call("sqrt", vec![], Ty::Float);
         b.ret(None);
         let mut f = b.finish();
-        run(&mut f);
+        Dce.run(&mut f);
         // store, its operand loadi, and the call survive.
         assert_eq!(f.inst_count(), 3);
     }
@@ -189,7 +159,7 @@ mod tests {
         let _ = dead;
         b.ret(Some(x));
         let mut f = b.finish();
-        run(&mut f);
+        Dce.run(&mut f);
         assert_eq!(f.inst_count(), 0);
     }
 
@@ -219,7 +189,7 @@ mod tests {
         b.ret(Some(i));
         let mut f = b.finish();
         let before = f.inst_count();
-        run(&mut f);
+        Dce.run(&mut f);
         assert_eq!(f.inst_count(), before - 1);
     }
 
@@ -232,7 +202,7 @@ mod tests {
         b.push(Inst::LoadI { dst: x, value: Const::Int(2) });
         b.ret(Some(x));
         let mut f = b.finish();
-        run(&mut f);
+        Dce.run(&mut f);
         assert_eq!(f.inst_count(), 1);
         assert!(matches!(f.blocks[0].insts[0], Inst::LoadI { value: Const::Int(2), .. }));
     }

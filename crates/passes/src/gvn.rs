@@ -22,6 +22,7 @@
 //! during this phase; no instructions are added, deleted, or moved" —
 //! except the φs, which SSA destruction then turns into copies.
 
+use epre_analysis::AnalysisCache;
 use epre_ir::{BlockId, Function, Inst, MixMap, Reg};
 use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
 
@@ -42,36 +43,39 @@ pub struct GvnStats {
     pub ticks: u64,
 }
 
-/// Run GVN + renaming on `f`. The function enters and leaves non-SSA form.
-/// Returns `true` unconditionally: the SSA round trip renames registers
-/// even when no classes merge, so the function must be treated as changed.
-pub fn run(f: &mut Function) -> bool {
-    match run_budgeted(f, &Budget::UNLIMITED) {
-        Ok(changed) => changed,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
+impl GvnStats {
+    /// Did the invocation change the function? Always: the SSA round trip
+    /// renames registers even when no classes merge.
+    pub fn changed(&self) -> bool {
+        true
+    }
+
+    /// Fold the stats into a trace span's counters.
+    pub fn report(&self, counters: &mut PassCounters) {
+        counters.add("partitions", self.partitions);
+        counters.add("ops_renamed", self.ops_renamed);
+        counters.add("ticks", self.ticks);
     }
 }
 
-/// [`run`] under a resource [`Budget`]: one cooperative checkpoint per
-/// partition-refinement iteration (AWZ refinement only ever splits
-/// classes, so healthy runs take at most `reg_count` iterations — a
-/// budget trip means the refinement is broken or adversarial). Takes no
-/// analysis cache: the pass rebuilds SSA internally.
+/// Run GVN + renaming on `f` under a resource [`Budget`]. The function
+/// enters and leaves non-SSA form. The pass rebuilds SSA internally, so
+/// it drops every entry of the pipeline's `cache`.
+///
+/// There is one cooperative checkpoint per partition-refinement iteration
+/// (AWZ refinement only ever splits classes, so healthy runs take at most
+/// `reg_count` iterations — a budget trip means the refinement is broken
+/// or adversarial).
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a refinement iteration starts over budget; the
 /// function is left in SSA form, un-renamed (callers needing atomicity
 /// run a clone).
-pub fn run_budgeted(f: &mut Function, budget: &Budget) -> Result<bool, BudgetExceeded> {
-    run_budgeted_stats(f, budget).map(|_| true)
-}
-
-/// [`run_budgeted`], additionally reporting what the invocation did as a
-/// [`GvnStats`].
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<GvnStats, BudgetExceeded> {
+pub fn run(
+    f: &mut Function,
+    cache: &mut AnalysisCache,
+    budget: &Budget,
+) -> Result<GvnStats, BudgetExceeded> {
     build_ssa(f, SsaOptions { fold_copies: true });
     let (classes, ticks) = congruence_classes_budgeted(f, budget)?;
     // Classes are numbered densely from zero.
@@ -80,24 +84,8 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<GvnStats,
     dedupe_phis(f);
     destroy_ssa(f);
     f.compact_regs();
+    cache.invalidate_all();
     Ok(GvnStats { partitions, ops_renamed, ticks })
-}
-
-/// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
-/// the stats folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_counted(
-    f: &mut Function,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let stats = run_budgeted_stats(f, budget)?;
-    counters.add("partitions", stats.partitions);
-    counters.add("ops_renamed", stats.ops_renamed);
-    counters.add("ticks", stats.ticks);
-    Ok(true)
 }
 
 /// Congruence class of every register of `f` (indexed by register
@@ -121,8 +109,9 @@ enum InitKey {
     Bin(epre_ir::BinOp, epre_ir::Ty),
     Un(epre_ir::UnOp, epre_ir::Ty),
     Phi(epre_ir::BlockId),
-    /// Parameters, loads, calls, and registers with no definition:
-    /// opaque singletons (the payload is the register).
+    /// Parameters, loads, calls, copies left in unreachable code, and
+    /// registers with no definition: opaque singletons (the payload is the
+    /// register).
     Opaque(Reg),
 }
 
@@ -130,7 +119,8 @@ enum InitKey {
 /// classes must agree for two congruent registers.
 #[derive(Clone, Copy)]
 enum Def {
-    /// No operands: constants, parameters, loads, calls, undefined.
+    /// No operands: constants, parameters, loads, calls, unreachable
+    /// copies, undefined.
     Leaf,
     /// A binary operator; commutative operands compare as a set.
     Bin { commutative: bool, lhs: Reg, rhs: Reg },
@@ -178,8 +168,12 @@ fn congruence_classes_budgeted(
                     phi_args.extend_from_slice(args);
                     (Def::Phi { start, end: phi_args.len() as u32 }, InitKey::Phi(bid))
                 }
-                Inst::Load { .. } | Inst::Call { .. } => (Def::Leaf, InitKey::Opaque(d)),
-                Inst::Copy { .. } => unreachable!("copies folded during SSA construction"),
+                // SSA construction folds the copies of every block its
+                // dominator-tree walk reaches; a copy left in an
+                // unreachable block never runs, so a singleton is sound.
+                Inst::Load { .. } | Inst::Call { .. } | Inst::Copy { .. } => {
+                    (Def::Leaf, InitKey::Opaque(d))
+                }
                 Inst::Store { .. } => unreachable!("stores define nothing"),
             };
             defs[d.index()] = def;
@@ -316,6 +310,7 @@ fn dedupe_phis(f: &mut Function) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{passes::Gvn, Pass};
     use epre_ir::{BinOp, Const, FunctionBuilder, Ty};
 
     /// The §2.2 example: x = y + z; a = y; b = a + z. After copy folding
@@ -332,7 +327,7 @@ mod tests {
         let s = b.bin(BinOp::Mul, Ty::Int, t1, t2);
         b.ret(Some(s));
         let mut f = b.finish();
-        run(&mut f);
+        Gvn.run(&mut f);
         let adds: Vec<&Inst> = f
             .blocks
             .iter()
@@ -354,7 +349,7 @@ mod tests {
         let t = b.bin(BinOp::Add, Ty::Int, s, c3);
         b.ret(Some(t));
         let mut f = b.finish();
-        run(&mut f);
+        Gvn.run(&mut f);
         let loadis: Vec<&Inst> = f
             .blocks
             .iter()
@@ -385,7 +380,7 @@ mod tests {
         let s = b.bin(BinOp::Sub, Ty::Int, v1, v2);
         b.ret(Some(s));
         let mut f = b.finish();
-        run(&mut f);
+        Gvn.run(&mut f);
         // The two loads keep distinct names (memory may have changed).
         let loads: Vec<_> = f
             .blocks
@@ -427,7 +422,7 @@ mod tests {
         let d = b.bin(BinOp::Sub, Ty::Int, i, j);
         b.ret(Some(d));
         let mut f = b.finish();
-        run(&mut f);
+        Gvn.run(&mut f);
         // After GVN the subtraction's operands are the same register.
         let sub = f
             .blocks
@@ -457,7 +452,7 @@ mod tests {
         let m = b.bin(BinOp::Mul, Ty::Int, s1, s2);
         b.ret(Some(m));
         let mut f = b.finish();
-        run(&mut f);
+        Gvn.run(&mut f);
         let adds: Vec<_> = f
             .blocks
             .iter()
@@ -478,7 +473,7 @@ mod tests {
         let m = b.bin(BinOp::Mul, Ty::Int, s1, s2);
         b.ret(Some(m));
         let mut f = b.finish();
-        run(&mut f);
+        Gvn.run(&mut f);
         let subs: Vec<_> = f
             .blocks
             .iter()
@@ -512,7 +507,7 @@ mod tests {
         b.switch_to(j);
         b.ret(Some(x));
         let mut f = b.finish();
-        run(&mut f);
+        Gvn.run(&mut f);
         assert!(f.verify().is_ok());
         let mut m = epre_ir::Module::new();
         m.functions.push(f);

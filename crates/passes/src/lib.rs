@@ -39,17 +39,27 @@
 //! `levels.rs`); the property tests over generated programs sit behind
 //! the `prop-tests` feature and do not run in the default build.
 //!
-//! ## Change reporting and analysis preservation
+//! ## The pass contract
 //!
-//! [`Pass::run`] returns whether the pass changed the function, and
-//! [`Pass::preserves`] declares which cached analyses survive a change —
-//! together they drive the pipeline's [`AnalysisCache`] so a pass boundary
-//! no longer implies recomputing the CFG, dominators, and expression
-//! universe from scratch. Passes that rebuild the function wholesale (the
-//! SSA round-trippers `gvn` and `reassoc`, and `sccp`) report `true`
-//! conservatively; over-reporting a change is always sound (it merely
-//! costs a recomputation), while under-reporting is a bug that the
-//! pipeline's debug-build cache validation catches and blames by name.
+//! Each pass module exports one transform,
+//! `run(f, cache, budget) -> Result<Stats, BudgetExceeded>` (reassociation
+//! also takes its [`reassoc::ReassocOptions`]), and its stats type offers
+//! `changed()` and `report(counters)`. One macro generates the built-in
+//! [`Pass`] impls from that entry point (`Reassociate`, which carries its
+//! options, writes the same three methods out), so
+//! [`Pass::run_budgeted`] (the plain and governed pipelines) and
+//! [`Pass::run_instrumented`] (the traced pipeline) run the same body and
+//! differ only in whether the stats are copied into the span's counters.
+//!
+//! A pass's `run` leaves the pipeline's [`AnalysisCache`] consistent with
+//! the function whenever it returns `Ok`: passes that edit in place (dce,
+//! coalesce, clean, peephole, lvn) drop exactly what their edits break,
+//! and passes that rebuild the function wholesale (the SSA round-trippers
+//! `gvn`, `reassoc` and `sccp`, and `pre`) drop everything when they
+//! changed it. The change flag is a report for trace spans and
+//! `--timings`, never an invalidation signal; the pipeline's debug-build
+//! cache validation catches a pass that leaves a stale entry and blames
+//! it by name.
 
 pub mod budget;
 pub mod clean;
@@ -75,52 +85,22 @@ use epre_ir::Function;
 /// internally, mirroring the paper's pass structure ("each pass performs a
 /// single optimization, including all the required control-flow and
 /// data-flow analyses") — or borrowed from the pipeline's
-/// [`AnalysisCache`] via [`Pass::run_cached`].
+/// [`AnalysisCache`].
 pub trait Pass {
     /// Short, stable pass name (used in pipeline descriptions and logs).
     fn name(&self) -> &'static str;
 
-    /// Transform `f` in place. Returns `true` if the function may have
-    /// changed. Reporting `true` for an unchanged function is sound (it
-    /// costs cached-analysis recomputation); reporting `false` for a
-    /// changed function is a contract violation caught by the pipeline's
-    /// debug-build cache validation.
-    fn run(&self, f: &mut Function) -> bool;
-
-    /// The analyses this pass keeps valid **when it reports a change**.
-    /// (A pass reporting no change implicitly preserves everything.)
-    /// The default is the safe minimum: nothing survives.
-    fn preserves(&self) -> PreservedAnalyses {
-        PreservedAnalyses::none()
-    }
-
-    /// Transform `f` with access to the pipeline's analysis cache.
+    /// Transform `f` in place through the pipeline's analysis `cache`,
+    /// under a resource [`Budget`]. Returns whether the function may have
+    /// changed — a report for trace spans and `--timings` only. On `Ok`
+    /// the pass MUST leave `cache` consistent with `f`; debug builds of
+    /// the pipeline validate it after every pass.
     ///
-    /// Implementations MUST leave `cache` consistent with the function they
-    /// return: the default runs [`Pass::run`] and, on change, drops
-    /// everything outside [`Pass::preserves`]. Overrides may use the cache
-    /// during the transform and invalidate with finer grain.
-    fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-        let changed = self.run(f);
-        if changed {
-            cache.retain(self.preserves());
-        }
-        changed
-    }
-
-    /// Transform `f` under a resource [`Budget`].
-    ///
-    /// Fixed-point passes override this to place a cooperative checkpoint
-    /// ([`Meter::tick`]) inside every loop that could fail to converge, so
-    /// an over-budget invocation stops *mid-flight* with a typed
-    /// [`BudgetExceeded`] instead of spinning. The default covers passes
-    /// without such loops: it runs [`Pass::run_cached`] to completion and
-    /// then holds the result to the growth and deadline dimensions
-    /// post-hoc via [`Meter::finish`].
-    ///
-    /// On `Err` the function may be left mid-transform; callers that need
-    /// all-or-nothing semantics (the sandbox, the pipeline driver) run on
-    /// a clone and roll back, exactly as they do for panics.
+    /// Fixed-point passes tick a [`Meter`] in every loop that could fail
+    /// to converge, so an over-budget invocation stops mid-flight;
+    /// single-sweep passes check the growth and deadline dimensions
+    /// post-hoc. On `Err` the function and the cache may be left
+    /// mid-transform: callers run on a clone and roll back.
     ///
     /// # Errors
     /// [`BudgetExceeded`] naming the first exhausted dimension.
@@ -129,25 +109,14 @@ pub trait Pass {
         f: &mut Function,
         cache: &mut AnalysisCache,
         budget: &Budget,
-    ) -> Result<bool, BudgetExceeded> {
-        if !budget.is_limited() {
-            return Ok(self.run_cached(f, cache));
-        }
-        let meter = budget.start(f);
-        let changed = self.run_cached(f, cache);
-        meter.finish(f)?;
-        Ok(changed)
-    }
+    ) -> Result<bool, BudgetExceeded>;
 
     /// [`Pass::run_budgeted`], additionally reporting the pass's own
     /// work counters into `counters` (the telemetry layer's per-span
     /// payload: expressions hoisted, partitions found, ops folded, …).
-    ///
-    /// The default ignores `counters` and simply delegates, so a pass
-    /// without instrumentation still runs correctly under tracing — its
-    /// spans just carry an empty counter set. Implementations MUST leave
-    /// the function and cache in exactly the state [`Pass::run_budgeted`]
-    /// would: tracing may never change the optimization result.
+    /// The default ignores `counters`. Every built-in pass runs the same
+    /// body as [`Pass::run_budgeted`] and only copies its stats into
+    /// `counters`, so tracing cannot change the optimization result.
     ///
     /// # Errors
     /// [`BudgetExceeded`] exactly as [`Pass::run_budgeted`].
@@ -161,275 +130,85 @@ pub trait Pass {
         let _ = counters;
         self.run_budgeted(f, cache, budget)
     }
+
+    /// [`Pass::run_budgeted`] with a fresh cache and no budget: the
+    /// convenience entry for tests, examples and one-off filters.
+    ///
+    /// This method, [`Pass::run_cached`] and [`Pass::preserves`] remain
+    /// on the trait only because the benchmark's timing decorator
+    /// implements them; no built-in pass overrides them, and no driver
+    /// consults `preserves` (each pass keeps the cache consistent itself).
+    fn run(&self, f: &mut Function) -> bool {
+        let fresh = &mut AnalysisCache::new();
+        self.run_budgeted(f, fresh, &Budget::UNLIMITED).expect("an unlimited budget never trips")
+    }
+
+    /// [`Pass::run_budgeted`] with no budget.
+    fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
+        self.run_budgeted(f, cache, &Budget::UNLIMITED).expect("an unlimited budget never trips")
+    }
+
+    /// The analyses this pass keeps valid when it changes the function.
+    fn preserves(&self) -> PreservedAnalyses {
+        PreservedAnalyses::none()
+    }
 }
 
-/// The statistics-reporting pass objects used by the driver crate.
+/// The pass objects the driver crate sequences into pipelines.
 pub mod passes {
     use super::*;
+    use crate::reassoc::ReassocOptions;
 
-    macro_rules! simple_pass {
-        ($(#[$doc:meta])* $name:ident, $label:literal, $fun:path
-         $(, preserves: $pres:expr)?
-         $(, budgeted_uncached: $bud:path)?
-         $(, instrumented_uncached: $ins:path)?) => {
-            $(#[$doc])*
+    /// A unit pass object over the module `$module`, whose one entry
+    /// point `run(f, cache, budget)` returns stats with `changed()` and
+    /// `report(counters)`.
+    macro_rules! pass {
+        ($name:ident, $label:literal, $module:ident, $doc:literal) => {
+            #[doc = $doc]
             #[derive(Debug, Clone, Copy, Default)]
             pub struct $name;
+
             impl Pass for $name {
                 fn name(&self) -> &'static str {
                     $label
                 }
-                fn run(&self, f: &mut Function) -> bool {
-                    $fun(f)
+
+                fn run_budgeted(
+                    &self,
+                    f: &mut Function,
+                    cache: &mut AnalysisCache,
+                    budget: &Budget,
+                ) -> Result<bool, BudgetExceeded> {
+                    Ok(crate::$module::run(f, cache, budget)?.changed())
                 }
-                $(
-                    fn preserves(&self) -> PreservedAnalyses {
-                        $pres
-                    }
-                )?
-                $(
-                    // `budgeted_uncached`: the module's budgeted entry point
-                    // takes no cache (the pass rebuilds SSA internally), so
-                    // the cache is retained here exactly as the trait's
-                    // run_cached default would.
-                    fn run_budgeted(
-                        &self,
-                        f: &mut Function,
-                        cache: &mut AnalysisCache,
-                        budget: &Budget,
-                    ) -> Result<bool, BudgetExceeded> {
-                        let changed = $bud(f, budget)?;
-                        if changed {
-                            cache.retain(self.preserves());
-                        }
-                        Ok(changed)
-                    }
-                )?
-                $(
-                    // `instrumented_uncached`: the module's counted entry
-                    // point takes no cache either; retention mirrors
-                    // `budgeted_uncached` so tracing never changes the
-                    // cache state the untraced pipeline would have.
-                    fn run_instrumented(
-                        &self,
-                        f: &mut Function,
-                        cache: &mut AnalysisCache,
-                        budget: &Budget,
-                        counters: &mut PassCounters,
-                    ) -> Result<bool, BudgetExceeded> {
-                        let changed = $ins(f, budget, counters)?;
-                        if changed {
-                            cache.retain(self.preserves());
-                        }
-                        Ok(changed)
-                    }
-                )?
+
+                fn run_instrumented(
+                    &self,
+                    f: &mut Function,
+                    cache: &mut AnalysisCache,
+                    budget: &Budget,
+                    counters: &mut PassCounters,
+                ) -> Result<bool, BudgetExceeded> {
+                    let stats = crate::$module::run(f, cache, budget)?;
+                    stats.report(counters);
+                    Ok(stats.changed())
+                }
             }
         };
     }
 
-    simple_pass!(
-        /// Sparse conditional constant propagation.
-        ConstProp,
-        "constprop",
-        crate::sccp::run,
-        budgeted_uncached: crate::sccp::run_budgeted,
-        instrumented_uncached: crate::sccp::run_counted
-    );
-    /// Global peephole optimization. Instruction rewrites keep the CFG
-    /// intact; only folding a conditional branch changes block shape, and
-    /// `peephole::run_detailed` reports which happened, so `run_cached`
-    /// invalidates with finer grain than the trait default.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Peephole;
-
-    impl Pass for Peephole {
-        fn name(&self) -> &'static str {
-            "peephole"
-        }
-        fn run(&self, f: &mut Function) -> bool {
-            crate::peephole::run(f)
-        }
-        fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-            let outcome = crate::peephole::run_detailed(f);
-            if outcome.changed() {
-                if outcome.cfg_changed {
-                    cache.invalidate_cfg();
-                }
-                cache.invalidate_universe();
-                cache.invalidate_liveness();
-            }
-            outcome.changed()
-        }
-        fn run_instrumented(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-            counters: &mut PassCounters,
-        ) -> Result<bool, BudgetExceeded> {
-            // Mirrors the trait's default run_budgeted (single sweep,
-            // growth/deadline held post-hoc) with run_cached inlined so
-            // the detailed outcome feeds the counters.
-            let meter = budget.is_limited().then(|| budget.start(f));
-            let outcome = crate::peephole::run_detailed(f);
-            if outcome.changed() {
-                if outcome.cfg_changed {
-                    cache.invalidate_cfg();
-                }
-                cache.invalidate_universe();
-                cache.invalidate_liveness();
-            }
-            if let Some(meter) = meter {
-                meter.finish(f)?;
-            }
-            counters.add("rewrites", outcome.rewrites);
-            counters.add("branches_folded", outcome.branches_folded);
-            Ok(outcome.changed())
-        }
-    }
-    /// Dead code elimination. Deletes instructions only — never blocks
-    /// or edges — so the control-flow family survives. `run_cached` hands
-    /// the pipeline's cache straight to the pass: a CFG computed by an
-    /// earlier pass feeds every liveness round, DCE's own invalidation
-    /// (universe + liveness, per deleting round) keeps it consistent, and
-    /// the quiescing round's liveness survives for coalescing next door.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Dce;
-
-    impl Pass for Dce {
-        fn name(&self) -> &'static str {
-            "dce"
-        }
-        fn run(&self, f: &mut Function) -> bool {
-            crate::dce::run(f)
-        }
-        fn preserves(&self) -> PreservedAnalyses {
-            PreservedAnalyses::none().with_cfg()
-        }
-        fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-            crate::dce::run_with_cache(f, cache)
-        }
-        fn run_budgeted(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::dce::run_budgeted(f, cache, budget)
-        }
-        fn run_instrumented(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-            counters: &mut PassCounters,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::dce::run_counted(f, cache, budget, counters)
-        }
-    }
-
-    /// Chaitin-style copy coalescing. Renames registers and drops copies
-    /// within blocks; block structure is untouched, so `run_cached` shares
-    /// the pipeline cache's CFG with its liveness rounds and invalidates
-    /// only the expression universe on change.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Coalesce;
-
-    impl Pass for Coalesce {
-        fn name(&self) -> &'static str {
-            "coalesce"
-        }
-        fn run(&self, f: &mut Function) -> bool {
-            crate::coalesce::run(f)
-        }
-        fn preserves(&self) -> PreservedAnalyses {
-            PreservedAnalyses::none().with_cfg()
-        }
-        fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-            crate::coalesce::run_with_cache(f, cache)
-        }
-        fn run_budgeted(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::coalesce::run_budgeted(f, cache, budget)
-        }
-        fn run_instrumented(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-            counters: &mut PassCounters,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::coalesce::run_counted(f, cache, budget, counters)
-        }
-    }
-
-    /// Empty-block elimination / CFG tidying. `run_cached` shares the
-    /// pipeline cache across the fixed point; the quiescing final round
-    /// leaves a valid CFG behind for whatever runs next.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Clean;
-
-    impl Pass for Clean {
-        fn name(&self) -> &'static str {
-            "clean"
-        }
-        fn run(&self, f: &mut Function) -> bool {
-            crate::clean::run(f)
-        }
-        fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-            crate::clean::run_with_cache(f, cache)
-        }
-        fn run_budgeted(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::clean::run_budgeted(f, cache, budget)
-        }
-        fn run_instrumented(
-            &self,
-            f: &mut Function,
-            cache: &mut AnalysisCache,
-            budget: &Budget,
-            counters: &mut PassCounters,
-        ) -> Result<bool, BudgetExceeded> {
-            crate::clean::run_counted(f, cache, budget, counters)
-        }
-    }
-    simple_pass!(
-        /// Partial redundancy elimination (Drechsler–Stadel).
-        Pre,
-        "pre",
-        crate::pre::run,
-        budgeted_uncached: crate::pre::run_budgeted,
-        instrumented_uncached: crate::pre::run_counted
-    );
-    simple_pass!(
-        /// Partition-based global value numbering + renaming.
-        Gvn,
-        "gvn",
-        crate::gvn::run,
-        budgeted_uncached: crate::gvn::run_budgeted,
-        instrumented_uncached: crate::gvn::run_counted
-    );
-    simple_pass!(
-        /// Hash-based local value numbering. Rewrites and deletes
-        /// instructions within blocks; the CFG is untouched.
-        Lvn,
-        "lvn",
-        crate::lvn::run,
-        preserves: PreservedAnalyses::none().with_cfg(),
-        instrumented_uncached: crate::lvn::run_counted
-    );
+    pass!(ConstProp, "constprop", sccp, "Sparse conditional constant propagation.");
+    pass!(Peephole, "peephole", peephole, "Global peephole optimization.");
+    pass!(Dce, "dce", dce, "Dead code elimination.");
+    pass!(Coalesce, "coalesce", coalesce, "Chaitin-style copy coalescing.");
+    pass!(Clean, "clean", clean, "Empty-block elimination and CFG tidying.");
+    pass!(Pre, "pre", pre, "Partial redundancy elimination (Drechsler–Stadel).");
+    pass!(Gvn, "gvn", gvn, "Partition-based global value numbering + renaming.");
+    pass!(Lvn, "lvn", lvn, "Hash-based local value numbering.");
 
     /// Global reassociation (rank + forward propagation + sorting), with or
-    /// without distribution of multiplication over addition.
+    /// without distribution of multiplication over addition. Written out
+    /// because it carries its options; the three methods are the macro's.
     #[derive(Debug, Clone, Copy)]
     pub struct Reassociate {
         /// Distribute low-ranked multipliers over higher-ranked sums
@@ -445,29 +224,17 @@ pub mod passes {
                 "reassociate"
             }
         }
-        fn run(&self, f: &mut Function) -> bool {
-            crate::reassoc::reassociate(
-                f,
-                crate::reassoc::ReassocOptions { distribute: self.distribute },
-            );
-            // The SSA round trip renames registers even when nothing
-            // propagates; report a change conservatively.
-            true
-        }
+
         fn run_budgeted(
             &self,
             f: &mut Function,
             cache: &mut AnalysisCache,
             budget: &Budget,
         ) -> Result<bool, BudgetExceeded> {
-            crate::reassoc::reassociate_budgeted(
-                f,
-                crate::reassoc::ReassocOptions { distribute: self.distribute },
-                budget,
-            )?;
-            cache.retain(self.preserves());
-            Ok(true)
+            let options = ReassocOptions { distribute: self.distribute };
+            Ok(crate::reassoc::run(f, options, cache, budget)?.changed())
         }
+
         fn run_instrumented(
             &self,
             f: &mut Function,
@@ -475,14 +242,10 @@ pub mod passes {
             budget: &Budget,
             counters: &mut PassCounters,
         ) -> Result<bool, BudgetExceeded> {
-            crate::reassoc::reassociate_counted(
-                f,
-                crate::reassoc::ReassocOptions { distribute: self.distribute },
-                budget,
-                counters,
-            )?;
-            cache.retain(self.preserves());
-            Ok(true)
+            let options = ReassocOptions { distribute: self.distribute };
+            let stats = crate::reassoc::run(f, options, cache, budget)?;
+            stats.report(counters);
+            Ok(stats.changed())
         }
     }
 }

@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 
+use epre_analysis::{AnalysisCache, PreservedAnalyses};
 use epre_ir::{Const, Function, Inst, Reg};
 
 use crate::budget::{Budget, BudgetExceeded};
@@ -35,46 +36,43 @@ impl LvnStats {
     pub fn changed(&self) -> bool {
         self.redundant_deleted + self.copies_rewritten > 0
     }
-}
 
-/// Run local value numbering over every block. Returns true if any
-/// instruction was rewritten or deleted.
-pub fn run(f: &mut Function) -> bool {
-    run_stats(f).changed()
-}
-
-/// [`run`], additionally reporting what the invocation did as an
-/// [`LvnStats`].
-pub fn run_stats(f: &mut Function) -> LvnStats {
-    debug_assert!(f.blocks.iter().all(|b| b.phi_count() == 0), "lvn expects φ-free code");
-    let mut stats = LvnStats::default();
-    for block in &mut f.blocks {
-        number_block(block, &mut stats);
+    /// Fold the stats into a trace span's counters.
+    pub fn report(&self, counters: &mut PassCounters) {
+        counters.add("redundant_deleted", self.redundant_deleted);
+        counters.add("copies_rewritten", self.copies_rewritten);
     }
-    stats
 }
 
-/// Instrumented entry point for the pipeline: [`run_stats`] with the
-/// stats folded into `counters`, held to the growth and deadline budget
-/// dimensions post-hoc (LVN is a single bounded sweep — there is no loop
-/// to checkpoint cooperatively).
+/// Run local value numbering over every block. LVN rewrites and deletes
+/// instructions within blocks but leaves the CFG alone, so a changing run
+/// keeps only the CFG family of the pipeline's `cache`.
+///
+/// LVN is a single bounded sweep — there is no loop to checkpoint
+/// cooperatively — so a limited `budget` holds it to the growth and
+/// deadline dimensions post-hoc.
 ///
 /// # Errors
 /// [`BudgetExceeded`] when the post-hoc check finds the sweep over
 /// budget.
-pub fn run_counted(
+pub fn run(
     f: &mut Function,
+    cache: &mut AnalysisCache,
     budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
+) -> Result<LvnStats, BudgetExceeded> {
+    debug_assert!(f.blocks.iter().all(|b| b.phi_count() == 0), "lvn expects φ-free code");
     let meter = budget.is_limited().then(|| budget.start(f));
-    let stats = run_stats(f);
+    let mut stats = LvnStats::default();
+    for block in &mut f.blocks {
+        number_block(block, &mut stats);
+    }
+    if stats.changed() {
+        cache.retain(PreservedAnalyses::none().with_cfg());
+    }
     if let Some(meter) = meter {
         meter.finish(f)?;
     }
-    counters.add("redundant_deleted", stats.redundant_deleted);
-    counters.add("copies_rewritten", stats.copies_rewritten);
-    Ok(stats.changed())
+    Ok(stats)
 }
 
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -190,6 +188,7 @@ fn number_block(block: &mut epre_ir::Block, stats: &mut LvnStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{passes::Lvn, Pass};
     use epre_ir::{BinOp, FunctionBuilder, Ty};
 
     #[test]
@@ -202,7 +201,7 @@ mod tests {
         let m = b.bin(BinOp::Mul, Ty::Int, s1, s2);
         b.ret(Some(m));
         let mut f = b.finish();
-        run(&mut f);
+        Lvn.run(&mut f);
         assert!(matches!(f.blocks[0].insts[1], Inst::Copy { .. }));
     }
 
@@ -216,7 +215,7 @@ mod tests {
         let m = b.bin(BinOp::Mul, Ty::Int, s1, s2);
         b.ret(Some(m));
         let mut f = b.finish();
-        run(&mut f);
+        Lvn.run(&mut f);
         assert!(matches!(f.blocks[0].insts[1], Inst::Copy { .. }));
     }
 
@@ -231,7 +230,7 @@ mod tests {
         let u = b.bin(BinOp::Add, Ty::Int, x, y);
         b.ret(Some(u));
         let mut f = b.finish();
-        run(&mut f);
+        Lvn.run(&mut f);
         assert!(matches!(f.blocks[0].insts[2], Inst::Copy { src, .. } if src == t));
     }
 
@@ -247,7 +246,7 @@ mod tests {
         let n2 = b.bin(BinOp::Add, Ty::Int, x, y);
         b.ret(Some(n2));
         let mut f = b.finish();
-        run(&mut f);
+        Lvn.run(&mut f);
         assert!(
             matches!(f.blocks[0].insts[3], Inst::Bin { op: BinOp::Add, .. }),
             "x changed; x+y is a new value: {f}"
@@ -263,7 +262,7 @@ mod tests {
         let s = b.bin(BinOp::Add, Ty::Int, v1, v2);
         b.ret(Some(s));
         let mut f = b.finish();
-        run(&mut f);
+        Lvn.run(&mut f);
         let loads =
             f.blocks[0].insts.iter().filter(|i| matches!(i, Inst::Load { .. })).count();
         assert_eq!(loads, 2);
@@ -277,7 +276,7 @@ mod tests {
         let s = b.bin(BinOp::Add, Ty::Int, c1, c2);
         b.ret(Some(s));
         let mut f = b.finish();
-        run(&mut f);
+        Lvn.run(&mut f);
         assert!(matches!(f.blocks[0].insts[1], Inst::Copy { .. }));
     }
 }

@@ -18,12 +18,15 @@
 //! * **branch folding** — a conditional branch on a known constant becomes
 //!   a jump (the `clean` pass then drops the dead arm).
 
+use epre_analysis::AnalysisCache;
 use epre_ir::{BinOp, Const, Function, Inst, MixMap, Reg, Terminator, Ty, UnOp};
+use epre_telemetry::PassCounters;
 
-/// What one peephole run did to the function — consumed by the pass
-/// manager to invalidate cached analyses with edge-level precision.
+use crate::budget::{Budget, BudgetExceeded};
+
+/// What one peephole run did to the function.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Outcome {
+pub struct PeepholeStats {
     /// Some instruction was rewritten, deleted, or replaced.
     pub insts_changed: bool,
     /// A constant conditional branch was folded into a jump (the only
@@ -36,33 +39,58 @@ pub struct Outcome {
     pub branches_folded: u64,
 }
 
-impl Outcome {
+impl PeepholeStats {
     /// Did anything change at all?
     pub fn changed(&self) -> bool {
         self.insts_changed || self.cfg_changed
     }
+
+    /// Fold the stats into a trace span's counters.
+    pub fn report(&self, counters: &mut PassCounters) {
+        counters.add("rewrites", self.rewrites);
+        counters.add("branches_folded", self.branches_folded);
+    }
 }
 
-/// Run the peephole pass once over every block. Returns true if anything
-/// changed.
-pub fn run(f: &mut Function) -> bool {
-    run_detailed(f).changed()
-}
-
-/// Run the peephole pass, reporting instruction and CFG changes
-/// separately.
-pub fn run_detailed(f: &mut Function) -> Outcome {
+/// Run the peephole pass once over every block. Instruction rewrites keep
+/// the CFG intact; only folding a conditional branch changes block shape,
+/// so a changing run drops the CFG family of the pipeline's `cache` only
+/// when it folded one, and the expression universe and liveness always.
+///
+/// The pass is a single sweep — there is no loop to checkpoint
+/// cooperatively — so a limited `budget` holds it to the growth and
+/// deadline dimensions post-hoc.
+///
+/// # Errors
+/// [`BudgetExceeded`] when the post-hoc check finds the sweep over
+/// budget.
+pub fn run(
+    f: &mut Function,
+    cache: &mut AnalysisCache,
+    budget: &Budget,
+) -> Result<PeepholeStats, BudgetExceeded> {
     debug_assert!(f.blocks.iter().all(|b| b.phi_count() == 0), "peephole expects φ-free code");
-    let mut outcome = Outcome::default();
+    let meter = budget.is_limited().then(|| budget.start(f));
+    let mut stats = PeepholeStats::default();
     let mut env = Env { defs: vec![0; f.reg_count()], ..Env::default() };
     for bi in 0..f.blocks.len() {
         let block = rewrite_block(f, bi, &mut env);
-        outcome.insts_changed |= block.insts_changed;
-        outcome.cfg_changed |= block.cfg_changed;
-        outcome.rewrites += block.rewrites;
-        outcome.branches_folded += block.branches_folded;
+        stats.insts_changed |= block.insts_changed;
+        stats.cfg_changed |= block.cfg_changed;
+        stats.rewrites += block.rewrites;
+        stats.branches_folded += block.branches_folded;
     }
-    outcome
+    if stats.changed() {
+        if stats.cfg_changed {
+            cache.invalidate_cfg();
+        }
+        cache.invalidate_universe();
+        cache.invalidate_liveness();
+    }
+    if let Some(meter) = meter {
+        meter.finish(f)?;
+    }
+    Ok(stats)
 }
 
 /// The local value environment of the block being rewritten: constants,
@@ -132,17 +160,17 @@ impl Env {
     }
 }
 
-fn rewrite_block(f: &mut Function, bi: usize, env: &mut Env) -> Outcome {
+fn rewrite_block(f: &mut Function, bi: usize, env: &mut Env) -> PeepholeStats {
     env.clear();
-    let mut outcome = Outcome::default();
+    let mut stats = PeepholeStats::default();
     let block = &mut f.blocks[bi];
     for inst in &mut block.insts {
         // Copy-propagate operands first.
         inst.map_uses(|r| {
             let resolved = env.resolve(r);
             if resolved != r {
-                outcome.insts_changed = true;
-                outcome.rewrites += 1;
+                stats.insts_changed = true;
+                stats.rewrites += 1;
             }
             resolved
         });
@@ -152,8 +180,8 @@ fn rewrite_block(f: &mut Function, bi: usize, env: &mut Env) -> Outcome {
         let rewritten = simplify(inst, env);
         if let Some(new) = rewritten {
             if *inst != new {
-                outcome.insts_changed = true;
-                outcome.rewrites += 1;
+                stats.insts_changed = true;
+                stats.rewrites += 1;
             }
             *inst = new;
         }
@@ -186,8 +214,8 @@ fn rewrite_block(f: &mut Function, bi: usize, env: &mut Env) -> Outcome {
     block.term.map_uses(|r| {
         let resolved = env.resolve(r);
         if resolved != r {
-            outcome.insts_changed = true;
-            outcome.rewrites += 1;
+            stats.insts_changed = true;
+            stats.rewrites += 1;
         }
         resolved
     });
@@ -195,11 +223,11 @@ fn rewrite_block(f: &mut Function, bi: usize, env: &mut Env) -> Outcome {
         if let Some(c) = env.constant(cond) {
             let target = if c.is_zero() { else_to } else { then_to };
             block.term = Terminator::Jump { target };
-            outcome.cfg_changed = true;
-            outcome.branches_folded += 1;
+            stats.cfg_changed = true;
+            stats.branches_folded += 1;
         }
     }
-    outcome
+    stats
 }
 
 /// Attempt to rewrite one instruction given the local environment.
@@ -386,6 +414,7 @@ pub(crate) fn fold_un_const(op: UnOp, c: Const) -> Option<Const> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{passes::Peephole, Pass};
     use epre_ir::FunctionBuilder;
 
     #[test]
@@ -396,7 +425,7 @@ mod tests {
         let p = b.bin(BinOp::Mul, Ty::Int, a, c);
         b.ret(Some(p));
         let mut f = b.finish();
-        run(&mut f);
+        Peephole.run(&mut f);
         assert!(matches!(
             f.blocks[0].insts[2],
             Inst::LoadI { value: Const::Int(42), .. }
@@ -411,7 +440,7 @@ mod tests {
         let q = b.bin(BinOp::Div, Ty::Int, a, z);
         b.ret(Some(q));
         let mut f = b.finish();
-        run(&mut f);
+        Peephole.run(&mut f);
         assert!(matches!(f.blocks[0].insts[2], Inst::Bin { op: BinOp::Div, .. }));
     }
 
@@ -424,7 +453,7 @@ mod tests {
         let d = b.bin(BinOp::Sub, Ty::Int, s, s); // s - s -> 0
         b.ret(Some(d));
         let mut f = b.finish();
-        run(&mut f);
+        Peephole.run(&mut f);
         assert!(matches!(f.blocks[0].insts[1], Inst::Copy { .. }));
         assert!(matches!(f.blocks[0].insts[2], Inst::LoadI { value: Const::Int(0), .. }));
     }
@@ -440,7 +469,7 @@ mod tests {
         let p = b.bin(BinOp::Mul, Ty::Float, s, one);
         b.ret(Some(p));
         let mut f = b.finish();
-        run(&mut f);
+        Peephole.run(&mut f);
         assert!(matches!(f.blocks[0].insts[2], Inst::Bin { op: BinOp::Add, .. }));
         assert!(matches!(f.blocks[0].insts[3], Inst::Copy { .. }));
     }
@@ -455,7 +484,7 @@ mod tests {
         let z = b.bin(BinOp::Add, Ty::Int, x, t);
         b.ret(Some(z));
         let mut f = b.finish();
-        run(&mut f);
+        Peephole.run(&mut f);
         let sub = &f.blocks[0].insts[1];
         assert!(matches!(sub, Inst::Bin { op: BinOp::Sub, .. }));
         assert_eq!(sub.uses().collect::<Vec<_>>(), vec![x, y]);
@@ -469,7 +498,7 @@ mod tests {
         let d = b.bin(BinOp::Mul, Ty::Int, x, two);
         b.ret(Some(d));
         let mut f = b.finish();
-        run(&mut f);
+        Peephole.run(&mut f);
         let add = &f.blocks[0].insts[1];
         assert!(matches!(add, Inst::Bin { op: BinOp::Add, .. }));
         assert_eq!(add.uses().collect::<Vec<_>>(), vec![x, x]);
@@ -488,7 +517,7 @@ mod tests {
         b.switch_to(e);
         b.ret(Some(c));
         let mut f = b.finish();
-        run(&mut f);
+        Peephole.run(&mut f);
         assert!(matches!(f.blocks[0].term, Terminator::Jump { target } if target == e));
     }
 
@@ -500,7 +529,7 @@ mod tests {
         let s = b.bin(BinOp::Add, Ty::Int, c, c);
         b.ret(Some(s));
         let mut f = b.finish();
-        run(&mut f);
+        Peephole.run(&mut f);
         // The add reads x directly now; DCE would remove the copy.
         assert_eq!(f.blocks[0].insts[1].uses().collect::<Vec<_>>(), vec![x, x]);
     }
@@ -518,7 +547,7 @@ mod tests {
         let q = b.bin(BinOp::Xor, Ty::Int, y, z);
         b.ret(Some(q));
         let mut f = b.finish();
-        run(&mut f);
+        Peephole.run(&mut f);
         assert!(matches!(f.blocks[0].insts[1], Inst::LoadI { value: Const::Int(2), .. }));
         // Second add reads p (copy-propagated), not a constant.
         assert!(matches!(f.blocks[0].insts[3], Inst::Bin { op: BinOp::Add, .. }));
@@ -538,7 +567,7 @@ mod tests {
         let s = b.bin(BinOp::Add, Ty::Int, a, t);
         b.ret(Some(s));
         let mut f = b.finish();
-        run(&mut f);
+        Peephole.run(&mut f);
         let add = &f.blocks[0].insts[3];
         assert!(matches!(add, Inst::Bin { op: BinOp::Add, .. }), "{f}");
         assert_eq!(add.uses().collect::<Vec<_>>(), vec![a, t], "{f}");
@@ -552,7 +581,7 @@ mod tests {
         let n2 = b.un(UnOp::Neg, Ty::Float, n1);
         b.ret(Some(n2));
         let mut f = b.finish();
-        run(&mut f);
+        Peephole.run(&mut f);
         assert!(matches!(f.blocks[0].insts[1], Inst::Copy { src, .. } if src == x));
     }
 }

@@ -37,7 +37,8 @@
 //! other expressions keep the empty INSERT and DELETE they had.
 
 use epre_analysis::{
-    BitSet, Direction, ExprId, ExprKey, ExprUniverse, LocalPredicates, Meet, Solution,
+    AnalysisCache, BitSet, Direction, ExprId, ExprKey, ExprUniverse, LocalPredicates, Meet,
+    Solution,
 };
 use epre_cfg::edit::split_critical_edges;
 use epre_cfg::{postorder, Cfg, Csr};
@@ -46,7 +47,7 @@ use epre_ir::{BlockId, Function, Inst};
 use crate::budget::{Budget, BudgetExceeded, Meter};
 use epre_telemetry::PassCounters;
 
-/// What one [`run_budgeted_stats`] invocation did, in the paper's own
+/// What one [`run`] invocation did, in the paper's own
 /// vocabulary: how many critical edges were split, how many expression
 /// computations were hoisted onto edges, and how many upward-exposed
 /// occurrences were deleted.
@@ -69,10 +70,20 @@ impl PreStats {
     pub fn changed(&self) -> bool {
         self.edges_split + self.exprs_hoisted + self.occurrences_deleted > 0
     }
+
+    /// Fold the stats into a trace span's counters.
+    pub fn report(&self, counters: &mut PassCounters) {
+        counters.add("rounds", self.rounds);
+        counters.add("edges_split", self.edges_split);
+        counters.add("exprs_hoisted", self.exprs_hoisted);
+        counters.add("occurrences_deleted", self.occurrences_deleted);
+        counters.add("ticks", self.ticks);
+    }
 }
 
-/// Run PRE to a fixed point. Returns true if any round changed the
-/// function (including critical-edge splitting, which edits the CFG).
+/// Run PRE to a fixed point under a resource [`Budget`]. PRE builds its
+/// own CFG and universe, so a changing run drops every entry of the
+/// pipeline's `cache`.
 ///
 /// A single application exposes *second-order* opportunities: hoisting a
 /// `loadi` out of a block un-kills the expressions that consumed the
@@ -80,32 +91,19 @@ impl PreStats {
 /// Renvoise already observed that their transformation benefits from
 /// repetition). Each round only deletes or moves computations, so the
 /// iteration converges; a generous bound guards against pathological
-/// inputs.
-pub fn run(f: &mut Function) -> bool {
-    match run_budgeted(f, &Budget::UNLIMITED) {
-        Ok(any) => any,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
-    }
-}
-
-/// [`run`] under a resource [`Budget`]: cooperative checkpoints per outer
-/// application round *and* per LATER/LATERIN sweep inside each round —
-/// both loops are fixed points, and the growth dimension also polices
-/// edge-split and insertion blowup between rounds.
+/// inputs. There are cooperative checkpoints per outer application round
+/// *and* per LATER/LATERIN sweep inside each round — both loops are fixed
+/// points, and the growth dimension also polices edge-split and insertion
+/// blowup between rounds.
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a round or sweep starts over budget; completed
 /// rounds stay applied (callers needing atomicity run a clone).
-pub fn run_budgeted(f: &mut Function, budget: &Budget) -> Result<bool, BudgetExceeded> {
-    run_budgeted_stats(f, budget).map(|s| s.changed())
-}
-
-/// [`run_budgeted`], additionally reporting what the invocation did as a
-/// [`PreStats`].
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<PreStats, BudgetExceeded> {
+pub fn run(
+    f: &mut Function,
+    cache: &mut AnalysisCache,
+    budget: &Budget,
+) -> Result<PreStats, BudgetExceeded> {
     let mut meter = budget.start(f);
     let mut stats = PreStats::default();
     let mut rounds = Rounds::default();
@@ -117,26 +115,10 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<PreStats,
         stats.rounds += 1;
     }
     stats.ticks = meter.ticks();
+    if stats.changed() {
+        cache.invalidate_all();
+    }
     Ok(stats)
-}
-
-/// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
-/// the stats folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_counted(
-    f: &mut Function,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let stats = run_budgeted_stats(f, budget)?;
-    counters.add("rounds", stats.rounds);
-    counters.add("edges_split", stats.edges_split);
-    counters.add("exprs_hoisted", stats.exprs_hoisted);
-    counters.add("occurrences_deleted", stats.occurrences_deleted);
-    counters.add("ticks", stats.ticks);
-    Ok(stats.changed())
 }
 
 /// One application of Drechsler–Stadel PRE; returns true if anything
@@ -540,6 +522,7 @@ fn inst_of(universe: &ExprUniverse, e: ExprId) -> Inst {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{passes::Pre, Pass};
     use epre_ir::{BinOp, Const, FunctionBuilder, Terminator, Ty};
     use std::cell::Cell;
 
@@ -649,7 +632,7 @@ mod tests {
     /// block sweep with the round robin.
     fn run_checked(f: &mut Function) {
         let before = SWEEPS_CHECKED.with(Cell::get);
-        run(f);
+        Pre.run(f);
         assert!(f.verify().is_ok(), "{f}");
         assert!(SWEEPS_CHECKED.with(Cell::get) > before, "no PRE round solved LATER: {f}");
     }
@@ -688,7 +671,7 @@ mod tests {
         b.ret(Some(n));
         let mut f = b.finish();
         assert_eq!(count_adds(&f), 2);
-        run(&mut f);
+        Pre.run(&mut f);
         assert!(f.verify().is_ok());
         // Still two adds (one per path), but none at the join: the join's
         // occurrence was deleted and one was inserted on the else path.
@@ -729,7 +712,7 @@ mod tests {
         b.switch_to(exit);
         b.ret(Some(i));
         let mut f = b.finish();
-        run(&mut f);
+        Pre.run(&mut f);
         assert!(f.verify().is_ok());
         // x+y no longer computed in the loop body.
         let body_has_xy = f
@@ -784,7 +767,7 @@ mod tests {
         b.ret(Some(n));
         let mut f = b.finish();
         assert_eq!(count_adds(&f), 3);
-        run(&mut f);
+        Pre.run(&mut f);
         assert_eq!(count_adds(&f), 2, "{f}");
     }
 
@@ -806,7 +789,7 @@ mod tests {
         b.ret(Some(s));
         let mut f = b.finish();
         let before = f.static_op_count();
-        run(&mut f);
+        Pre.run(&mut f);
         assert_eq!(f.static_op_count(), before, "nothing to remove");
     }
 
@@ -829,7 +812,7 @@ mod tests {
         b.ret(Some(n2));
         let mut f = b.finish();
         let before = count_adds(&f);
-        run(&mut f);
+        Pre.run(&mut f);
         assert_eq!(count_adds(&f), before, "undisciplined: PRE must not touch");
     }
 
@@ -859,7 +842,7 @@ mod tests {
             b.finish()
         };
         let mut opt = build();
-        run(&mut opt);
+        Pre.run(&mut opt);
         let orig = build();
         for p in [0i64, 1] {
             let mut m1 = epre_ir::Module::new();
@@ -896,7 +879,7 @@ mod tests {
         b.push(Inst::Bin { op: BinOp::Add, ty: Ty::Int, dst: n, lhs: x, rhs: y });
         b.ret(Some(n));
         let mut f = b.finish();
-        run(&mut f);
+        Pre.run(&mut f);
         assert_eq!(count_adds(&f), 1, "{f}");
         // And it is placed no earlier than needed: lazy placement keeps it
         // in b1 (the first use), not hoisted to the entry block.
@@ -1001,7 +984,7 @@ mod tests {
     /// against a full round.
     fn restricted_rounds_checked(f: &mut Function) -> usize {
         let before = ROUNDS_CHECKED.with(Cell::get);
-        run(f);
+        Pre.run(f);
         assert!(f.verify().is_ok(), "{f}");
         ROUNDS_CHECKED.with(Cell::get) - before
     }
@@ -1033,7 +1016,7 @@ mod tests {
         b.ret(Some(acc));
         let mut f = b.finish();
         assert_eq!(restricted_rounds_checked(&mut f), 5, "{f}");
-        let stats = run_budgeted_stats(&mut f.clone(), &Budget::UNLIMITED).unwrap();
+        let stats = run(&mut f.clone(), &mut AnalysisCache::new(), &Budget::UNLIMITED).unwrap();
         assert_eq!(stats.rounds, 0, "the fixed point needs no further round");
     }
 
@@ -1053,7 +1036,7 @@ mod tests {
         let f = &mut m.functions[0];
         assert_eq!(f.inst_count(), 51);
         let before = ROUNDS_CHECKED.with(Cell::get);
-        let stats = run_budgeted_stats(f, &Budget::UNLIMITED).unwrap();
+        let stats = run(f, &mut AnalysisCache::new(), &Budget::UNLIMITED).unwrap();
         assert_eq!(ROUNDS_CHECKED.with(Cell::get) - before, 9);
         assert_eq!(
             (stats.rounds, stats.edges_split, stats.exprs_hoisted, stats.occurrences_deleted),
@@ -1103,7 +1086,7 @@ mod tests {
     /// and GVN: every restricted round equals a full round.
     #[test]
     fn restricted_rounds_equal_full_rounds_on_the_suite() {
-        use crate::reassoc::{reassociate, ReassocOptions};
+        use crate::passes::{Gvn, Reassociate};
         use epre_frontend::NamingMode;
         let mut checked = 0;
         for r in epre_suite::all_routines() {
@@ -1113,8 +1096,8 @@ mod tests {
                     checked += restricted_rounds_checked(&mut f.clone());
                     for distribute in [false, true] {
                         let mut g = f.clone();
-                        reassociate(&mut g, ReassocOptions { distribute });
-                        crate::gvn::run(&mut g);
+                        Reassociate { distribute }.run(&mut g);
+                        Gvn.run(&mut g);
                         checked += restricted_rounds_checked(&mut g);
                     }
                 }
@@ -1180,7 +1163,7 @@ mod tests {
                 for f in &m.functions {
                     run_checked(&mut f.clone());
                     let mut renamed = f.clone();
-                    crate::gvn::run(&mut renamed);
+                    crate::passes::Gvn.run(&mut renamed);
                     run_checked(&mut renamed);
                 }
             }

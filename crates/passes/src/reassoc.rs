@@ -29,6 +29,7 @@
 //!    paper's partial distribution: `a + b×((c+d)+e)` with `e` deeper
 //!    becomes `a + b×(c+d) + b×e`), and sums are re-sorted.
 
+use epre_analysis::AnalysisCache;
 use epre_cfg::Cfg;
 use epre_ir::{BinOp, Const, Function, Inst, Reg, Terminator, Ty, UnOp};
 use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
@@ -36,7 +37,7 @@ use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
 use crate::budget::{Budget, BudgetExceeded, Meter};
 use epre_telemetry::PassCounters;
 
-/// Options for [`reassociate`].
+/// Options for [`run`].
 #[derive(Copy, Clone, Debug, Default)]
 pub struct ReassocOptions {
     /// Distribute multiplication over addition when the multiplier's rank
@@ -64,29 +65,39 @@ impl ReassocStats {
     pub fn expansion(&self) -> f64 {
         self.ops_after as f64 / self.ops_before.max(1) as f64
     }
-}
 
-/// Run global reassociation on `f`; returns the Table 2 statistics.
-pub fn reassociate(f: &mut Function, options: ReassocOptions) -> ReassocStats {
-    match reassociate_budgeted(f, options, &Budget::UNLIMITED) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
+    /// Did the invocation change the function? Always: the SSA round trip
+    /// renames registers even when nothing propagates.
+    pub fn changed(&self) -> bool {
+        true
+    }
+
+    /// Fold the stats into a trace span's counters.
+    pub fn report(&self, counters: &mut PassCounters) {
+        counters.add("regs_ranked", self.regs_ranked as u64);
+        counters.add("distributions", self.distributions);
+        counters.add("ops_emitted", self.ops_after as u64);
     }
 }
 
-/// [`reassociate`] under a resource [`Budget`]: one cooperative
-/// checkpoint per block of the forward-propagation rewrite. Distribution
-/// is the pipeline's biggest legitimate code-growth source (Table 2's
-/// expansion column), so the growth dimension is checked block-by-block
-/// while the rewrite is still in flight rather than once at the end.
+/// Run global reassociation on `f` under a resource [`Budget`]; returns
+/// the Table 2 statistics. The pass rebuilds SSA internally, so it drops
+/// every entry of the pipeline's `cache`.
+///
+/// There is one cooperative checkpoint per block of the
+/// forward-propagation rewrite. Distribution is the pipeline's biggest
+/// legitimate code-growth source (Table 2's expansion column), so the
+/// growth dimension is checked block-by-block while the rewrite is still
+/// in flight rather than once at the end.
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a block rewrite starts over budget; blocks
 /// already rewritten stay rewritten (callers needing atomicity run a
 /// clone).
-pub fn reassociate_budgeted(
+pub fn run(
     f: &mut Function,
     options: ReassocOptions,
+    cache: &mut AnalysisCache,
     budget: &Budget,
 ) -> Result<ReassocStats, BudgetExceeded> {
     let ops_before = f.static_op_count();
@@ -105,27 +116,10 @@ pub fn reassociate_budgeted(
     // along the way.
     let distributions = forward_propagate(f, &ranks, options, &mut meter)?;
     f.compact_regs();
+    cache.invalidate_all();
 
     let ops_after = f.static_op_count();
     Ok(ReassocStats { ops_before, ops_after, regs_ranked, distributions })
-}
-
-/// Instrumented entry point for the pipeline: [`reassociate_budgeted`]
-/// with the Table 2 statistics folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`reassociate_budgeted`].
-pub fn reassociate_counted(
-    f: &mut Function,
-    options: ReassocOptions,
-    budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<ReassocStats, BudgetExceeded> {
-    let stats = reassociate_budgeted(f, options, budget)?;
-    counters.add("regs_ranked", stats.regs_ranked as u64);
-    counters.add("distributions", stats.distributions);
-    counters.add("ops_emitted", stats.ops_after as u64);
-    Ok(stats)
 }
 
 /// Ranks per register (paper §3.1). Must run on SSA.
@@ -212,7 +206,7 @@ fn forward_propagate(
     }
     // A register defined more than once cannot be treated as a tree node
     // (it is a variable); drop such defs. (Cannot arise from our SSA
-    // pipeline, but `reassociate` accepts arbitrary verified input.)
+    // pipeline, but `run` accepts arbitrary verified input.)
     for (def, &count) in defs.iter_mut().zip(&def_count) {
         if count > 1 {
             *def = None;
@@ -619,6 +613,11 @@ mod tests {
     use super::*;
     use epre_ir::{FunctionBuilder, Module};
     use epre_interp::{Interpreter, Value};
+
+    /// [`run`] with a fresh cache and no budget.
+    fn reassociate(f: &mut Function, options: ReassocOptions) -> ReassocStats {
+        run(f, options, &mut AnalysisCache::new(), &Budget::UNLIMITED).unwrap()
+    }
 
     fn run_fn(f: &Function, name: &str, args: &[Value]) -> (Option<Value>, u64) {
         let mut m = Module::new();

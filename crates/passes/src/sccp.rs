@@ -31,6 +31,21 @@ pub struct SccpStats {
     pub ticks: u64,
 }
 
+impl SccpStats {
+    /// Did the invocation change the function? Always: the SSA round trip
+    /// renames registers even when no constant propagates.
+    pub fn changed(&self) -> bool {
+        true
+    }
+
+    /// Fold the stats into a trace span's counters.
+    pub fn report(&self, counters: &mut PassCounters) {
+        counters.add("ops_folded", self.ops_folded);
+        counters.add("branches_folded", self.branches_folded);
+        counters.add("ticks", self.ticks);
+    }
+}
+
 /// Lattice value for one SSA name.
 #[derive(Copy, Clone, PartialEq, Debug)]
 enum Lattice {
@@ -52,53 +67,22 @@ impl Lattice {
     }
 }
 
-/// Run SCCP on `f`. Returns `true` unconditionally: the internal SSA
-/// round trip renames registers even when no constant propagates, so the
-/// function must be treated as changed.
-pub fn run(f: &mut Function) -> bool {
-    match run_budgeted(f, &Budget::UNLIMITED) {
-        Ok(changed) => changed,
-        Err(_) => unreachable!("unlimited budget cannot be exceeded"),
-    }
-}
-
-/// [`run`] under a resource [`Budget`]: one cooperative checkpoint per
-/// worklist pop of the two-worklist propagation (the only part of the
-/// pass whose trip count depends on lattice convergence). Takes no
-/// analysis cache: the pass rebuilds SSA internally, so nothing cached
-/// for the incoming function survives anyway.
+/// Run SCCP on `f` under a resource [`Budget`]. The pass rebuilds SSA
+/// internally, so it drops every entry of the pipeline's `cache`.
+///
+/// There is one cooperative checkpoint per worklist pop of the
+/// two-worklist propagation (the only part of the pass whose trip count
+/// depends on lattice convergence).
 ///
 /// # Errors
 /// [`BudgetExceeded`] when a pop starts over budget; the function is left
 /// mid-transform, possibly still in SSA form (callers needing atomicity
 /// run a clone).
-pub fn run_budgeted(f: &mut Function, budget: &Budget) -> Result<bool, BudgetExceeded> {
-    run_budgeted_stats(f, budget).map(|_| true)
-}
-
-/// Instrumented entry point for the pipeline: [`run_budgeted_stats`] with
-/// the stats folded into `counters`.
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_counted(
+pub fn run(
     f: &mut Function,
+    cache: &mut AnalysisCache,
     budget: &Budget,
-    counters: &mut PassCounters,
-) -> Result<bool, BudgetExceeded> {
-    let stats = run_budgeted_stats(f, budget)?;
-    counters.add("ops_folded", stats.ops_folded);
-    counters.add("branches_folded", stats.branches_folded);
-    counters.add("ticks", stats.ticks);
-    Ok(true)
-}
-
-/// [`run_budgeted`], additionally reporting what the invocation did as an
-/// [`SccpStats`].
-///
-/// # Errors
-/// [`BudgetExceeded`] exactly as [`run_budgeted`].
-pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats, BudgetExceeded> {
+) -> Result<SccpStats, BudgetExceeded> {
     let mut stats = SccpStats::default();
     build_ssa(f, SsaOptions { fold_copies: true });
     let mut meter = budget.start(f);
@@ -204,13 +188,15 @@ pub fn run_budgeted_stats(f: &mut Function, budget: &Budget) -> Result<SccpStats
 
     // Unreachable blocks may now contain φs naming removed edges; drop
     // unreachable blocks before SSA destruction. Both cleanups need the
-    // post-folding CFG; one shared cache builds it at most twice (and only
-    // once when nothing was unreachable) instead of three times.
-    let mut cache = AnalysisCache::new();
-    drop_unreachable_with_phis(f, &mut cache);
-    prune_phi_args_of_removed_edges(f, &mut cache);
+    // post-folding CFG of the SSA form; a cache of their own (the
+    // pipeline's is dropped below) builds it at most twice (and only once
+    // when nothing was unreachable) instead of three times.
+    let mut ssa_cache = AnalysisCache::new();
+    drop_unreachable_with_phis(f, &mut ssa_cache);
+    prune_phi_args_of_removed_edges(f, &mut ssa_cache);
     destroy_ssa(f);
     f.compact_regs();
+    cache.invalidate_all();
     Ok(stats)
 }
 
@@ -404,6 +390,7 @@ fn prune_phi_args_of_removed_edges(f: &mut Function, cache: &mut AnalysisCache) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{passes::ConstProp, Pass};
     use epre_ir::{BinOp, FunctionBuilder, Ty};
 
     #[test]
@@ -415,7 +402,7 @@ mod tests {
         let p = b.bin(BinOp::Mul, Ty::Int, s, s);
         b.ret(Some(p));
         let mut f = b.finish();
-        run(&mut f);
+        ConstProp.run(&mut f);
         // p proven 25.
         let last = f.blocks[0].insts.last().unwrap();
         assert!(matches!(last, Inst::LoadI { value: Const::Int(25), .. }));
@@ -436,7 +423,7 @@ mod tests {
         let twenty = b.loadi(Const::Int(20));
         b.ret(Some(twenty));
         let mut f = b.finish();
-        run(&mut f);
+        ConstProp.run(&mut f);
         assert!(f.verify().is_ok());
         // The else-arm is unreachable and dropped.
         assert_eq!(f.blocks.len(), 2);
@@ -462,7 +449,7 @@ mod tests {
         let s = b.bin(BinOp::Add, Ty::Int, x, one);
         b.ret(Some(s));
         let mut f = b.finish();
-        run(&mut f);
+        ConstProp.run(&mut f);
         // The add became loadi 2 somewhere.
         let found = f
             .blocks
@@ -493,7 +480,7 @@ mod tests {
         b.switch_to(exit);
         b.ret(Some(x));
         let mut f = b.finish();
-        run(&mut f);
+        ConstProp.run(&mut f);
         // Return feeds a register proven zero: either ret of a loadi-0 reg.
         assert!(f.verify().is_ok());
         let zero_regs: Vec<Reg> = f
@@ -533,7 +520,7 @@ mod tests {
         let q = b.bin(BinOp::Div, Ty::Int, one, zero);
         b.ret(Some(q));
         let mut f = b.finish();
-        run(&mut f);
+        ConstProp.run(&mut f);
         assert!(f
             .blocks
             .iter()
@@ -549,7 +536,7 @@ mod tests {
         let s = b.bin(BinOp::Add, Ty::Int, x, one);
         b.ret(Some(s));
         let mut f = b.finish();
-        run(&mut f);
+        ConstProp.run(&mut f);
         assert!(f
             .blocks
             .iter()

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use epre::{Budget, BudgetExceeded};
-use epre_analysis::{AnalysisCache, PreservedAnalyses};
+use epre_analysis::AnalysisCache;
 use epre_ir::Function;
 use epre_passes::Pass;
 use epre_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, PassCounters, Snapshot};
@@ -154,7 +154,7 @@ impl ServeMetrics {
 }
 
 /// A transparent timing shim around a pipeline pass: same name, same
-/// preservation contract, same results — it only charges the wall time
+/// results — it only charges the wall time
 /// of each invocation to the pass's cumulative counter. The governed
 /// driver and circuit breakers see the wrapped pass's own name, so
 /// fault attribution and quarantine are unchanged.
@@ -177,18 +177,6 @@ impl TimedPass {
 impl Pass for TimedPass {
     fn name(&self) -> &'static str {
         self.inner.name()
-    }
-
-    fn run(&self, f: &mut Function) -> bool {
-        self.charge(|| self.inner.run(f))
-    }
-
-    fn preserves(&self) -> PreservedAnalyses {
-        self.inner.preserves()
-    }
-
-    fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-        self.charge(|| self.inner.run_cached(f, cache))
     }
 
     fn run_budgeted(

@@ -22,7 +22,7 @@ fn every_pass_of_every_level_preserves_invariants_on_the_suite() {
         let m = r.compile(NamingMode::Disciplined).unwrap();
         for level in ALL_LEVELS {
             let opt = Optimizer::new(level);
-            if let Err(e) = opt.optimize_verified(&m) {
+            if let Err(e) = opt.optimize_verified(&m, 1) {
                 panic!("{} at {}: {e}", r.name, level.label());
             }
         }

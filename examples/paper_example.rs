@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example paper_example`
 
-use epre::stages::{run_staged, Stage};
+use epre::stages::{try_run_staged, Stage};
 use epre_frontend::{compile, NamingMode};
 use epre_interp::{Interpreter, Value};
 
@@ -29,7 +29,7 @@ fn main() {
     let module = compile(source, NamingMode::Simple).expect("compiles");
     let routine = module.function("foo").unwrap();
 
-    let staged = run_staged(routine, true);
+    let staged = try_run_staged(routine, true).expect("the walkthrough stages verify");
     for (_, description, f) in &staged.snapshots {
         println!("{description}\n\n{f}\n");
     }

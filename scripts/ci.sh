@@ -37,8 +37,10 @@ cargo test --release -q $CARGO_FLAGS --test golden_outputs --test golden_traces 
     --test register_space --test parallel_equivalence --test alloc_budget \
     --test hasher_seed --test serve_warm_resubmit
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace $CARGO_FLAGS -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# Every target, so the tests, examples and the paper-table benches (which
+# nothing else here compiles) build and lint too.
+cargo clippy --workspace --all-targets $CARGO_FLAGS -- -D warnings
 
 echo "==> report smoke (epre report --quick)"
 tmpdir="$(mktemp -d)"

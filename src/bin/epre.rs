@@ -37,7 +37,8 @@
 //! that does not parse or does not pass the structural verifier (lint
 //! rules L001–L008) with exit 2, and exits 1 on a pass fault. `opt
 //! --verify-each` re-lints after every pass and aborts (exit 1) naming
-//! the pass that introduced an invariant violation; `opt --best-effort`
+//! the pass that introduced an invariant violation (or that panicked); it
+//! honours `--jobs` like plain `opt`. `opt --best-effort`
 //! instead contains pass faults (rollback + continue), reports them on
 //! stderr, and exits 3 when anything was contained or rolled back (the
 //! output is still a safe, runnable module — the distinct code lets
@@ -455,7 +456,7 @@ fn cmd_opt(args: &[String]) -> ExitCode {
         if trace_path.is_some() {
             eprintln!("note: --trace is ignored under --verify-each");
         }
-        match opt.optimize_verified(&module) {
+        match opt.optimize_verified(&module, jobs) {
             Ok(m) => m,
             Err(e) => {
                 eprintln!("verify-each: {e}");
@@ -479,7 +480,7 @@ fn cmd_opt(args: &[String]) -> ExitCode {
             }
         }
     } else if let Some(tpath) = &trace_path {
-        match opt.try_optimize_traced(&module, jobs, false) {
+        match opt.try_optimize_traced(&module, jobs) {
             Ok((m, trace)) => {
                 if let Err(e) = write_trace(tpath, &trace, &trace_format) {
                     eprintln!("error: {e}");
@@ -729,7 +730,7 @@ fn cmd_explain(args: &[String]) -> ExitCode {
     };
     for (i, level) in levels.iter().enumerate() {
         let opt = Optimizer::new(*level);
-        let trace = match opt.try_optimize_traced(&module, 1, false) {
+        let trace = match opt.try_optimize_traced(&module, 1) {
             Ok((_, trace)) => trace,
             Err(f) => {
                 eprintln!("error: {f}");

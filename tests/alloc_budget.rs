@@ -18,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use epre_analysis::{BitSet, ExprKey, ExprUniverse};
+use epre_analysis::{AnalysisCache, BitSet, ExprKey, ExprUniverse};
 use epre_cfg::{Cfg, Dominators};
 use epre_ir::{
     parse_function, BinOp, BlockId, Const, Function, FunctionBuilder, Inst, Reg, Terminator, Ty,
@@ -246,7 +246,8 @@ fn pre_rounds_after_the_first_allocate_a_small_constant() {
     let f = hoisting_chains(4, 5);
     let (mut once, mut all) = (f.clone(), f);
     let (_, first) = allocations(|| pre::run_once(&mut once));
-    let (stats, total) = allocations(|| pre::run_budgeted_stats(&mut all, &Budget::UNLIMITED));
+    let mut cache = AnalysisCache::new();
+    let (stats, total) = allocations(|| pre::run(&mut all, &mut cache, &Budget::UNLIMITED));
     let stats = stats.expect("unlimited budget");
     assert_eq!((stats.rounds, stats.exprs_hoisted), (6, 24), "{all}");
     // Six changing rounds and the closing one: six after the first. Debug

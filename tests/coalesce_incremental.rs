@@ -16,8 +16,8 @@
 //! Byte-identity across `--jobs` on the fused suite module lives in
 //! `tests/parallel_equivalence.rs`.
 
-use epre::{run_pass_cached, OptLevel, Optimizer};
-use epre_analysis::{AnalysisCache, PreservedAnalyses};
+use epre::{run_pass_cached, Budget, BudgetExceeded, OptLevel, Optimizer};
+use epre_analysis::AnalysisCache;
 use epre_frontend::NamingMode;
 use epre_harness::{compare_modules_detailed, OracleConfig};
 use epre_ir::{Function, Module};
@@ -39,14 +39,13 @@ impl Pass for ReferenceCoalesce {
     fn name(&self) -> &'static str {
         "coalesce"
     }
-    fn run(&self, f: &mut Function) -> bool {
-        coalesce::reference::run(f)
-    }
-    fn preserves(&self) -> PreservedAnalyses {
-        PreservedAnalyses::none().with_cfg()
-    }
-    fn run_cached(&self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-        coalesce::reference::run_with_cache(f, cache)
+    fn run_budgeted(
+        &self,
+        f: &mut Function,
+        cache: &mut AnalysisCache,
+        _budget: &Budget,
+    ) -> Result<bool, BudgetExceeded> {
+        Ok(coalesce::reference::run_with_cache(f, cache))
     }
 }
 

@@ -474,13 +474,18 @@ fn watchdog_rolls_back_a_hung_function_without_blocking_the_module() {
         fn name(&self) -> &'static str {
             "stuck-on-name"
         }
-        fn run(&self, f: &mut epre_ir::Function) -> bool {
+        fn run_budgeted(
+            &self,
+            f: &mut epre_ir::Function,
+            _cache: &mut epre_analysis::AnalysisCache,
+            _budget: &Budget,
+        ) -> Result<bool, epre::BudgetExceeded> {
             if f.name == "stuck" {
                 while !RELEASE.load(Ordering::Relaxed) {
                     std::thread::sleep(Duration::from_millis(2));
                 }
             }
-            false
+            Ok(false)
         }
     }
 

@@ -2,7 +2,7 @@
 //! level, pinned by a 64-bit fingerprint.
 //!
 //! Each fingerprint is `epre_harness::fingerprint64` of the JSON Lines
-//! export of `Optimizer::try_optimize_traced(&module, 1, false)`. The
+//! export of `Optimizer::try_optimize_traced(&module, 1)`. The
 //! trace carries what no output comparison sees: every pass's
 //! self-reported counters and change flag, the static operation counts
 //! and opcode provenance around each pass, and each function's closing
@@ -45,7 +45,7 @@ fn suite_traces_match_the_golden_fingerprints() {
         let m = r.compile(NamingMode::Disciplined).unwrap();
         for level in LEVELS {
             let (_, trace) = Optimizer::new(level)
-                .try_optimize_traced(&m, 1, false)
+                .try_optimize_traced(&m, 1)
                 .unwrap_or_else(|f| panic!("{f}"));
             let fp = fingerprint64(&trace.to_jsonl());
             let key = (r.name.to_string(), level.label().to_string());

@@ -1,6 +1,6 @@
 //! Integration test for the paper's running example (Figures 2–10).
 
-use epre::stages::{run_staged, Stage};
+use epre::stages::{try_run_staged, Stage};
 use epre_frontend::{compile, NamingMode};
 use epre_interp::{Interpreter, Value};
 use epre_ir::{Inst, Module};
@@ -28,7 +28,8 @@ fn run_foo(f: &epre_ir::Function, y: f64, z: f64) -> (Option<Value>, u64) {
 #[test]
 fn figure_2_to_10_walkthrough() {
     let module = compile(FOO, NamingMode::Simple).unwrap();
-    let staged = run_staged(module.function("foo").unwrap(), true);
+    let staged = try_run_staged(module.function("foo").unwrap(), true)
+        .expect("the walkthrough stages verify");
 
     // Every stage is printable, verifiable IR.
     for (stage, _, f) in &staged.snapshots {

@@ -4,8 +4,9 @@
 
 use std::time::{Duration, Instant};
 
+use epre_analysis::AnalysisCache;
 use epre_ir::{Function, FunctionBuilder, Ty};
-use epre_passes::peephole;
+use epre_passes::{peephole, Budget};
 
 /// One block of `n` chained copies, `r{i+1} <- copy r{i}`, returning the
 /// last: every copy is a definition, and the environment holds one copy
@@ -27,7 +28,7 @@ fn peephole_time(n: usize) -> Duration {
         .map(|_| {
             let mut g = f.clone();
             let start = Instant::now();
-            let out = peephole::run_detailed(&mut g);
+            let out = peephole::run(&mut g, &mut AnalysisCache::new(), &Budget::UNLIMITED).unwrap();
             let elapsed = start.elapsed();
             // Every copy but the first, and the return, now read the
             // parameter.

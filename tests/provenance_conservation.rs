@@ -21,7 +21,7 @@ fn suite_ledgers_conserve_static_ops_at_every_paper_level() {
         for &level in &OptLevel::PAPER_LEVELS {
             let opt = Optimizer::new(level);
             let (out, trace) =
-                opt.try_optimize_traced(&m, 1, false).unwrap_or_else(|f| panic!("{f}"));
+                opt.try_optimize_traced(&m, 1).unwrap_or_else(|f| panic!("{f}"));
             let ledgers = ledgers_from_trace(&trace);
             assert_eq!(
                 ledgers.len(),

@@ -28,12 +28,12 @@ fn suite_traces_are_byte_identical_across_jobs() {
         for level in ALL_LEVELS {
             let opt = Optimizer::new(level);
             let (serial_out, serial_trace) =
-                opt.try_optimize_traced(&m, 1, false).unwrap_or_else(|f| panic!("{f}"));
+                opt.try_optimize_traced(&m, 1).unwrap_or_else(|f| panic!("{f}"));
             let serial_jsonl = serial_trace.to_jsonl();
             let serial_chrome = serial_trace.to_chrome();
             for jobs in [2, 8] {
                 let (out, trace) =
-                    opt.try_optimize_traced(&m, jobs, false).unwrap_or_else(|f| panic!("{f}"));
+                    opt.try_optimize_traced(&m, jobs).unwrap_or_else(|f| panic!("{f}"));
                 assert_eq!(
                     format!("{serial_out}"),
                     format!("{out}"),
@@ -64,7 +64,7 @@ fn suite_trace_schema_is_well_formed() {
     let r = &epre_suite::all_routines()[0];
     let m = r.compile(NamingMode::Disciplined).unwrap();
     let opt = Optimizer::new(OptLevel::Distribution);
-    let (_, trace) = opt.try_optimize_traced(&m, 2, false).unwrap_or_else(|f| panic!("{f}"));
+    let (_, trace) = opt.try_optimize_traced(&m, 2).unwrap_or_else(|f| panic!("{f}"));
     assert!(!trace.events.is_empty());
     for (i, e) in trace.events.iter().enumerate() {
         assert_eq!(e.seq, i as u64, "seq must be dense");
