@@ -16,8 +16,8 @@
 use epre_frontend::NamingMode;
 use epre_interp::Interpreter;
 use epre_ir::Function;
-use epre_passes::passes::{Clean, Coalesce, ConstProp, Dce, Gvn, Lvn, Peephole, Pre, Reassociate};
 use epre_passes::cse::{self, CseScope};
+use epre_passes::passes::{Clean, Coalesce, ConstProp, Dce, Gvn, Lvn, Peephole, Pre, Reassociate};
 use epre_passes::Pass;
 use epre_suite::all_routines;
 

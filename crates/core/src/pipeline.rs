@@ -309,7 +309,7 @@ pub(crate) mod tests {
     /// function jumps to a block it does not have (the CFG constructor
     /// panics, index out of bounds, inside the first pass) must come back
     /// as a typed `panic` fault blamed on pass `pipeline` and function
-    /// `corrupt`, at every `jobs`, while its healthy siblings are unaffected.
+    /// `corrupt`, at every `jobs`.
     pub(crate) fn assert_contains_worker_panics<T>(
         drive: impl Fn(&Module, usize) -> Result<T, PassFault>,
     ) {

@@ -166,8 +166,7 @@ impl Optimizer {
             || self.passes(),
             |passes, i, src| {
                 let mut f = src.clone();
-                optimize_function_traced(self, passes, &mut f, i as u32)
-                    .map(|trace| (f, trace))
+                optimize_function_traced(self, passes, &mut f, i as u32).map(|trace| (f, trace))
             },
         )?;
         let (functions, lanes): (Vec<Function>, Vec<FunctionTrace>) = traced.into_iter().unzip();
@@ -214,8 +213,7 @@ mod tests {
     #[test]
     fn span_counters_report_pass_work() {
         let m = compile(FOO, NamingMode::Disciplined).unwrap();
-        let (_, trace) =
-            Optimizer::new(OptLevel::Distribution).try_optimize_traced(&m, 1).unwrap();
+        let (_, trace) = Optimizer::new(OptLevel::Distribution).try_optimize_traced(&m, 1).unwrap();
         let pre_span = trace
             .events
             .iter()

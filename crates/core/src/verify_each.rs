@@ -163,7 +163,7 @@ mod tests {
             .expect_err("the broken pass must be caught");
         assert_eq!(e.pass, "use-ghost", "blame names the culprit: {e}");
         assert_eq!(e.function, "foo");
-        let FaultKind::Lint(errors) = &e.kind else { panic!("a lint fault: {e}") };
+        let FaultKind::Lint(errors) = &e.kind else { panic!("expected a lint fault: {e}") };
         assert_eq!(errors[0].rule.code(), "L020", "{e}");
     }
 

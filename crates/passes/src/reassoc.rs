@@ -116,9 +116,9 @@ pub fn run(
     // along the way.
     let distributions = forward_propagate(f, &ranks, options, &mut meter)?;
     f.compact_regs();
-    cache.invalidate_all();
 
     let ops_after = f.static_op_count();
+    cache.invalidate_all();
     Ok(ReassocStats { ops_before, ops_after, regs_ranked, distributions })
 }
 

@@ -44,9 +44,8 @@ fn suite_traces_match_the_golden_fingerprints() {
     for r in epre_suite::all_routines() {
         let m = r.compile(NamingMode::Disciplined).unwrap();
         for level in LEVELS {
-            let (_, trace) = Optimizer::new(level)
-                .try_optimize_traced(&m, 1)
-                .unwrap_or_else(|f| panic!("{f}"));
+            let (_, trace) =
+                Optimizer::new(level).try_optimize_traced(&m, 1).unwrap_or_else(|f| panic!("{f}"));
             let fp = fingerprint64(&trace.to_jsonl());
             let key = (r.name.to_string(), level.label().to_string());
             match golden.get(&key) {

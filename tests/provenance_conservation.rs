@@ -20,8 +20,7 @@ fn suite_ledgers_conserve_static_ops_at_every_paper_level() {
         let m = r.compile(NamingMode::Disciplined).unwrap();
         for &level in &OptLevel::PAPER_LEVELS {
             let opt = Optimizer::new(level);
-            let (out, trace) =
-                opt.try_optimize_traced(&m, 1).unwrap_or_else(|f| panic!("{f}"));
+            let (out, trace) = opt.try_optimize_traced(&m, 1).unwrap_or_else(|f| panic!("{f}"));
             let ledgers = ledgers_from_trace(&trace);
             assert_eq!(
                 ledgers.len(),

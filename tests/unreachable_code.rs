@@ -15,9 +15,8 @@ const DCOERA_UNREACHABLE_LOOP: &str =
 fn copies_in_an_unreachable_loop_optimize_soundly() {
     let m = epre_ir::parse_module(DCOERA_UNREACHABLE_LOOP).unwrap();
     for level in [OptLevel::Reassociation, OptLevel::Distribution, OptLevel::DistributionLvn] {
-        let out = Optimizer::new(level)
-            .try_optimize(&m)
-            .unwrap_or_else(|f| panic!("{level:?}: {f}"));
+        let out =
+            Optimizer::new(level).try_optimize(&m).unwrap_or_else(|f| panic!("{level:?}: {f}"));
         out.verify().unwrap_or_else(|e| panic!("{level:?}: {e}"));
         let outcome = compare_modules_detailed(&m, &out, &OracleConfig::default());
         assert!(outcome.divergences.is_empty(), "{level:?}: {:?}", outcome.divergences);
