@@ -159,8 +159,7 @@ impl AnalysisCache {
         if self.rpo.is_none() {
             self.ensure_cfg(f);
             self.stats.misses += 1;
-            self.rpo =
-                Some(order::reverse_postorder(self.cfg.as_ref().expect("just ensured")));
+            self.rpo = Some(order::reverse_postorder(self.cfg.as_ref().expect("just ensured")));
         } else {
             self.stats.hits += 1;
         }
@@ -228,7 +227,10 @@ impl AnalysisCache {
             // Both present: two hits.
             self.stats.hits += 2;
         }
-        (self.cfg.as_ref().expect("dominators imply cfg"), self.doms.as_ref().expect("just ensured"))
+        (
+            self.cfg.as_ref().expect("dominators imply cfg"),
+            self.doms.as_ref().expect("just ensured"),
+        )
     }
 
     /// Drop every cached entry.

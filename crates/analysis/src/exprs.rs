@@ -82,11 +82,8 @@ impl ExprKey {
     pub fn of_inst(inst: &Inst) -> Option<ExprKey> {
         match inst {
             Inst::Bin { op, ty, lhs, rhs, .. } => {
-                let (lhs, rhs) = if op.is_commutative() && rhs < lhs {
-                    (*rhs, *lhs)
-                } else {
-                    (*lhs, *rhs)
-                };
+                let (lhs, rhs) =
+                    if op.is_commutative() && rhs < lhs { (*rhs, *lhs) } else { (*lhs, *rhs) };
                 Some(ExprKey::Bin { op: *op, ty: *ty, lhs, rhs })
             }
             Inst::Un { op, ty, src, .. } => Some(ExprKey::Un { op: *op, ty: *ty, src: *src }),
@@ -198,9 +195,10 @@ impl ExprUniverse {
             }
         }
         block_starts.push(inst_exprs.len());
-        let operand_of = keys.iter().enumerate().flat_map(|(e, key)| {
-            key.operands().map(move |r| (r.index(), ExprId(e as u32)))
-        });
+        let operand_of = keys
+            .iter()
+            .enumerate()
+            .flat_map(|(e, key)| key.operands().map(move |r| (r.index(), ExprId(e as u32))));
         used_by.refill(f.reg_count(), operand_of);
     }
 
@@ -281,10 +279,7 @@ mod tests {
     #[test]
     fn non_expressions_have_no_key() {
         assert_eq!(ExprKey::of_inst(&Inst::Copy { dst: Reg(0), src: Reg(1) }), None);
-        assert_eq!(
-            ExprKey::of_inst(&Inst::Load { ty: Ty::Int, dst: Reg(0), addr: Reg(1) }),
-            None
-        );
+        assert_eq!(ExprKey::of_inst(&Inst::Load { ty: Ty::Int, dst: Reg(0), addr: Reg(1) }), None);
         assert_eq!(
             ExprKey::of_inst(&Inst::Call { dst: None, callee: "f".into(), args: vec![] }),
             None

@@ -37,10 +37,7 @@ impl Liveness {
         for (bid, block) in f.iter_blocks() {
             let bi = bid.index();
             for inst in &block.insts {
-                debug_assert!(
-                    !matches!(inst, Inst::Phi { .. }),
-                    "liveness expects φ-free code"
-                );
+                debug_assert!(!matches!(inst, Inst::Phi { .. }), "liveness expects φ-free code");
                 for u in inst.uses() {
                     if !defs[bi].contains(u.index()) {
                         uses[bi].insert(u.index());

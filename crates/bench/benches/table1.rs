@@ -16,16 +16,7 @@ fn main() {
     println!();
     println!(
         "{:8} {:>10} {:>10} {:>6} {:>10} {:>6} {:>12} {:>6} {:>6} {:>6}",
-        "routine",
-        "baseline",
-        "partial",
-        "",
-        "reassoc",
-        "",
-        "distribution",
-        "",
-        "new",
-        "total"
+        "routine", "baseline", "partial", "", "reassoc", "", "distribution", "", "new", "total"
     );
     let mut rows: Vec<(String, u64, u64, u64, u64)> = Vec::new();
     for r in all_routines() {

@@ -13,7 +13,7 @@
 //!
 //! Helper functions live here so the benches stay thin and testable.
 
-use epre::{Optimizer, OptLevel};
+use epre::{OptLevel, Optimizer};
 use epre_frontend::NamingMode;
 use epre_interp::Interpreter;
 use epre_suite::Routine;

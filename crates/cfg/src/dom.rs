@@ -150,7 +150,12 @@ impl Dominators {
     }
 }
 
-fn intersect(idom: &[Option<BlockId>], rpo: &RpoNumbers, mut a: BlockId, mut b: BlockId) -> BlockId {
+fn intersect(
+    idom: &[Option<BlockId>],
+    rpo: &RpoNumbers,
+    mut a: BlockId,
+    mut b: BlockId,
+) -> BlockId {
     // Walk the two candidates up the (partial) dominator tree until they
     // meet; RPO numbers give the direction.
     let num = |x: BlockId| rpo.number(x).expect("reachable");

@@ -20,10 +20,7 @@ use epre_ir::{Block, BlockId, Function, Inst, Terminator};
 /// # Panics
 /// Panics if `from -> to` is not an edge of the function.
 pub fn split_edge(f: &mut Function, from: BlockId, to: BlockId) -> BlockId {
-    assert!(
-        f.block(from).term.successors().any(|s| s == to),
-        "{from} -> {to} is not an edge"
-    );
+    assert!(f.block(from).term.successors().any(|s| s == to), "{from} -> {to} is not an edge");
     let nb = f.add_block(Block::new(Terminator::Jump { target: to }));
     f.block_mut(from).term.retarget(to, nb);
     for inst in &mut f.block_mut(to).insts {
@@ -95,10 +92,8 @@ mod tests {
         let (mut f, a, join) = critical_fixture();
         // Add a φ in join naming both preds.
         let r1 = f.new_reg(Ty::Int);
-        let phi = Inst::Phi {
-            dst: r1,
-            args: vec![(BlockId::ENTRY, f.params[0]), (a, f.params[0])],
-        };
+        let phi =
+            Inst::Phi { dst: r1, args: vec![(BlockId::ENTRY, f.params[0]), (a, f.params[0])] };
         f.block_mut(join).insts.insert(0, phi);
         let nb = split_edge(&mut f, BlockId::ENTRY, join);
         match &f.block(join).insts[0] {

@@ -91,10 +91,7 @@ impl Cfg {
 
     /// Blocks whose terminator is a return (the CFG exits).
     pub fn exits(&self) -> Vec<BlockId> {
-        (0..self.len())
-            .map(|i| BlockId(i as u32))
-            .filter(|b| self.succs(*b).is_empty())
-            .collect()
+        (0..self.len()).map(|i| BlockId(i as u32)).filter(|b| self.succs(*b).is_empty()).collect()
     }
 }
 

@@ -52,9 +52,9 @@ pub mod verify_each;
 
 pub use epre_passes::{Budget, BudgetExceeded, BudgetKind};
 pub use fault::{FaultKind, PassFault};
+pub use pipeline::{run_pass_budgeted, run_pass_cached, OptLevel, Optimizer};
 pub use request::RequestBudget;
 pub use shards::{catch_quiet, map_functions};
-pub use pipeline::{run_pass_budgeted, run_pass_cached, OptLevel, Optimizer};
 pub use stages::{try_run_staged, Stage, StagedOutput};
 pub use stats::{measure, measure_module, Measurement};
 pub use timings::{ModuleTimings, PassTiming};

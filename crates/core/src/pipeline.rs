@@ -316,9 +316,7 @@ pub(crate) mod tests {
         let module = compile(FOO, NamingMode::Disciplined).unwrap();
         let mut bad = module.clone();
         let mut f = Function::new("corrupt", None);
-        f.add_block(epre_ir::Block::new(epre_ir::Terminator::Jump {
-            target: epre_ir::BlockId(7),
-        }));
+        f.add_block(epre_ir::Block::new(epre_ir::Terminator::Jump { target: epre_ir::BlockId(7) }));
         bad.functions.insert(0, f);
         bad.functions.push(module.functions[0].clone());
         bad.functions.last_mut().unwrap().name = "foo2".into();
@@ -356,10 +354,7 @@ pub(crate) mod tests {
         // overhead the later passes cannot recover — the paper's §4.2
         // documents such degradations (Table 1 has −% entries). Bound the
         // regression; the array kernel below shows the winning case.
-        assert!(
-            c_reas as f64 <= c_part as f64 * 1.4,
-            "reassociation {c_reas} vs partial {c_part}"
-        );
+        assert!(c_reas as f64 <= c_part as f64 * 1.4, "reassociation {c_reas} vs partial {c_part}");
         assert!(
             c_dist as f64 <= c_reas as f64 * 1.05,
             "distribution {c_dist} vs reassociation {c_reas}"
@@ -505,8 +500,8 @@ pub(crate) mod tests {
 
         let mut cache = AnalysisCache::new();
         cache.cfg(&f); // warm the entry the rewrite makes stale
-        let err = run_pass_cached(&Liar, &mut f, &mut cache)
-            .expect_err("stale cache must be detected");
+        let err =
+            run_pass_cached(&Liar, &mut f, &mut cache).expect_err("stale cache must be detected");
         assert_eq!(err.pass, "liar");
         assert_eq!(err.kind_label(), "verify");
         assert!(format!("{err}").contains("stale analysis cache"), "{err}");
@@ -544,8 +539,8 @@ pub(crate) mod tests {
 
         let mut cache = AnalysisCache::new();
         cache.cfg(&f);
-        let changed = run_pass_cached(&Honest, &mut f, &mut cache)
-            .expect("an honest pass passes validation");
+        let changed =
+            run_pass_cached(&Honest, &mut f, &mut cache).expect("an honest pass passes validation");
         assert!(changed);
         assert!(!cache.has_cfg(), "the pass must drop the cached CFG");
     }

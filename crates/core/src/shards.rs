@@ -212,7 +212,7 @@ mod tests {
         let shards = WorkShards::new(8, 2); // shards: [0..4), [4..8)
         assert_eq!(shards.pop(0), Some(0)); // owner front
         assert_eq!(shards.pop(1), Some(4)); // owner front
-        // Drain worker 0's shard, then it must steal from the BACK of 1's.
+                                            // Drain worker 0's shard, then it must steal from the BACK of 1's.
         assert_eq!(shards.pop(0), Some(1));
         assert_eq!(shards.pop(0), Some(2));
         assert_eq!(shards.pop(0), Some(3));

@@ -31,7 +31,10 @@ impl Stage {
     pub const ALL: [(Stage, &'static str); 6] = [
         (Stage::Intermediate, "Figure 3: intermediate form"),
         (Stage::PrunedSsa, "Figure 4: pruned SSA form"),
-        (Stage::Reassociated, "Figures 5-7: after reassociation (copies, forward propagation, sorting)"),
+        (
+            Stage::Reassociated,
+            "Figures 5-7: after reassociation (copies, forward propagation, sorting)",
+        ),
         (Stage::ValueNumbered, "Figure 8: after value numbering"),
         (Stage::AfterPre, "Figure 9: after partial redundancy elimination"),
         (Stage::Final, "Figure 10: after coalescing"),

@@ -99,8 +99,7 @@ mod tests {
     fn measure_reports_all_levels() {
         let src = "function f(a, b)\nreal a, b\nbegin\nreturn a * b + a * b\nend\n";
         let m = compile(src, NamingMode::Disciplined).unwrap();
-        let ms =
-            measure_module(&m, "f", &[Value::Float(3.0), Value::Float(4.0)]).unwrap();
+        let ms = measure_module(&m, "f", &[Value::Float(3.0), Value::Float(4.0)]).unwrap();
         assert_eq!(ms.len(), 4);
         assert_eq!(ms[0].level, OptLevel::Baseline);
         assert!(ms.iter().all(|m| m.result == Some(Value::Float(24.0))));

@@ -99,7 +99,10 @@ impl Optimizer {
     ///
     /// # Errors
     /// The first [`PassFault`] found in any function.
-    pub fn try_optimize_timed(&self, module: &Module) -> Result<(Module, ModuleTimings), PassFault> {
+    pub fn try_optimize_timed(
+        &self,
+        module: &Module,
+    ) -> Result<(Module, ModuleTimings), PassFault> {
         let mut timings: Vec<PassTiming> = self
             .passes()
             .iter()

@@ -220,10 +220,7 @@ mod tests {
             .find(|e| e.kind == "span" && e.pass == "pre")
             .expect("pre span present");
         let counters = pre_span.field_map("counters").expect("pre reports counters");
-        assert!(
-            counters.iter().any(|(n, _)| n == "exprs_hoisted"),
-            "{counters:?}"
-        );
+        assert!(counters.iter().any(|(n, _)| n == "exprs_hoisted"), "{counters:?}");
         let reas = trace
             .events
             .iter()
@@ -240,9 +237,7 @@ mod tests {
             Optimizer::new(OptLevel::Distribution).try_optimize_traced(&m, 1).unwrap();
         let ledgers = ledgers_from_trace(&trace);
         assert_eq!(ledgers.len(), m.functions.len());
-        for (ledger, (fin, fout)) in
-            ledgers.iter().zip(m.functions.iter().zip(&out.functions))
-        {
+        for (ledger, (fin, fout)) in ledgers.iter().zip(m.functions.iter().zip(&out.functions)) {
             assert_eq!(ledger.function, fin.name);
             assert_eq!(ledger.ops_before, fin.static_op_count() as u64);
             assert_eq!(ledger.ops_after, fout.static_op_count() as u64);

@@ -120,9 +120,7 @@ mod tests {
 
     #[test]
     fn every_level_is_invariant_clean_on_example() {
-        for level in
-            [OptLevel::PAPER_LEVELS.as_slice(), &[OptLevel::DistributionLvn]].concat()
-        {
+        for level in [OptLevel::PAPER_LEVELS.as_slice(), &[OptLevel::DistributionLvn]].concat() {
             let m = compile(FOO, NamingMode::Disciplined).unwrap();
             let opt = Optimizer::new(level);
             let verified = opt.optimize_verified(&m, 1).expect("no pass breaks invariants");

@@ -189,9 +189,7 @@ pub fn lex(source: &str) -> Result<Vec<Spanned>, FrontendError> {
             }
             'a'..='z' | 'A'..='Z' | '_' => {
                 let start = i;
-                while i < n
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < n && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
                 let word = source[start..i].to_ascii_lowercase();

@@ -706,11 +706,8 @@ impl<'a> FnLowerer<'a> {
                 let (r, t) = self.expr(a)?;
                 // Polymorphic intrinsics keep their argument type; the
                 // float-only ones coerce.
-                let r = if is_polymorphic_intrinsic(name) {
-                    r
-                } else {
-                    self.coerce(r, t, Ty::Float)
-                };
+                let r =
+                    if is_polymorphic_intrinsic(name) { r } else { self.coerce(r, t, Ty::Float) };
                 regs.push(r);
             }
             let ret_ty = if is_polymorphic_intrinsic(name) {
@@ -811,12 +808,7 @@ impl<'a> FnLowerer<'a> {
     ) -> Result<(Reg, Ty), FrontendError> {
         let (base, dims, elem_ty) = match self.syms.get(name) {
             Some(Sym::Array { base, dims, elem_ty }) => (*base, dims.clone(), *elem_ty),
-            _ => {
-                return Err(FrontendError {
-                    line,
-                    message: format!("`{name}` is not an array"),
-                })
-            }
+            _ => return Err(FrontendError { line, message: format!("`{name}` is not an array") }),
         };
         if subs.len() != dims.len() {
             return Err(FrontendError {
@@ -961,11 +953,8 @@ mod tests {
                    end\n";
         let m = lower(src, NamingMode::Disciplined);
         let f = m.function("s").unwrap();
-        let loadis: Vec<&Inst> = f.blocks[0]
-            .insts
-            .iter()
-            .filter(|i| matches!(i, Inst::LoadI { .. }))
-            .collect();
+        let loadis: Vec<&Inst> =
+            f.blocks[0].insts.iter().filter(|i| matches!(i, Inst::LoadI { .. })).collect();
         assert_eq!(loadis.len(), 2);
         assert_eq!(loadis[0].dst(), loadis[1].dst());
     }
@@ -996,9 +985,11 @@ mod tests {
         let f = m.function("f").unwrap();
         // Address arithmetic: (i-1) + (j-1)*10 — a multiply by the leading
         // dimension must appear.
-        let has_mul_by_10 = f.blocks.iter().flat_map(|b| &b.insts).any(|i| {
-            matches!(i, Inst::Bin { op: BinOp::Mul, .. })
-        });
+        let has_mul_by_10 = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .any(|i| matches!(i, Inst::Bin { op: BinOp::Mul, .. }));
         assert!(has_mul_by_10);
         // Element type is float.
         assert!(f
@@ -1054,12 +1045,10 @@ mod tests {
         assert!(err("subroutine s()\nbegin\ncall nosuch(1)\nend\n").message.contains("unknown"));
         assert!(err("subroutine s(x)\nreal x(*)\nbegin\ncall t(1)\nend\n\
                      subroutine t(v)\nreal v(*)\nbegin\nv(1)=0\nend\n")
-            .message
-            .contains("array"));
+        .message
+        .contains("array"));
         assert!(err("subroutine s()\nreal v(*)\nbegin\nend\n").message.contains("explicit"));
-        assert!(err("function f()\nbegin\nreturn 1\nx = 2\nend\n")
-            .message
-            .contains("unreachable"));
+        assert!(err("function f()\nbegin\nreturn 1\nx = 2\nend\n").message.contains("unreachable"));
         assert!(err("function f()\nbegin\nreturn 1\nend\nfunction f()\nbegin\nreturn 2\nend\n")
             .message
             .contains("duplicate"));
@@ -1102,7 +1091,14 @@ mod tests {
             .filter(|i| matches!(i, Inst::Bin { op: BinOp::Max, .. }))
             .count();
         assert_eq!(maxes, 2);
-        assert_eq!(f.blocks.iter().flat_map(|b| &b.insts).filter(|i| matches!(i, Inst::Call { .. })).count(), 0);
+        assert_eq!(
+            f.blocks
+                .iter()
+                .flat_map(|b| &b.insts)
+                .filter(|i| matches!(i, Inst::Call { .. }))
+                .count(),
+            0
+        );
     }
 
     #[test]

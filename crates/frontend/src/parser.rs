@@ -157,7 +157,8 @@ impl Parser {
                                 Some(Spanned { tok: Tok::Int(v), .. }) if v > 0 => dims.push(v),
                                 _ => {
                                     self.pos = self.pos.saturating_sub(1);
-                                    return self.err("array dimension must be a positive integer or `*`");
+                                    return self
+                                        .err("array dimension must be a positive integer or `*`");
                                 }
                             }
                         }

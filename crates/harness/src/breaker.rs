@@ -68,7 +68,11 @@ impl CircuitBreaker {
     /// `threshold = 0` is clamped to 1 (a breaker that starts open would
     /// silently skip every pass).
     pub fn new(threshold: usize) -> Self {
-        CircuitBreaker { threshold: threshold.max(1), counts: BTreeMap::new(), quarantined: Vec::new() }
+        CircuitBreaker {
+            threshold: threshold.max(1),
+            counts: BTreeMap::new(),
+            quarantined: Vec::new(),
+        }
     }
 
     /// The configured trip threshold.

@@ -97,12 +97,8 @@ mod tests {
 
     #[test]
     fn journal_events_append_journal_accounting() {
-        let out = JournaledOutcome {
-            output: sample_output(),
-            reused: 4,
-            fresh: 6,
-            resumed_torn: true,
-        };
+        let out =
+            JournaledOutcome { output: sample_output(), reused: 4, fresh: 6, resumed_torn: true };
         let events = journal_events(&out);
         let j = events.last().unwrap();
         assert_eq!(j.kind, "journal");

@@ -179,8 +179,7 @@ pub fn run_campaign(bases: &[Module], cfg: &CampaignConfig) -> CampaignReport {
         let ingress_broken = has_lint_errors(&mutant);
         for &level in &cfg.levels {
             report.runs += 1;
-            let harness =
-                Harness::new(level, FaultPolicy::BestEffort).with_oracle(oracle);
+            let harness = Harness::new(level, FaultPolicy::BestEffort).with_oracle(oracle);
             // The whole hardened run is itself guarded: a panic escaping
             // the harness would be the worst possible containment failure.
             let outcome = catch_quiet(|| harness.optimize(&mutant));
@@ -207,8 +206,7 @@ pub fn run_campaign(bases: &[Module], cfg: &CampaignConfig) -> CampaignReport {
             // Containment proof, part 1: the emitted module must still
             // agree with the mutant — the harness's reference — on the
             // oracle's vectors (rollback restored anything that diverged).
-            let residual =
-                catch_quiet(|| compare_modules(&mutant, &out.module, &oracle));
+            let residual = catch_quiet(|| compare_modules(&mutant, &out.module, &oracle));
             match residual {
                 Err(panic_msg) => {
                     report.uncontained.push(format!(
@@ -272,8 +270,7 @@ pub fn run_campaign(bases: &[Module], cfg: &CampaignConfig) -> CampaignReport {
         for &level in &cfg.levels {
             report.pass_fault_runs += 1;
             let pos = slot_seed % (Optimizer::new(level).passes().len() + 1);
-            let tag =
-                format!("[{}] injected `{}` at slot {pos}", level.label(), model.pass_name());
+            let tag = format!("[{}] injected `{}` at slot {pos}", level.label(), model.pass_name());
             let passes_for = move || {
                 let mut ps = Optimizer::new(level).passes();
                 let at = pos.min(ps.len());
@@ -299,9 +296,7 @@ pub fn run_campaign(bases: &[Module], cfg: &CampaignConfig) -> CampaignReport {
                     continue;
                 }
                 Ok(Err(fault)) => {
-                    report
-                        .uncontained
-                        .push(format!("{tag}: unexpected fail-fast fault: {fault}"));
+                    report.uncontained.push(format!("{tag}: unexpected fail-fast fault: {fault}"));
                     continue;
                 }
                 Ok(Ok(pair)) => pair,
@@ -384,8 +379,7 @@ mod tests {
     #[test]
     fn small_campaign_is_contained_and_deterministic() {
         let bases = bases();
-        let cfg =
-            CampaignConfig { iters: 20, pass_fault_iters: 2, ..CampaignConfig::default() };
+        let cfg = CampaignConfig { iters: 20, pass_fault_iters: 2, ..CampaignConfig::default() };
         let r1 = run_campaign(&bases, &cfg);
         assert!(r1.is_contained(), "{r1}");
         assert_eq!(r1.mutants, 20);
@@ -403,8 +397,7 @@ mod tests {
     #[test]
     fn campaign_actually_exercises_the_stack() {
         let bases = bases();
-        let cfg =
-            CampaignConfig { iters: 40, pass_fault_iters: 2, ..CampaignConfig::default() };
+        let cfg = CampaignConfig { iters: 40, pass_fault_iters: 2, ..CampaignConfig::default() };
         let r = run_campaign(&bases, &cfg);
         assert!(r.is_contained(), "{r}");
         // A campaign where nothing was ever caught isn't testing anything.

@@ -64,8 +64,7 @@ pub const JOURNAL_MAGIC: &str = "EPRE-JOURNAL v2";
 pub fn header_line(level_label: &str, policy_label: &str, budget: &Budget) -> String {
     let iters = budget.max_iters.map_or("none".to_string(), |n| n.to_string());
     let growth = budget.max_growth.map_or("none".to_string(), |g| format!("{g}"));
-    let deadline =
-        budget.deadline.map_or("none".to_string(), |d| format!("{}", d.as_millis()));
+    let deadline = budget.deadline.map_or("none".to_string(), |d| format!("{}", d.as_millis()));
     format!(
         "{JOURNAL_MAGIC} level={level_label} policy={policy_label} \
          iters={iters} growth={growth} deadline-ms={deadline}"
@@ -270,7 +269,9 @@ impl JournalWriter {
         file.write_all(header.as_bytes())?;
         file.write_all(b"\n")?;
         file.flush()?;
-        Ok(JournalWriter { inner: Mutex::new(WriterInner { file, bytes: header.len() as u64 + 1 }) })
+        Ok(JournalWriter {
+            inner: Mutex::new(WriterInner { file, bytes: header.len() as u64 + 1 }),
+        })
     }
 
     /// Rewrite `path` from scratch with `header` and the given complete
@@ -521,8 +522,9 @@ mod tests {
         assert_eq!(before, header().len() as u64 + 1);
         w.record_at("f", 7, 0, "x\n").unwrap();
         w.record_at("long-name", 8, 123_456, "a longer body here\n").unwrap();
-        let expected =
-            before + record_len("f", 0, "x\n") + record_len("long-name", 123_456, "a longer body here\n");
+        let expected = before
+            + record_len("f", 0, "x\n")
+            + record_len("long-name", 123_456, "a longer body here\n");
         assert_eq!(w.bytes_written(), expected);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), expected);
         std::fs::remove_file(&path).ok();

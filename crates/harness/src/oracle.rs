@@ -324,7 +324,11 @@ fn compare_functions(
 }
 
 /// [`compare_modules_detailed`] reduced to the divergence list.
-pub fn compare_modules(reference: &Module, candidate: &Module, cfg: &OracleConfig) -> Vec<Divergence> {
+pub fn compare_modules(
+    reference: &Module,
+    candidate: &Module,
+    cfg: &OracleConfig,
+) -> Vec<Divergence> {
     compare_modules_detailed(reference, candidate, cfg).divergences
 }
 

@@ -63,9 +63,7 @@ impl FailureSpec {
             }
             FailureSpec::LintCode { code } => {
                 let opts = LintOptions::invariants_only();
-                m.functions
-                    .iter()
-                    .any(|f| lint_function(f, &opts).codes().contains(&code.as_str()))
+                m.functions.iter().any(|f| lint_function(f, &opts).codes().contains(&code.as_str()))
             }
             FailureSpec::OracleMismatch { level, oracle } => {
                 match Optimizer::new(*level).try_optimize(m) {
@@ -125,11 +123,7 @@ fn ddmin_list<T: Clone>(items: Vec<T>, test: &mut dyn FnMut(&[T]) -> bool) -> Ve
         let mut start = 0;
         while start < cur.len() {
             let end = (start + chunk).min(cur.len());
-            let complement: Vec<T> = cur[..start]
-                .iter()
-                .chain(&cur[end..])
-                .cloned()
-                .collect();
+            let complement: Vec<T> = cur[..start].iter().chain(&cur[end..]).cloned().collect();
             if test(&complement) {
                 cur = complement;
                 n = n.saturating_sub(1).max(2);

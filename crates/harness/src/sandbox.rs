@@ -523,13 +523,18 @@ mod tests {
             || vec![Box::new(Bomb) as Box<dyn Pass>, Box::new(ConstProp), Box::new(Dce)];
         let opts = LintOptions::invariants_only();
         let budget = Budget::governed();
-        let (m1, r1) = run_module_governed(
-            &m, &passes_for, FaultPolicy::BestEffort, &opts, &budget, 3, 1,
-        )
-        .unwrap();
+        let (m1, r1) =
+            run_module_governed(&m, &passes_for, FaultPolicy::BestEffort, &opts, &budget, 3, 1)
+                .unwrap();
         for jobs in [2, 4, 8] {
             let (mj, rj) = run_module_governed(
-                &m, &passes_for, FaultPolicy::BestEffort, &opts, &budget, 3, jobs,
+                &m,
+                &passes_for,
+                FaultPolicy::BestEffort,
+                &opts,
+                &budget,
+                3,
+                jobs,
             )
             .unwrap();
             assert_eq!(format!("{m1}"), format!("{mj}"), "module differs at jobs={jobs}");

@@ -7,8 +7,8 @@
 
 use epre::Optimizer;
 use epre_frontend::{compile, NamingMode};
-use epre_harness::{compare_modules, FailureSpec, ALL_LEVELS};
 use epre_harness::oracle::OracleConfig;
+use epre_harness::{compare_modules, FailureSpec, ALL_LEVELS};
 use epre_interp::{ExecError, Interpreter, Value};
 use epre_ir::parse_module;
 
@@ -33,8 +33,7 @@ fn read_corpus(ext: &str) -> Vec<(String, String)> {
 #[test]
 fn fortran_repros_agree_at_every_level() {
     for (name, src) in read_corpus("f") {
-        let m = compile(&src, NamingMode::Disciplined)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let m = compile(&src, NamingMode::Disciplined).unwrap_or_else(|e| panic!("{name}: {e}"));
         for level in ALL_LEVELS {
             let opt = Optimizer::new(level).optimize(&m);
             let d = compare_modules(&m, &opt, &OracleConfig::default());

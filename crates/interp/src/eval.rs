@@ -272,8 +272,10 @@ fn eval_bin(op: BinOp, ty: Ty, a: Value, b: Value) -> Result<Value, ExecError> {
     // stray Int 0 in Float context behaves like 0.0.
     match ty {
         Ty::Int => {
-            let x = a.as_int().ok_or_else(|| ExecError::TypeMismatch { what: format!("{op:?}") })?;
-            let y = b.as_int().ok_or_else(|| ExecError::TypeMismatch { what: format!("{op:?}") })?;
+            let x =
+                a.as_int().ok_or_else(|| ExecError::TypeMismatch { what: format!("{op:?}") })?;
+            let y =
+                b.as_int().ok_or_else(|| ExecError::TypeMismatch { what: format!("{op:?}") })?;
             Ok(match op {
                 BinOp::Add => Value::Int(x.wrapping_add(y)),
                 BinOp::Sub => Value::Int(x.wrapping_sub(y)),

@@ -378,9 +378,10 @@ impl Inst {
     /// The operand type carried by the instruction, if meaningful.
     pub fn ty(&self) -> Option<Ty> {
         match self {
-            Inst::Bin { ty, .. } | Inst::Un { ty, .. } | Inst::Load { ty, .. } | Inst::Store { ty, .. } => {
-                Some(*ty)
-            }
+            Inst::Bin { ty, .. }
+            | Inst::Un { ty, .. }
+            | Inst::Load { ty, .. }
+            | Inst::Store { ty, .. } => Some(*ty),
             Inst::LoadI { value, .. } => Some(value.ty()),
             Inst::Call { dst, .. } => dst.map(|(_, t)| t),
             Inst::Copy { .. } | Inst::Phi { .. } => None,
@@ -448,23 +449,13 @@ mod tests {
 
     #[test]
     fn inst_dst_and_uses() {
-        let i = Inst::Bin {
-            op: BinOp::Add,
-            ty: Ty::Int,
-            dst: Reg(2),
-            lhs: Reg(0),
-            rhs: Reg(1),
-        };
+        let i = Inst::Bin { op: BinOp::Add, ty: Ty::Int, dst: Reg(2), lhs: Reg(0), rhs: Reg(1) };
         assert_eq!(i.dst(), Some(Reg(2)));
         assert_eq!(i.uses().collect::<Vec<_>>(), vec![Reg(0), Reg(1)]);
         assert!(i.is_expression());
         assert!(!i.has_side_effects());
 
-        let s = Inst::Store {
-            ty: Ty::Float,
-            addr: Reg(3),
-            value: Reg(4),
-        };
+        let s = Inst::Store { ty: Ty::Float, addr: Reg(3), value: Reg(4) };
         assert_eq!(s.dst(), None);
         assert_eq!(s.uses().collect::<Vec<_>>(), vec![Reg(3), Reg(4)]);
         assert!(!s.is_expression());
@@ -482,10 +473,8 @@ mod tests {
 
     #[test]
     fn map_uses_rewrites_operands() {
-        let mut i = Inst::Phi {
-            dst: Reg(9),
-            args: vec![(BlockId(0), Reg(1)), (BlockId(1), Reg(2))],
-        };
+        let mut i =
+            Inst::Phi { dst: Reg(9), args: vec![(BlockId(0), Reg(1)), (BlockId(1), Reg(2))] };
         i.map_uses(|r| Reg(r.0 + 10));
         assert_eq!(i.uses().collect::<Vec<_>>(), vec![Reg(11), Reg(12)]);
         assert_eq!(i.dst(), Some(Reg(9)));
@@ -503,10 +492,7 @@ mod tests {
 
     #[test]
     fn ty_of_insts() {
-        assert_eq!(
-            Inst::LoadI { dst: Reg(0), value: Const::Float(1.0) }.ty(),
-            Some(Ty::Float)
-        );
+        assert_eq!(Inst::LoadI { dst: Reg(0), value: Const::Float(1.0) }.ty(), Some(Ty::Float));
         assert_eq!(Inst::Copy { dst: Reg(0), src: Reg(1) }.ty(), None);
     }
 }

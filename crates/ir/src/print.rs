@@ -133,16 +133,17 @@ mod tests {
                 Inst::Bin { op: BinOp::Add, ty: Ty::Int, dst: Reg(2), lhs: Reg(0), rhs: Reg(1) },
                 "r2 <- add.i r0, r1",
             ),
-            (
-                Inst::Un { op: UnOp::Neg, ty: Ty::Float, dst: Reg(1), src: Reg(0) },
-                "r1 <- neg.f r0",
-            ),
+            (Inst::Un { op: UnOp::Neg, ty: Ty::Float, dst: Reg(1), src: Reg(0) }, "r1 <- neg.f r0"),
             (Inst::LoadI { dst: Reg(0), value: Const::Int(42) }, "r0 <- loadi 42:i"),
             (Inst::Copy { dst: Reg(1), src: Reg(0) }, "r1 <- copy r0"),
             (Inst::Load { ty: Ty::Float, dst: Reg(1), addr: Reg(0) }, "r1 <- load.f [r0]"),
             (Inst::Store { ty: Ty::Int, addr: Reg(0), value: Reg(1) }, "store.i [r0] <- r1"),
             (
-                Inst::Call { dst: Some((Reg(2), Ty::Float)), callee: "sqrt".into(), args: vec![Reg(1)] },
+                Inst::Call {
+                    dst: Some((Reg(2), Ty::Float)),
+                    callee: "sqrt".into(),
+                    args: vec![Reg(1)],
+                },
                 "r2 <- call sqrt(r1):f",
             ),
             (Inst::Call { dst: None, callee: "trace".into(), args: vec![] }, "call trace()"),

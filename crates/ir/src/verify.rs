@@ -93,12 +93,10 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
 /// "no blocks" error is reported for an empty function.
 pub fn verify_function_all(f: &Function) -> Vec<VerifyError> {
     let mut errs: Vec<VerifyError> = Vec::new();
-    let fail = |errs: &mut Vec<VerifyError>,
-                    block: BlockId,
-                    kind: VerifyErrorKind,
-                    message: String| {
-        errs.push(VerifyError { function: f.name.clone(), block, kind, message });
-    };
+    let fail =
+        |errs: &mut Vec<VerifyError>, block: BlockId, kind: VerifyErrorKind, message: String| {
+            errs.push(VerifyError { function: f.name.clone(), block, kind, message });
+        };
     let reg_ok = |r: Reg| r.index() < f.reg_ty.len();
 
     if f.blocks.is_empty() {

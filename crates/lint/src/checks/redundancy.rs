@@ -106,8 +106,7 @@ pub fn audit(f: &Function, out: &mut Report) {
         // Map the SSA block back to the source block: ids below the
         // original block count are unchanged; one extra block can only
         // come from entry splitting and holds the original entry's body.
-        let orig_bid =
-            if bid.index() < f.blocks.len() { bid } else { BlockId::ENTRY };
+        let orig_bid = if bid.index() < f.blocks.len() { bid } else { BlockId::ENTRY };
         let orig: Vec<(usize, &Inst)> = f
             .block(orig_bid)
             .insts

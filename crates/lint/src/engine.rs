@@ -59,10 +59,8 @@ pub fn lint_function(f: &Function, opts: &LintOptions) -> Report {
     // Any φ anywhere (not just in prefix position — a misplaced φ must
     // still put the function under the SSA discipline, not the non-SSA
     // reaching-definitions rule, which has no per-edge view of φ inputs).
-    let has_phis = f
-        .blocks
-        .iter()
-        .any(|b| b.insts.iter().any(|i| matches!(i, epre_ir::Inst::Phi { .. })));
+    let has_phis =
+        f.blocks.iter().any(|b| b.insts.iter().any(|i| matches!(i, epre_ir::Inst::Phi { .. })));
     if has_phis {
         checks::ssa::check(f, &mut report);
     } else {
@@ -122,8 +120,7 @@ mod tests {
         let f = b.finish();
         let r = lint_function(&f, &LintOptions::default());
         assert!(!r.has_errors(), "{r}");
-        let red: Vec<_> =
-            r.diagnostics.iter().filter(|d| d.rule == Rule::RedundantExpr).collect();
+        let red: Vec<_> = r.diagnostics.iter().filter(|d| d.rule == Rule::RedundantExpr).collect();
         assert_eq!(red.len(), 1, "{r}");
         assert_eq!(red[0].location.block, Some(epre_ir::BlockId::ENTRY));
         assert_eq!(red[0].location.inst, Some(1));
@@ -158,8 +155,7 @@ mod tests {
         let f = b.finish();
         let r = lint_function(&f, &LintOptions::default());
         assert!(!r.has_errors(), "{r}");
-        let red: Vec<_> =
-            r.diagnostics.iter().filter(|d| d.rule == Rule::RedundantExpr).collect();
+        let red: Vec<_> = r.diagnostics.iter().filter(|d| d.rule == Rule::RedundantExpr).collect();
         assert_eq!(red.len(), 1, "{r}");
         assert_eq!(red[0].location.block, Some(j));
         assert_eq!(red[0].location.inst, Some(0));
@@ -192,8 +188,7 @@ mod tests {
         b.ret(Some(s));
         let f = b.finish();
         let r = lint_function(&f, &LintOptions::default());
-        let red =
-            r.diagnostics.iter().filter(|d| d.rule == Rule::RedundantExpr).count();
+        let red = r.diagnostics.iter().filter(|d| d.rule == Rule::RedundantExpr).count();
         assert_eq!(red, 0, "{r}");
     }
 

@@ -28,7 +28,10 @@ pub enum Effect {
 /// Classify one instruction.
 pub fn effect_of(inst: &Inst) -> Effect {
     match inst {
-        Inst::Bin { .. } | Inst::Un { .. } | Inst::LoadI { .. } | Inst::Copy { .. }
+        Inst::Bin { .. }
+        | Inst::Un { .. }
+        | Inst::LoadI { .. }
+        | Inst::Copy { .. }
         | Inst::Phi { .. } => Effect::Pure,
         Inst::Load { .. } => Effect::ReadsMemory,
         Inst::Store { .. } => Effect::WritesMemory,

@@ -183,7 +183,11 @@ impl Meter {
         self.ticks += 1;
         if let Some(limit) = self.budget.max_iters {
             if self.ticks > limit {
-                return Err(BudgetExceeded { kind: BudgetKind::Iterations, spent: self.ticks, limit });
+                return Err(BudgetExceeded {
+                    kind: BudgetKind::Iterations,
+                    spent: self.ticks,
+                    limit,
+                });
             }
         }
         self.check_growth(f)?;
@@ -286,7 +290,7 @@ mod tests {
         let mut f = tiny();
         let b = Budget { max_growth: Some(2.0), ..Budget::UNLIMITED };
         let mut m = b.start(&f); // entry floor: 16 ops -> limit 32
-        // Grow the function past 32 static ops.
+                                 // Grow the function past 32 static ops.
         for _ in 0..40 {
             f.add_block(Block::new(Terminator::Return { value: None }));
         }

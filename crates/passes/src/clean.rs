@@ -60,10 +60,7 @@ pub fn run(
     cache: &mut AnalysisCache,
     budget: &Budget,
 ) -> Result<CleanStats, BudgetExceeded> {
-    debug_assert!(
-        f.blocks.iter().all(|b| b.phi_count() == 0),
-        "clean expects φ-free code"
-    );
+    debug_assert!(f.blocks.iter().all(|b| b.phi_count() == 0), "clean expects φ-free code");
     let mut meter = budget.start(f);
     let blocks_at_entry = f.blocks.len() as u64;
     let mut stats = CleanStats::default();

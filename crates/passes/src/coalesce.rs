@@ -147,8 +147,7 @@ struct CopyClasses {
 impl CopyClasses {
     fn new(f: &Function) -> Self {
         let n = f.reg_count();
-        let mut classes =
-            CopyClasses { parent: (0..n as u32).collect(), is_param: vec![false; n] };
+        let mut classes = CopyClasses { parent: (0..n as u32).collect(), is_param: vec![false; n] };
         for p in &f.params {
             classes.is_param[p.index()] = true;
         }
@@ -546,8 +545,12 @@ mod tests {
         // merge (x2 dies at the copy... x2 defined while x lives? x is used
         // after, via s = v + x — but that is the NEW x. x's old value dies
         // at the copy; x2 <-> x do not interfere).
-        let after_copies =
-            f.blocks.iter().flat_map(|b| &b.insts).filter(|i| matches!(i, Inst::Copy { .. })).count();
+        let after_copies = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter(|i| matches!(i, Inst::Copy { .. }))
+            .count();
         assert_eq!(after_copies, 1);
         assert!(f.verify().is_ok());
     }
@@ -616,8 +619,12 @@ mod tests {
         Coalesce.run(&mut f);
         // i2/i copy merges (i's old value dead at the copy); z/i copy
         // merges as well once i2 is renamed.
-        let copies =
-            f.blocks.iter().flat_map(|b| &b.insts).filter(|i| matches!(i, Inst::Copy { .. })).count();
+        let copies = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter(|i| matches!(i, Inst::Copy { .. }))
+            .count();
         assert_eq!(copies, 0);
         assert!(f.verify().is_ok());
     }
@@ -650,8 +657,12 @@ mod tests {
         reference::run(&mut fr);
         assert_eq!(f, fr, "incremental and reference coalescers must agree");
         // The param-param copy survives, params keep their registers.
-        let copies =
-            f.blocks.iter().flat_map(|b| &b.insts).filter(|i| matches!(i, Inst::Copy { .. })).count();
+        let copies = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter(|i| matches!(i, Inst::Copy { .. }))
+            .count();
         assert_eq!(copies, 1);
         assert_eq!(f.params, params);
         // Fixed point: nothing coalescable remains.

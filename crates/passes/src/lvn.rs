@@ -263,8 +263,7 @@ mod tests {
         b.ret(Some(s));
         let mut f = b.finish();
         Lvn.run(&mut f);
-        let loads =
-            f.blocks[0].insts.iter().filter(|i| matches!(i, Inst::Load { .. })).count();
+        let loads = f.blocks[0].insts.iter().filter(|i| matches!(i, Inst::Load { .. })).count();
         assert_eq!(loads, 2);
     }
 

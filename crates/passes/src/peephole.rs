@@ -426,10 +426,7 @@ mod tests {
         b.ret(Some(p));
         let mut f = b.finish();
         Peephole.run(&mut f);
-        assert!(matches!(
-            f.blocks[0].insts[2],
-            Inst::LoadI { value: Const::Int(42), .. }
-        ));
+        assert!(matches!(f.blocks[0].insts[2], Inst::LoadI { value: Const::Int(42), .. }));
     }
 
     #[test]

@@ -735,9 +735,8 @@ mod tests {
             let mut m = epre_ir::Module::new();
             m.functions.push(f.clone());
             let mut it = epre_interp::Interpreter::new(&m);
-            let r = it
-                .run("l", &[epre_interp::Value::Int(xv), epre_interp::Value::Int(1)])
-                .unwrap();
+            let r =
+                it.run("l", &[epre_interp::Value::Int(xv), epre_interp::Value::Int(1)]).unwrap();
             assert!(r.is_some());
         }
     }
@@ -849,8 +848,11 @@ mod tests {
             m1.functions.push(orig.clone());
             let mut m2 = epre_ir::Module::new();
             m2.functions.push(opt.clone());
-            let args =
-                [epre_interp::Value::Int(3), epre_interp::Value::Int(4), epre_interp::Value::Int(p)];
+            let args = [
+                epre_interp::Value::Int(3),
+                epre_interp::Value::Int(4),
+                epre_interp::Value::Int(p),
+            ];
             let mut i1 = epre_interp::Interpreter::new(&m1);
             let mut i2 = epre_interp::Interpreter::new(&m2);
             let r1 = i1.run("m", &args).unwrap();

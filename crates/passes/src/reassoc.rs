@@ -273,10 +273,8 @@ fn forward_propagate(
             }
             rewritten_group.push(inst);
         }
-        let mut term = std::mem::replace(
-            &mut f.blocks[bi].term,
-            Terminator::Return { value: None },
-        );
+        let mut term =
+            std::mem::replace(&mut f.blocks[bi].term, Terminator::Return { value: None });
         match &mut term {
             Terminator::Branch { cond, .. } => {
                 let new = fw.materialize(f, *cond);
@@ -326,9 +324,7 @@ impl Forwarder<'_> {
             None => Tree::Leaf(r),
             Some(inst) => match inst {
                 Inst::LoadI { value, .. } => Tree::Num(*value),
-                Inst::Un { op, ty, src, .. } => {
-                    Tree::Un(*op, *ty, Box::new(self.build_tree(*src)))
-                }
+                Inst::Un { op, ty, src, .. } => Tree::Un(*op, *ty, Box::new(self.build_tree(*src))),
                 Inst::Bin { op, ty, lhs, rhs, .. } => Tree::Bin(
                     *op,
                     *ty,
@@ -497,19 +493,14 @@ fn tree_rank(t: &Tree, ranks: &[u32]) -> u32 {
 fn sort_by_rank(tree: Tree, ranks: &[u32]) -> Tree {
     match tree {
         Tree::Nary(op, ty, terms) => {
-            let mut terms: Vec<(Tree, bool)> = terms
-                .into_iter()
-                .map(|(t, n)| (sort_by_rank(t, ranks), n))
-                .collect();
+            let mut terms: Vec<(Tree, bool)> =
+                terms.into_iter().map(|(t, n)| (sort_by_rank(t, ranks), n)).collect();
             terms.sort_by_key(|(t, _)| tree_rank(t, ranks));
             Tree::Nary(op, ty, terms)
         }
-        Tree::Bin(op, ty, l, r) => Tree::Bin(
-            op,
-            ty,
-            Box::new(sort_by_rank(*l, ranks)),
-            Box::new(sort_by_rank(*r, ranks)),
-        ),
+        Tree::Bin(op, ty, l, r) => {
+            Tree::Bin(op, ty, Box::new(sort_by_rank(*l, ranks)), Box::new(sort_by_rank(*r, ranks)))
+        }
         Tree::Un(op, ty, inner) => Tree::Un(op, ty, Box::new(sort_by_rank(*inner, ranks))),
         t => t,
     }
@@ -601,9 +592,7 @@ fn distribute(tree: Tree, ranks: &[u32], count: &mut u64) -> Tree {
             Box::new(distribute(*l, ranks, count)),
             Box::new(distribute(*r, ranks, count)),
         ),
-        Tree::Un(op, ty, inner) => {
-            Tree::Un(op, ty, Box::new(distribute(*inner, ranks, count)))
-        }
+        Tree::Un(op, ty, inner) => Tree::Un(op, ty, Box::new(distribute(*inner, ranks, count))),
         t => t,
     }
 }
@@ -611,8 +600,8 @@ fn distribute(tree: Tree, ranks: &[u32], count: &mut u64) -> Tree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epre_ir::{FunctionBuilder, Module};
     use epre_interp::{Interpreter, Value};
+    use epre_ir::{FunctionBuilder, Module};
 
     /// [`run`] with a fresh cache and no budget.
     fn reassociate(f: &mut Function, options: ReassocOptions) -> ReassocStats {
@@ -698,9 +687,10 @@ mod tests {
                 match inst {
                     Inst::LoadI { dst, .. } => assert_eq!(ranks[dst.index()], 0),
                     Inst::Bin { op: BinOp::Add, ty: Ty::Float, dst, lhs, rhs }
-                        if (*lhs == f.params[0] || *rhs == f.params[0]) => {
-                            assert_eq!(ranks[dst.index()], 1, "y+z is loop-invariant");
-                        }
+                        if (*lhs == f.params[0] || *rhs == f.params[0]) =>
+                    {
+                        assert_eq!(ranks[dst.index()], 1, "y+z is loop-invariant");
+                    }
                     _ => {}
                 }
             }
@@ -823,8 +813,7 @@ mod tests {
             .count();
         assert!(mul_by_b >= 2, "partial distribution splits the product: {f}");
         // Semantics: acc = sum over e of (a + b*((c+d)+e)).
-        let args =
-            [Value::Int(2), Value::Int(3), Value::Int(4), Value::Int(5), Value::Int(4)];
+        let args = [Value::Int(2), Value::Int(3), Value::Int(4), Value::Int(5), Value::Int(4)];
         assert_eq!(run_fn(&orig, "dist", &args).0, run_fn(&f, "dist", &args).0);
     }
 
@@ -916,10 +905,18 @@ mod tests {
         reassociate(&mut f, ReassocOptions::default());
         assert!(f.verify().is_ok());
         // Exactly one load and one call remain.
-        let loads =
-            f.blocks.iter().flat_map(|b| &b.insts).filter(|i| matches!(i, Inst::Load { .. })).count();
-        let calls =
-            f.blocks.iter().flat_map(|b| &b.insts).filter(|i| matches!(i, Inst::Call { .. })).count();
+        let loads = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter(|i| matches!(i, Inst::Load { .. }))
+            .count();
+        let calls = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter(|i| matches!(i, Inst::Call { .. }))
+            .count();
         assert_eq!((loads, calls), (1, 1));
     }
 
@@ -953,11 +950,19 @@ mod tests {
         b.ret(Some(q));
         let mut f = b.finish();
         reassociate(&mut f, ReassocOptions { distribute: true });
-        let divs =
-            f.blocks.iter().flat_map(|b| &b.insts).filter(|i| matches!(i, Inst::Bin { op: BinOp::Div, .. })).count();
+        let divs = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter(|i| matches!(i, Inst::Bin { op: BinOp::Div, .. }))
+            .count();
         assert_eq!(divs, 1);
-        let muls =
-            f.blocks.iter().flat_map(|b| &b.insts).filter(|i| matches!(i, Inst::Bin { op: BinOp::Mul, .. })).count();
+        let muls = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter(|i| matches!(i, Inst::Bin { op: BinOp::Mul, .. }))
+            .count();
         assert_eq!(muls, 0);
     }
 }

@@ -96,9 +96,11 @@ pub fn run(
     // Use sites per register: the instructions, and the blocks whose
     // terminator reads it.
     let inst_uses = f.iter_blocks().flat_map(|(bid, block)| {
-        block.insts.iter().enumerate().flat_map(move |(i, inst)| {
-            inst.uses().map(move |u| (u.index(), (bid, i)))
-        })
+        block
+            .insts
+            .iter()
+            .enumerate()
+            .flat_map(move |(i, inst)| inst.uses().map(move |u| (u.index(), (bid, i))))
     });
     let uses_of = Csr::from_pairs(nregs, inst_uses);
     let term_uses =

@@ -176,12 +176,7 @@ impl ResultCache {
             entries.insert(key, CacheEntry { body: e.body, epoch: e.epoch, cost });
         }
         let mut cache = ResultCache {
-            inner: Mutex::new(CacheInner {
-                entries,
-                writer: Some(writer),
-                live_bytes,
-                clock,
-            }),
+            inner: Mutex::new(CacheInner { entries, writer: Some(writer), live_bytes, clock }),
             path: Some(path.to_path_buf()),
             max_bytes,
             hits: AtomicU64::new(0),
@@ -395,11 +390,8 @@ impl ResultCache {
 fn evict_to(inner: &mut CacheInner, target: u64) -> u64 {
     let mut evicted = 0;
     while inner.live_bytes > target {
-        let Some(victim) = inner
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.epoch)
-            .map(|(k, _)| k.clone())
+        let Some(victim) =
+            inner.entries.iter().min_by_key(|(_, e)| e.epoch).map(|(k, _)| k.clone())
         else {
             break;
         };

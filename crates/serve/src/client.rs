@@ -196,7 +196,9 @@ enum RefusalOrRetry {
 
 /// Split a frame stream into (terminal done, progress frames), or
 /// classify the failure.
-fn split_terminal(frames: Vec<Response>) -> Result<(DoneFrame, Vec<FunctionFrame>), RefusalOrRetry> {
+fn split_terminal(
+    frames: Vec<Response>,
+) -> Result<(DoneFrame, Vec<FunctionFrame>), RefusalOrRetry> {
     let mut functions = Vec::new();
     for frame in frames {
         match frame {
@@ -212,7 +214,7 @@ fn split_terminal(frames: Vec<Response>) -> Result<(DoneFrame, Vec<FunctionFrame
             Response::Goaway { reason } => {
                 // The server ended the session instead of answering
                 // (draining, most likely). Reconnecting is the cure.
-                return Err(RefusalOrRetry::Retry(format!("server ended the session: {reason}")))
+                return Err(RefusalOrRetry::Retry(format!("server ended the session: {reason}")));
             }
             other => {
                 return Err(RefusalOrRetry::Retry(format!(
@@ -229,8 +231,7 @@ fn split_terminal(frames: Vec<Response>) -> Result<(DoneFrame, Vec<FunctionFrame
 /// One connection, one request, all frames until clean EOF. Any I/O or
 /// framing failure is returned as a retryable description.
 fn try_once(cfg: &ClientConfig, req: &Request) -> Result<Vec<Response>, String> {
-    let stream =
-        TcpStream::connect(&cfg.addr).map_err(|e| format!("connect {}: {e}", cfg.addr))?;
+    let stream = TcpStream::connect(&cfg.addr).map_err(|e| format!("connect {}: {e}", cfg.addr))?;
     let _ = stream.set_nodelay(true); // small flushed frames; avoid Nagle stalls
     stream.set_read_timeout(Some(cfg.read_timeout)).map_err(|e| format!("timeout: {e}"))?;
     let write_half = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
@@ -322,7 +323,11 @@ impl Session {
         let mut backoff_next = false;
         for attempt in 0..attempts {
             if attempt > 0 && backoff_next {
-                std::thread::sleep(backoff_delay(self.cfg.base_backoff, attempt - 1, &mut self.rng));
+                std::thread::sleep(backoff_delay(
+                    self.cfg.base_backoff,
+                    attempt - 1,
+                    &mut self.rng,
+                ));
             }
             backoff_next = true;
             match self.roundtrip(&request) {
@@ -358,15 +363,15 @@ impl Session {
     /// backoff.
     fn roundtrip(&mut self, req: &Request) -> Result<Vec<Response>, SessionFailure> {
         if self.conn.is_none() {
-            let stream = TcpStream::connect(&self.cfg.addr)
-                .map_err(|e| SessionFailure::transient(format!("connect {}: {e}", self.cfg.addr)))?;
+            let stream = TcpStream::connect(&self.cfg.addr).map_err(|e| {
+                SessionFailure::transient(format!("connect {}: {e}", self.cfg.addr))
+            })?;
             let _ = stream.set_nodelay(true); // small flushed frames; avoid Nagle stalls
             stream
                 .set_read_timeout(Some(self.cfg.read_timeout))
                 .map_err(|e| SessionFailure::transient(format!("timeout: {e}")))?;
-            let write_half = stream
-                .try_clone()
-                .map_err(|e| SessionFailure::transient(format!("clone: {e}")))?;
+            let write_half =
+                stream.try_clone().map_err(|e| SessionFailure::transient(format!("clone: {e}")))?;
             if self.connected_once {
                 self.reconnects += 1;
             }
@@ -549,8 +554,7 @@ mod tests {
 
     #[test]
     fn session_reconnects_after_idle_timeout() {
-        let config =
-            ServeConfig { idle_timeout: Duration::from_millis(100), ..Default::default() };
+        let config = ServeConfig { idle_timeout: Duration::from_millis(100), ..Default::default() };
         let (cfg, server) = spawn_server_with(config);
         let mut session = Session::new(cfg.clone());
         session.submit(&optimize_request()).unwrap();

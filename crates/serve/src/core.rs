@@ -234,7 +234,9 @@ impl ServerCore {
         let mut snap = self.metrics.snapshot();
         for (name, value) in self.stats_snapshot() {
             match name.as_str() {
-                "cache_entries" | "cache_file_bytes" | "cache_live_bytes"
+                "cache_entries"
+                | "cache_file_bytes"
+                | "cache_live_bytes"
                 | "quarantined_clients" => snap.push_gauge(
                     &format!("epre_{name}"),
                     None,
@@ -437,17 +439,20 @@ impl ServerCore {
     ) -> io::Result<()> {
         let duration_us = started.elapsed().as_micros() as u64;
         self.metrics.observe_latency(class, duration_us);
-        self.finish_request(token, RequestSummary {
-            request: rid.to_string(),
-            client: client.to_string(),
-            class: class.to_string(),
-            status: code.label().to_string(),
-            reused: 0,
-            fresh: 0,
-            faults: 0,
-            duration_us,
-            spans: Vec::new(),
-        });
+        self.finish_request(
+            token,
+            RequestSummary {
+                request: rid.to_string(),
+                client: client.to_string(),
+                class: class.to_string(),
+                status: code.label().to_string(),
+                reused: 0,
+                fresh: 0,
+                faults: 0,
+                duration_us,
+                spans: Vec::new(),
+            },
+        );
         emit(Response::Error { code, message, request: rid.to_string() })
     }
 
@@ -486,23 +491,46 @@ impl ServerCore {
                 r.client,
                 self.quarantine.evidence_of(&r.client)
             );
-            return self
-                .refuse(rid, &r.client, "shed", ErrorCode::Quarantined, message, token, started, emit);
+            return self.refuse(
+                rid,
+                &r.client,
+                "shed",
+                ErrorCode::Quarantined,
+                message,
+                token,
+                started,
+                emit,
+            );
         }
 
         // Gate 2: the request must name a servable configuration.
         let Some(level) = level_from_label(&r.level) else {
             self.stats.rejected_protocol.fetch_add(1, Ordering::Relaxed);
             let message = format!("unknown optimization level {:?}", r.level);
-            return self
-                .refuse(rid, &r.client, "poison", ErrorCode::Protocol, message, token, started, emit);
+            return self.refuse(
+                rid,
+                &r.client,
+                "poison",
+                ErrorCode::Protocol,
+                message,
+                token,
+                started,
+                emit,
+            );
         };
         let policy = match policy_from_label(&r.policy) {
             Ok(p) => p,
             Err(message) => {
                 self.stats.rejected_protocol.fetch_add(1, Ordering::Relaxed);
                 return self.refuse(
-                    rid, &r.client, "poison", ErrorCode::Protocol, message, token, started, emit,
+                    rid,
+                    &r.client,
+                    "poison",
+                    ErrorCode::Protocol,
+                    message,
+                    token,
+                    started,
+                    emit,
                 );
             }
         };
@@ -523,7 +551,14 @@ impl ServerCore {
                 self.stats.rejected_parse.fetch_add(1, Ordering::Relaxed);
                 self.log_events(vec![shed_event(ErrorCode::Parse.label(), &r.client)]);
                 return self.refuse(
-                    rid, &r.client, "poison", ErrorCode::Parse, message, token, started, emit,
+                    rid,
+                    &r.client,
+                    "poison",
+                    ErrorCode::Parse,
+                    message,
+                    token,
+                    started,
+                    emit,
                 );
             }
         };
@@ -562,7 +597,14 @@ impl ServerCore {
                 self.log_events(vec![shed_event(ErrorCode::Deadline.label(), &r.client)]);
                 let message = "request deadline expired before optimization started".to_string();
                 return self.refuse(
-                    rid, &r.client, "shed", ErrorCode::Deadline, message, token, started, emit,
+                    rid,
+                    &r.client,
+                    "shed",
+                    ErrorCode::Deadline,
+                    message,
+                    token,
+                    started,
+                    emit,
                 );
             };
             let sub = Module {
@@ -602,7 +644,13 @@ impl ServerCore {
                     self.stats.rejected_protocol.fetch_add(1, Ordering::Relaxed);
                     let message = format!("pipeline fault escaped containment: {fault}");
                     return self.refuse(
-                        rid, &r.client, "poison", ErrorCode::Protocol, message, token, started,
+                        rid,
+                        &r.client,
+                        "poison",
+                        ErrorCode::Protocol,
+                        message,
+                        token,
+                        started,
                         emit,
                     );
                 }
@@ -783,20 +831,23 @@ impl ServerCore {
         self.metrics.observe_latency(class, duration_us);
         // Recorder + slow log settle BEFORE the terminal frame goes out:
         // an answer the client holds is always already accounted for.
-        self.finish_request(token, RequestSummary {
-            request: rid.to_string(),
-            client: r.client.clone(),
-            class: class.to_string(),
-            status: status.to_string(),
-            reused: reused as u64,
-            fresh: miss_idx.len() as u64,
-            faults: out.faults.len() as u64,
-            duration_us,
-            spans: segments
-                .iter()
-                .map(|(pass, a, b, _)| (pass.to_string(), seg(*a, *b).as_micros() as u64))
-                .collect(),
-        });
+        self.finish_request(
+            token,
+            RequestSummary {
+                request: rid.to_string(),
+                client: r.client.clone(),
+                class: class.to_string(),
+                status: status.to_string(),
+                reused: reused as u64,
+                fresh: miss_idx.len() as u64,
+                faults: out.faults.len() as u64,
+                duration_us,
+                spans: segments
+                    .iter()
+                    .map(|(pass, a, b, _)| (pass.to_string(), seg(*a, *b).as_micros() as u64))
+                    .collect(),
+            },
+        );
 
         emit(Response::Done(done))
     }
@@ -1054,7 +1105,9 @@ mod tests {
         // Every stats counter appears, mirrored, with the same value.
         for (name, value) in core.stats_snapshot() {
             let mirrored = match name.as_str() {
-                "cache_entries" | "cache_file_bytes" | "cache_live_bytes"
+                "cache_entries"
+                | "cache_file_bytes"
+                | "cache_live_bytes"
                 | "quarantined_clients" => format!("epre_{name} {value}"),
                 _ => format!("epre_{name}_total {value}"),
             };

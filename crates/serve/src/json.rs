@@ -218,8 +218,10 @@ impl<'a> Parser<'a> {
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character (negative and float numbers are \
-                                     outside the protocol's JSON subset)")),
+            Some(_) => Err(self.err(
+                "unexpected character (negative and float numbers are \
+                                     outside the protocol's JSON subset)",
+            )),
         }
     }
 
@@ -275,8 +277,7 @@ impl<'a> Parser<'a> {
                                 if !(0xDC00..0xE000).contains(&low) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let combined =
-                                    0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
                                 char::from_u32(combined)
                             } else {
                                 char::from_u32(cp)
@@ -428,7 +429,20 @@ mod tests {
 
     #[test]
     fn rejects_out_of_subset_documents() {
-        for bad in ["-1", "1.5", "1e3", "01", "{\"a\":1,\"a\":2}", "[1,]", "\"\u{1}\"", "x", "{\"a\" 1}", "[1 2]", "\"abc", "18446744073709551616"] {
+        for bad in [
+            "-1",
+            "1.5",
+            "1e3",
+            "01",
+            "{\"a\":1,\"a\":2}",
+            "[1,]",
+            "\"\u{1}\"",
+            "x",
+            "{\"a\" 1}",
+            "[1 2]",
+            "\"abc",
+            "18446744073709551616",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
         // Unescaped raw control characters are rejected too.

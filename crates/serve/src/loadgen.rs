@@ -386,9 +386,7 @@ fn client_thread(
             1 => {
                 let (req, expected) = &warm[(rng.next_u64() as usize) % warm.len()];
                 match session.submit(req) {
-                    Ok(out) => {
-                        Ok(out.done.status == "clean" && &out.done.module_text == expected)
-                    }
+                    Ok(out) => Ok(out.done.status == "clean" && &out.done.module_text == expected),
                     Err(e) => Err(format!("{e}")),
                 }
             }
@@ -511,7 +509,9 @@ mod tests {
     use crate::server::serve_tcp;
     use std::net::TcpListener;
 
-    fn spawn_server(config: ServeConfig) -> (String, Arc<ServerCore>, std::thread::JoinHandle<std::io::Result<()>>) {
+    fn spawn_server(
+        config: ServeConfig,
+    ) -> (String, Arc<ServerCore>, std::thread::JoinHandle<std::io::Result<()>>) {
         let core = Arc::new(ServerCore::new(config, ResultCache::in_memory()));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -541,10 +541,7 @@ mod tests {
         let report = LoadgenReport {
             clients: 2,
             duration_ms: 1000,
-            classes: vec![
-                ("cold".into(), cold),
-                ("warm".into(), ClassStats::default()),
-            ],
+            classes: vec![("cold".into(), cold), ("warm".into(), ClassStats::default())],
             reconnects: 1,
             server: None,
         };
@@ -595,10 +592,7 @@ mod tests {
             server: Some(fragment.clone()),
         };
         let text = report.render_text();
-        assert!(
-            text.ends_with(&format!("  server metrics snapshot: {fragment}\n")),
-            "{text}"
-        );
+        assert!(text.ends_with(&format!("  server metrics snapshot: {fragment}\n")), "{text}");
         assert!(text.contains("server metrics snapshot: {\"requests\":10,"), "{text}");
     }
 

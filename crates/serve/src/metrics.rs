@@ -107,8 +107,7 @@ impl ServeMetrics {
     /// concurrent long-lived clients.
     pub fn note_admission(&self) {
         self.queue_depth.inc();
-        if self.workers_busy.value() >= self.workers_total.value() && self.queue_depth.value() > 0
-        {
+        if self.workers_busy.value() >= self.workers_total.value() && self.queue_depth.value() > 0 {
             self.workers_saturated.inc();
             if !self.saturation_warned.swap(true, Ordering::Relaxed) {
                 eprintln!(

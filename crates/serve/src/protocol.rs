@@ -252,10 +252,9 @@ impl Request {
                 // `format` is optional: a bare metrics request means text.
                 let format = match v.get("format") {
                     None | Some(Json::Null) => "text".to_string(),
-                    Some(f) => f
-                        .as_str()
-                        .map(str::to_string)
-                        .ok_or("field 'format' must be a string")?,
+                    Some(f) => {
+                        f.as_str().map(str::to_string).ok_or("field 'format' must be a string")?
+                    }
                 };
                 Ok(Request::Metrics { format })
             }
@@ -268,19 +267,16 @@ impl Request {
                 };
                 let deadline_ms = match v.get("deadline_ms") {
                     None | Some(Json::Null) => None,
-                    Some(d) => {
-                        Some(d.as_u64().ok_or("field 'deadline_ms' must be an integer")?)
-                    }
+                    Some(d) => Some(d.as_u64().ok_or("field 'deadline_ms' must be an integer")?),
                 };
                 // `request` is optional for wire compatibility: frames
                 // from pre-tracing clients decode with an empty id and
                 // the server derives the canonical one itself.
                 let request = match v.get("request") {
                     None | Some(Json::Null) => String::new(),
-                    Some(r) => r
-                        .as_str()
-                        .map(str::to_string)
-                        .ok_or("field 'request' must be a string")?,
+                    Some(r) => {
+                        r.as_str().map(str::to_string).ok_or("field 'request' must be a string")?
+                    }
                 };
                 Ok(Request::Optimize(OptimizeRequest {
                     client: str_field("client")?,
@@ -480,18 +476,15 @@ impl Response {
                 ("request", Json::Str(request.clone())),
             ])
             .encode(),
-            Response::Metrics { body } => obj(vec![
-                ("kind", Json::Str("metrics".into())),
-                ("body", Json::Str(body.clone())),
-            ])
-            .encode(),
+            Response::Metrics { body } => {
+                obj(vec![("kind", Json::Str("metrics".into())), ("body", Json::Str(body.clone()))])
+                    .encode()
+            }
             Response::Stats(counters) => obj(vec![
                 ("kind", Json::Str("stats".into())),
                 (
                     "counters",
-                    Json::Obj(
-                        counters.iter().map(|(k, v)| (k.clone(), Json::U64(*v))).collect(),
-                    ),
+                    Json::Obj(counters.iter().map(|(k, v)| (k.clone(), Json::U64(*v))).collect()),
                 ),
             ])
             .encode(),
@@ -525,9 +518,8 @@ impl Response {
         };
         // Trace-id echoes are optional on decode so frames from
         // pre-tracing servers still parse (they read back as empty).
-        let request_echo = || -> String {
-            v.get("request").and_then(Json::as_str).unwrap_or("").to_string()
-        };
+        let request_echo =
+            || -> String { v.get("request").and_then(Json::as_str).unwrap_or("").to_string() };
         match kind {
             "function" => Ok(Response::Function(FunctionFrame {
                 name: str_field("name")?,
@@ -551,8 +543,8 @@ impl Response {
             })),
             "error" => {
                 let label = str_field("code")?;
-                let code = ErrorCode::from_label(&label)
-                    .ok_or(format!("unknown error code {label:?}"))?;
+                let code =
+                    ErrorCode::from_label(&label).ok_or(format!("unknown error code {label:?}"))?;
                 Ok(Response::Error {
                     code,
                     message: str_field("message")?,

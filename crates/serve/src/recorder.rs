@@ -66,9 +66,7 @@ impl RequestSummary {
             ("duration_us", Json::U64(self.duration_us)),
             (
                 "spans",
-                Json::Obj(
-                    self.spans.iter().map(|(k, v)| (k.clone(), Json::U64(*v))).collect(),
-                ),
+                Json::Obj(self.spans.iter().map(|(k, v)| (k.clone(), Json::U64(*v))).collect()),
             ),
         ]
     }
@@ -146,10 +144,11 @@ impl FlightRecorder {
     /// Record a non-request daemon event (shed, goaway, drain, …).
     pub fn note(&self, kind: &str, detail: &str) {
         let mut s = self.lock();
-        Self::push(&mut s, self.capacity, RingEntry::Note {
-            kind: kind.to_string(),
-            detail: detail.to_string(),
-        });
+        Self::push(
+            &mut s,
+            self.capacity,
+            RingEntry::Note { kind: kind.to_string(), detail: detail.to_string() },
+        );
     }
 
     /// Requests currently in flight, admission-ordered.

@@ -275,11 +275,8 @@ fn handle_conn(core: &ServerCore, stream: TcpStream) -> io::Result<()> {
                 core.note_protocol_reject();
                 core.metrics().observe_latency("poison", t_read.elapsed().as_micros() as u64);
                 core.recorder().note("poison", &message);
-                let resp = Response::Error {
-                    code: ErrorCode::Protocol,
-                    message,
-                    request: String::new(),
-                };
+                let resp =
+                    Response::Error { code: ErrorCode::Protocol, message, request: String::new() };
                 write_frame(&mut writer, &resp.encode())?;
                 served += 1;
             }
@@ -405,11 +402,8 @@ fn serve_stdio_inner(
                 core.note_protocol_reject();
                 core.metrics().observe_latency("poison", 0);
                 core.recorder().note("poison", &message);
-                let resp = Response::Error {
-                    code: ErrorCode::Protocol,
-                    message,
-                    request: String::new(),
-                };
+                let resp =
+                    Response::Error { code: ErrorCode::Protocol, message, request: String::new() };
                 write_frame(output, &resp.encode())?;
             }
         }
@@ -501,9 +495,10 @@ mod tests {
         serve_stdio(&core, &mut "7\nnot js\n".as_bytes(), &mut output).unwrap();
         let mut r = std::io::BufReader::new(&output[..]);
         let p = read_frame(&mut r).unwrap().unwrap();
-        assert!(
-            matches!(Response::decode(&p), Ok(Response::Error { code: ErrorCode::Protocol, .. }))
-        );
+        assert!(matches!(
+            Response::decode(&p),
+            Ok(Response::Error { code: ErrorCode::Protocol, .. })
+        ));
     }
 
     #[test]
@@ -578,8 +573,7 @@ mod tests {
 
     #[test]
     fn idle_session_gets_goaway_idle_timeout() {
-        let config =
-            ServeConfig { idle_timeout: Duration::from_millis(150), ..Default::default() };
+        let config = ServeConfig { idle_timeout: Duration::from_millis(150), ..Default::default() };
         let core = Arc::new(ServerCore::new(config, ResultCache::in_memory()));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -636,7 +630,9 @@ mod tests {
         let mut w2 = BufWriter::new(stream.try_clone().unwrap());
         let mut r2 = BufReader::new(stream);
         write_frame(&mut w2, &optimize_request().encode()).unwrap();
-        assert!(matches!(read_answer(&mut r2).last(), Some(Response::Done(d)) if d.status == "clean"));
+        assert!(
+            matches!(read_answer(&mut r2).last(), Some(Response::Done(d)) if d.status == "clean")
+        );
         write_frame(&mut w2, &Request::Shutdown.encode()).unwrap();
         assert!(matches!(read_answer(&mut r2).last(), Some(Response::Ack { .. })));
         server.join().unwrap().unwrap();

@@ -73,9 +73,8 @@ fn sequentialize(copies: &[(Reg, Reg)], mut fresh: impl FnMut(Reg) -> Reg) -> Ve
 
     while !pending.is_empty() {
         // A copy is safe when its destination is not a pending source.
-        if let Some(i) = pending
-            .iter()
-            .position(|&(d, _)| !pending.iter().any(|&(_, s)| loc[&s] == d))
+        if let Some(i) =
+            pending.iter().position(|&(d, _)| !pending.iter().any(|&(_, s)| loc[&s] == d))
         {
             let (d, s) = pending.remove(i);
             out.push((d, loc[&s]));
@@ -242,11 +241,8 @@ mod tests {
         entry.insts.push(Inst::LoadI { dst: b0, value: Const::Int(2) });
         entry.insts.push(Inst::LoadI { dst: c, value: Const::Int(0) });
         f.add_block(entry);
-        let mut head = Block::new(Terminator::Branch {
-            cond: c,
-            then_to: BlockId(1),
-            else_to: BlockId(2),
-        });
+        let mut head =
+            Block::new(Terminator::Branch { cond: c, then_to: BlockId(1), else_to: BlockId(2) });
         head.insts.push(Inst::Phi { dst: a1, args: vec![(BlockId(0), a0), (BlockId(1), b1)] });
         head.insts.push(Inst::Phi { dst: b1, args: vec![(BlockId(0), b0), (BlockId(1), a1)] });
         f.add_block(head);
@@ -256,9 +252,12 @@ mod tests {
         assert!(f.verify().is_ok());
         // The back-edge copy set {a1 <- b1, b1 <- a1} needed a temp: find 3
         // copies on the back-edge block.
-        let max_copies = f.blocks.iter().map(|b| {
-            b.insts.iter().filter(|i| matches!(i, Inst::Copy { .. })).count()
-        }).max().unwrap();
+        let max_copies = f
+            .blocks
+            .iter()
+            .map(|b| b.insts.iter().filter(|i| matches!(i, Inst::Copy { .. })).count())
+            .max()
+            .unwrap();
         assert_eq!(max_copies, 3, "swap requires a cycle-breaking temp");
     }
 

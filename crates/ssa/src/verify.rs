@@ -74,12 +74,10 @@ pub fn verify_ssa(f: &Function) -> Result<(), SsaError> {
 /// register.
 pub fn verify_ssa_all(f: &Function) -> Vec<SsaError> {
     let mut errs: Vec<SsaError> = Vec::new();
-    let fail = |errs: &mut Vec<SsaError>,
-                    block: Option<BlockId>,
-                    kind: SsaErrorKind,
-                    message: String| {
-        errs.push(SsaError { function: f.name.clone(), block, kind, message });
-    };
+    let fail =
+        |errs: &mut Vec<SsaError>, block: Option<BlockId>, kind: SsaErrorKind, message: String| {
+            errs.push(SsaError { function: f.name.clone(), block, kind, message });
+        };
     let cfg = Cfg::new(f);
     let dom = Dominators::new(f, &cfg);
 
@@ -286,15 +284,9 @@ mod tests {
         entry.insts.push(Inst::LoadI { dst: i0, value: Const::Int(0) });
         entry.insts.push(Inst::LoadI { dst: c, value: Const::Int(1) });
         f.add_block(entry);
-        let mut head = Block::new(Terminator::Branch {
-            cond: c,
-            then_to: BlockId(2),
-            else_to: BlockId(3),
-        });
-        head.insts.push(Inst::Phi {
-            dst: i1,
-            args: vec![(BlockId(0), i0), (BlockId(2), i2)],
-        });
+        let mut head =
+            Block::new(Terminator::Branch { cond: c, then_to: BlockId(2), else_to: BlockId(3) });
+        head.insts.push(Inst::Phi { dst: i1, args: vec![(BlockId(0), i0), (BlockId(2), i2)] });
         f.add_block(head);
         let mut body = Block::new(Terminator::Jump { target: BlockId(1) });
         body.insts.push(Inst::Copy { dst: i2, src: i1 });

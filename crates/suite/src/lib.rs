@@ -133,9 +133,7 @@ mod tests {
     fn every_routine_compiles_in_both_naming_modes() {
         for r in all_routines() {
             for mode in [NamingMode::Simple, NamingMode::Disciplined] {
-                let m = r
-                    .compile(mode)
-                    .unwrap_or_else(|e| panic!("{} ({mode:?}): {e}", r.name));
+                let m = r.compile(mode).unwrap_or_else(|e| panic!("{} ({mode:?}): {e}", r.name));
                 assert!(m.function(r.entry).is_some(), "{}: entry `{}`", r.name, r.entry);
                 m.verify().unwrap_or_else(|e| panic!("{}: {e}", r.name));
             }
@@ -149,7 +147,10 @@ mod tests {
         assert_eq!((m.functions.len(), names.len()), (108, 108), "function names unique");
         for inst in m.functions.iter().flat_map(|f| &f.blocks).flat_map(|b| &b.insts) {
             if let Inst::Call { callee, .. } = inst {
-                assert!(names.contains(callee.as_str()) || epre_ir::is_intrinsic(callee), "{callee}");
+                assert!(
+                    names.contains(callee.as_str()) || epre_ir::is_intrinsic(callee),
+                    "{callee}"
+                );
             }
         }
         m.verify().unwrap();

@@ -12,8 +12,7 @@ fn all_levels_agree_on_every_routine() {
     for r in all_routines() {
         let m = r.compile(NamingMode::Disciplined).unwrap();
         // measure_module panics on cross-level disagreement.
-        let ms = measure_module(&m, r.entry, &[])
-            .unwrap_or_else(|e| panic!("{}: {e}", r.name));
+        let ms = measure_module(&m, r.entry, &[]).unwrap_or_else(|e| panic!("{}: {e}", r.name));
         assert_eq!(ms.len(), 4, "{}", r.name);
         for w in &ms {
             assert!(w.counts.total > 0, "{}", r.name);
@@ -40,14 +39,8 @@ fn pre_improves_aggregate_counts() {
             improved += 1;
         }
     }
-    assert!(
-        pre_total < base_total,
-        "aggregate: partial {pre_total} vs baseline {base_total}"
-    );
-    assert!(
-        improved * 10 >= total * 8,
-        "PRE improved only {improved}/{total} routines"
-    );
+    assert!(pre_total < base_total, "aggregate: partial {pre_total} vs baseline {base_total}");
+    assert!(improved * 10 >= total * 8, "PRE improved only {improved}/{total} routines");
     let pct = 100.0 * (base_total - pre_total) as f64 / base_total as f64;
     assert!(pct > 10.0, "aggregate PRE improvement only {pct:.1}%");
 }
@@ -65,10 +58,7 @@ fn reassociation_family_wins_in_aggregate() {
         pre_total += ms[1].counts.total;
         dist_total += ms[3].counts.total;
     }
-    assert!(
-        dist_total < pre_total,
-        "aggregate: distribution {dist_total} vs partial {pre_total}"
-    );
+    assert!(dist_total < pre_total, "aggregate: distribution {dist_total} vs partial {pre_total}");
 }
 
 #[test]

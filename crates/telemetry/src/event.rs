@@ -191,10 +191,7 @@ mod tests {
         let names: Vec<_> = c.iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["rounds", "ops_killed"]);
         assert!(!c.is_empty());
-        assert_eq!(
-            c.to_map(),
-            Value::Map(vec![("rounds".into(), 3), ("ops_killed".into(), 3)])
-        );
+        assert_eq!(c.to_map(), Value::Map(vec![("rounds".into(), 3), ("ops_killed".into(), 3)]));
     }
 
     #[test]

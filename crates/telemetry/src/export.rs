@@ -180,7 +180,9 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(
-            lines[0].starts_with("{\"seq\":0,\"kind\":\"span\",\"function\":\"f\\\"1\",\"pass\":\"pre\""),
+            lines[0].starts_with(
+                "{\"seq\":0,\"kind\":\"span\",\"function\":\"f\\\"1\",\"pass\":\"pre\""
+            ),
             "{}",
             lines[0]
         );

@@ -35,32 +35,8 @@ use std::sync::{Arc, Mutex};
 /// `+Inf` overflow bucket. The ladder is compile-time so every
 /// histogram in every process renders the same schema.
 pub const LATENCY_BUCKETS_US: [u64; 26] = [
-    1,
-    2,
-    4,
-    8,
-    16,
-    32,
-    64,
-    128,
-    256,
-    512,
-    1_024,
-    2_048,
-    4_096,
-    8_192,
-    16_384,
-    32_768,
-    65_536,
-    131_072,
-    262_144,
-    524_288,
-    1_048_576,
-    2_097_152,
-    4_194_304,
-    8_388_608,
-    16_777_216,
-    33_554_432,
+    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1_024, 2_048, 4_096, 8_192, 16_384, 32_768, 65_536,
+    131_072, 262_144, 524_288, 1_048_576, 2_097_152, 4_194_304, 8_388_608, 16_777_216, 33_554_432,
 ];
 
 /// A monotonically increasing counter.
@@ -103,8 +79,9 @@ impl Gauge {
     /// Decrement by one, saturating at zero (a decrement racing a
     /// restart must never wrap to `u64::MAX`).
     pub fn dec(&self) {
-        let _ =
-            self.0.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)));
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)));
     }
 
     /// Current value.
@@ -388,7 +365,13 @@ impl Snapshot {
     }
 
     /// Add a counter sample.
-    pub fn push_counter(&mut self, name: &str, label: Option<(&str, &str)>, help: &str, value: u64) {
+    pub fn push_counter(
+        &mut self,
+        name: &str,
+        label: Option<(&str, &str)>,
+        help: &str,
+        value: u64,
+    ) {
         self.push(name, label, help, Item::Counter { value });
     }
 
@@ -445,9 +428,8 @@ impl Snapshot {
                     let mut cum = 0u64;
                     for (i, c) in counts.iter().enumerate() {
                         cum += c;
-                        let le = LATENCY_BUCKETS_US
-                            .get(i)
-                            .map_or("+Inf".to_string(), |b| b.to_string());
+                        let le =
+                            LATENCY_BUCKETS_US.get(i).map_or("+Inf".to_string(), |b| b.to_string());
                         out.push_str(&format!(
                             "{}_bucket{} {}\n",
                             e.name,
@@ -620,7 +602,10 @@ mod tests {
             text.contains("epre_request_latency_us_bucket{class=\"warm\",le=\"128\"} 1"),
             "{text}"
         );
-        assert!(text.contains("epre_request_latency_us_bucket{class=\"warm\",le=\"+Inf\"} 1"), "{text}");
+        assert!(
+            text.contains("epre_request_latency_us_bucket{class=\"warm\",le=\"+Inf\"} 1"),
+            "{text}"
+        );
         assert!(text.contains("epre_request_latency_us_sum{class=\"warm\"} 100"), "{text}");
         assert!(text.contains("epre_request_latency_us_count{class=\"warm\"} 1"), "{text}");
     }

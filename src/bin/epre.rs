@@ -157,9 +157,7 @@ fn write_trace(path: &str, trace: &Trace, format: &str) -> Result<(), String> {
 fn read_input(path: &str) -> Result<String, String> {
     if path == "-" {
         let mut s = String::new();
-        std::io::stdin()
-            .read_to_string(&mut s)
-            .map_err(|e| format!("reading stdin: {e}"))?;
+        std::io::stdin().read_to_string(&mut s).map_err(|e| format!("reading stdin: {e}"))?;
         Ok(s)
     } else {
         std::fs::read_to_string(path).map_err(|e| format!("reading `{path}`: {e}"))
@@ -1155,9 +1153,8 @@ fn cmd_submit(args: &[String]) -> ExitCode {
                 client = id.clone();
             }
             "--policy" => {
-                let Some(p) = it
-                    .next()
-                    .filter(|p| ["best-effort", "retry-then-skip"].contains(&p.as_str()))
+                let Some(p) =
+                    it.next().filter(|p| ["best-effort", "retry-then-skip"].contains(&p.as_str()))
                 else {
                     eprintln!("--policy needs one of: best-effort retry-then-skip");
                     return ExitCode::from(2);
@@ -1264,8 +1261,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
             let done = &outcome.done;
             eprintln!(
                 "serve: {} — {} reused, {} fresh, {} fault(s), {} rollback(s), attempt {}",
-                done.status, done.reused, done.fresh, done.faults, done.rollbacks,
-                outcome.attempts
+                done.status, done.reused, done.fresh, done.faults, done.rollbacks, outcome.attempts
             );
             print!("{}", done.module_text);
             if done.status == "clean" {

@@ -51,10 +51,7 @@ mod tests {
     #[test]
     fn quick_report_has_paper_columns_and_improves() {
         let t = collect_table1(true);
-        assert_eq!(
-            t.levels,
-            ["baseline", "partial", "reassociation", "distribution"]
-        );
+        assert_eq!(t.levels, ["baseline", "partial", "reassociation", "distribution"]);
         assert_eq!(t.rows.len(), QUICK_ROUTINES);
         let totals = t.totals();
         assert!(totals[1] < totals[0], "PRE must beat baseline overall: {totals:?}");

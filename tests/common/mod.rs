@@ -41,12 +41,22 @@ pub fn build(steps: &[Step], diamond: bool) -> Function {
     let mut ints: Vec<Reg> = vec![p0];
     let mut floats: Vec<Reg> = vec![p1];
 
-    let int_ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Min, BinOp::Max, BinOp::And,
-                   BinOp::Or, BinOp::Xor, BinOp::CmpLt, BinOp::CmpEq];
+    let int_ops = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Min,
+        BinOp::Max,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::CmpLt,
+        BinOp::CmpEq,
+    ];
     let float_ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Min, BinOp::Max];
 
-    let emit = |b: &mut FunctionBuilder, ints: &mut Vec<Reg>, floats: &mut Vec<Reg>, s: &Step| {
-        match s {
+    let emit =
+        |b: &mut FunctionBuilder, ints: &mut Vec<Reg>, floats: &mut Vec<Reg>, s: &Step| match s {
             Step::Bin(o, x, y) => {
                 if *o % 2 == 0 {
                     let op = int_ops[(*o as usize / 2) % int_ops.len()];
@@ -102,8 +112,7 @@ pub fn build(steps: &[Step], diamond: bool) -> Function {
                 let v = floats[*x as usize % floats.len()];
                 floats.push(b.call("sqrt", vec![v], Ty::Float));
             }
-        }
-    };
+        };
 
     if diamond && steps.len() >= 2 {
         let half = steps.len() / 2;

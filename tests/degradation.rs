@@ -3,7 +3,7 @@
 //! should not be surprised by occasional losses." Each case must stay a
 //! *performance* loss only — semantics always preserved.
 
-use epre::{Optimizer, OptLevel};
+use epre::{OptLevel, Optimizer};
 use epre_frontend::{compile, NamingMode};
 use epre_interp::{ExecError, Interpreter, Value};
 use epre_ir::Module;
@@ -182,10 +182,7 @@ fn degradation_is_never_miscompilation() {
                 panic!("float results expected");
             };
             let scale = x.abs().max(y.abs()).max(1.0);
-            assert!(
-                (x - y).abs() <= 1e-9 * scale,
-                "{level:?} at ({a},{b}): {y} vs {x}"
-            );
+            assert!((x - y).abs() <= 1e-9 * scale, "{level:?} at ({a},{b}): {y} vs {x}");
         }
     }
 }
@@ -297,8 +294,7 @@ fn error_paths_are_job_count_invariant() {
     for (src, entry, args, fuel, expect) in cases {
         let m = compile(src, NamingMode::Disciplined).unwrap();
         for level in [OptLevel::Baseline, OptLevel::Distribution, OptLevel::DistributionLvn] {
-            let reference =
-                observe_jobs(&m, entry, &args, level, fuel, 1).expect_err("must fail");
+            let reference = observe_jobs(&m, entry, &args, level, fuel, 1).expect_err("must fail");
             assert_eq!(reference.variant_name(), expect, "{level:?}");
             for jobs in [2, 8] {
                 let got = observe_jobs(&m, entry, &args, level, fuel, jobs)
@@ -345,16 +341,9 @@ fn budget_faults_are_job_count_invariant() {
         };
         let budget = Budget::governed();
         let opts = LintOptions::invariants_only();
-        let (m1, r1) = run_module_governed(
-            &m,
-            &passes_for,
-            FaultPolicy::BestEffort,
-            &opts,
-            &budget,
-            3,
-            1,
-        )
-        .unwrap();
+        let (m1, r1) =
+            run_module_governed(&m, &passes_for, FaultPolicy::BestEffort, &opts, &budget, 3, 1)
+                .unwrap();
         assert!(!r1.faults.is_empty(), "{model:?}: the model must fault");
         for ft in &r1.faults {
             assert!(

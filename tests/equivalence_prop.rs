@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use epre::{Optimizer, OptLevel};
+use epre::{OptLevel, Optimizer};
 use epre_frontend::{compile, NamingMode};
 use epre_interp::{ExecError, Interpreter, Value};
 use epre_ir::Module;
@@ -108,10 +108,7 @@ fn render_stmts(stmts: &[S], depth: usize, out: &mut String) {
 const NVARS: usize = 4;
 
 fn expr_strategy() -> impl Strategy<Value = E> {
-    let leaf = prop_oneof![
-        (0..NVARS).prop_map(E::Var),
-        (-20i64..40).prop_map(E::Num),
-    ];
+    let leaf = prop_oneof![(0..NVARS).prop_map(E::Var), (-20i64..40).prop_map(E::Num),];
     leaf.prop_recursive(3, 24, 2, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Add(Box::new(a), Box::new(b))),

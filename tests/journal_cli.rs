@@ -129,15 +129,20 @@ fn resume_under_a_different_config_is_refused() {
     let input_s = input.to_str().unwrap();
     let journal_s = journal.to_str().unwrap();
 
-    let first = epre(&[
-        "opt", input_s, "--best-effort", "--level", "distribution", "--journal", journal_s,
-    ]);
+    let first =
+        epre(&["opt", input_s, "--best-effort", "--level", "distribution", "--journal", journal_s]);
     assert_eq!(code(&first), 0, "stderr: {}", String::from_utf8_lossy(&first.stderr));
 
     // Same journal, different level: replaying those entries would silently
     // emit code optimized under the wrong config.
     let second = epre(&[
-        "opt", input_s, "--best-effort", "--level", "baseline", "--journal", journal_s,
+        "opt",
+        input_s,
+        "--best-effort",
+        "--level",
+        "baseline",
+        "--journal",
+        journal_s,
         "--resume",
     ]);
     assert_eq!(code(&second), 2, "stderr: {}", String::from_utf8_lossy(&second.stderr));

@@ -158,9 +158,7 @@ fn quantile_le_matches_a_brute_force_reference() {
             // with overflow sorting above every finite bound.
             let mut bounded: Vec<u64> = values
                 .iter()
-                .map(|&v| {
-                    LATENCY_BUCKETS_US.iter().copied().find(|&b| b >= v).unwrap_or(u64::MAX)
-                })
+                .map(|&v| LATENCY_BUCKETS_US.iter().copied().find(|&b| b >= v).unwrap_or(u64::MAX))
                 .collect();
             bounded.sort_unstable();
             let rank = (values.len() as u64 * num).div_ceil(den).max(1) as usize;

@@ -42,12 +42,8 @@ fn figure_2_to_10_walkthrough() {
     let ssa = staged.stage(Stage::PrunedSsa);
     let phis: usize = ssa.blocks.iter().map(|b| b.phi_count()).sum();
     assert!(phis >= 2, "loop variables s and i need φs, got {phis}");
-    let copies = ssa
-        .blocks
-        .iter()
-        .flat_map(|b| &b.insts)
-        .filter(|i| matches!(i, Inst::Copy { .. }))
-        .count();
+    let copies =
+        ssa.blocks.iter().flat_map(|b| &b.insts).filter(|i| matches!(i, Inst::Copy { .. })).count();
     assert_eq!(copies, 0, "copies folded into φs (§3.1)");
 
     // Figure 8: after value numbering, `y + z` has a single name even

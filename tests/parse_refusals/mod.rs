@@ -40,11 +40,7 @@ pub fn rows() -> Vec<(&'static str, String, &'static str)> {
         ),
         (
             "two functions under the cap that exceed it together",
-            format!(
-                "module data 0\n{}{}",
-                naming("f", MAX_REGS / 2),
-                naming("g", MAX_REGS / 2)
-            ),
+            format!("module data 0\n{}{}", naming("f", MAX_REGS / 2), naming("g", MAX_REGS / 2)),
             "register slots exceed",
         ),
     ]

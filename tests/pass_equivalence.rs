@@ -13,9 +13,7 @@ use proptest::prelude::*;
 use epre_frontend::{compile, NamingMode};
 use epre_interp::{Interpreter, Value};
 use epre_ir::Module;
-use epre_passes::passes::{
-    Clean, Coalesce, ConstProp, Dce, Gvn, Lvn, Peephole, Pre, Reassociate,
-};
+use epre_passes::passes::{Clean, Coalesce, ConstProp, Dce, Gvn, Lvn, Peephole, Pre, Reassociate};
 use epre_passes::Pass;
 
 /// Random structured integer program, shared shape with
@@ -35,26 +33,19 @@ fn program_strategy() -> impl Strategy<Value = String> {
 
     let assign = (0..3usize, expr.clone()).prop_map(|(v, e)| format!("v{v} = {e}\n"));
     let cond = (expr.clone(), 0..3usize, expr.clone(), 0..3usize, expr.clone()).prop_map(
-        |(c, v1, e1, v2, e2)| {
-            format!("if {c} > 5 then\nv{v1} = {e1}\nelse\nv{v2} = {e2}\nendif\n")
-        },
+        |(c, v1, e1, v2, e2)| format!("if {c} > 5 then\nv{v1} = {e1}\nelse\nv{v2} = {e2}\nendif\n"),
     );
-    let dloop = (2i64..5, 0..3usize, expr.clone()).prop_map(|(n, v, e)| {
-        format!("do k0 = 1, {n}\nv{v} = v{v} + {e}\nenddo\n")
-    });
+    let dloop = (2i64..5, 0..3usize, expr.clone())
+        .prop_map(|(n, v, e)| format!("do k0 = 1, {n}\nv{v} = v{v} + {e}\nenddo\n"));
 
-    prop::collection::vec(prop_oneof![3 => assign, 1 => cond, 1 => dloop], 1..7).prop_map(
-        |stmts| {
-            let mut s = String::from(
-                "function f(v0, v1, v2)\ninteger f, v0, v1, v2, k0\nbegin\n",
-            );
-            for st in stmts {
-                s.push_str(&st);
-            }
-            s.push_str("return v0 + 2 * v1 + 3 * v2\nend\n");
-            s
-        },
-    )
+    prop::collection::vec(prop_oneof![3 => assign, 1 => cond, 1 => dloop], 1..7).prop_map(|stmts| {
+        let mut s = String::from("function f(v0, v1, v2)\ninteger f, v0, v1, v2, k0\nbegin\n");
+        for st in stmts {
+            s.push_str(&st);
+        }
+        s.push_str("return v0 + 2 * v1 + 3 * v2\nend\n");
+        s
+    })
 }
 
 fn result_of(m: &Module, args: &[Value]) -> Option<Value> {

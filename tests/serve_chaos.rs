@@ -15,6 +15,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use epre::OptLevel;
 use epre_frontend::{compile, NamingMode};
 use epre_harness::{compare_modules, FaultPolicy, Harness, OracleConfig};
 use epre_ir::parse_module;
@@ -22,7 +23,6 @@ use epre_serve::{
     run_loadgen, submit, ClientConfig, ClientError, LoadgenConfig, OptimizeRequest, Response,
     Session,
 };
-use epre::OptLevel;
 
 /// Two functions so the cache holds more than one entry.
 const SRC: &str = "function tri(n)\n\
@@ -132,9 +132,8 @@ fn kill9_and_torn_cache_never_change_an_answer() {
 
     // Ground truth from the in-process hardened optimizer.
     let module = parse_module(&text).unwrap();
-    let expected = Harness::new(OptLevel::Distribution, FaultPolicy::BestEffort)
-        .optimize(&module)
-        .unwrap();
+    let expected =
+        Harness::new(OptLevel::Distribution, FaultPolicy::BestEffort).optimize(&module).unwrap();
     let expected_text = format!("{}", expected.module);
 
     let mut daemon = Daemon::spawn(&["--cache", cache.to_str().unwrap()]);
@@ -188,8 +187,8 @@ fn chaos_injection_degrades_but_never_lies() {
     let module = parse_module(&text).unwrap();
     for model in ["nonterminating", "quadratic-growth"] {
         let daemon = Daemon::spawn(&["--chaos-inject", model]);
-        let out = submit(&daemon.client(), &request(&text))
-            .unwrap_or_else(|e| panic!("{model}: {e}"));
+        let out =
+            submit(&daemon.client(), &request(&text)).unwrap_or_else(|e| panic!("{model}: {e}"));
         assert_eq!(out.done.status, "degraded", "{model}");
         assert!(out.done.faults >= 1, "{model}: the injected pass must fault");
         let served = parse_module(&out.done.module_text).unwrap();
@@ -438,18 +437,12 @@ fn sigkill_under_constant_compaction_always_leaves_a_loadable_journal() {
 
     // Final restart over five generations of kill wreckage: the journal
     // must load and answers must still be exactly right.
-    let daemon = Daemon::spawn(&[
-        "--cache",
-        cache.to_str().unwrap(),
-        "--cache-max-bytes",
-        "4096",
-    ]);
+    let daemon = Daemon::spawn(&["--cache", cache.to_str().unwrap(), "--cache-max-bytes", "4096"]);
     let out = submit(&daemon.client(), &request(&probe)).expect("post-campaign submit");
     assert_eq!(out.done.status, "clean");
     assert_eq!(out.done.module_text, probe_expected, "wrong answer after kill campaign");
     let stats = epre_serve::stats(&daemon.client()).expect("stats");
-    let file_bytes =
-        stats.iter().find(|(k, _)| k == "cache_file_bytes").map(|(_, v)| *v).unwrap();
+    let file_bytes = stats.iter().find(|(k, _)| k == "cache_file_bytes").map(|(_, v)| *v).unwrap();
     assert!(file_bytes <= 4096, "cache file {file_bytes} exceeds the 4096-byte cap");
     daemon.shutdown();
     let _ = std::fs::remove_file(&cache);
@@ -531,8 +524,7 @@ fn hostile_load_mix_leaves_the_daemon_serving_and_the_cache_capped() {
     assert_eq!(report.hangs(), 0, "zero hangs under the hostile mix");
 
     let stats = epre_serve::stats(&daemon.client()).expect("stats after load");
-    let file_bytes =
-        stats.iter().find(|(k, _)| k == "cache_file_bytes").map(|(_, v)| *v).unwrap();
+    let file_bytes = stats.iter().find(|(k, _)| k == "cache_file_bytes").map(|(_, v)| *v).unwrap();
     assert!(file_bytes <= cap, "cache file {file_bytes} exceeded cap {cap}");
     daemon.shutdown();
     let _ = std::fs::remove_file(&cache);
@@ -655,8 +647,8 @@ fn flight_recorder_and_slow_log_account_for_every_answered_request() {
     // subset, opens with the header line, and accounts for every
     // answered request id with nothing left in flight.
     let mut lines = dump.lines();
-    let header = epre_serve::json::parse(lines.next().expect("non-empty dump"))
-        .expect("header line parses");
+    let header =
+        epre_serve::json::parse(lines.next().expect("non-empty dump")).expect("header line parses");
     assert_eq!(header.get("flight_recorder").and_then(|v| v.as_bool()), Some(true));
     assert_eq!(header.get("in_flight").and_then(|v| v.as_u64()), Some(0));
     for line in dump.lines().skip(1) {
