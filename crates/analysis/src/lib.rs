@@ -32,5 +32,5 @@ pub use bitset::BitSet;
 pub use cache::{AnalysisCache, CacheStats, PreservedAnalyses};
 pub use dataflow::{solve, Direction, Meet, Solution};
 pub use exprs::{ExprId, ExprKey, ExprUniverse};
-pub use liveness::Liveness;
+pub use liveness::{LiveIn, Liveness};
 pub use local::LocalPredicates;

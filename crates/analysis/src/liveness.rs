@@ -11,7 +11,7 @@
 use crate::bitset::BitSet;
 use crate::dataflow::{solve, Direction, Meet, Solution};
 use epre_cfg::Cfg;
-use epre_ir::{Function, Inst};
+use epre_ir::{BlockId, Function, Inst, Reg};
 
 /// Per-block `LIVEIN`/`LIVEOUT` register sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +56,80 @@ impl Liveness {
 
         let Solution { ins, outs } = solve(cfg, Direction::Backward, Meet::Union, &uses, &defs);
         Liveness { live_in: ins, live_out: outs }
+    }
+}
+
+/// The registers live into each block, as [`Liveness::live_in`] has them,
+/// solved in one flat bit matrix rather than four sets per block. Pruned
+/// SSA construction asks only "is `r` live into `b`?".
+#[derive(Debug, Clone)]
+pub struct LiveIn {
+    /// Words per row.
+    words: usize,
+    /// Where the live-in rows start in `bits`.
+    live_in: usize,
+    /// One row per block of upward-exposed uses, then one of definitions,
+    /// then one of live-in registers, then one scratch row.
+    bits: Vec<u64>,
+}
+
+impl LiveIn {
+    /// Compute the live-in sets of `f`, visiting the blocks reachable from
+    /// the entry, given in reverse postorder as `rpo`. Unreachable blocks
+    /// have none.
+    pub fn new(f: &Function, cfg: &Cfg, rpo: &[BlockId]) -> Self {
+        // At least one word per row, so a function without registers has
+        // rows too.
+        let (n, words) = (f.blocks.len(), f.reg_count().div_ceil(64).max(1));
+        let mut bits = vec![0u64; (3 * n + 1) * words];
+        let (uses, rest) = bits.split_at_mut(n * words);
+        let (defs, rest) = rest.split_at_mut(n * words);
+        let (live_in, out) = rest.split_at_mut(n * words);
+        let has = |row: &[u64], r: Reg| row[r.index() / 64] >> (r.index() % 64) & 1 != 0;
+        let add = |row: &mut [u64], r: Reg| row[r.index() / 64] |= 1 << (r.index() % 64);
+        for ((block, uses), defs) in
+            f.blocks.iter().zip(uses.chunks_mut(words)).zip(defs.chunks_mut(words))
+        {
+            for inst in &block.insts {
+                debug_assert!(!matches!(inst, Inst::Phi { .. }), "liveness expects φ-free code");
+                for u in inst.uses().filter(|&u| !has(defs, u)) {
+                    add(uses, u);
+                }
+                if let Some(d) = inst.dst() {
+                    add(defs, d);
+                }
+            }
+            for u in block.term.uses().filter(|&u| !has(defs, u)) {
+                add(uses, u);
+            }
+        }
+        // in = uses ∪ (out − defs), out = ∪ in over the successors: the
+        // least fixed point, sweeping in postorder.
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in rpo.iter().rev() {
+                let row = b.index() * words..(b.index() + 1) * words;
+                out.fill(0);
+                for s in cfg.succs(b) {
+                    let succ = &live_in[s.index() * words..(s.index() + 1) * words];
+                    out.iter_mut().zip(succ).for_each(|(o, i)| *o |= i);
+                }
+                let (u, d) = (&uses[row.clone()], &defs[row.clone()]);
+                for (w, word) in live_in[row].iter_mut().enumerate() {
+                    let new = u[w] | (out[w] & !d[w]);
+                    changed |= new != *word;
+                    *word = new;
+                }
+            }
+        }
+        LiveIn { words, live_in: 2 * n * words, bits }
+    }
+
+    /// Is `r` live into `b`?
+    pub fn contains(&self, b: BlockId, r: Reg) -> bool {
+        let word = self.bits[self.live_in + b.index() * self.words + r.index() / 64];
+        word >> (r.index() % 64) & 1 != 0
     }
 }
 
@@ -142,5 +216,40 @@ mod tests {
         assert!(lv.live_in[0].contains(cnd.index()));
         assert!(lv.live_in[t.index()].contains(cnd.index()));
         assert!(lv.live_out[t.index()].contains(cnd.index())); // loop
+    }
+
+    #[test]
+    fn live_in_rows_match_the_per_block_sets() {
+        // A loop whose body redefines a variable read at its head, a
+        // parameter read after the loop, and an unreachable block.
+        let mut b = FunctionBuilder::new("m", Some(Ty::Int));
+        let n = b.param(Ty::Int);
+        let (head, body, exit, dead) = (b.new_block(), b.new_block(), b.new_block(), b.new_block());
+        let s = b.new_reg(Ty::Int);
+        let z = b.loadi(Const::Int(0));
+        b.copy_to(s, z);
+        b.jump(head);
+        b.switch_to(head);
+        let c = b.bin(BinOp::CmpLt, Ty::Int, s, n);
+        b.branch(c, body, exit);
+        b.switch_to(body);
+        let s2 = b.bin(BinOp::Add, Ty::Int, s, n);
+        b.copy_to(s, s2);
+        b.jump(head);
+        b.switch_to(exit);
+        let r = b.bin(BinOp::Mul, Ty::Int, s, n);
+        b.ret(Some(r));
+        b.switch_to(dead);
+        b.ret(Some(s));
+        let f = b.finish();
+        let cfg = Cfg::new(&f);
+        let lv = Liveness::new(&f, &cfg);
+        let live = LiveIn::new(&f, &cfg, &epre_cfg::order::reverse_postorder(&cfg));
+        for (id, _) in f.iter_blocks() {
+            let regs = (0..f.reg_count()).map(|r| Reg(r as u32));
+            let rows: Vec<usize> = regs.filter(|&r| live.contains(id, r)).map(Reg::index).collect();
+            assert_eq!(rows, lv.live_in[id.index()].iter().collect::<Vec<_>>(), "{id}");
+        }
+        assert!(live.contains(head, n) && !live.contains(dead, s));
     }
 }

@@ -7,14 +7,13 @@
 //! edges (the Drechsler–Stadel edge-placement formulation). Both need a
 //! *landing block* on the edge when the edge is critical.
 
-use crate::graph::Cfg;
 use epre_ir::{Block, BlockId, Function, Inst, Terminator};
 
 /// Split the edge `from -> to`: insert a fresh block containing only a jump
 /// to `to`, retarget `from`'s terminator, and rewrite any φ-nodes in `to`
 /// that named `from` so they name the new block instead.
 ///
-/// Returns the new block's id. The caller's [`Cfg`] snapshot is stale after
+/// Returns the new block's id. The caller's [`Cfg`](crate::Cfg) snapshot is stale after
 /// this and must be rebuilt.
 ///
 /// # Panics
@@ -38,24 +37,49 @@ pub fn split_edge(f: &mut Function, from: BlockId, to: BlockId) -> BlockId {
 }
 
 /// Split every critical edge of `f` (edges from a multi-successor block to a
-/// multi-predecessor block). Returns the number of edges split.
+/// multi-predecessor block), in block order and each block's successors in
+/// terminator order. Returns the number of edges split.
 ///
 /// After this, code can be inserted "on" any edge by appending to the edge's
 /// source block (if it has one successor) or prepending to the target (if it
 /// has one predecessor).
 pub fn split_critical_edges(f: &mut Function) -> usize {
-    let cfg = Cfg::new(f);
-    let critical: Vec<(BlockId, BlockId)> =
-        cfg.edges().into_iter().filter(|&(a, b)| cfg.is_critical(a, b)).collect();
-    for &(a, b) in &critical {
-        split_edge(f, a, b);
+    // Predecessor counts, a two-way branch to one block counting once (as
+    // in `Cfg`). Splitting an edge keeps its source's successor count and
+    // its target's predecessor count, so the counts hold as edges split.
+    let mut preds = vec![0u32; f.blocks.len()];
+    for block in &f.blocks {
+        for s in distinct_successors(&block.term).into_iter().flatten() {
+            preds[s.index()] += 1;
+        }
     }
-    critical.len()
+    let mut split = 0;
+    for b in 0..preds.len() {
+        let [first, second] = distinct_successors(&f.blocks[b].term);
+        if second.is_none() {
+            continue;
+        }
+        for s in [first, second].into_iter().flatten() {
+            if preds[s.index()] > 1 {
+                split_edge(f, BlockId(b as u32), s);
+                split += 1;
+            }
+        }
+    }
+    split
+}
+
+/// The successors of a terminator in order, each listed once.
+fn distinct_successors(term: &Terminator) -> [Option<BlockId>; 2] {
+    let mut succs = term.successors();
+    let first = succs.next();
+    [first, succs.next().filter(|&s| Some(s) != first)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Cfg;
     use epre_ir::{BinOp, Const, FunctionBuilder, Ty};
 
     /// entry branches to {a, join}; a jumps to join. (entry, join) critical.

@@ -238,17 +238,21 @@ impl Function {
             }
             block.term.map_uses(&mut mark);
         }
-        let mut kept = Vec::with_capacity(n);
-        for (slot, &ty) in map.iter_mut().zip(&self.reg_ty) {
+        // Slide the kept types down in place: a register's new number is
+        // never above its old one.
+        let mut kept = 0;
+        for (old, slot) in map.iter_mut().enumerate() {
             if *slot != DROPPED {
-                *slot = kept.len() as u32;
-                kept.push(ty);
+                *slot = kept as u32;
+                self.reg_ty[kept] = self.reg_ty[old];
+                kept += 1;
             }
         }
-        let dropped = n - kept.len();
+        let dropped = n - kept;
         if dropped == 0 {
             return 0;
         }
+        self.reg_ty.truncate(kept);
         let new = |r: Reg| Reg(map[r.index()]);
         for p in &mut self.params {
             *p = new(*p);
@@ -262,7 +266,6 @@ impl Function {
             }
             block.term.map_uses(new);
         }
-        self.reg_ty = kept;
         dropped
     }
 }

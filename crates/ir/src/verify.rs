@@ -114,9 +114,12 @@ pub fn verify_function_all(f: &Function) -> Vec<VerifyError> {
         }
     }
 
-    // Compute predecessors for φ checking; dangling targets are reported
-    // and skipped so the remaining checks still run.
-    let mut preds: Vec<HashSet<BlockId>> = vec![HashSet::new(); f.blocks.len()];
+    // Dangling targets are reported and skipped so the remaining checks
+    // still run. Only φ checks read predecessors, so a function without φs
+    // builds none.
+    let has_phis = f.blocks.iter().flat_map(|b| &b.insts).any(|i| matches!(i, Inst::Phi { .. }));
+    let mut preds: Vec<HashSet<BlockId>> =
+        if has_phis { vec![HashSet::new(); f.blocks.len()] } else { Vec::new() };
     for (id, b) in f.iter_blocks() {
         for s in b.term.successors() {
             if s.index() >= f.blocks.len() {
@@ -126,7 +129,7 @@ pub fn verify_function_all(f: &Function) -> Vec<VerifyError> {
                     VerifyErrorKind::DanglingTarget,
                     format!("terminator targets missing block {s}"),
                 );
-            } else {
+            } else if has_phis {
                 preds[s.index()].insert(id);
             }
         }

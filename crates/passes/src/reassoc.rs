@@ -152,28 +152,120 @@ fn compute_ranks(f: &Function) -> Vec<u32> {
     rank
 }
 
-/// An expression tree rooted at a sink operand.
-#[derive(Clone, Debug, PartialEq)]
-enum Tree {
+/// How a register is defined, as forward propagation sees it.
+#[derive(Copy, Clone, Debug)]
+enum Def {
+    /// No parameter or instruction defines the register (yet).
+    Undefined,
+    /// A variable: a parameter, a register defined more than once, or the
+    /// result of a load, call or copy. It stays a leaf of every tree.
+    Opaque,
+    /// The single definition `loadi c`.
+    Num(Const),
+    /// The single definition `op.ty src`.
+    Un(UnOp, Ty, Reg),
+    /// The single definition `op.ty lhs, rhs`.
+    Bin(BinOp, Ty, Reg, Reg),
+}
+
+impl Def {
+    /// The definition `inst` gives its destination, were it the only one.
+    fn of(inst: &Inst) -> Def {
+        match *inst {
+            Inst::LoadI { value, .. } => Def::Num(value),
+            Inst::Un { op, ty, src, .. } => Def::Un(op, ty, src),
+            Inst::Bin { op, ty, lhs, rhs, .. } => Def::Bin(op, ty, lhs, rhs),
+            _ => Def::Opaque,
+        }
+    }
+
+    /// Is the register a tree node (rather than a leaf)?
+    fn is_expression(self) -> bool {
+        matches!(self, Def::Num(_) | Def::Un(..) | Def::Bin(..))
+    }
+}
+
+/// Index of a [`Node`] in [`Forwarder::nodes`].
+type NodeId = u32;
+
+/// A node of the expression tree rooted at a sink operand. Every node is
+/// pushed after its children, so children have smaller ids than their
+/// parents and ascending id order is a bottom-up order.
+#[derive(Copy, Clone, Debug)]
+enum Node {
     /// An opaque leaf: parameter, φ-variable, load or call result.
     Leaf(Reg),
     /// A constant (rank 0).
     Num(Const),
-    /// A non-sum operator node (including flattened products etc. handled
-    /// through `Nary`).
-    Un(UnOp, Ty, Box<Tree>),
-    /// Non-associative binary node.
-    Bin(BinOp, Ty, Box<Tree>, Box<Tree>),
-    /// Flattened associative operator with ≥2 operands. For `Add`, each
-    /// operand carries a sign (Frailey's `x - y = x + (-y)` rewrite).
-    Nary(BinOp, Ty, Vec<(Tree, bool)>),
+    /// A unary operator.
+    Un(UnOp, Ty, NodeId),
+    /// A binary operator (only non-associative ones after flattening).
+    Bin(BinOp, Ty, NodeId, NodeId),
+    /// A flattened associative operator over the `len ≥ 2` operands
+    /// `terms[start..start + len]`. For `Add`, each operand carries a sign
+    /// (Frailey's `x - y = x + (-y)` rewrite).
+    Nary(BinOp, Ty, u32, u32),
 }
 
+/// A step of the explicit-stack flattening walk (see [`Forwarder::flatten`]).
+#[derive(Copy, Clone, Debug)]
+enum Flat {
+    /// Push the flattened form of a node onto `ids`.
+    Node(NodeId),
+    /// Gather the operands of an `op` cluster below a node into `gathered`,
+    /// signs flipped if the flag is set.
+    Gather(BinOp, NodeId, bool),
+    /// Move the top of `ids` into `gathered` as an operand with this sign.
+    Term(bool),
+    /// Apply a unary operator to the top of `ids`.
+    Un(UnOp, Ty),
+    /// Negate the top of `ids`.
+    Neg(Ty),
+    /// Apply a binary operator to the two tops of `ids`.
+    Bin(BinOp, Ty),
+    /// Make an n-ary node of the operands gathered above this mark.
+    Nary(BinOp, Ty, u32),
+}
+
+/// Marks a node that no rewrite has reached in [`Forwarder::distribute`].
+const DEAD: NodeId = NodeId::MAX;
+/// Marks a node of the tree being rewritten, not rewritten yet.
+const LIVE: NodeId = NodeId::MAX - 1;
+
+/// Forward propagation's state for one [`run`] call. Every tree lives in
+/// one node arena, cleared after each sink, and every walk over a tree
+/// uses an explicit stack or ascending id order, so neither the number of
+/// allocations nor the depth of the call stack grows with a tree's size.
 struct Forwarder<'a> {
     ranks: &'a [u32],
     options: ReassocOptions,
-    /// Single (pure) definition per register index, for tree building.
-    defs: Vec<Option<Inst>>,
+    /// How each register is defined. While a register's tree is being
+    /// built, its entry reads [`Def::Opaque`] (the definition waits on the
+    /// walk's stack), so a register met again on its own expansion path
+    /// becomes a leaf.
+    defs: Vec<Def>,
+    /// The current sink's tree, each node with its rank: constants 0,
+    /// leaves from the rank table, operators the max over their children.
+    nodes: Vec<(Node, u32)>,
+    /// Operand lists of the `Nary` nodes.
+    terms: Vec<(NodeId, bool)>,
+    /// Tree building's walk: a register to expand, or (with the definition
+    /// it parked) one whose operands are built.
+    expand: Vec<(Reg, Option<Def>)>,
+    /// Flattening's walk.
+    flat: Vec<Flat>,
+    /// Finished subtrees of the current walk.
+    ids: Vec<NodeId>,
+    /// Operands of the clusters being flattened, innermost last.
+    gathered: Vec<(NodeId, bool)>,
+    /// Per node, its rewritten id (or [`LIVE`]/[`DEAD`]) while distributing.
+    map: Vec<NodeId>,
+    /// Distinct rank levels of the sum being distributed over.
+    levels: Vec<u32>,
+    /// Emission's walk: a node and how many of its children are emitted.
+    emitting: Vec<(NodeId, u32)>,
+    /// Registers holding the emitted subtrees.
+    regs: Vec<Reg>,
     /// Output buffer for the block being rewritten.
     out: Vec<Inst>,
     /// Multiplier-over-sum distributions performed so far.
@@ -192,63 +284,68 @@ fn forward_propagate(
 ) -> Result<u64, BudgetExceeded> {
     // Pure expression defs (still single-assignment for expression
     // registers: copy targets — φ names — are multiply-defined but opaque).
-    let mut defs: Vec<Option<Inst>> = vec![None; f.reg_count()];
-    let mut def_count: Vec<u32> = vec![0; f.reg_count()];
-    for block in &f.blocks {
-        for inst in &block.insts {
-            if let Some(d) = inst.dst() {
-                def_count[d.index()] += 1;
-                if inst.is_expression() {
-                    defs[d.index()] = Some(inst.clone());
-                }
-            }
-        }
+    // A register defined more than once cannot be a tree node (it is a
+    // variable), and a parameter counts as a definition: SSA renaming never
+    // redefines one, but it does not reach unreachable blocks, and `run`
+    // accepts arbitrary verified input.
+    let mut defs = vec![Def::Undefined; f.reg_count()];
+    let mut define = |d: Reg, def: Def| {
+        let slot = &mut defs[d.index()];
+        *slot = if matches!(slot, Def::Undefined) { def } else { Def::Opaque };
+    };
+    for &p in &f.params {
+        define(p, Def::Opaque);
     }
-    // A register defined more than once cannot be treated as a tree node
-    // (it is a variable); drop such defs. (Cannot arise from our SSA
-    // pipeline, but `run` accepts arbitrary verified input.)
-    for (def, &count) in defs.iter_mut().zip(&def_count) {
-        if count > 1 {
-            *def = None;
+    for inst in f.blocks.iter().flat_map(|b| &b.insts) {
+        if let Some(d) = inst.dst() {
+            define(d, Def::of(inst));
         }
     }
 
-    let mut fw = Forwarder { ranks, options, defs, out: Vec::new(), dists: 0 };
-
-    // Grow the rank table for registers the rewrite allocates: new regs
-    // carry the rank of the tree they hold, but ranks are only read for
-    // *input* registers, so a default of "huge" is never consulted.
+    // Size the arena and the stacks once for the whole call, so that a tree
+    // no bigger than the function grows none of them: every walk keeps at
+    // most a few entries per level of a tree, and no level repeats a
+    // register.
+    let size = f.inst_count() + 16;
+    let mut fw = Forwarder {
+        ranks,
+        options,
+        defs,
+        nodes: Vec::with_capacity(3 * size),
+        terms: Vec::with_capacity(2 * size),
+        expand: Vec::with_capacity(2 * size),
+        flat: Vec::with_capacity(3 * size),
+        ids: Vec::with_capacity(size),
+        gathered: Vec::with_capacity(2 * size),
+        map: Vec::new(),
+        levels: Vec::new(),
+        emitting: Vec::with_capacity(2 * size),
+        regs: Vec::with_capacity(size),
+        out: Vec::new(),
+        dists: 0,
+    };
+    // The block being rewritten is moved through `group` and `fw.out`; its
+    // old instruction vector becomes the next block's output buffer.
+    let mut group: Vec<Inst> = Vec::new();
     for bi in 0..f.blocks.len() {
         meter.tick(f)?;
-        let insts = std::mem::take(&mut f.blocks[bi].insts);
-        fw.out = Vec::with_capacity(insts.len());
+        let mut insts = std::mem::take(&mut f.blocks[bi].insts);
+        fw.out.reserve(insts.len());
         // The trailing run of copies is a *parallel* copy group created by
         // φ-destruction. Its trees must all be materialized before any of
         // the copies writes a φ-name, or a tree whose leaf is an earlier
         // copy's destination would read the new value.
-        let mut tail = insts.len();
-        while tail > 0 && matches!(insts[tail - 1], Inst::Copy { .. }) {
-            tail -= 1;
-        }
-        let (body, copy_group) = insts.split_at(tail);
-        for inst in body {
-            let mut inst = inst.clone();
+        let tail = insts.iter().rev().take_while(|i| matches!(i, Inst::Copy { .. })).count();
+        group.extend(insts.drain(insts.len() - tail..));
+        for mut inst in insts.drain(..) {
             match &mut inst {
                 // Pure expressions disappear; sinks rematerialize them.
                 Inst::Bin { .. } | Inst::Un { .. } | Inst::LoadI { .. } => continue,
-                Inst::Copy { src, .. } => {
-                    let new = fw.materialize(f, *src);
-                    *src = new;
-                }
-                Inst::Load { addr, .. } => {
-                    let new = fw.materialize(f, *addr);
-                    *addr = new;
-                }
+                Inst::Copy { src, .. } => *src = fw.materialize(f, *src),
+                Inst::Load { addr, .. } => *addr = fw.materialize(f, *addr),
                 Inst::Store { addr, value, .. } => {
-                    let a = fw.materialize(f, *addr);
-                    let v = fw.materialize(f, *value);
-                    *addr = a;
-                    *value = v;
+                    *addr = fw.materialize(f, *addr);
+                    *value = fw.materialize(f, *value);
                 }
                 Inst::Call { args, .. } => {
                     for a in args.iter_mut() {
@@ -264,342 +361,437 @@ fn forward_propagate(
         // of the φ-names (this matches the original SSA evaluation order,
         // where the condition and the φ-inputs were computed before the
         // parallel copy).
-        let mut rewritten_group: Vec<Inst> = Vec::with_capacity(copy_group.len());
-        for inst in copy_group {
-            let mut inst = inst.clone();
-            if let Inst::Copy { src, .. } = &mut inst {
-                let new = fw.materialize(f, *src);
-                *src = new;
+        for inst in &mut group {
+            if let Inst::Copy { src, .. } = inst {
+                *src = fw.materialize(f, *src);
             }
-            rewritten_group.push(inst);
         }
         let mut term =
             std::mem::replace(&mut f.blocks[bi].term, Terminator::Return { value: None });
         match &mut term {
-            Terminator::Branch { cond, .. } => {
-                let new = fw.materialize(f, *cond);
-                *cond = new;
-            }
-            Terminator::Return { value: Some(v) } => {
-                let new = fw.materialize(f, *v);
-                *v = new;
-            }
+            Terminator::Branch { cond, .. } => *cond = fw.materialize(f, *cond),
+            Terminator::Return { value: Some(v) } => *v = fw.materialize(f, *v),
             _ => {}
         }
-        fw.out.extend(rewritten_group);
+        fw.out.append(&mut group);
         f.blocks[bi].term = term;
-        f.blocks[bi].insts = std::mem::take(&mut fw.out);
+        f.blocks[bi].insts = std::mem::replace(&mut fw.out, insts);
     }
     Ok(fw.dists)
 }
 
 impl Forwarder<'_> {
-    /// The single pure definition of `r`, if it has one. Registers the
-    /// rewrite allocates have none.
-    fn def(&self, r: Reg) -> Option<&Inst> {
-        self.defs.get(r.index()).and_then(Option::as_ref)
+    /// How `r` is defined. Registers the rewrite allocates have no
+    /// definition.
+    fn def(&self, r: Reg) -> Def {
+        self.defs.get(r.index()).copied().unwrap_or(Def::Undefined)
     }
 
     /// Materialize the value of `r` at the current point: returns `r`
     /// itself for leaves, or emits the reassociated tree and returns the
     /// register holding its root.
     fn materialize(&mut self, f: &mut Function, r: Reg) -> Reg {
-        if self.def(r).is_none() {
+        if !self.def(r).is_expression() {
             return r; // leaf: variable, parameter, load/call result
         }
-        let tree = self.build_tree(r);
-        let tree = normalize(tree);
-        let tree = flatten(tree);
-        let tree = if self.options.distribute {
-            distribute(tree, self.ranks, &mut self.dists)
-        } else {
-            tree
+        let tree = self.build(r);
+        let tree = self.flatten(tree);
+        let tree = if self.options.distribute { self.distribute(tree) } else { tree };
+        let root = self.emit(f, tree);
+        self.nodes.clear();
+        self.terms.clear();
+        root
+    }
+
+    /// Push `node`, computing its rank; returns its id.
+    fn push(&mut self, node: Node) -> NodeId {
+        let rank = match node {
+            Node::Leaf(r) => self.ranks.get(r.index()).copied().unwrap_or(u32::MAX),
+            Node::Num(_) => 0,
+            Node::Un(_, _, x) => self.rank(x),
+            Node::Bin(_, _, l, r) => self.rank(l).max(self.rank(r)),
+            Node::Nary(_, _, start, len) => {
+                let terms = &self.terms[start as usize..(start + len) as usize];
+                terms.iter().map(|&(t, _)| self.rank(t)).max().unwrap_or(0)
+            }
         };
-        let tree = sort_by_rank(tree, self.ranks);
-        self.emit(f, &tree)
+        self.nodes.push((node, rank));
+        (self.nodes.len() - 1) as NodeId
     }
 
-    fn build_tree(&self, r: Reg) -> Tree {
-        match self.def(r) {
-            None => Tree::Leaf(r),
-            Some(inst) => match inst {
-                Inst::LoadI { value, .. } => Tree::Num(*value),
-                Inst::Un { op, ty, src, .. } => Tree::Un(*op, *ty, Box::new(self.build_tree(*src))),
-                Inst::Bin { op, ty, lhs, rhs, .. } => Tree::Bin(
-                    *op,
-                    *ty,
-                    Box::new(self.build_tree(*lhs)),
-                    Box::new(self.build_tree(*rhs)),
-                ),
-                _ => Tree::Leaf(r),
-            },
+    fn node(&self, id: NodeId) -> Node {
+        self.nodes[id as usize].0
+    }
+
+    fn rank(&self, id: NodeId) -> u32 {
+        self.nodes[id as usize].1
+    }
+
+    /// `-x`, folding a double negation and negated constants.
+    fn neg_of(&mut self, x: NodeId, ty: Ty) -> NodeId {
+        match self.node(x) {
+            Node::Un(UnOp::Neg, _, inner) => inner,
+            Node::Num(Const::Int(v)) => self.push(Node::Num(Const::Int(v.wrapping_neg()))),
+            Node::Num(Const::Float(v)) => self.push(Node::Num(Const::Float(-v))),
+            _ => self.push(Node::Un(UnOp::Neg, ty, x)),
         }
     }
 
-    /// Emit three-address code for `tree`; returns the result register.
-    fn emit(&mut self, f: &mut Function, tree: &Tree) -> Reg {
-        match tree {
-            Tree::Leaf(r) => *r,
-            Tree::Num(c) => {
-                let dst = f.new_reg(c.ty());
-                self.out.push(Inst::LoadI { dst, value: *c });
-                dst
-            }
-            Tree::Un(op, ty, inner) => {
-                let src = self.emit(f, inner);
-                let dst = f.new_reg(op.result_ty(*ty));
-                self.out.push(Inst::Un { op: *op, ty: *ty, dst, src });
-                dst
-            }
-            Tree::Bin(op, ty, l, r) => {
-                let lhs = self.emit(f, l);
-                let rhs = self.emit(f, r);
-                let dst = f.new_reg(op.result_ty(*ty));
-                self.out.push(Inst::Bin { op: *op, ty: *ty, dst, lhs, rhs });
-                dst
-            }
-            Tree::Nary(op, ty, terms) => {
-                debug_assert!(terms.len() >= 2);
-                if *op == BinOp::Add {
-                    self.emit_sum(f, *ty, terms)
-                } else {
-                    let mut acc = self.emit(f, &terms[0].0);
-                    for (t, _) in &terms[1..] {
-                        let rhs = self.emit(f, t);
-                        let dst = f.new_reg(*ty);
-                        self.out.push(Inst::Bin { op: *op, ty: *ty, dst, lhs: acc, rhs });
-                        acc = dst;
+    /// Build the expression tree of `r` through the single definitions,
+    /// normalized as it is built (Frailey): `x - y → x + (-y)`, `-(-x) →
+    /// x`, negated constants folded. Operands are built left to right,
+    /// each before its operator.
+    fn build(&mut self, r: Reg) -> NodeId {
+        self.expand.push((r, None));
+        while let Some((r, parked)) = self.expand.pop() {
+            if let Some(def) = parked {
+                self.defs[r.index()] = def;
+                let node = match def {
+                    Def::Un(UnOp::Neg, ty, _) => {
+                        let x = self.ids.pop().expect("operand built");
+                        self.neg_of(x, ty)
                     }
-                    acc
-                }
-            }
-        }
-    }
-
-    /// Emit a signed sum, reconstructing subtractions (§3.1 "we rely on a
-    /// later pass … to reconstruct the original operations" — done eagerly
-    /// here since `x + (-y)` and `x - y` are bit-identical in IEEE).
-    fn emit_sum(&mut self, f: &mut Function, ty: Ty, terms: &[(Tree, bool)]) -> Reg {
-        let (first, neg) = &terms[0];
-        let mut acc = self.emit(f, first);
-        if *neg {
-            let dst = f.new_reg(ty);
-            self.out.push(Inst::Un { op: UnOp::Neg, ty, dst, src: acc });
-            acc = dst;
-        }
-        for (t, neg) in &terms[1..] {
-            let rhs = self.emit(f, t);
-            let dst = f.new_reg(ty);
-            let op = if *neg { BinOp::Sub } else { BinOp::Add };
-            self.out.push(Inst::Bin { op, ty, dst, lhs: acc, rhs });
-            acc = dst;
-        }
-        acc
-    }
-}
-
-/// Frailey normalization: `x - y → x + (-y)`, `-(-x) → x`, negation of
-/// constants folded, negation pushed through sums.
-fn normalize(tree: Tree) -> Tree {
-    match tree {
-        Tree::Bin(BinOp::Sub, ty, l, r) => {
-            let l = normalize(*l);
-            let r = normalize(*r);
-            Tree::Bin(BinOp::Add, ty, Box::new(l), Box::new(neg_of(r, ty)))
-        }
-        Tree::Bin(op, ty, l, r) => {
-            Tree::Bin(op, ty, Box::new(normalize(*l)), Box::new(normalize(*r)))
-        }
-        Tree::Un(UnOp::Neg, ty, inner) => neg_of(normalize(*inner), ty),
-        Tree::Un(op, ty, inner) => Tree::Un(op, ty, Box::new(normalize(*inner))),
-        t => t,
-    }
-}
-
-fn neg_of(tree: Tree, ty: Ty) -> Tree {
-    match tree {
-        Tree::Un(UnOp::Neg, _, inner) => *inner,
-        Tree::Num(Const::Int(v)) => Tree::Num(Const::Int(v.wrapping_neg())),
-        Tree::Num(Const::Float(v)) => Tree::Num(Const::Float(-v)),
-        t => Tree::Un(UnOp::Neg, ty, Box::new(t)),
-    }
-}
-
-/// Flatten nested associative applications into N-ary nodes. A negation
-/// over a sum distributes across its terms; a negated term of a sum flips
-/// its sign bit.
-fn flatten(tree: Tree) -> Tree {
-    match tree {
-        Tree::Bin(op, ty, l, r) if op.is_associative() => {
-            let mut terms = Vec::new();
-            collect(op, flatten(*l), false, &mut terms);
-            collect(op, flatten(*r), false, &mut terms);
-            if terms.len() == 1 {
-                let (t, neg) = terms.pop().unwrap();
-                if neg {
-                    Tree::Un(UnOp::Neg, ty, Box::new(t))
-                } else {
-                    t
-                }
-            } else {
-                Tree::Nary(op, ty, terms)
-            }
-        }
-        Tree::Bin(op, ty, l, r) => Tree::Bin(op, ty, Box::new(flatten(*l)), Box::new(flatten(*r))),
-        Tree::Un(UnOp::Neg, ty, inner) => match flatten(*inner) {
-            // -(a + b) = (-a) + (-b): keeps sums flat under negation.
-            Tree::Nary(BinOp::Add, nty, terms) => {
-                Tree::Nary(BinOp::Add, nty, terms.into_iter().map(|(t, n)| (t, !n)).collect())
-            }
-            t => neg_of(t, ty),
-        },
-        Tree::Un(op, ty, inner) => Tree::Un(op, ty, Box::new(flatten(*inner))),
-        t => t,
-    }
-}
-
-fn collect(op: BinOp, t: Tree, neg: bool, out: &mut Vec<(Tree, bool)>) {
-    match t {
-        Tree::Nary(o, _, terms) if o == op => {
-            for (t, n) in terms {
-                out.push((t, neg != (n && op == BinOp::Add)));
-                // Only sums carry signs; for other associative ops `n` is
-                // always false by construction.
-            }
-        }
-        Tree::Un(UnOp::Neg, _, inner) if op == BinOp::Add => {
-            collect(op, *inner, !neg, out);
-        }
-        other => out.push((other, neg)),
-    }
-}
-
-/// Rank of a tree: constants 0, leaves from the table, operators take the
-/// max over children (matching the per-register rules).
-fn tree_rank(t: &Tree, ranks: &[u32]) -> u32 {
-    match t {
-        Tree::Leaf(r) => ranks.get(r.index()).copied().unwrap_or(u32::MAX),
-        Tree::Num(_) => 0,
-        Tree::Un(_, _, inner) => tree_rank(inner, ranks),
-        Tree::Bin(_, _, l, r) => tree_rank(l, ranks).max(tree_rank(r, ranks)),
-        Tree::Nary(_, _, terms) => {
-            terms.iter().map(|(t, _)| tree_rank(t, ranks)).max().unwrap_or(0)
-        }
-    }
-}
-
-/// Stable-sort every N-ary node's operands by rank (low first), recursing
-/// into children first.
-fn sort_by_rank(tree: Tree, ranks: &[u32]) -> Tree {
-    match tree {
-        Tree::Nary(op, ty, terms) => {
-            let mut terms: Vec<(Tree, bool)> =
-                terms.into_iter().map(|(t, n)| (sort_by_rank(t, ranks), n)).collect();
-            terms.sort_by_key(|(t, _)| tree_rank(t, ranks));
-            Tree::Nary(op, ty, terms)
-        }
-        Tree::Bin(op, ty, l, r) => {
-            Tree::Bin(op, ty, Box::new(sort_by_rank(*l, ranks)), Box::new(sort_by_rank(*r, ranks)))
-        }
-        Tree::Un(op, ty, inner) => Tree::Un(op, ty, Box::new(sort_by_rank(*inner, ranks))),
-        t => t,
-    }
-}
-
-/// Distribute a low-ranked multiplier over the *rank groups* of a
-/// higher-ranked sum (paper §3.1: partial distribution; a complete
-/// distribution "would result in extra multiplications without allowing
-/// any additional code motion"). Applied bottom-up. Each distribution
-/// performed increments `count` (the pass counter `distributions`).
-fn distribute(tree: Tree, ranks: &[u32], count: &mut u64) -> Tree {
-    match tree {
-        Tree::Nary(BinOp::Mul, ty, factors) => {
-            let factors: Vec<(Tree, bool)> =
-                factors.into_iter().map(|(t, n)| (distribute(t, ranks, count), n)).collect();
-            // Exactly one sum factor, and the rest strictly lower-ranked?
-            let sums: Vec<usize> = factors
-                .iter()
-                .enumerate()
-                .filter(|(_, (t, _))| matches!(t, Tree::Nary(BinOp::Add, _, _)))
-                .map(|(i, _)| i)
-                .collect();
-            if sums.len() != 1 {
-                return Tree::Nary(BinOp::Mul, ty, factors);
-            }
-            let sum_idx = sums[0];
-            let multiplier_rank = factors
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != sum_idx)
-                .map(|(_, (t, _))| tree_rank(t, ranks))
-                .max()
-                .unwrap_or(0);
-            let Tree::Nary(BinOp::Add, _, terms) = &factors[sum_idx].0 else { unreachable!() };
-            let sum_rank = terms.iter().map(|(t, _)| tree_rank(t, ranks)).max().unwrap_or(0);
-            if multiplier_rank >= sum_rank {
-                return Tree::Nary(BinOp::Mul, ty, factors);
-            }
-            // Group the sum's terms: everything at or below the
-            // multiplier's rank forms one group; each higher rank its own.
-            let mut groups: Vec<(u32, Vec<(Tree, bool)>)> = Vec::new();
-            let Tree::Nary(BinOp::Add, _, terms) = factors[sum_idx].0.clone() else {
-                unreachable!()
-            };
-            for (t, n) in terms {
-                let level = tree_rank(&t, ranks).max(multiplier_rank);
-                match groups.iter_mut().find(|(l, _)| *l == level) {
-                    Some((_, g)) => g.push((t, n)),
-                    None => groups.push((level, vec![(t, n)])),
-                }
-            }
-            *count += 1;
-            let others: Vec<(Tree, bool)> = factors
-                .into_iter()
-                .enumerate()
-                .filter(|&(i, _)| i != sum_idx)
-                .map(|(_, p)| p)
-                .collect();
-            let mut out_terms: Vec<(Tree, bool)> = Vec::new();
-            for (_, group) in groups {
-                let inner = if group.len() == 1 {
-                    let (t, n) = group.into_iter().next().unwrap();
-                    if n {
-                        Tree::Un(UnOp::Neg, ty, Box::new(t))
-                    } else {
-                        t
+                    Def::Un(op, ty, _) => {
+                        let x = self.ids.pop().expect("operand built");
+                        self.push(Node::Un(op, ty, x))
                     }
-                } else {
-                    Tree::Nary(BinOp::Add, ty, group)
+                    Def::Bin(op, ty, ..) => {
+                        let rhs = self.ids.pop().expect("operand built");
+                        let lhs = self.ids.pop().expect("operand built");
+                        if op == BinOp::Sub {
+                            let rhs = self.neg_of(rhs, ty);
+                            self.push(Node::Bin(BinOp::Add, ty, lhs, rhs))
+                        } else {
+                            self.push(Node::Bin(op, ty, lhs, rhs))
+                        }
+                    }
+                    _ => unreachable!("only operators park their definition"),
                 };
-                let mut fs = others.clone();
-                fs.push((inner, false));
-                out_terms.push((Tree::Nary(BinOp::Mul, ty, fs), false));
+                self.ids.push(node);
+                continue;
             }
-            if out_terms.len() == 1 {
-                out_terms.pop().unwrap().0
-            } else {
-                Tree::Nary(BinOp::Add, ty, out_terms)
+            let def = self.def(r);
+            let node = match def {
+                Def::Num(c) => self.push(Node::Num(c)),
+                Def::Un(_, _, src) => {
+                    self.defs[r.index()] = Def::Opaque;
+                    self.expand.extend([(r, Some(def)), (src, None)]);
+                    continue;
+                }
+                Def::Bin(_, _, lhs, rhs) => {
+                    self.defs[r.index()] = Def::Opaque;
+                    self.expand.extend([(r, Some(def)), (rhs, None), (lhs, None)]);
+                    continue;
+                }
+                Def::Undefined | Def::Opaque => self.push(Node::Leaf(r)),
+            };
+            self.ids.push(node);
+        }
+        self.ids.pop().expect("tree built")
+    }
+
+    /// Flatten nested associative applications into n-ary nodes. A negation
+    /// over a sum distributes across its terms; a negated term of a sum flips
+    /// its sign bit.
+    ///
+    /// The walk gathers each cluster of one associative operator top-down,
+    /// carrying the sign in, so every operand is written once, however deep
+    /// the cluster. `x` must be a built (normalized) tree: it has no double
+    /// negation and no negated constant.
+    fn flatten(&mut self, x: NodeId) -> NodeId {
+        self.flat.push(Flat::Node(x));
+        while let Some(step) = self.flat.pop() {
+            match step {
+                Flat::Node(x) => match self.node(x) {
+                    Node::Leaf(_) | Node::Num(_) => self.ids.push(x),
+                    Node::Bin(op, ty, l, r) if op.is_associative() => {
+                        let mark = self.gathered.len() as u32;
+                        self.flat.extend([
+                            Flat::Nary(op, ty, mark),
+                            Flat::Gather(op, r, false),
+                            Flat::Gather(op, l, false),
+                        ]);
+                    }
+                    Node::Bin(op, ty, l, r) => {
+                        self.flat.extend([Flat::Bin(op, ty), Flat::Node(r), Flat::Node(l)]);
+                    }
+                    Node::Un(UnOp::Neg, ty, inner) => match self.node(inner) {
+                        // -(a + b) = (-a) + (-b): keeps sums flat under negation.
+                        Node::Bin(BinOp::Add, sum_ty, ..) => {
+                            let mark = self.gathered.len() as u32;
+                            self.flat.extend([
+                                Flat::Nary(BinOp::Add, sum_ty, mark),
+                                Flat::Gather(BinOp::Add, inner, true),
+                            ]);
+                        }
+                        _ => self.flat.extend([Flat::Neg(ty), Flat::Node(inner)]),
+                    },
+                    Node::Un(op, ty, inner) => {
+                        self.flat.extend([Flat::Un(op, ty), Flat::Node(inner)])
+                    }
+                    Node::Nary(..) => unreachable!("built trees have no n-ary nodes"),
+                },
+                Flat::Gather(op, x, neg) => match self.node(x) {
+                    Node::Bin(o, _, l, r) if o == op => {
+                        self.flat.extend([Flat::Gather(op, r, neg), Flat::Gather(op, l, neg)]);
+                    }
+                    Node::Un(UnOp::Neg, _, inner) if op == BinOp::Add => {
+                        debug_assert!(!matches!(self.node(inner), Node::Num(_)), "normalized");
+                        self.flat.push(Flat::Gather(op, inner, !neg));
+                    }
+                    // Only sums carry signs: `neg` stays false for the
+                    // other associative operators.
+                    _ => self.flat.extend([Flat::Term(neg), Flat::Node(x)]),
+                },
+                Flat::Term(neg) => {
+                    let t = self.ids.pop().expect("operand flattened");
+                    self.gathered.push((t, neg));
+                }
+                Flat::Un(op, ty) => {
+                    let x = self.ids.pop().expect("operand flattened");
+                    let node = self.push(Node::Un(op, ty, x));
+                    self.ids.push(node);
+                }
+                Flat::Neg(ty) => {
+                    let x = self.ids.pop().expect("operand flattened");
+                    let node = self.neg_of(x, ty);
+                    self.ids.push(node);
+                }
+                Flat::Bin(op, ty) => {
+                    let r = self.ids.pop().expect("operand flattened");
+                    let l = self.ids.pop().expect("operand flattened");
+                    let node = self.push(Node::Bin(op, ty, l, r));
+                    self.ids.push(node);
+                }
+                Flat::Nary(op, ty, mark) => {
+                    let start = self.terms.len() as u32;
+                    self.terms.extend(self.gathered.drain(mark as usize..));
+                    let len = self.terms.len() as u32 - start;
+                    debug_assert!(len >= 2);
+                    let node = self.push(Node::Nary(op, ty, start, len));
+                    self.ids.push(node);
+                }
             }
         }
-        Tree::Nary(op, ty, terms) => Tree::Nary(
-            op,
-            ty,
-            terms.into_iter().map(|(t, n)| (distribute(t, ranks, count), n)).collect(),
-        ),
-        Tree::Bin(op, ty, l, r) => Tree::Bin(
-            op,
-            ty,
-            Box::new(distribute(*l, ranks, count)),
-            Box::new(distribute(*r, ranks, count)),
-        ),
-        Tree::Un(op, ty, inner) => Tree::Un(op, ty, Box::new(distribute(*inner, ranks, count))),
-        t => t,
+        self.ids.pop().expect("tree flattened")
+    }
+
+    /// Distribute a low-ranked multiplier over the *rank groups* of a
+    /// higher-ranked sum (paper §3.1: partial distribution; a complete
+    /// distribution "would result in extra multiplications without allowing
+    /// any additional code motion"). Applied bottom-up: the nodes of the
+    /// tree are rewritten in ascending id order. Each distribution
+    /// performed increments the pass counter `distributions`.
+    fn distribute(&mut self, root: NodeId) -> NodeId {
+        // Mark the tree's nodes: parents come after their children, so one
+        // descending sweep reaches every node from the root.
+        let n = root as usize + 1;
+        self.map.clear();
+        self.map.resize(n, DEAD);
+        self.map[root as usize] = LIVE;
+        for id in (0..n).rev() {
+            if self.map[id] == DEAD {
+                continue;
+            }
+            match self.nodes[id].0 {
+                Node::Un(_, _, x) => self.map[x as usize] = LIVE,
+                Node::Bin(_, _, l, r) => {
+                    self.map[l as usize] = LIVE;
+                    self.map[r as usize] = LIVE;
+                }
+                Node::Nary(_, _, start, len) => {
+                    for &(t, _) in &self.terms[start as usize..(start + len) as usize] {
+                        self.map[t as usize] = LIVE;
+                    }
+                }
+                Node::Leaf(_) | Node::Num(_) => {}
+            }
+        }
+        for id in 0..n {
+            if self.map[id] == LIVE {
+                self.map[id] = self.distribute_node(id as NodeId);
+            }
+        }
+        self.map[root as usize]
+    }
+
+    /// The rewrite of one node whose children are rewritten.
+    fn distribute_node(&mut self, id: NodeId) -> NodeId {
+        let mapped = |fw: &Self, x: NodeId| fw.map[x as usize];
+        match self.node(id) {
+            Node::Leaf(_) | Node::Num(_) => id,
+            Node::Un(op, ty, x) => self.push(Node::Un(op, ty, mapped(self, x))),
+            Node::Bin(op, ty, l, r) => {
+                let (l, r) = (mapped(self, l), mapped(self, r));
+                self.push(Node::Bin(op, ty, l, r))
+            }
+            Node::Nary(op, ty, start, len) => {
+                let factors = self.terms.len() as u32;
+                for i in start..start + len {
+                    let (t, neg) = self.terms[i as usize];
+                    self.terms.push((mapped(self, t), neg));
+                }
+                if op == BinOp::Mul {
+                    self.distribute_product(ty, factors, len)
+                } else {
+                    self.push(Node::Nary(op, ty, factors, len))
+                }
+            }
+        }
+    }
+
+    /// Distribute the product of the `len` rewritten factors at
+    /// `terms[start..]`, if exactly one is a sum and the rest rank strictly
+    /// lower than it.
+    fn distribute_product(&mut self, ty: Ty, start: u32, len: u32) -> NodeId {
+        let factors = start as usize..(start + len) as usize;
+        let is_sum =
+            |fw: &Self, i: usize| matches!(fw.node(fw.terms[i].0), Node::Nary(BinOp::Add, ..));
+        let mut sums = factors.clone().filter(|&i| is_sum(self, i));
+        let (Some(sum_at), None) = (sums.next(), sums.next()) else {
+            return self.push(Node::Nary(BinOp::Mul, ty, start, len));
+        };
+        let multiplier_rank = factors
+            .clone()
+            .filter(|&i| i != sum_at)
+            .map(|i| self.rank(self.terms[i].0))
+            .max()
+            .unwrap_or(0);
+        let sum = self.terms[sum_at].0;
+        let Node::Nary(_, _, sum_start, sum_len) = self.node(sum) else { unreachable!() };
+        if multiplier_rank >= self.rank(sum) {
+            return self.push(Node::Nary(BinOp::Mul, ty, start, len));
+        }
+        // Group the sum's terms: everything at or below the multiplier's
+        // rank forms one group; each higher rank its own, in order of first
+        // appearance.
+        let sum_terms = sum_start as usize..(sum_start + sum_len) as usize;
+        let level = |fw: &Self, i: usize| fw.rank(fw.terms[i].0).max(multiplier_rank);
+        self.levels.clear();
+        for i in sum_terms.clone() {
+            let l = level(self, i);
+            if !self.levels.contains(&l) {
+                self.levels.push(l);
+            }
+        }
+        self.dists += 1;
+        // One product per group: the other factors (shared, not copied:
+        // nothing rewrites a node in place but emission's sort, which is
+        // idempotent) times the group.
+        let products = self.ids.len();
+        for g in 0..self.levels.len() {
+            let group = self.terms.len();
+            for i in sum_terms.clone() {
+                if level(self, i) == self.levels[g] {
+                    self.terms.push(self.terms[i]);
+                }
+            }
+            let inner = match self.terms.len() - group {
+                1 => match self.terms[group] {
+                    (t, true) => self.push(Node::Un(UnOp::Neg, ty, t)),
+                    (t, false) => t,
+                },
+                n => self.push(Node::Nary(BinOp::Add, ty, group as u32, n as u32)),
+            };
+            let fs = self.terms.len() as u32;
+            for i in factors.clone().filter(|&i| i != sum_at) {
+                self.terms.push(self.terms[i]);
+            }
+            self.terms.push((inner, false));
+            let product = self.push(Node::Nary(BinOp::Mul, ty, fs, len));
+            self.ids.push(product);
+        }
+        if self.ids.len() - products == 1 {
+            return self.ids.pop().expect("one product");
+        }
+        let sum_start = self.terms.len() as u32;
+        self.terms.extend(self.ids.drain(products..).map(|p| (p, false)));
+        let n = self.terms.len() as u32 - sum_start;
+        self.push(Node::Nary(BinOp::Add, ty, sum_start, n))
+    }
+
+    /// Emit three-address code for the tree at `root`, operands left to
+    /// right and each before its operator; returns the result register.
+    /// Each n-ary node's operands are stably sorted by rank (low first)
+    /// just before they are emitted, so constants and loop-invariant
+    /// operands group together. Sums are emitted with their subtractions
+    /// reconstructed (§3.1 "we rely on a later pass … to reconstruct the
+    /// original operations" — done eagerly here since `x + (-y)` and
+    /// `x - y` are bit-identical in IEEE).
+    fn emit(&mut self, f: &mut Function, root: NodeId) -> Reg {
+        self.emitting.push((root, 0));
+        while let Some((id, done)) = self.emitting.pop() {
+            let value = match self.node(id) {
+                Node::Leaf(r) => r,
+                Node::Num(c) => {
+                    let dst = f.new_reg(c.ty());
+                    self.out.push(Inst::LoadI { dst, value: c });
+                    dst
+                }
+                Node::Un(op, ty, inner) => {
+                    if done == 0 {
+                        self.emitting.extend([(id, 1), (inner, 0)]);
+                        continue;
+                    }
+                    let src = self.regs.pop().expect("operand emitted");
+                    let dst = f.new_reg(op.result_ty(ty));
+                    self.out.push(Inst::Un { op, ty, dst, src });
+                    dst
+                }
+                Node::Bin(op, ty, l, r) => {
+                    if done < 2 {
+                        let next = if done == 0 { l } else { r };
+                        self.emitting.extend([(id, done + 1), (next, 0)]);
+                        continue;
+                    }
+                    let rhs = self.regs.pop().expect("operand emitted");
+                    let lhs = self.regs.pop().expect("operand emitted");
+                    let dst = f.new_reg(op.result_ty(ty));
+                    self.out.push(Inst::Bin { op, ty, dst, lhs, rhs });
+                    dst
+                }
+                Node::Nary(op, ty, start, len) => {
+                    let at = start as usize;
+                    if done == 0 {
+                        let nodes = &self.nodes;
+                        let terms = &mut self.terms[at..at + len as usize];
+                        terms.sort_by_key(|&(t, _)| nodes[t as usize].1);
+                    } else if done == 1 {
+                        if op == BinOp::Add && self.terms[at].1 {
+                            let src = self.regs.pop().expect("operand emitted");
+                            let dst = f.new_reg(ty);
+                            self.out.push(Inst::Un { op: UnOp::Neg, ty, dst, src });
+                            self.regs.push(dst);
+                        }
+                    } else {
+                        let rhs = self.regs.pop().expect("operand emitted");
+                        let lhs = self.regs.pop().expect("operand emitted");
+                        let dst = f.new_reg(ty);
+                        let op = match (op, self.terms[at + done as usize - 1].1) {
+                            (BinOp::Add, true) => BinOp::Sub,
+                            (op, _) => op,
+                        };
+                        self.out.push(Inst::Bin { op, ty, dst, lhs, rhs });
+                        self.regs.push(dst);
+                    }
+                    if done < len {
+                        self.emitting
+                            .extend([(id, done + 1), (self.terms[at + done as usize].0, 0)]);
+                    }
+                    continue;
+                }
+            };
+            self.regs.push(value);
+        }
+        self.regs.pop().expect("tree emitted")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passes::Reassociate;
+    use crate::Pass;
     use epre_interp::{Interpreter, Value};
     use epre_ir::{FunctionBuilder, Module};
 
@@ -964,5 +1156,50 @@ mod tests {
             .filter(|i| matches!(i, Inst::Bin { op: BinOp::Mul, .. }))
             .count();
         assert_eq!(muls, 0);
+    }
+
+    #[test]
+    fn registers_defined_from_each_other_are_leaves() {
+        // Renaming never reaches an unreachable block, so two of its
+        // registers can be defined from each other. Each is a leaf where
+        // its own expansion meets it again.
+        let mut b = FunctionBuilder::new("cyc", Some(Ty::Int));
+        let p = b.param(Ty::Int);
+        let dead = b.new_block();
+        b.ret(Some(p));
+        b.switch_to(dead);
+        let (x, y) = (b.new_reg(Ty::Int), b.new_reg(Ty::Int));
+        b.push(Inst::Bin { op: BinOp::Add, ty: Ty::Int, dst: x, lhs: y, rhs: p });
+        b.push(Inst::Bin { op: BinOp::Add, ty: Ty::Int, dst: y, lhs: x, rhs: p });
+        b.ret(Some(y));
+        let orig = b.finish();
+        for distribute in [false, true] {
+            let mut f = orig.clone();
+            reassociate(&mut f, ReassocOptions { distribute });
+            assert!(f.verify().is_ok(), "{f}");
+            assert_eq!(run_fn(&f, "cyc", &[Value::Int(5)]).0, Some(Value::Int(5)));
+        }
+    }
+
+    #[test]
+    fn a_deep_chain_reassociates_on_a_small_stack() {
+        // r{i+1} <- add.i r{i}, r0 in one block: a tree 50,000 operators
+        // deep, on a 2 MiB worker-sized stack.
+        const N: i64 = 50_000;
+        let mut b = FunctionBuilder::new("chain", Some(Ty::Int));
+        let r0 = b.param(Ty::Int);
+        let mut r = r0;
+        for _ in 0..N {
+            r = b.bin(BinOp::Add, Ty::Int, r, r0);
+        }
+        b.ret(Some(r));
+        let mut f = b.finish();
+        let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(move || {
+            Reassociate { distribute: true }.run(&mut f);
+            f
+        });
+        let f = worker.unwrap().join().expect("reassociation finishes");
+        assert!(f.verify().is_ok());
+        assert_eq!(run_fn(&f, "chain", &[Value::Int(3)]).0, Some(Value::Int(3 * (N + 1))));
     }
 }

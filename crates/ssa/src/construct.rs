@@ -13,7 +13,7 @@
 //!    current name of `x` and the copy disappears, "effectively folding
 //!    \[copies\] into φ-nodes" (§3.1).
 
-use epre_analysis::Liveness;
+use epre_analysis::LiveIn;
 use epre_cfg::{Cfg, Csr, Dominators};
 use epre_ir::{BlockId, Function, Inst, Reg};
 
@@ -38,7 +38,7 @@ pub fn build_ssa(f: &mut Function, options: SsaOptions) {
     split_looping_entry(f);
     let cfg = Cfg::new(f);
     let dom = Dominators::new(f, &cfg);
-    let live = Liveness::new(f, &cfg);
+    let live = LiveIn::new(f, &cfg, dom.rpo().order());
 
     let n_blocks = f.blocks.len();
     let n_regs = f.reg_count();
@@ -56,7 +56,7 @@ pub fn build_ssa(f: &mut Function, options: SsaOptions) {
     // Row b of `phi_for` lists the registers needing a φ in b. The two
     // per-block mark arrays are shared by all registers: register r stamps
     // them with epoch r + 1, so no register pays to clear them.
-    let mut placements: Vec<(usize, Reg)> = Vec::new();
+    let mut placements: Vec<(usize, Reg)> = Vec::with_capacity(n_blocks);
     let mut placed: Vec<u32> = vec![0; n_blocks];
     let mut on_work: Vec<u32> = vec![0; n_blocks];
     let mut work: Vec<BlockId> = Vec::with_capacity(n_blocks);
@@ -78,7 +78,7 @@ pub fn build_ssa(f: &mut Function, options: SsaOptions) {
                 continue;
             }
             for &d in dom.frontier(b) {
-                if placed[d.index()] != epoch && live.live_in[d.index()].contains(reg.index()) {
+                if placed[d.index()] != epoch && live.contains(d, reg) {
                     placed[d.index()] = epoch;
                     placements.push((d.index(), reg));
                     if on_work[d.index()] != epoch {
@@ -91,13 +91,18 @@ pub fn build_ssa(f: &mut Function, options: SsaOptions) {
     }
     let phi_for = Csr::from_pairs(n_blocks, placements.iter().copied());
 
+    // Every φ and, at most, every definition gets a fresh register.
+    let defs = f.blocks.iter().flat_map(|b| &b.insts).filter(|i| i.dst().is_some()).count();
+    f.reg_ty.reserve(placements.len() + defs);
+
     // Insert φ skeletons (args filled during renaming), one splice per
     // block. Fresh registers follow `phi_for` order, but the φs stand in
     // the block in reverse order: φ i of block b is for register
     // `phi_for[b][len - 1 - i]`. Unreachable predecessors contribute no
     // φ-input: the edge can never execute and the renaming walk (dominator
     // tree from the entry) never visits them.
-    let mut phis: Vec<Inst> = Vec::new();
+    let widest = (0..n_blocks).map(|b| phi_for.row(b).len()).max().unwrap_or(0);
+    let mut phis: Vec<Inst> = Vec::with_capacity(widest);
     for b in 0..n_blocks {
         let bid = BlockId(b as u32);
         for &v in phi_for.row(b) {
@@ -112,13 +117,14 @@ pub fn build_ssa(f: &mut Function, options: SsaOptions) {
         }
     }
 
-    // 3. Renaming.
+    // 3. Renaming. The undo log holds at most every definition.
+    let undo = Vec::with_capacity(f.params.len() + placements.len() + defs);
     let mut renamer = Renamer {
         f,
         cfg: &cfg,
         dom: &dom,
         current: vec![UNDEFINED; n_regs],
-        undo: Vec::new(),
+        undo,
         phi_for: &phi_for,
         fold_copies: options.fold_copies,
     };

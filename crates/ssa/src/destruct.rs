@@ -19,7 +19,7 @@
 
 use epre_cfg::edit::split_critical_edges;
 use epre_cfg::Csr;
-use epre_ir::{Function, Inst, MixMap, Reg};
+use epre_ir::{Function, Inst, Reg};
 
 /// Replace all φ-nodes of `f` with copies; on return the function contains
 /// no φ-nodes and is executable by the interpreter.
@@ -47,47 +47,68 @@ pub fn destroy_ssa(f: &mut Function) {
     }
 
     // Insert sequentialized copies at the end of each predecessor.
+    let mut parallel = ParallelCopies::default();
     for pb in 0..edge_copies.rows() {
         let copies = edge_copies.row(pb);
         if copies.is_empty() {
             continue;
         }
-        let seq = sequentialize(copies, |ty_src| f.new_reg(f.ty_of(ty_src)));
-        f.blocks[pb].insts.extend(seq.into_iter().map(|(dst, src)| Inst::Copy { dst, src }));
+        let seq = parallel.sequentialize(copies, |ty_src| f.new_reg(f.ty_of(ty_src)));
+        f.blocks[pb].insts.extend(seq.iter().map(|&(dst, src)| Inst::Copy { dst, src }));
     }
 }
 
-/// Order a parallel copy set so sequential execution computes the parallel
-/// semantics, inserting a temporary to break each register cycle.
-///
-/// `fresh(reg)` must return a new register with the same type as `reg`.
-fn sequentialize(copies: &[(Reg, Reg)], mut fresh: impl FnMut(Reg) -> Reg) -> Vec<(Reg, Reg)> {
-    // Drop no-op copies.
-    let mut pending: Vec<(Reg, Reg)> = copies.iter().copied().filter(|(d, s)| d != s).collect();
-    let mut out = Vec::new();
-    // Current location of each original source value.
-    let mut loc: MixMap<Reg, Reg> = MixMap::default();
-    for &(_, s) in &pending {
-        loc.insert(s, s);
-    }
+/// Sequentializes parallel copy sets, reusing its buffers from one set to
+/// the next.
+#[derive(Default)]
+struct ParallelCopies {
+    /// Copies not emitted yet: destination, source, and the register that
+    /// holds the source's value now. Copy sets are small, so finding the
+    /// copies of one source is a scan.
+    pending: Vec<(Reg, Reg, Reg)>,
+    /// The sequential copies, `(dst, src)`.
+    out: Vec<(Reg, Reg)>,
+}
 
-    while !pending.is_empty() {
-        // A copy is safe when its destination is not a pending source.
-        if let Some(i) =
-            pending.iter().position(|&(d, _)| !pending.iter().any(|&(_, s)| loc[&s] == d))
-        {
-            let (d, s) = pending.remove(i);
-            out.push((d, loc[&s]));
-            continue;
+impl ParallelCopies {
+    /// Order a parallel copy set so sequential execution computes the
+    /// parallel semantics, inserting a temporary to break each register
+    /// cycle.
+    ///
+    /// `fresh(reg)` must return a new register with the same type as `reg`.
+    fn sequentialize(
+        &mut self,
+        copies: &[(Reg, Reg)],
+        mut fresh: impl FnMut(Reg) -> Reg,
+    ) -> &[(Reg, Reg)] {
+        // Drop no-op copies.
+        self.pending.clear();
+        self.pending.reserve(copies.len());
+        self.pending.extend(copies.iter().filter(|(d, s)| d != s).map(|&(d, s)| (d, s, s)));
+        // Each temporary breaks a cycle of at least two copies.
+        self.out.clear();
+        self.out.reserve(self.pending.len() * 3 / 2);
+        while !self.pending.is_empty() {
+            // A copy is safe when its destination holds no pending value.
+            let pending = &self.pending;
+            if let Some(i) =
+                pending.iter().position(|&(d, ..)| pending.iter().all(|&(.., at)| at != d))
+            {
+                let (d, _, at) = self.pending.remove(i);
+                self.out.push((d, at));
+                continue;
+            }
+            // Every destination also holds a pending value: a cycle. Break
+            // it by parking one source's value in a temporary.
+            let (_, s, at) = self.pending[0];
+            let t = fresh(s);
+            self.out.push((t, at));
+            for copy in self.pending.iter_mut().filter(|copy| copy.1 == s) {
+                copy.2 = t;
+            }
         }
-        // Every destination is also a live source: a cycle. Break it by
-        // parking one source in a temporary.
-        let (_, s) = pending[0];
-        let t = fresh(s);
-        out.push((t, loc[&s]));
-        loc.insert(s, t);
+        &self.out
     }
-    out
 }
 
 #[cfg(test)]
@@ -96,6 +117,10 @@ mod tests {
     use crate::construct::{build_ssa, SsaOptions};
     use epre_ir::{BinOp, BlockId, Const, FunctionBuilder, Terminator, Ty};
     use std::collections::HashMap;
+
+    fn sequentialize(copies: &[(Reg, Reg)], fresh: impl FnMut(Reg) -> Reg) -> Vec<(Reg, Reg)> {
+        ParallelCopies::default().sequentialize(copies, fresh).to_vec()
+    }
 
     #[test]
     fn sequentialize_acyclic() {

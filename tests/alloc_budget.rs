@@ -5,11 +5,14 @@
 //! and walks every operand of every instruction, so allocations there are
 //! paid once per block, register or instruction on every rebuild. Every
 //! `epre serve` request is parsed, and every warm hit re-parses its cached
-//! body. This test pins the shape, not a total: operand iteration and
-//! small bit sets allocate nothing, the rebuilt analyses make a fixed
-//! number of allocations whatever the size of the function, PRE's rounds
-//! after the first reuse the first round's storage, and parsing allocates
-//! what the parsed function owns, not a message per operand.
+//! body. These tests pin the shape: operand iteration, small bit sets and
+//! verifying a φ-free function allocate nothing, the rebuilt analyses make
+//! a fixed number of allocations whatever the size of the function, PRE's
+//! rounds after the first reuse the first round's storage, reassociation
+//! builds a tree of any size in the same storage, SSA destruction
+//! sequentializes an edge's copies in the same storage, and parsing
+//! allocates what the parsed function owns, not a message per operand. A
+//! census of one benchmark iteration (release builds only) holds the total.
 //!
 //! Allocations are counted per thread, so the harness's other test
 //! threads do not disturb a measurement.
@@ -18,13 +21,17 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use epre::{run_pass_cached, OptLevel, Optimizer};
 use epre_analysis::{AnalysisCache, BitSet, ExprKey, ExprUniverse};
 use epre_cfg::{Cfg, Dominators};
+use epre_frontend::NamingMode;
 use epre_ir::{
-    parse_function, BinOp, BlockId, Const, Function, FunctionBuilder, Inst, Reg, Terminator, Ty,
-    UnOp,
+    parse_function, verify_function_all, BinOp, BlockId, Const, Function, FunctionBuilder, Inst,
+    Module, Reg, Terminator, Ty, UnOp,
 };
+use epre_passes::reassoc::{self, ReassocOptions};
 use epre_passes::{pre, Budget};
+use epre_ssa::{build_ssa, destroy_ssa, SsaOptions};
 
 struct Counting;
 
@@ -260,4 +267,148 @@ fn pre_rounds_after_the_first_allocate_a_small_constant() {
         per_round <= bound,
         "PRE's later rounds made {per_round:.1} allocations each ({total} in all, {first} in the first)"
     );
+}
+
+#[test]
+fn verifying_a_phi_free_function_allocates_nothing() {
+    let f = ladder(66);
+    let (errors, n) = allocations(|| verify_function_all(&f));
+    assert!(errors.is_empty());
+    assert_eq!(n, 0, "verifying a φ-free function allocated");
+}
+
+/// One block returning a single tree of `ops` operators, adds and
+/// multiplications taking turns, each with a parameter operand: every
+/// operator nests inside the next, so it is `ops` levels deep.
+fn one_deep_tree(ops: usize) -> Function {
+    let mut b = FunctionBuilder::new("tree", Some(Ty::Int));
+    let (x, y) = (b.param(Ty::Int), b.param(Ty::Int));
+    let mut t = x;
+    for i in 0..ops {
+        t = if i % 2 == 0 {
+            b.bin(BinOp::Add, Ty::Int, t, x)
+        } else {
+            b.bin(BinOp::Mul, Ty::Int, t, y)
+        };
+    }
+    b.ret(Some(t));
+    b.finish()
+}
+
+#[test]
+fn reassociating_one_sink_allocates_independently_of_its_tree() {
+    for distribute in [false, true] {
+        let count = |ops: usize| {
+            let mut f = one_deep_tree(ops);
+            let options = ReassocOptions { distribute };
+            let (stats, n) = allocations(|| {
+                reassoc::run(&mut f, options, &mut AnalysisCache::new(), &Budget::UNLIMITED)
+            });
+            assert_eq!(stats.expect("unlimited budget").ops_after, ops + 1, "{f}");
+            n
+        };
+        let (small, large) = (count(100), count(1_000));
+        println!("reassociating a 100- vs 1,000-node tree (distribute {distribute}): {small} vs {large} allocations");
+        assert_eq!(small, large, "a 100- vs 1,000-node tree (distribute {distribute})");
+    }
+}
+
+/// A loop that rotates `k` variables by one each iteration: its header
+/// gets `k` φs whose back-edge arguments form one cycle, so the back edge
+/// carries `k` copies and a temporary.
+fn rotation(k: usize) -> Function {
+    let mut b = FunctionBuilder::new("rotate", Some(Ty::Int));
+    let n = b.param(Ty::Int);
+    let vars: Vec<Reg> = (0..k).map(|_| b.new_reg(Ty::Int)).collect();
+    for (i, &v) in vars.iter().enumerate() {
+        let c = b.loadi(Const::Int(i as i64));
+        b.copy_to(v, c);
+    }
+    let (head, exit) = (b.new_block(), b.new_block());
+    b.jump(head);
+    b.switch_to(head);
+    let first = b.new_reg(Ty::Int);
+    b.copy_to(first, vars[0]);
+    for i in 1..k {
+        b.copy_to(vars[i - 1], vars[i]);
+    }
+    b.copy_to(vars[k - 1], first);
+    let again = b.bin(BinOp::CmpLt, Ty::Int, vars[0], n);
+    b.branch(again, head, exit);
+    b.switch_to(exit);
+    b.ret(Some(vars[0]));
+    b.finish()
+}
+
+#[test]
+fn ssa_round_trips_allocate_independently_of_the_copies_on_an_edge() {
+    let count = |k: usize| {
+        let mut f = rotation(k);
+        let (_, build) = allocations(|| build_ssa(&mut f, SsaOptions { fold_copies: true }));
+        let phis: usize = f.blocks.iter().map(|b| b.phi_count()).sum();
+        let (_, destroy) = allocations(|| destroy_ssa(&mut f));
+        let copies = f.blocks.iter().flat_map(|b| &b.insts);
+        let copies = copies.filter(|i| matches!(i, Inst::Copy { .. })).count();
+        (phis, copies, build, destroy)
+    };
+    let (small, large) = (count(3), count(30));
+    println!("SSA round trip with 3 vs 30 rotating variables (φs, copies, build, destroy): {small:?} vs {large:?}");
+    assert!(small.0 >= 3 && large.0 >= 30 && large.1 > small.1, "{small:?} vs {large:?}");
+    // Destruction sequentializes any copy set in the same buffers.
+    assert_eq!(small.3, large.3, "destroy_ssa: 3 vs 30 copies on one edge");
+    // Construction allocates per φ only: its argument list, and its entry
+    // in the growing list of placements.
+    assert!(
+        large.2 - small.2 <= 2 * (large.0 - small.0) as u64,
+        "build_ssa: {small:?} vs {large:?}"
+    );
+}
+
+/// One `opt-suite` iteration of the benchmark: the 50 suite routines at
+/// the four paper levels through `Optimizer::optimize`. Prints what each
+/// pass allocates (the same pipelines replayed pass by pass) and holds
+/// the iteration to a total.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "counts what release builds allocate")]
+fn opt_suite_iteration_allocation_census() {
+    let modules: Vec<Module> = epre_suite::all_routines()
+        .iter()
+        .map(|r| r.compile(NamingMode::Disciplined).expect("suite routines compile"))
+        .collect();
+    let (_, total) = allocations(|| {
+        for m in &modules {
+            for level in OptLevel::PAPER_LEVELS {
+                black_box(Optimizer::new(level).optimize(black_box(m)));
+            }
+        }
+    });
+
+    // (pass, calls, allocations), in first-run order.
+    let mut per_pass: Vec<(&'static str, u64, u64)> = Vec::new();
+    for m in &modules {
+        for level in OptLevel::PAPER_LEVELS {
+            let passes = Optimizer::new(level).passes();
+            for f in &m.functions {
+                let mut f = f.clone();
+                let mut cache = AnalysisCache::new();
+                for pass in &passes {
+                    let (outcome, n) =
+                        allocations(|| run_pass_cached(pass.as_ref(), &mut f, &mut cache));
+                    outcome.expect("the suite optimizes cleanly");
+                    match per_pass.iter_mut().find(|(name, ..)| *name == pass.name()) {
+                        Some(row) => (row.1, row.2) = (row.1 + 1, row.2 + n),
+                        None => per_pass.push((pass.name(), 1, n)),
+                    }
+                }
+            }
+        }
+    }
+    println!("one opt-suite iteration: {total} allocations");
+    for (name, calls, n) in &per_pass {
+        println!(
+            "{name:>24}: {n:>7} in {calls:>4} calls, {:>6.1} per call",
+            *n as f64 / *calls as f64
+        );
+    }
+    assert!(total <= 130_000, "one opt-suite iteration made {total} allocations");
 }
