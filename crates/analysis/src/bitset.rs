@@ -85,6 +85,14 @@ impl BitSet {
         }
     }
 
+    /// Add the elements of a row of words, bit `i` of word `i / 64` for
+    /// element `i`, holding nothing at or above the capacity.
+    pub(crate) fn union_with_words(&mut self, words: &[u64]) {
+        for (w, x) in self.words_mut().iter_mut().zip(words) {
+            *w |= x;
+        }
+    }
+
     /// The capacity (universe size) of the set.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -9,6 +9,10 @@
 //! | anticipatable exprs| backward  | ∩    | ANTLOC | ¬TRANSP  |
 //! | live variables     | backward  | ∪    | USE    | DEF      |
 //!
+//! Live variables are solved by [`LiveIn`](crate::LiveIn)'s flat bit
+//! matrix, since pruned SSA construction asks for them on every rebuild;
+//! this solver takes the others.
+//!
 //! The solver iterates `out = gen ∪ (in − kill)` (or the mirrored form for
 //! backward problems) to a fixed point using a worklist seeded in reverse
 //! postorder (postorder for backward problems), which converges in a few

@@ -11,7 +11,8 @@
 //!   representation for all set-valued facts,
 //! * [`dataflow`] — a small gen/kill solver over the CFG covering every
 //!   union/intersection, forward/backward problem the pipeline needs,
-//! * [`liveness`] — classic live-variable analysis,
+//! * [`liveness`] — classic live-variable analysis, solved in one flat bit
+//!   matrix,
 //! * [`exprs`] — the **expression universe**: the set of distinct lexical
 //!   three-address expressions of a function, the domain of PRE (the paper's
 //!   naming discipline of §2.2 guarantees each has one canonical name),

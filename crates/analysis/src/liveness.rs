@@ -9,7 +9,7 @@
 //! before SSA construction or after SSA destruction).
 
 use crate::bitset::BitSet;
-use crate::dataflow::{solve, Direction, Meet, Solution};
+use epre_cfg::order::reverse_postorder;
 use epre_cfg::Cfg;
 use epre_ir::{BlockId, Function, Inst, Reg};
 
@@ -23,45 +23,31 @@ pub struct Liveness {
 }
 
 impl Liveness {
-    /// Compute liveness for `f`.
+    /// Compute liveness for `f`: the [`LiveIn`] rows as sets, and each
+    /// reachable block's live-out set as the union over its successors.
+    /// Unreachable blocks have neither.
     ///
     /// # Panics
     /// Panics (debug) if `f` contains φ-nodes; φ-aware liveness is not
     /// needed anywhere in the pipeline.
     pub fn new(f: &Function, cfg: &Cfg) -> Self {
-        let n = f.blocks.len();
-        let cap = f.reg_count();
-        let mut uses = vec![BitSet::new(cap); n]; // upward-exposed uses
-        let mut defs = vec![BitSet::new(cap); n];
-
-        for (bid, block) in f.iter_blocks() {
-            let bi = bid.index();
-            for inst in &block.insts {
-                debug_assert!(!matches!(inst, Inst::Phi { .. }), "liveness expects φ-free code");
-                for u in inst.uses() {
-                    if !defs[bi].contains(u.index()) {
-                        uses[bi].insert(u.index());
-                    }
-                }
-                if let Some(d) = inst.dst() {
-                    defs[bi].insert(d.index());
-                }
-            }
-            for u in block.term.uses() {
-                if !defs[bi].contains(u.index()) {
-                    uses[bi].insert(u.index());
-                }
+        let rpo = reverse_postorder(cfg);
+        let rows = LiveIn::new(f, cfg, &rpo);
+        let mut live_in = vec![BitSet::new(f.reg_count()); f.blocks.len()];
+        let mut live_out = live_in.clone();
+        for &b in &rpo {
+            live_in[b.index()].union_with_words(rows.row(b));
+            for &s in cfg.succs(b) {
+                live_out[b.index()].union_with_words(rows.row(s));
             }
         }
-
-        let Solution { ins, outs } = solve(cfg, Direction::Backward, Meet::Union, &uses, &defs);
-        Liveness { live_in: ins, live_out: outs }
+        Liveness { live_in, live_out }
     }
 }
 
-/// The registers live into each block, as [`Liveness::live_in`] has them,
-/// solved in one flat bit matrix rather than four sets per block. Pruned
-/// SSA construction asks only "is `r` live into `b`?".
+/// The registers live into each block, solved in one flat bit matrix: the
+/// solver behind [`Liveness`], whose per-block sets it fills. Pruned SSA
+/// construction asks only "is `r` live into `b`?" and keeps the matrix.
 #[derive(Debug, Clone)]
 pub struct LiveIn {
     /// Words per row.
@@ -128,8 +114,13 @@ impl LiveIn {
 
     /// Is `r` live into `b`?
     pub fn contains(&self, b: BlockId, r: Reg) -> bool {
-        let word = self.bits[self.live_in + b.index() * self.words + r.index() / 64];
-        word >> (r.index() % 64) & 1 != 0
+        self.row(b)[r.index() / 64] >> (r.index() % 64) & 1 != 0
+    }
+
+    /// The live-in row of `b`, bit `r` for register `r`.
+    fn row(&self, b: BlockId) -> &[u64] {
+        let start = self.live_in + b.index() * self.words;
+        &self.bits[start..start + self.words]
     }
 }
 

@@ -254,7 +254,8 @@ struct Forwarder<'a> {
     expand: Vec<(Reg, Option<Def>)>,
     /// Flattening's walk.
     flat: Vec<Flat>,
-    /// Finished subtrees of the current walk.
+    /// Finished subtrees of the current walk; while distributing, the
+    /// products of one sum's rank groups.
     ids: Vec<NodeId>,
     /// Operands of the clusters being flattened, innermost last.
     gathered: Vec<(NodeId, bool)>,
@@ -324,8 +325,8 @@ fn forward_propagate(
         out: Vec::new(),
         dists: 0,
     };
-    // The block being rewritten is moved through `group` and `fw.out`; its
-    // old instruction vector becomes the next block's output buffer.
+    // Each block is rewritten into `fw.out` and moved out of it into a
+    // vector of its exact length: the optimized function keeps no slack.
     let mut group: Vec<Inst> = Vec::new();
     for bi in 0..f.blocks.len() {
         meter.tick(f)?;
@@ -375,7 +376,7 @@ fn forward_propagate(
         }
         fw.out.append(&mut group);
         f.blocks[bi].term = term;
-        f.blocks[bi].insts = std::mem::replace(&mut fw.out, insts);
+        f.blocks[bi].insts = fw.out.drain(..).collect();
     }
     Ok(fw.dists)
 }
