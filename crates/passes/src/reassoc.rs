@@ -1183,6 +1183,28 @@ mod tests {
     }
 
     #[test]
+    fn a_parameter_redefined_in_unreachable_code_stays_a_variable() {
+        // Renaming never reaches the unreachable block, so its
+        // redefinition of `p` survives SSA. Were `p` not counted as
+        // defined, that definition would become the tree of `ret p`.
+        let mut b = FunctionBuilder::new("par", Some(Ty::Int));
+        let (p, q) = (b.param(Ty::Int), b.param(Ty::Int));
+        let dead = b.new_block();
+        b.ret(Some(p));
+        b.switch_to(dead);
+        b.push(Inst::Bin { op: BinOp::Add, ty: Ty::Int, dst: p, lhs: p, rhs: q });
+        b.ret(Some(p));
+        let orig = b.finish();
+        for distribute in [false, true] {
+            let mut f = orig.clone();
+            reassociate(&mut f, ReassocOptions { distribute });
+            assert!(f.verify().is_ok(), "{f}");
+            let args = [Value::Int(5), Value::Int(7)];
+            assert_eq!(run_fn(&f, "par", &args).0, Some(Value::Int(5)), "{f}");
+        }
+    }
+
+    #[test]
     fn a_deep_chain_reassociates_on_a_small_stack() {
         // r{i+1} <- add.i r{i}, r0 in one block: a tree 50,000 operators
         // deep, on a 2 MiB worker-sized stack.

@@ -1,8 +1,8 @@
 #!/bin/sh
-# The tier-1 gate in one command: build, test, lint with warnings hard,
-# then a one-second traced benchmark run to prove the measurement path
-# still runs. Anything here failing means the tree is not mergeable, and
-# the last stage fails if the run changed the working tree.
+# The tier-1 gate in one command: formatting, build, test, lint with
+# warnings hard, then a one-second traced benchmark run to prove the
+# measurement path still runs. Anything here failing means the tree is not
+# mergeable, and the last stage fails if the run changed the working tree.
 #
 # Extra cargo flags (e.g. --offline on an air-gapped box) can be passed
 # through CARGO_FLAGS: `CARGO_FLAGS=--offline scripts/ci.sh`.
@@ -12,6 +12,11 @@ cd "$(dirname "$0")/.."
 CARGO_FLAGS="${CARGO_FLAGS:-}"
 tree_before="$(git status --porcelain --untracked-files=all)"
 
+echo "==> cargo fmt --all --check"
+# rustfmt.toml holds the style; perfbench/ is a workspace of its own and
+# keeps its formatting.
+cargo fmt --all --check
+
 echo "==> cargo build --release"
 # shellcheck disable=SC2086  # CARGO_FLAGS is intentionally word-split
 cargo build --release $CARGO_FLAGS
@@ -19,18 +24,20 @@ cargo build --release $CARGO_FLAGS
 echo "==> cargo test -q"
 cargo test -q $CARGO_FLAGS
 
-echo "==> release tests (golden outputs, traces and oracle, register space, --jobs, wide modules, peephole on long blocks, allocation shapes, hasher seeds, warm resubmit)"
+echo "==> release tests (golden outputs, traces and oracle, register space, --jobs, wide modules, peephole on long blocks, allocation shapes and census, hasher seeds, warm resubmit)"
 # The benchmark measures release builds, where debug assertions (bit-set
 # capacity checks among them) are off; the optimizer's output, its traces
 # and the oracle's verdicts must be the same there (also at --jobs 2/4/8
 # on the fused suite module), and the oracle must stay linear in a
 # module's function count, peephole in a block's length. The allocation
-# shapes of the analysis rebuilds, of PRE's later rounds and of the ILOC
-# parser are what the release benchmark pays. Two `epre opt` processes hash with two
-# seeds and must print the same bytes, serially and at --jobs 4. A warm
-# resubmit of the fused suite must replay it byte-identically and at
-# least 5x faster than a cold submit, a timing gate that only release
-# builds run. Reuses the release artifacts built above.
+# shapes of the analysis rebuilds, of PRE's later rounds, of reassociation,
+# of the SSA round trip and of the ILOC parser are what the release
+# benchmark pays, and the census of one opt-suite iteration runs only
+# here. Two `epre opt` processes hash with two seeds and must print the
+# same bytes, serially and at --jobs 4. A warm resubmit of the fused suite
+# must replay it byte-identically and at least 5x faster than a cold
+# submit, a timing gate that only release builds run. Reuses the release
+# artifacts built above.
 # shellcheck disable=SC2086
 cargo test --release -q $CARGO_FLAGS --test golden_outputs --test golden_traces \
     --test golden_oracle --test oracle_wide_modules --test peephole_linear \
