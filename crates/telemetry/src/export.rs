@@ -193,14 +193,16 @@ mod tests {
 
     #[test]
     fn chrome_has_metadata_span_and_instant() {
-        let s = sample().to_chrome();
-        assert!(s.starts_with("{\"traceEvents\":["));
-        assert!(s.ends_with("]}\n"));
-        assert!(s.contains("\"ph\":\"M\""));
-        assert!(s.contains("\"ph\":\"X\""));
-        assert!(s.contains("\"ph\":\"i\""));
-        assert!(s.contains("\"tid\":1"));
-        assert!(!s.contains("999"), "wall_ns must not be exported");
+        // Thread metadata, then the span and the instant; no `wall_ns`.
+        assert_eq!(
+            sample().to_chrome(),
+            concat!(
+                r#"{"traceEvents":[{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"f\"1"}},"#,
+                r#"{"name":"pre","cat":"span","ph":"X","pid":1,"tid":1,"ts":0,"dur":7,"args":{"seq":0,"function":"f\"1","changed":true,"counters":{"edges_split":2}}},"#,
+                r#"{"name":"pre","cat":"provenance","ph":"i","s":"t","pid":1,"tid":1,"ts":7,"args":{"seq":1,"function":"f\"1","ops_before":9}}]}"#,
+                "\n"
+            )
+        );
     }
 
     #[test]
