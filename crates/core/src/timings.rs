@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use epre_analysis::CacheStats;
 use epre_ir::Module;
+use epre_telemetry::json::Json;
 
 use crate::fault::PassFault;
 use crate::pipeline::Optimizer;
@@ -129,17 +130,15 @@ impl Optimizer {
                         .expect("span names a pipeline pass");
                     timing.duration += Duration::from_nanos(e.wall_ns);
                     timing.invocations += 1;
-                    timing.changed += usize::from(e.field_bool("changed").unwrap_or(false));
-                    if let Some(counters) = e.field_map("counters") {
-                        if let Some((_, r)) = counters.iter().find(|(k, _)| k == "rounds") {
-                            timing.rounds += *r;
-                        }
-                    }
+                    let changed = e.field("changed").and_then(Json::as_bool);
+                    timing.changed += usize::from(changed.unwrap_or(false));
+                    let rounds = e.field("counters").and_then(|c| c.get("rounds"));
+                    timing.rounds += rounds.and_then(Json::as_u64).unwrap_or(0);
                 }
                 "cache" => {
                     cache_totals.merge(CacheStats {
-                        hits: e.field_u64("hits").unwrap_or(0),
-                        misses: e.field_u64("misses").unwrap_or(0),
+                        hits: e.field("hits").and_then(Json::as_u64).unwrap_or(0),
+                        misses: e.field("misses").and_then(Json::as_u64).unwrap_or(0),
                     });
                 }
                 _ => {}

@@ -29,7 +29,8 @@ use std::time::Instant;
 use epre_analysis::AnalysisCache;
 use epre_ir::{Function, Inst, Module, Terminator};
 use epre_passes::{Budget, Pass, PassCounters};
-use epre_telemetry::{FunctionTrace, OpcodeDelta, Trace, Tracer, Value};
+use epre_telemetry::json::Json;
+use epre_telemetry::{FunctionTrace, OpcodeDelta, Trace};
 
 use crate::fault::PassFault;
 use crate::pipeline::{check_pass, Optimizer};
@@ -91,22 +92,25 @@ pub fn run_pass_traced(
     let delta = OpcodeDelta::between(&before, &after);
 
     let mut fields = vec![
-        ("changed".to_string(), Value::Bool(changed)),
-        ("ops_before".to_string(), Value::U64(ops_before)),
-        ("ops_after".to_string(), Value::U64(ops_after)),
+        ("changed".to_string(), Json::Bool(changed)),
+        ("ops_before".to_string(), Json::U64(ops_before)),
+        ("ops_after".to_string(), Json::U64(ops_after)),
     ];
     if !counters.is_empty() {
         fields.push(("counters".to_string(), counters.to_map()));
     }
     trace.span(pass.name(), 1 + ops_before, wall_ns, fields);
+    let opcodes = |side: Vec<(String, u64)>| {
+        Json::Obj(side.into_iter().map(|(op, n)| (op, Json::U64(n))).collect())
+    };
     trace.instant(
         "provenance",
         pass.name(),
         vec![
-            ("ops_before".to_string(), Value::U64(ops_before)),
-            ("ops_after".to_string(), Value::U64(ops_after)),
-            ("eliminated".to_string(), Value::Map(delta.eliminated)),
-            ("inserted".to_string(), Value::Map(delta.inserted)),
+            ("ops_before".to_string(), Json::U64(ops_before)),
+            ("ops_after".to_string(), Json::U64(ops_after)),
+            ("eliminated".to_string(), opcodes(delta.eliminated)),
+            ("inserted".to_string(), opcodes(delta.inserted)),
         ],
     );
     Ok(changed)
@@ -136,8 +140,8 @@ fn optimize_function_traced(
         "cache",
         "pipeline",
         vec![
-            ("hits".to_string(), Value::U64(stats.hits)),
-            ("misses".to_string(), Value::U64(stats.misses)),
+            ("hits".to_string(), Json::U64(stats.hits)),
+            ("misses".to_string(), Json::U64(stats.misses)),
         ],
     );
     Ok(trace)
@@ -219,15 +223,15 @@ mod tests {
             .iter()
             .find(|e| e.kind == "span" && e.pass == "pre")
             .expect("pre span present");
-        let counters = pre_span.field_map("counters").expect("pre reports counters");
-        assert!(counters.iter().any(|(n, _)| n == "exprs_hoisted"), "{counters:?}");
+        let counters = pre_span.field("counters").expect("pre reports counters");
+        assert!(counters.get("exprs_hoisted").is_some(), "{counters:?}");
         let reas = trace
             .events
             .iter()
             .find(|e| e.kind == "span" && e.pass == "reassociate+distribute")
             .expect("reassociate span present");
-        let counters = reas.field_map("counters").expect("reassociate reports counters");
-        assert!(counters.iter().any(|(n, _)| n == "regs_ranked"), "{counters:?}");
+        let counters = reas.field("counters").expect("reassociate reports counters");
+        assert!(counters.get("regs_ranked").is_some(), "{counters:?}");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! clean pipeline's spans. Being derived from the deterministic reports,
 //! the event streams are deterministic too.
 
-use epre_telemetry::{Event, Value};
+use epre_telemetry::json::Json;
+use epre_telemetry::Event;
 
 use crate::harden::{HardenedOutput, JournaledOutcome};
 
@@ -22,26 +23,26 @@ pub fn harden_events(out: &HardenedOutput) -> Vec<Event> {
     for fault in &out.faults {
         events.push(
             Event::instant("fault", &fault.function, &fault.pass)
-                .with("fault_kind", Value::Str(fault.kind_label().to_string())),
+                .with("fault_kind", Json::Str(fault.kind_label().to_string())),
         );
     }
     for d in &out.divergences {
         events.push(
             Event::instant("rollback", &d.function, "oracle")
-                .with("reason", Value::Str("divergence".to_string())),
+                .with("reason", Json::Str("divergence".to_string())),
         );
     }
     for q in &out.quarantined {
         events.push(
             Event::instant("quarantine", &q.tripped_in, &q.pass)
-                .with("faults", Value::U64(q.faults as u64)),
+                .with("faults", Json::U64(q.faults as u64)),
         );
     }
     events.push(
         Event::instant("counter", "", "harness")
-            .with("retries", Value::U64(out.retries as u64))
-            .with("skipped", Value::U64(out.skipped as u64))
-            .with("inconclusive", Value::U64(out.inconclusive as u64)),
+            .with("retries", Json::U64(out.retries as u64))
+            .with("skipped", Json::U64(out.skipped as u64))
+            .with("inconclusive", Json::U64(out.inconclusive as u64)),
     );
     events
 }
@@ -52,9 +53,9 @@ pub fn journal_events(out: &JournaledOutcome) -> Vec<Event> {
     let mut events = harden_events(&out.output);
     events.push(
         Event::instant("journal", "", "pipeline")
-            .with("reused", Value::U64(out.reused as u64))
-            .with("fresh", Value::U64(out.fresh as u64))
-            .with("resumed_torn", Value::Bool(out.resumed_torn)),
+            .with("reused", Json::U64(out.reused as u64))
+            .with("fresh", Json::U64(out.fresh as u64))
+            .with("resumed_torn", Json::Bool(out.resumed_torn)),
     );
     events
 }
@@ -90,9 +91,9 @@ mod tests {
         assert_eq!(events[0].kind, "fault");
         assert_eq!((events[0].function.as_str(), events[0].pass.as_str()), ("foo", "pre"));
         assert_eq!(events[1].kind, "quarantine");
-        assert_eq!(events[1].field_u64("faults"), Some(3));
-        assert_eq!(events[2].field_u64("retries"), Some(2));
-        assert_eq!(events[2].field_u64("skipped"), Some(1));
+        assert_eq!(events[1].field("faults").and_then(Json::as_u64), Some(3));
+        assert_eq!(events[2].field("retries").and_then(Json::as_u64), Some(2));
+        assert_eq!(events[2].field("skipped").and_then(Json::as_u64), Some(1));
     }
 
     #[test]
@@ -102,9 +103,9 @@ mod tests {
         let events = journal_events(&out);
         let j = events.last().unwrap();
         assert_eq!(j.kind, "journal");
-        assert_eq!(j.field_u64("reused"), Some(4));
-        assert_eq!(j.field_u64("fresh"), Some(6));
-        assert_eq!(j.field_bool("resumed_torn"), Some(true));
+        assert_eq!(j.field("reused").and_then(Json::as_u64), Some(4));
+        assert_eq!(j.field("fresh").and_then(Json::as_u64), Some(6));
+        assert_eq!(j.field("resumed_torn").and_then(Json::as_bool), Some(true));
         // The adapters feed Trace::from_events; the export must parse.
         let trace = Trace::from_events(events);
         assert!(trace.to_jsonl().lines().all(|l| l.starts_with("{\"seq\":")));

@@ -195,12 +195,6 @@ impl Harness {
         self
     }
 
-    /// Replace the circuit-breaker trip threshold (clamped to ≥ 1).
-    pub fn with_breaker_threshold(mut self, threshold: usize) -> Self {
-        self.breaker_threshold = threshold.max(1);
-        self
-    }
-
     /// Impose a wall-clock deadline: `deadline` per pass (in the budget),
     /// and eight times that per function (enforced by the watchdog pool,
     /// which also catches *non-cooperative* hangs). Routes

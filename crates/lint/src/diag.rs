@@ -3,8 +3,8 @@
 //! Every finding a lint rule produces is a [`Diagnostic`]: a stable
 //! [`Rule`](crate::rules::Rule), a [`Location`] down to the instruction
 //! where possible, and a human-readable message. A [`Report`] accumulates
-//! them and renders either compiler-style text or machine-readable JSON
-//! (hand-rolled — the workspace carries no serialization dependency).
+//! them and renders compiler-style text; its fields are public, so
+//! callers render other formats themselves (`epre lint --json`).
 
 use std::fmt;
 
@@ -28,7 +28,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Lowercase label used in text and JSON output.
+    /// Lowercase label used in text and JSON renderings.
     pub fn label(self) -> &'static str {
         match self {
             Severity::Info => "info",
@@ -182,41 +182,6 @@ impl Report {
         }
         out
     }
-
-    /// Render the report as a JSON array of finding objects. Keys:
-    /// `code`, `rule`, `severity`, `function`, `block` (number or null),
-    /// `inst` (number or null), `message`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"code\":");
-            json_string(&mut s, d.rule.code());
-            s.push_str(",\"rule\":");
-            json_string(&mut s, d.rule.slug());
-            s.push_str(",\"severity\":");
-            json_string(&mut s, d.severity().label());
-            s.push_str(",\"function\":");
-            json_string(&mut s, &d.location.function);
-            s.push_str(",\"block\":");
-            match d.location.block {
-                Some(b) => s.push_str(&b.0.to_string()),
-                None => s.push_str("null"),
-            }
-            s.push_str(",\"inst\":");
-            match d.location.inst {
-                Some(i) => s.push_str(&i.to_string()),
-                None => s.push_str("null"),
-            }
-            s.push_str(",\"message\":");
-            json_string(&mut s, &d.message);
-            s.push('}');
-        }
-        s.push(']');
-        s
-    }
 }
 
 impl fmt::Display for Report {
@@ -234,25 +199,6 @@ impl fmt::Display for Report {
     }
 }
 
-/// Append `v` to `s` as a JSON string literal with full escaping.
-fn json_string(s: &mut String, v: &str) {
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                s.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,16 +212,6 @@ mod tests {
         assert_eq!(r.error_count(), 2);
         assert!(r.has_errors());
         assert_eq!(r.codes(), vec!["L020", "L031"]);
-    }
-
-    #[test]
-    fn json_escapes_and_nulls() {
-        let mut r = Report::new();
-        r.push(Rule::NoBlocks, Location::function("f\"g"), "no \"blocks\"\n".into());
-        assert_eq!(
-            r.to_json(),
-            r#"[{"code":"L001","rule":"no-blocks","severity":"error","function":"f\"g","block":null,"inst":null,"message":"no \"blocks\"\n"}]"#
-        );
     }
 
     #[test]

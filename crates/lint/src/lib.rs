@@ -5,7 +5,7 @@
 //! registry of static analysis rules with **stable codes** (see
 //! [`rules::Rule`]), each finding carrying a severity and a precise
 //! location, accumulated into a [`diag::Report`] that renders as
-//! compiler-style text or machine-readable JSON.
+//! compiler-style text (the `epre` CLI renders its JSON form).
 //!
 //! Rule families:
 //!

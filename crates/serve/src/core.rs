@@ -39,7 +39,8 @@ use epre_harness::{
 };
 use epre_ir::{parse_function, parse_module, Function, Module};
 use epre_lint::LintOptions;
-use epre_telemetry::{Event, FunctionTrace, Trace, Tracer, Value};
+use epre_telemetry::json::Json;
+use epre_telemetry::{Event, FunctionTrace, Trace};
 
 use crate::cache::ResultCache;
 use crate::events::{
@@ -791,25 +792,25 @@ impl ServerCore {
         for (pass, a, b, dur) in segments {
             let fields = match pass {
                 "admission" => vec![
-                    ("client".to_string(), Value::Str(r.client.clone())),
-                    ("level".to_string(), Value::Str(level.label().to_string())),
-                    ("policy".to_string(), Value::Str(policy.label().to_string())),
+                    ("client".to_string(), Json::Str(r.client.clone())),
+                    ("level".to_string(), Json::Str(level.label().to_string())),
+                    ("policy".to_string(), Json::Str(policy.label().to_string())),
                 ],
                 "cache-probe" => vec![
-                    ("hits".to_string(), Value::U64(reused as u64)),
-                    ("misses".to_string(), Value::U64(miss_idx.len() as u64)),
+                    ("hits".to_string(), Json::U64(reused as u64)),
+                    ("misses".to_string(), Json::U64(miss_idx.len() as u64)),
                 ],
                 "governed-run" => vec![
-                    ("faults".to_string(), Value::U64(out.faults.len() as u64)),
-                    ("retries".to_string(), Value::U64(out.retries as u64)),
-                    ("skipped".to_string(), Value::U64(out.skipped as u64)),
+                    ("faults".to_string(), Json::U64(out.faults.len() as u64)),
+                    ("retries".to_string(), Json::U64(out.retries as u64)),
+                    ("skipped".to_string(), Json::U64(out.skipped as u64)),
                 ],
                 "oracle" => vec![
-                    ("ran".to_string(), Value::Bool(!miss_idx.is_empty())),
-                    ("inconclusive".to_string(), Value::U64(out.inconclusive as u64)),
-                    ("rollbacks".to_string(), Value::U64(rolled_back.len() as u64)),
+                    ("ran".to_string(), Json::Bool(!miss_idx.is_empty())),
+                    ("inconclusive".to_string(), Json::U64(out.inconclusive as u64)),
+                    ("rollbacks".to_string(), Json::U64(rolled_back.len() as u64)),
                 ],
-                _ => vec![("status".to_string(), Value::Str(status.to_string()))],
+                _ => vec![("status".to_string(), Json::Str(status.to_string()))],
             };
             lane.span(pass, dur, seg(a, b).as_nanos() as u64, fields);
         }

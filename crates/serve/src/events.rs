@@ -7,7 +7,8 @@
 //! request sequence always produces the same log (modulo the `seq`
 //! numbering, which is per-batch in an append-only log).
 
-use epre_telemetry::{Event, Value};
+use epre_telemetry::json::Json;
+use epre_telemetry::Event;
 
 use crate::cache::CacheRecovery;
 
@@ -37,15 +38,15 @@ pub struct RequestAccounting {
 /// One completed request as a `request` event.
 pub fn request_event(acc: &RequestAccounting) -> Event {
     Event::instant("request", "", "serve")
-        .with("request", Value::Str(acc.request.clone()))
-        .with("client", Value::Str(acc.client.clone()))
-        .with("status", Value::Str(acc.status.clone()))
-        .with("reused", Value::U64(acc.reused))
-        .with("fresh", Value::U64(acc.fresh))
-        .with("faults", Value::U64(acc.faults))
-        .with("rollbacks", Value::U64(acc.rollbacks))
-        .with("cache_hits", Value::U64(acc.cache_hits))
-        .with("cache_misses", Value::U64(acc.cache_misses))
+        .with("request", Json::Str(acc.request.clone()))
+        .with("client", Json::Str(acc.client.clone()))
+        .with("status", Json::Str(acc.status.clone()))
+        .with("reused", Json::U64(acc.reused))
+        .with("fresh", Json::U64(acc.fresh))
+        .with("faults", Json::U64(acc.faults))
+        .with("rollbacks", Json::U64(acc.rollbacks))
+        .with("cache_hits", Json::U64(acc.cache_hits))
+        .with("cache_misses", Json::U64(acc.cache_misses))
 }
 
 /// A shed request (overload, expired deadline, client quarantine,
@@ -53,22 +54,22 @@ pub fn request_event(acc: &RequestAccounting) -> Event {
 /// hang.
 pub fn shed_event(code: &str, client: &str) -> Event {
     Event::instant("shed", "", "serve")
-        .with("code", Value::Str(code.to_string()))
-        .with("client", Value::Str(client.to_string()))
+        .with("code", Json::Str(code.to_string()))
+        .with("client", Json::Str(client.to_string()))
 }
 
 /// Cache recovery at startup as a `recover` event.
 pub fn recover_event(rec: &CacheRecovery) -> Event {
     Event::instant("recover", "", "serve")
-        .with("recovered", Value::U64(rec.recovered as u64))
-        .with("resumed_torn", Value::Bool(rec.resumed_torn))
-        .with("corrupt_dropped", Value::U64(rec.corrupt_dropped as u64))
-        .with("discarded_incompatible", Value::Bool(rec.discarded_incompatible))
+        .with("recovered", Json::U64(rec.recovered as u64))
+        .with("resumed_torn", Json::Bool(rec.resumed_torn))
+        .with("corrupt_dropped", Json::U64(rec.corrupt_dropped as u64))
+        .with("discarded_incompatible", Json::Bool(rec.discarded_incompatible))
 }
 
 /// A keep-alive session ended by the server as a `goaway` event.
 pub fn goaway_event(reason: &str) -> Event {
-    Event::instant("goaway", "", "serve").with("reason", Value::Str(reason.to_string()))
+    Event::instant("goaway", "", "serve").with("reason", Json::Str(reason.to_string()))
 }
 
 /// The final ledger of a graceful drain, rendered into one `drain` event.
@@ -91,12 +92,12 @@ pub struct DrainAccounting {
 /// Graceful drain completing as a `drain` event.
 pub fn drain_event(acc: &DrainAccounting) -> Event {
     Event::instant("drain", "", "serve")
-        .with("abandoned", Value::U64(acc.abandoned))
-        .with("sessions", Value::U64(acc.sessions))
-        .with("cache_entries", Value::U64(acc.cache_entries))
-        .with("cache_file_bytes", Value::U64(acc.cache_file_bytes))
-        .with("cache_evictions", Value::U64(acc.cache_evictions))
-        .with("cache_compactions", Value::U64(acc.cache_compactions))
+        .with("abandoned", Json::U64(acc.abandoned))
+        .with("sessions", Json::U64(acc.sessions))
+        .with("cache_entries", Json::U64(acc.cache_entries))
+        .with("cache_file_bytes", Json::U64(acc.cache_file_bytes))
+        .with("cache_evictions", Json::U64(acc.cache_evictions))
+        .with("cache_compactions", Json::U64(acc.cache_compactions))
 }
 
 #[cfg(test)]
@@ -143,8 +144,8 @@ mod tests {
         assert!(jsonl.contains(r#""kind":"drain""#));
         assert!(jsonl.contains(r#""cache_compactions":2"#));
         let e = request_event(&acc);
-        assert_eq!(e.field_str("status"), Some("clean"));
-        assert_eq!(e.field_str("request"), Some("00c0ffee00c0ffee"));
-        assert_eq!(e.field_u64("cache_hits"), Some(2));
+        assert_eq!(e.field("status").and_then(Json::as_str), Some("clean"));
+        assert_eq!(e.field("request").and_then(Json::as_str), Some("00c0ffee00c0ffee"));
+        assert_eq!(e.field("cache_hits").and_then(Json::as_u64), Some(2));
     }
 }

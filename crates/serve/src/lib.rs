@@ -8,9 +8,9 @@
 //!
 //! The layers, bottom-up:
 //!
-//! * [`json`] — a zero-dependency JSON subset codec,
 //! * [`protocol`] — `<len>\n<json>\n` framing, typed requests,
-//!   responses, and refusal codes,
+//!   responses, and refusal codes, encoded and decoded with
+//!   [`epre_telemetry::json`], the workspace's one JSON codec,
 //! * [`cache`] — a persistent content-addressed result cache riding the
 //!   write-ahead journal machinery: `kill -9` loses at most the entry
 //!   being written, restart compacts the torn tail,
@@ -89,7 +89,6 @@ pub mod cache;
 pub mod client;
 pub mod core;
 pub mod events;
-pub mod json;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;

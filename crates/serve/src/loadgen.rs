@@ -32,6 +32,7 @@ use std::time::{Duration, Instant};
 
 use epre_harness::{FaultPolicy, Harness, SplitMix64};
 use epre_ir::parse_module;
+use epre_telemetry::json::{obj, parse, Json};
 
 use crate::client::{ClientConfig, Session};
 use crate::core::level_from_label;
@@ -204,58 +205,53 @@ impl LoadgenReport {
 /// Returns a rendered JSON object fragment — integer-only, like the
 /// exposition it is derived from.
 fn distill_metrics(body: &str) -> Result<String, String> {
-    let parsed = crate::json::parse(body).map_err(|e| format!("metrics json: {e}"))?;
+    let parsed = parse(body).map_err(|e| format!("metrics json: {e}"))?;
     let metrics = parsed
         .get("metrics")
-        .and_then(crate::json::Json::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("metrics json: missing 'metrics' array")?;
-    let counter = |name: &str| -> u64 {
-        metrics
+    let counter = |name: &str| -> Json {
+        let value = metrics
             .iter()
-            .find(|m| m.get("name").and_then(crate::json::Json::as_str) == Some(name))
+            .find(|m| m.get("name").and_then(Json::as_str) == Some(name))
             .and_then(|m| m.get("value"))
-            .and_then(crate::json::Json::as_u64)
-            .unwrap_or(0)
+            .and_then(Json::as_u64);
+        Json::U64(value.unwrap_or(0))
     };
-    let mut out = format!(
-        "{{\"requests\":{},\"completed\":{},\"workers_saturated\":{},\"slow_requests\":{},\
-         \"classes\":{{",
-        counter("epre_requests_total"),
-        counter("epre_completed_total"),
-        counter("epre_workers_saturated_total"),
-        counter("epre_slow_requests_total"),
-    );
-    let mut first = true;
+    let numbers = |m: &Json, key: &str| -> Vec<u64> {
+        m.get(key)
+            .and_then(Json::as_arr)
+            .map(|a| a.iter().filter_map(Json::as_u64).collect())
+            .unwrap_or_default()
+    };
+    let mut classes = Vec::new();
     for m in metrics {
-        if m.get("name").and_then(crate::json::Json::as_str) != Some("epre_request_latency_us") {
+        if m.get("name").and_then(Json::as_str) != Some("epre_request_latency_us") {
             continue;
         }
-        let Some(label) = m.get("label").and_then(crate::json::Json::as_str) else { continue };
+        let Some(label) = m.get("label").and_then(Json::as_str) else { continue };
         let Some(class) = label.strip_prefix("class=") else { continue };
-        let counts: Vec<u64> = m
-            .get("counts")
-            .and_then(crate::json::Json::as_arr)
-            .map(|a| a.iter().filter_map(crate::json::Json::as_u64).collect())
-            .unwrap_or_default();
-        let bounds: Vec<u64> = m
-            .get("bounds")
-            .and_then(crate::json::Json::as_arr)
-            .map(|a| a.iter().filter_map(crate::json::Json::as_u64).collect())
-            .unwrap_or_default();
-        let count = m.get("count").and_then(crate::json::Json::as_u64).unwrap_or(0);
-        let sum = m.get("sum").and_then(crate::json::Json::as_u64).unwrap_or(0);
-        let p99 = epre_telemetry::quantile_le(&bounds, &counts, 99, 100);
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\"{class}\":{{\"count\":{count},\"sum_us\":{sum},\"p99_us_le\":{}}}",
-            p99.map_or_else(|| "null".to_string(), |v| v.to_string()),
+        let count = m.get("count").and_then(Json::as_u64).unwrap_or(0);
+        let sum = m.get("sum").and_then(Json::as_u64).unwrap_or(0);
+        let p99 =
+            epre_telemetry::quantile_le(&numbers(m, "bounds"), &numbers(m, "counts"), 99, 100);
+        classes.push((
+            class.to_string(),
+            obj(vec![
+                ("count", Json::U64(count)),
+                ("sum_us", Json::U64(sum)),
+                ("p99_us_le", p99.map_or(Json::Null, Json::U64)),
+            ]),
         ));
     }
-    out.push_str("}}");
-    Ok(out)
+    Ok(obj(vec![
+        ("requests", counter("epre_requests_total")),
+        ("completed", counter("epre_completed_total")),
+        ("workers_saturated", counter("epre_workers_saturated_total")),
+        ("slow_requests", counter("epre_slow_requests_total")),
+        ("classes", Json::Obj(classes)),
+    ])
+    .encode())
 }
 
 /// A tiny module with a lexically redundant pair (so PRE has real work)
@@ -591,6 +587,17 @@ mod tests {
         let text = report.render_text();
         assert!(text.ends_with(&format!("  server metrics snapshot: {fragment}\n")), "{text}");
         assert!(text.contains("server metrics snapshot: {\"requests\":10,"), "{text}");
+    }
+
+    #[test]
+    fn metrics_distillation_escapes_class_names() {
+        let class = "a\"b\\c\nd\u{1}e";
+        let mut snap = epre_telemetry::Snapshot::new();
+        let counts = vec![0; epre_telemetry::LATENCY_BUCKETS_US.len() + 1];
+        snap.push_histogram("epre_request_latency_us", Some(("class", class)), "", counts, 0, 0);
+        let fragment = parse(&distill_metrics(&snap.to_json()).unwrap()).unwrap();
+        let classes = fragment.get("classes").and_then(Json::as_obj).unwrap();
+        assert_eq!(classes[0].0, class);
     }
 
     #[test]

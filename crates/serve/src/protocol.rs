@@ -36,10 +36,14 @@
 //! Poison isolation: a frame that is not a frame (garbage prefix, torn
 //! payload, non-JSON) ends *that session only* with a `protocol` error
 //! frame where possible; other sessions and the server are unaffected.
+//! Payloads are encoded and decoded with [`epre_telemetry::json`], whose
+//! parser refuses nesting deeper than
+//! [`MAX_DEPTH`](epre_telemetry::json::MAX_DEPTH), so no payload can
+//! overflow a worker thread's stack.
 
 use std::io::{self, BufRead, Write};
 
-use crate::json::{obj, parse, Json};
+use epre_telemetry::json::{obj, parse, Json};
 
 /// Protocol version; bump on incompatible changes.
 pub const PROTOCOL_VERSION: u64 = 1;

@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::json::{obj, Json};
+use epre_telemetry::json::{obj, Json};
 
 /// One completed (or refused) request, as the recorder remembers it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,7 +206,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use epre_telemetry::json::parse;
 
     fn summary(id: &str, class: &str) -> RequestSummary {
         RequestSummary {

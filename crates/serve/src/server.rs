@@ -651,13 +651,20 @@ mod tests {
         let stream = TcpStream::connect(addr).unwrap();
         let mut w = BufWriter::new(stream.try_clone().unwrap());
         let mut r = BufReader::new(stream);
-        // A perfectly framed payload the decoder rejects.
-        write_frame(&mut w, r#"{"v":1,"kind":"destroy"}"#).unwrap();
-        let frames = read_answer(&mut r);
-        assert!(matches!(frames.last(), Some(Response::Error { code: ErrorCode::Protocol, .. })));
-        // Framing is intact, so the session still answers.
-        write_frame(&mut w, &Request::Ping.encode()).unwrap();
-        assert_eq!(read_answer(&mut r), vec![Response::Ack { what: "pong".into() }]);
+        // Perfectly framed payloads the decoder rejects: an unknown kind,
+        // and nesting deep enough to overflow a worker's stack if the
+        // parser recursed without bound.
+        for payload in [r#"{"v":1,"kind":"destroy"}"#.to_string(), "[".repeat(100_000)] {
+            write_frame(&mut w, &payload).unwrap();
+            let frames = read_answer(&mut r);
+            assert!(matches!(
+                frames.last(),
+                Some(Response::Error { code: ErrorCode::Protocol, .. })
+            ));
+            // Framing is intact, so the session still answers.
+            write_frame(&mut w, &Request::Ping.encode()).unwrap();
+            assert_eq!(read_answer(&mut r), vec![Response::Ack { what: "pong".into() }]);
+        }
         write_frame(&mut w, &Request::Shutdown.encode()).unwrap();
         assert!(matches!(read_answer(&mut r).last(), Some(Response::Ack { .. })));
         server.join().unwrap().unwrap();

@@ -4,19 +4,7 @@
 //! `epre-harness` all speak [`Event`], and the export formats in
 //! [`crate::export`] render it without knowing who produced it.
 
-/// A field value attached to an [`Event`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
-    /// An unsigned counter or size.
-    U64(u64),
-    /// A boolean flag (e.g. `changed`).
-    Bool(bool),
-    /// A short label (e.g. a fault kind).
-    Str(String),
-    /// An opcode-keyed histogram, kept sorted by key so renderings are
-    /// deterministic (used by provenance deltas).
-    Map(Vec<(String, u64)>),
-}
+use crate::json::Json;
 
 /// One telemetry record.
 ///
@@ -69,7 +57,7 @@ pub struct Event {
     /// **Never exported** — byte-identity across runs depends on it.
     pub wall_ns: u64,
     /// Extra fields, in producer-chosen (stable) order.
-    pub fields: Vec<(String, Value)>,
+    pub fields: Vec<(String, Json)>,
 }
 
 impl Event {
@@ -90,41 +78,14 @@ impl Event {
 
     /// Append a field, builder-style.
     #[must_use]
-    pub fn with(mut self, name: &str, value: Value) -> Event {
+    pub fn with(mut self, name: &str, value: Json) -> Event {
         self.fields.push((name.to_string(), value));
         self
     }
 
-    /// Look up a `U64` field by name.
-    pub fn field_u64(&self, name: &str) -> Option<u64> {
-        self.fields.iter().find_map(|(n, v)| match v {
-            Value::U64(x) if n == name => Some(*x),
-            _ => None,
-        })
-    }
-
-    /// Look up a `Bool` field by name.
-    pub fn field_bool(&self, name: &str) -> Option<bool> {
-        self.fields.iter().find_map(|(n, v)| match v {
-            Value::Bool(x) if n == name => Some(*x),
-            _ => None,
-        })
-    }
-
-    /// Look up a `Str` field by name.
-    pub fn field_str(&self, name: &str) -> Option<&str> {
-        self.fields.iter().find_map(|(n, v)| match v {
-            Value::Str(s) if n == name => Some(s.as_str()),
-            _ => None,
-        })
-    }
-
-    /// Look up a `Map` field by name.
-    pub fn field_map(&self, name: &str) -> Option<&[(String, u64)]> {
-        self.fields.iter().find_map(|(n, v)| match v {
-            Value::Map(m) if n == name => Some(m.as_slice()),
-            _ => None,
-        })
+    /// Look up a field by name.
+    pub fn field(&self, name: &str) -> Option<&Json> {
+        self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 }
 
@@ -169,9 +130,9 @@ impl PassCounters {
         self.items.is_empty()
     }
 
-    /// The counters as a sorted-by-insertion [`Value::Map`] payload.
-    pub fn to_map(&self) -> Value {
-        Value::Map(self.items.iter().map(|(n, v)| (n.to_string(), *v)).collect())
+    /// The counters as a JSON object, in insertion order.
+    pub fn to_map(&self) -> Json {
+        Json::Obj(self.items.iter().map(|(n, v)| (n.to_string(), Json::U64(*v))).collect())
     }
 }
 
@@ -191,22 +152,27 @@ mod tests {
         let names: Vec<_> = c.iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["rounds", "ops_killed"]);
         assert!(!c.is_empty());
-        assert_eq!(c.to_map(), Value::Map(vec![("rounds".into(), 3), ("ops_killed".into(), 3)]));
+        assert_eq!(
+            c.to_map(),
+            Json::Obj(vec![("rounds".into(), Json::U64(3)), ("ops_killed".into(), Json::U64(3))])
+        );
     }
 
     #[test]
     fn event_field_lookup_is_typed() {
         let e = Event::instant("span", "f", "dce")
-            .with("changed", Value::Bool(true))
-            .with("ops_before", Value::U64(12))
-            .with("hist", Value::Map(vec![("add".into(), 2)]));
-        assert_eq!(e.field_bool("changed"), Some(true));
-        assert_eq!(e.field_u64("ops_before"), Some(12));
-        assert_eq!(e.field_u64("changed"), None, "type mismatch yields None");
-        assert_eq!(e.field_map("hist").unwrap(), &[("add".to_string(), 2)]);
-        let s = Event::instant("request", "", "serve").with("status", Value::Str("ok".into()));
-        assert_eq!(s.field_str("status"), Some("ok"));
-        assert_eq!(s.field_str("absent"), None);
-        assert_eq!(s.field_u64("status"), None, "type mismatch yields None");
+            .with("changed", Json::Bool(true))
+            .with("ops_before", Json::U64(12))
+            .with("hist", Json::Obj(vec![("add".into(), Json::U64(2))]));
+        assert_eq!(e.field("changed").and_then(Json::as_bool), Some(true));
+        assert_eq!(e.field("ops_before").and_then(Json::as_u64), Some(12));
+        assert_eq!(e.field("changed").and_then(Json::as_u64), None, "type mismatch yields None");
+        assert_eq!(
+            e.field("hist").and_then(Json::as_obj).unwrap(),
+            &[("add".into(), Json::U64(2))]
+        );
+        let s = Event::instant("request", "", "serve").with("status", Json::Str("ok".into()));
+        assert_eq!(s.field("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(s.field("absent"), None);
     }
 }

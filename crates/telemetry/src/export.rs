@@ -1,67 +1,16 @@
 //! Trace export: JSON Lines and Chrome `trace_event` renderings.
 //!
-//! Both formats are rendered from the merged [`Trace`] with hand-rolled
-//! JSON (the workspace builds against an offline registry — no serde).
-//! Neither rendering includes [`crate::Event::wall_ns`], so equal traces render
-//! to byte-identical output regardless of machine load or `--jobs`.
+//! Both formats build [`Json`] values from the merged [`Trace`] and
+//! encode them with the workspace codec. Neither rendering includes
+//! [`crate::Event::wall_ns`], so equal traces render to byte-identical
+//! output regardless of machine load or `--jobs`.
 
-use crate::event::Value;
+use crate::json::Json;
 use crate::trace::Trace;
-use std::fmt::Write as _;
 
-/// Escape `s` into `out` as JSON string *contents* (no surrounding
-/// quotes).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn value_into(out: &mut String, v: &Value) {
-    match v {
-        Value::U64(x) => {
-            let _ = write!(out, "{x}");
-        }
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::Str(s) => {
-            out.push('"');
-            escape_into(out, s);
-            out.push('"');
-        }
-        Value::Map(m) => {
-            out.push('{');
-            for (i, (k, x)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape_into(out, k);
-                let _ = write!(out, "\":{x}");
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn fields_into(out: &mut String, fields: &[(String, Value)]) {
-    for (k, v) in fields {
-        out.push_str(",\"");
-        escape_into(out, k);
-        out.push_str("\":");
-        value_into(out, v);
-    }
+/// `(key, value)` for an object field.
+fn field(key: &str, value: Json) -> (String, Json) {
+    (key.to_string(), value)
 }
 
 impl Trace {
@@ -71,15 +20,18 @@ impl Trace {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            let _ = write!(out, "{{\"seq\":{},\"kind\":\"", e.seq);
-            escape_into(&mut out, &e.kind);
-            out.push_str("\",\"function\":\"");
-            escape_into(&mut out, &e.function);
-            out.push_str("\",\"pass\":\"");
-            escape_into(&mut out, &e.pass);
-            let _ = write!(out, "\",\"lane\":{},\"ts\":{},\"dur\":{}", e.lane, e.ts, e.dur);
-            fields_into(&mut out, &e.fields);
-            out.push_str("}\n");
+            let mut fields = vec![
+                field("seq", Json::U64(e.seq)),
+                field("kind", Json::Str(e.kind.clone())),
+                field("function", Json::Str(e.function.clone())),
+                field("pass", Json::Str(e.pass.clone())),
+                field("lane", Json::U64(u64::from(e.lane))),
+                field("ts", Json::U64(e.ts)),
+                field("dur", Json::U64(e.dur)),
+            ];
+            fields.extend(e.fields.iter().cloned());
+            out.push_str(&Json::Obj(fields).encode());
+            out.push('\n');
         }
         out
     }
@@ -91,65 +43,50 @@ impl Trace {
     /// as complete (`"ph":"X"`) events and everything else as instants
     /// (`"ph":"i"`). Virtual timestamps are used as microseconds.
     pub fn to_chrome(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut emit = |s: &str, out: &mut String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(s);
-        };
+        let mut items = Vec::new();
 
         // Thread-name metadata: one per distinct lane, in lane order.
         let mut named: Vec<u32> = Vec::new();
-        let mut line = String::new();
         for e in &self.events {
             if named.contains(&e.lane) {
                 continue;
             }
             named.push(e.lane);
-            line.clear();
-            let _ = write!(
-                line,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"",
-                e.lane + 1
-            );
-            escape_into(&mut line, &e.function);
-            line.push_str("\"}}");
-            emit(&line, &mut out);
+            items.push(Json::Obj(vec![
+                field("name", Json::Str("thread_name".into())),
+                field("ph", Json::Str("M".into())),
+                field("pid", Json::U64(1)),
+                field("tid", Json::U64(u64::from(e.lane) + 1)),
+                field("args", Json::Obj(vec![field("name", Json::Str(e.function.clone()))])),
+            ]));
         }
 
         for e in &self.events {
-            line.clear();
-            line.push_str("{\"name\":\"");
-            escape_into(&mut line, &e.pass);
-            line.push_str("\",\"cat\":\"");
-            escape_into(&mut line, &e.kind);
-            if e.kind == "span" {
-                let _ = write!(
-                    line,
-                    "\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}",
-                    e.lane + 1,
-                    e.ts,
-                    e.dur
-                );
-            } else {
-                let _ = write!(
-                    line,
-                    "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{}",
-                    e.lane + 1,
-                    e.ts
-                );
+            let span = e.kind == "span";
+            let mut item = vec![
+                field("name", Json::Str(e.pass.clone())),
+                field("cat", Json::Str(e.kind.clone())),
+                field("ph", Json::Str(if span { "X" } else { "i" }.into())),
+            ];
+            if !span {
+                item.push(field("s", Json::Str("t".into())));
             }
-            let _ = write!(line, ",\"args\":{{\"seq\":{},\"function\":\"", e.seq);
-            escape_into(&mut line, &e.function);
-            line.push('"');
-            fields_into(&mut line, &e.fields);
-            line.push_str("}}");
-            emit(&line, &mut out);
+            item.push(field("pid", Json::U64(1)));
+            item.push(field("tid", Json::U64(u64::from(e.lane) + 1)));
+            item.push(field("ts", Json::U64(e.ts)));
+            if span {
+                item.push(field("dur", Json::U64(e.dur)));
+            }
+            let mut args = vec![
+                field("seq", Json::U64(e.seq)),
+                field("function", Json::Str(e.function.clone())),
+            ];
+            args.extend(e.fields.iter().cloned());
+            item.push(field("args", Json::Obj(args)));
+            items.push(Json::Obj(item));
         }
-        out.push_str("]}\n");
+        let mut out = Json::Obj(vec![field("traceEvents", Json::Arr(items))]).encode();
+        out.push('\n');
         out
     }
 }
@@ -157,7 +94,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{FunctionTrace, Tracer};
+    use crate::trace::FunctionTrace;
 
     fn sample() -> Trace {
         let mut lane = FunctionTrace::new("f\"1", 0);
@@ -166,11 +103,11 @@ mod tests {
             7,
             999,
             vec![
-                ("changed".into(), Value::Bool(true)),
-                ("counters".into(), Value::Map(vec![("edges_split".into(), 2)])),
+                ("changed".into(), Json::Bool(true)),
+                ("counters".into(), Json::Obj(vec![("edges_split".into(), Json::U64(2))])),
             ],
         );
-        lane.instant("provenance", "pre", vec![("ops_before".into(), Value::U64(9))]);
+        lane.instant("provenance", "pre", vec![("ops_before".into(), Json::U64(9))]);
         Trace::from_lanes(vec![lane])
     }
 
@@ -203,12 +140,5 @@ mod tests {
                 "\n"
             )
         );
-    }
-
-    #[test]
-    fn escaping_covers_control_chars() {
-        let mut out = String::new();
-        escape_into(&mut out, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\u0001");
     }
 }

@@ -1,23 +1,34 @@
-//! A minimal JSON value, writer, and parser — just enough for the serve
-//! protocol, with zero dependencies.
+//! The workspace's one JSON codec: a value type, a writer, and a parser,
+//! with zero dependencies.
 //!
-//! Deliberately narrower than full JSON where the protocol never needs
-//! the width: numbers are unsigned 64-bit integers (every numeric field
-//! in the protocol is a count, a port, or a millisecond quantity), and
-//! object keys are kept in insertion order so encodings are
-//! deterministic. The parser accepts any standard JSON document built
-//! from those shapes and rejects the rest with a positioned error.
+//! Every JSON document the workspace reads or writes goes through it:
+//! the serve protocol and flight recorder, trace exports, the Table 1
+//! record, the metrics render, and `epre lint --json`.
+//!
+//! Deliberately narrower than full JSON where no document needs the
+//! width: numbers are unsigned 64-bit integers (every numeric field is a
+//! count, a port, or a microsecond or millisecond quantity), and object
+//! keys are kept in insertion order so encodings are deterministic. The
+//! parser accepts any standard JSON document built from those shapes and
+//! nested at most [`MAX_DEPTH`] containers deep, and rejects the rest
+//! with a positioned error.
 
 use std::fmt;
 
-/// A JSON value restricted to the protocol's shapes.
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so the bound keeps a hostile frame
+/// from overflowing the stack; the deepest document the workspace
+/// writes, a Chrome trace event's counters, nests 5 levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// A JSON value restricted to the codec's shapes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An unsigned integer (the only number shape the protocol uses).
+    /// An unsigned integer (the only number shape the codec handles).
     U64(u64),
     /// A string.
     Str(String),
@@ -64,6 +75,14 @@ impl Json {
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The value's fields in insertion order, if it is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(fields) => Some(fields),
             _ => None,
         }
     }
@@ -151,7 +170,7 @@ impl fmt::Display for JsonError {
 
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -164,6 +183,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -215,8 +236,17 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(
+                        self.err(&format!("arrays and objects nested deeper than {MAX_DEPTH}"))
+                    );
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err(
                 "unexpected character (negative and float numbers are \
@@ -464,5 +494,211 @@ mod tests {
     fn big_u64_roundtrips() {
         let v = Json::U64(u64::MAX);
         assert_eq!(parse(&v.encode()).unwrap(), v);
+    }
+
+    #[test]
+    fn escaping_covers_control_chars() {
+        assert_eq!(
+            Json::Str("a\"b\\c\nd\te\u{1}".into()).encode(),
+            "\"a\\\"b\\\\c\\nd\\te\\u0001\""
+        );
+    }
+
+    #[test]
+    fn nesting_is_refused_past_the_bound_with_its_position() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert_eq!(parse(&arrays(MAX_DEPTH + 1)).unwrap_err().at, MAX_DEPTH);
+        // Objects count too: the refused `{` is the 65th, after 64
+        // five-byte `{"a":` prefixes.
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert_eq!(parse(&objects).unwrap_err().at, 5 * MAX_DEPTH);
+    }
+
+    #[test]
+    fn a_million_open_brackets_fail_on_a_small_stack() {
+        // Recursion per bracket would overflow this 256 KiB stack and
+        // abort the test binary.
+        let text = "[".repeat(1_000_000);
+        let result = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || parse(&text).map_err(|e| e.at))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(result, Err(MAX_DEPTH));
+    }
+
+    /// SplitMix64: the crate takes no dependency, not even on the
+    /// harness's generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// Every character with an escape of its own, other control
+    /// characters, and non-ASCII inside and beyond the Basic
+    /// Multilingual Plane (a surrogate pair when spelled as `\u`).
+    const CHARS: [char; 20] = [
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\r',
+        '\t',
+        '\u{8}',
+        '\u{c}',
+        '\u{0}',
+        '\u{1}',
+        '\u{1f}',
+        '\u{7f}',
+        'a',
+        'Z',
+        ' ',
+        'é',
+        '\u{2028}',
+        '\u{ffff}',
+        '😀',
+        '\u{10ffff}',
+    ];
+
+    fn gen_string(rng: &mut Rng) -> String {
+        (0..rng.below(6)).map(|_| CHARS[rng.below(CHARS.len() as u64) as usize]).collect()
+    }
+
+    /// A random value with at most `budget` containers, none deeper
+    /// than the bound.
+    fn gen_value(rng: &mut Rng, depth: usize, budget: &mut u32) -> Json {
+        let shapes = if depth < MAX_DEPTH && *budget > 0 { 7 } else { 5 };
+        match rng.below(shapes) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 1),
+            2 => Json::U64([0, 9, u64::MAX, rng.below(u64::MAX)][rng.below(4) as usize]),
+            3 | 4 => Json::Str(gen_string(rng)),
+            5 => {
+                *budget -= 1;
+                Json::Arr((0..rng.below(4)).map(|_| gen_value(rng, depth + 1, budget)).collect())
+            }
+            _ => {
+                *budget -= 1;
+                let mut fields: Vec<(String, Json)> = Vec::new();
+                for _ in 0..rng.below(4) {
+                    let key = gen_string(rng);
+                    if fields.iter().all(|(k, _)| *k != key) {
+                        let v = gen_value(rng, depth + 1, budget);
+                        fields.push((key, v));
+                    }
+                }
+                Json::Obj(fields)
+            }
+        }
+    }
+
+    /// Another standard spelling of `v`: whitespace around tokens, and
+    /// each character raw, as its short escape or as `\u` escapes, at
+    /// random.
+    fn spell(v: &Json, rng: &mut Rng, out: &mut String) {
+        let ws = |rng: &mut Rng, out: &mut String| {
+            for _ in 0..rng.below(3) {
+                out.push([' ', '\t', '\n', '\r'][rng.below(4) as usize]);
+            }
+        };
+        ws(rng, out);
+        match v {
+            Json::Str(s) => spell_str(s, rng, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    spell(item, rng, out);
+                }
+                ws(rng, out);
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, item)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    ws(rng, out);
+                    spell_str(k, rng, out);
+                    ws(rng, out);
+                    out.push(':');
+                    spell(item, rng, out);
+                }
+                ws(rng, out);
+                out.push('}');
+            }
+            scalar => out.push_str(&scalar.encode()),
+        }
+        ws(rng, out);
+    }
+
+    fn spell_str(s: &str, rng: &mut Rng, out: &mut String) {
+        use fmt::Write as _;
+        out.push('"');
+        for c in s.chars() {
+            let short = match c {
+                '"' | '\\' | '/' => Some(c),
+                '\n' => Some('n'),
+                '\r' => Some('r'),
+                '\t' => Some('t'),
+                '\u{8}' => Some('b'),
+                '\u{c}' => Some('f'),
+                _ => None,
+            };
+            match (rng.below(3), short) {
+                (0, _) if c >= ' ' && c != '"' && c != '\\' => out.push(c),
+                (1, Some(short)) => {
+                    out.push('\\');
+                    out.push(short);
+                }
+                _ => {
+                    for unit in c.encode_utf16(&mut [0; 2]) {
+                        let _ = if rng.below(2) == 0 {
+                            write!(out, "\\u{unit:04x}")
+                        } else {
+                            write!(out, "\\u{unit:04X}")
+                        };
+                    }
+                }
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn parse_inverts_encode_and_every_other_spelling() {
+        let mut rng = Rng(0x5eed_0029);
+        for case in 0..4_000 {
+            let v = if case % 8 == 0 {
+                // As deep as the bound allows.
+                let mut v = gen_value(&mut rng, MAX_DEPTH, &mut 0);
+                for _ in 0..MAX_DEPTH {
+                    v = if rng.below(2) == 0 {
+                        Json::Arr(vec![v])
+                    } else {
+                        Json::Obj(vec![(gen_string(&mut rng), v)])
+                    };
+                }
+                v
+            } else {
+                gen_value(&mut rng, 0, &mut 24)
+            };
+            assert_eq!(parse(&v.encode()).as_ref(), Ok(&v), "case {case}");
+            let mut spelled = String::new();
+            spell(&v, &mut rng, &mut spelled);
+            assert_eq!(parse(&spelled).as_ref(), Ok(&v), "case {case}: {spelled:?}");
+        }
     }
 }

@@ -17,8 +17,9 @@
 //!   regardless of observation order, thread interleaving, or merge
 //!   order — the property the CI greps rely on.
 //! - **Integer-only.** Values are `u64` (microseconds for latency), so
-//!   the JSON render stays inside the serve protocol's integer-only JSON
-//!   subset and reconciles exactly, with no float formatting drift.
+//!   the JSON render stays inside the integer-only subset of
+//!   [`crate::json`] and reconciles exactly, with no float formatting
+//!   drift.
 //!
 //! Renders go through [`Snapshot`]: the registry dumps its families,
 //! the caller may push extra counters/gauges from sources it owns (the
@@ -27,6 +28,7 @@
 //! construction* — one source of truth, two renderers), and the snapshot
 //! sorts by `(name, label)` before emitting either format.
 
+use crate::json::{obj, Json};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -446,44 +448,36 @@ impl Snapshot {
     }
 
     /// JSON render: one object with a `metrics` array in the same sorted
-    /// order as the text exposition. Integer-only, so it parses with the
-    /// serve protocol's JSON subset.
+    /// order as the text exposition. Integer-only, like every document
+    /// the workspace's JSON codec handles.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        for (i, e) in self.sorted().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"name\":\"{}\",\"type\":\"{}\"", e.name, e.item.type_name()));
-            if let Some((k, v)) = &e.label {
-                out.push_str(&format!(",\"label\":\"{k}={v}\""));
-            }
-            match &e.item {
-                Item::Counter { value } | Item::Gauge { value } => {
-                    out.push_str(&format!(",\"value\":{value}"));
+        let numbers = |ns: &[u64]| Json::Arr(ns.iter().map(|&n| Json::U64(n)).collect());
+        let metrics = self
+            .sorted()
+            .into_iter()
+            .map(|e| {
+                let mut fields = vec![
+                    ("name", Json::Str(e.name.clone())),
+                    ("type", Json::Str(e.item.type_name().into())),
+                ];
+                if let Some((k, v)) = &e.label {
+                    fields.push(("label", Json::Str(format!("{k}={v}"))));
                 }
-                Item::Histogram { counts, sum, count } => {
-                    out.push_str(",\"bounds\":[");
-                    for (j, b) in LATENCY_BUCKETS_US.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&b.to_string());
+                match &e.item {
+                    Item::Counter { value } | Item::Gauge { value } => {
+                        fields.push(("value", Json::U64(*value)));
                     }
-                    out.push_str("],\"counts\":[");
-                    for (j, c) in counts.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&c.to_string());
+                    Item::Histogram { counts, sum, count } => {
+                        fields.push(("bounds", numbers(&LATENCY_BUCKETS_US)));
+                        fields.push(("counts", numbers(counts)));
+                        fields.push(("sum", Json::U64(*sum)));
+                        fields.push(("count", Json::U64(*count)));
                     }
-                    out.push_str(&format!("],\"sum\":{sum},\"count\":{count}"));
                 }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+                obj(fields)
+            })
+            .collect();
+        obj(vec![("metrics", Json::Arr(metrics))]).encode()
     }
 }
 

@@ -18,6 +18,7 @@
 //! the same histograms.
 
 use crate::event::Event;
+use crate::json::Json;
 use crate::trace::Trace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -163,22 +164,23 @@ pub fn ledgers_from_trace(trace: &Trace) -> Vec<FunctionLedger> {
 }
 
 fn provenance_entry(e: &Event) -> PassProvenance {
+    let count = |name| e.field(name).and_then(Json::as_u64).unwrap_or(0);
+    let counts = |name| {
+        let fields = e.field(name).and_then(Json::as_obj).unwrap_or(&[]);
+        fields.iter().map(|(op, n)| (op.clone(), n.as_u64().unwrap_or(0))).collect()
+    };
     PassProvenance {
         pass: e.pass.clone(),
-        ops_before: e.field_u64("ops_before").unwrap_or(0),
-        ops_after: e.field_u64("ops_after").unwrap_or(0),
-        delta: OpcodeDelta {
-            eliminated: e.field_map("eliminated").unwrap_or(&[]).to_vec(),
-            inserted: e.field_map("inserted").unwrap_or(&[]).to_vec(),
-        },
+        ops_before: count("ops_before"),
+        ops_after: count("ops_after"),
+        delta: OpcodeDelta { eliminated: counts("eliminated"), inserted: counts("inserted") },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Value;
-    use crate::trace::{FunctionTrace, Tracer};
+    use crate::trace::FunctionTrace;
 
     fn hist(pairs: &[(&str, u64)]) -> BTreeMap<String, u64> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
@@ -202,10 +204,10 @@ mod tests {
             "provenance",
             pass,
             vec![
-                ("ops_before".into(), Value::U64(before)),
-                ("ops_after".into(), Value::U64(after)),
-                ("eliminated".into(), Value::Map(vec![("add".into(), elim)])),
-                ("inserted".into(), Value::Map(vec![("loadi".into(), ins)])),
+                ("ops_before".into(), Json::U64(before)),
+                ("ops_after".into(), Json::U64(after)),
+                ("eliminated".into(), Json::Obj(vec![("add".into(), Json::U64(elim))])),
+                ("inserted".into(), Json::Obj(vec![("loadi".into(), Json::U64(ins))])),
             ],
         );
     }

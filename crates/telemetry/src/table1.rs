@@ -5,6 +5,7 @@
 //! the root crate's `report` module; this module only renders, so it
 //! stays dependency-free and unit-testable with synthetic rows.
 
+use crate::json::{obj, Json};
 use std::fmt::Write as _;
 
 /// The paper's percentage-improvement convention: `(old − new) / old`,
@@ -90,50 +91,34 @@ impl Table1 {
         out
     }
 
-    /// Render as a single JSON object (hand-rolled; row names in the
-    /// suite are plain identifiers, but they are escaped anyway).
+    /// Render as a single JSON object: the level labels, each row's
+    /// counts and improvement strings, and the totals.
     pub fn to_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::from("{\"bench\":\"table1\",\"levels\":[");
-        for (i, l) in self.levels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", escape(l));
-        }
-        out.push_str("],\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let base = row.counts.first().copied().unwrap_or(0);
-            let _ = write!(out, "{{\"name\":\"{}\",\"counts\":[", escape(&row.name));
-            for (j, c) in row.counts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{c}");
-            }
-            out.push_str("],\"pct_vs_baseline\":[");
-            for (j, c) in row.counts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\"", escape(&improvement(base, *c)));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"totals\":[");
-        for (i, t) in self.totals().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{t}");
-        }
-        out.push_str("]}");
-        out
+        let counts = |counts: &[u64]| Json::Arr(counts.iter().map(|&c| Json::U64(c)).collect());
+        let rows = self
+            .rows
+            .iter()
+            .map(|row| {
+                let base = row.counts.first().copied().unwrap_or(0);
+                obj(vec![
+                    ("name", Json::Str(row.name.clone())),
+                    ("counts", counts(&row.counts)),
+                    (
+                        "pct_vs_baseline",
+                        Json::Arr(
+                            row.counts.iter().map(|&c| Json::Str(improvement(base, c))).collect(),
+                        ),
+                    ),
+                ])
+            })
+            .collect();
+        obj(vec![
+            ("bench", Json::Str("table1".into())),
+            ("levels", Json::Arr(self.levels.iter().cloned().map(Json::Str).collect())),
+            ("rows", Json::Arr(rows)),
+            ("totals", counts(&self.totals())),
+        ])
+        .encode()
     }
 }
 

@@ -1,4 +1,4 @@
-//! Tracer sinks: the per-lane buffer and the deterministically merged
+//! Trace sinks: the per-lane buffer and the deterministically merged
 //! module trace.
 //!
 //! The parallel driver gives every function its own [`FunctionTrace`]
@@ -8,37 +8,8 @@
 //! the same merge discipline as the journal, and the reason exported
 //! traces are byte-identical at `--jobs 1/2/8`.
 
-use crate::event::{Event, Value};
-
-/// The span/event/counter sink API producers write against.
-///
-/// Implemented by [`FunctionTrace`] (the real buffer) and
-/// [`NullTracer`] (the zero-cost default for untraced runs).
-pub trait Tracer {
-    /// Record a completed span: one pass invocation of `pass`, with a
-    /// deterministic virtual duration `dur`, optional measured wall time,
-    /// and producer-chosen fields.
-    fn span(&mut self, pass: &str, dur: u64, wall_ns: u64, fields: Vec<(String, Value)>);
-
-    /// Record an instant event of the given kind.
-    fn instant(&mut self, kind: &str, pass: &str, fields: Vec<(String, Value)>);
-
-    /// Record a single named counter reading (sugar for a one-field
-    /// instant of kind `counter`).
-    fn counter(&mut self, pass: &str, name: &str, value: u64) {
-        self.instant("counter", pass, vec![(name.to_string(), Value::U64(value))]);
-    }
-}
-
-/// A [`Tracer`] that drops everything — the default for untraced runs,
-/// so the traced and untraced pipelines share one code path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    fn span(&mut self, _: &str, _: u64, _: u64, _: Vec<(String, Value)>) {}
-    fn instant(&mut self, _: &str, _: &str, _: Vec<(String, Value)>) {}
-}
+use crate::event::Event;
+use crate::json::Json;
 
 /// The per-function (per-lane) event buffer.
 ///
@@ -78,16 +49,18 @@ impl FunctionTrace {
         self.cursor += dur;
         self.events.push(e);
     }
-}
 
-impl Tracer for FunctionTrace {
-    fn span(&mut self, pass: &str, dur: u64, wall_ns: u64, fields: Vec<(String, Value)>) {
+    /// Record a completed span: one pass invocation of `pass`, with a
+    /// deterministic virtual duration `dur`, optional measured wall time,
+    /// and producer-chosen fields.
+    pub fn span(&mut self, pass: &str, dur: u64, wall_ns: u64, fields: Vec<(String, Json)>) {
         let mut e = Event::instant("span", "", pass);
         e.fields = fields;
         self.push(e, dur, wall_ns);
     }
 
-    fn instant(&mut self, kind: &str, pass: &str, fields: Vec<(String, Value)>) {
+    /// Record an instant event of the given kind.
+    pub fn instant(&mut self, kind: &str, pass: &str, fields: Vec<(String, Json)>) {
         let mut e = Event::instant(kind, "", pass);
         e.fields = fields;
         self.push(e, 0, 0);
@@ -137,7 +110,7 @@ mod tests {
     fn lane(name: &str, idx: u32, passes: &[&str]) -> FunctionTrace {
         let mut t = FunctionTrace::new(name, idx);
         for p in passes {
-            t.span(p, 5, 123, vec![("changed".into(), Value::Bool(true))]);
+            t.span(p, 5, 123, vec![("changed".into(), Json::Bool(true))]);
             t.instant("provenance", p, Vec::new());
         }
         t
@@ -159,20 +132,5 @@ mod tests {
         assert_eq!(seqs, [0, 1, 2, 3, 4, 5], "dense global sequence");
         assert_eq!(t.events[0].function, "a");
         assert_eq!(t.events[2].function, "b");
-    }
-
-    #[test]
-    fn counter_sugar_emits_an_instant() {
-        let mut t = FunctionTrace::new("f", 0);
-        t.counter("pre", "edges_split", 2);
-        assert_eq!(t.events()[0].kind, "counter");
-        assert_eq!(t.events()[0].field_u64("edges_split"), Some(2));
-    }
-
-    #[test]
-    fn null_tracer_records_nothing() {
-        let mut n = NullTracer;
-        n.span("dce", 1, 1, Vec::new());
-        n.counter("dce", "x", 1);
     }
 }

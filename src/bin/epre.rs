@@ -115,6 +115,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use effective_pre::lint_json::lint_json;
 use effective_pre::report::collect_table1;
 use epre::{Budget, OptLevel, Optimizer};
 use epre_harness::{
@@ -208,7 +209,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     };
     let report = lint_module(&module, &opts);
     if json {
-        println!("{}", report.to_json());
+        println!("{}", lint_json(&report));
     } else if report.diagnostics.is_empty() {
         println!("clean: no diagnostics");
     } else {

@@ -647,12 +647,12 @@ fn flight_recorder_and_slow_log_account_for_every_answered_request() {
     // subset, opens with the header line, and accounts for every
     // answered request id with nothing left in flight.
     let mut lines = dump.lines();
-    let header =
-        epre_serve::json::parse(lines.next().expect("non-empty dump")).expect("header line parses");
+    let header = epre_telemetry::json::parse(lines.next().expect("non-empty dump"))
+        .expect("header line parses");
     assert_eq!(header.get("flight_recorder").and_then(|v| v.as_bool()), Some(true));
     assert_eq!(header.get("in_flight").and_then(|v| v.as_u64()), Some(0));
     for line in dump.lines().skip(1) {
-        epre_serve::json::parse(line)
+        epre_telemetry::json::parse(line)
             .unwrap_or_else(|e| panic!("dump line is not valid JSON ({e}): {line}"));
     }
     for id in &answered {
@@ -696,7 +696,7 @@ fn flight_recorder_and_slow_log_account_for_every_answered_request() {
     // request "slow", so the log is a complete ledger.
     let slow = std::fs::read_to_string(&slow_path).expect("slow log exists");
     for line in slow.lines() {
-        epre_serve::json::parse(line)
+        epre_telemetry::json::parse(line)
             .unwrap_or_else(|e| panic!("slow-log line is not valid JSON ({e}): {line}"));
     }
     for id in answered.iter().chain(&hammered) {

@@ -115,7 +115,7 @@ fn metrics_request_reconciles_with_stats_over_the_wire() {
     // subset — it parses with the workspace codec and carries the same
     // values.
     let json = scrape_metrics(&cfg, "json").unwrap();
-    let parsed = epre_serve::json::parse(&json).expect("metrics JSON must parse");
+    let parsed = epre_telemetry::json::parse(&json).expect("metrics JSON must parse");
     let list = parsed.get("metrics").and_then(|m| m.as_arr()).unwrap();
     let requests = list
         .iter()
