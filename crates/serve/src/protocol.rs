@@ -37,9 +37,8 @@
 //! payload, non-JSON) ends *that session only* with a `protocol` error
 //! frame where possible; other sessions and the server are unaffected.
 //! Payloads are encoded and decoded with [`epre_telemetry::json`], whose
-//! parser refuses nesting deeper than
-//! [`MAX_DEPTH`](epre_telemetry::json::MAX_DEPTH), so no payload can
-//! overflow a worker thread's stack.
+//! parser refuses arrays and objects nested more than 64 deep, so no
+//! payload can overflow a worker thread's stack.
 
 use std::io::{self, BufRead, Write};
 

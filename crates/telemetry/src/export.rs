@@ -5,13 +5,8 @@
 //! [`crate::Event::wall_ns`], so equal traces render to byte-identical
 //! output regardless of machine load or `--jobs`.
 
-use crate::json::Json;
+use crate::json::{obj, Json};
 use crate::trace::Trace;
-
-/// `(key, value)` for an object field.
-fn field(key: &str, value: Json) -> (String, Json) {
-    (key.to_string(), value)
-}
 
 impl Trace {
     /// Render as JSON Lines: one object per event, fixed key order
@@ -21,16 +16,16 @@ impl Trace {
         let mut out = String::new();
         for e in &self.events {
             let mut fields = vec![
-                field("seq", Json::U64(e.seq)),
-                field("kind", Json::Str(e.kind.clone())),
-                field("function", Json::Str(e.function.clone())),
-                field("pass", Json::Str(e.pass.clone())),
-                field("lane", Json::U64(u64::from(e.lane))),
-                field("ts", Json::U64(e.ts)),
-                field("dur", Json::U64(e.dur)),
+                ("seq", Json::U64(e.seq)),
+                ("kind", Json::Str(e.kind.clone())),
+                ("function", Json::Str(e.function.clone())),
+                ("pass", Json::Str(e.pass.clone())),
+                ("lane", Json::U64(u64::from(e.lane))),
+                ("ts", Json::U64(e.ts)),
+                ("dur", Json::U64(e.dur)),
             ];
-            fields.extend(e.fields.iter().cloned());
-            out.push_str(&Json::Obj(fields).encode());
+            fields.extend(e.fields.iter().map(|(k, v)| (k.as_str(), v.clone())));
+            out.push_str(&obj(fields).encode());
             out.push('\n');
         }
         out
@@ -52,40 +47,38 @@ impl Trace {
                 continue;
             }
             named.push(e.lane);
-            items.push(Json::Obj(vec![
-                field("name", Json::Str("thread_name".into())),
-                field("ph", Json::Str("M".into())),
-                field("pid", Json::U64(1)),
-                field("tid", Json::U64(u64::from(e.lane) + 1)),
-                field("args", Json::Obj(vec![field("name", Json::Str(e.function.clone()))])),
+            items.push(obj(vec![
+                ("name", Json::Str("thread_name".into())),
+                ("ph", Json::Str("M".into())),
+                ("pid", Json::U64(1)),
+                ("tid", Json::U64(u64::from(e.lane) + 1)),
+                ("args", obj(vec![("name", Json::Str(e.function.clone()))])),
             ]));
         }
 
         for e in &self.events {
             let span = e.kind == "span";
             let mut item = vec![
-                field("name", Json::Str(e.pass.clone())),
-                field("cat", Json::Str(e.kind.clone())),
-                field("ph", Json::Str(if span { "X" } else { "i" }.into())),
+                ("name", Json::Str(e.pass.clone())),
+                ("cat", Json::Str(e.kind.clone())),
+                ("ph", Json::Str(if span { "X" } else { "i" }.into())),
             ];
             if !span {
-                item.push(field("s", Json::Str("t".into())));
+                item.push(("s", Json::Str("t".into())));
             }
-            item.push(field("pid", Json::U64(1)));
-            item.push(field("tid", Json::U64(u64::from(e.lane) + 1)));
-            item.push(field("ts", Json::U64(e.ts)));
+            item.push(("pid", Json::U64(1)));
+            item.push(("tid", Json::U64(u64::from(e.lane) + 1)));
+            item.push(("ts", Json::U64(e.ts)));
             if span {
-                item.push(field("dur", Json::U64(e.dur)));
+                item.push(("dur", Json::U64(e.dur)));
             }
-            let mut args = vec![
-                field("seq", Json::U64(e.seq)),
-                field("function", Json::Str(e.function.clone())),
-            ];
-            args.extend(e.fields.iter().cloned());
-            item.push(field("args", Json::Obj(args)));
-            items.push(Json::Obj(item));
+            let mut args =
+                vec![("seq", Json::U64(e.seq)), ("function", Json::Str(e.function.clone()))];
+            args.extend(e.fields.iter().map(|(k, v)| (k.as_str(), v.clone())));
+            item.push(("args", obj(args)));
+            items.push(obj(item));
         }
-        let mut out = Json::Obj(vec![field("traceEvents", Json::Arr(items))]).encode();
+        let mut out = obj(vec![("traceEvents", Json::Arr(items))]).encode();
         out.push('\n');
         out
     }

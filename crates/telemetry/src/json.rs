@@ -10,8 +10,8 @@
 //! count, a port, or a microsecond or millisecond quantity), and object
 //! keys are kept in insertion order so encodings are deterministic. The
 //! parser accepts any standard JSON document built from those shapes and
-//! nested at most [`MAX_DEPTH`] containers deep, and rejects the rest
-//! with a positioned error.
+//! nested at most 64 arrays and objects deep, and rejects the rest with a
+//! positioned error.
 
 use std::fmt;
 
@@ -19,7 +19,7 @@ use std::fmt;
 /// parser recurses once per level, so the bound keeps a hostile frame
 /// from overflowing the stack; the deepest document the workspace
 /// writes, a Chrome trace event's counters, nests 5 levels.
-pub const MAX_DEPTH: usize = 64;
+const MAX_DEPTH: usize = 64;
 
 /// A JSON value restricted to the codec's shapes.
 #[derive(Debug, Clone, PartialEq)]
