@@ -34,11 +34,13 @@
 //! from outside.
 //!
 //! Poison isolation: a frame that is not a frame (garbage prefix, torn
-//! payload, non-JSON) ends *that session only* with a `protocol` error
-//! frame where possible; other sessions and the server are unaffected.
-//! Payloads are encoded and decoded with [`epre_telemetry::json`], whose
-//! parser refuses arrays and objects nested more than 64 deep, so no
-//! payload can overflow a worker thread's stack.
+//! payload) ends *that session only* with a `protocol` error frame where
+//! possible; other sessions and the server are unaffected. A well-framed
+//! payload that does not decode (not JSON, nested too deep, an unknown
+//! kind) gets a typed `protocol` error and the session goes on. Payloads
+//! are encoded and decoded with [`epre_telemetry::json`], whose parser
+//! refuses arrays and objects nested more than 64 deep, so no payload can
+//! overflow a worker thread's stack.
 
 use std::io::{self, BufRead, Write};
 
@@ -60,7 +62,7 @@ pub enum FrameError {
     /// length prefix and finishing the payload. Retryable.
     Torn,
     /// The bytes are not a frame (bad prefix, missing newline, payload
-    /// is not JSON, oversized). Not retryable.
+    /// is not UTF-8, oversized). Not retryable.
     Malformed(String),
 }
 
