@@ -30,7 +30,7 @@
 //!   (non-terminating, unbounded growth) only a budget can stop,
 //! * [`fuzz`] — the campaign that proves the containment stack holds:
 //!   every injected fault is caught, rolled back, or shown harmless,
-//! * [`reduce`] — a ddmin-style reducer that shrinks a failing module
+//! * [`reduce`](mod@reduce) — a ddmin-style reducer that shrinks a failing module
 //!   (functions, then instructions, then blocks, then operands) while a
 //!   [`FailureSpec`] keeps holding.
 //!

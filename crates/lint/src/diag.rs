@@ -1,7 +1,7 @@
 //! Diagnostics: severities, locations, and the collect-all [`Report`].
 //!
 //! Every finding a lint rule produces is a [`Diagnostic`]: a stable
-//! [`Rule`](crate::rules::Rule), a [`Location`] down to the instruction
+//! [`Rule`], a [`Location`] down to the instruction
 //! where possible, and a human-readable message. A [`Report`] accumulates
 //! them and renders compiler-style text; its fields are public, so
 //! callers render other formats themselves (`epre lint --json`).

@@ -175,7 +175,7 @@ impl Meter {
     ///
     /// Checks the iteration cap and the growth ratio exactly on every
     /// tick (both deterministic), and the wall-clock deadline every
-    /// [`DEADLINE_STRIDE`] ticks.
+    /// `DEADLINE_STRIDE` ticks.
     ///
     /// # Errors
     /// The first exceeded dimension, as a [`BudgetExceeded`].

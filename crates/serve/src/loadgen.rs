@@ -128,7 +128,7 @@ pub struct LoadgenReport {
     pub clients: usize,
     /// Wall-clock generation window, milliseconds.
     pub duration_ms: u64,
-    /// Per-class statistics, in [`CLASSES`] order.
+    /// Per-class statistics, in `CLASSES` order.
     pub classes: Vec<(String, ClassStats)>,
     /// Keep-alive session reconnects across all clients (goaway
     /// rotations and dropped peers, recovered transparently).

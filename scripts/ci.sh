@@ -1,6 +1,6 @@
 #!/bin/sh
-# The tier-1 gate in one command: formatting, build, test, lint with
-# warnings hard, then a one-second traced benchmark run to prove the
+# The tier-1 gate in one command: formatting, build, test, lint and docs
+# with warnings hard, then a one-second traced benchmark run to prove the
 # measurement path still runs. Anything here failing means the tree is not
 # mergeable, and the last stage fails if the run changed the working tree.
 #
@@ -48,6 +48,12 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # Every target, so the tests, examples and the paper-table benches (which
 # nothing else here compiles) build and lint too.
 cargo clippy --workspace --all-targets $CARGO_FLAGS -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps --lib (rustdoc warnings are errors)"
+# Broken or ambiguous intra-doc links fail here. `--lib` leaves the `epre`
+# binary out: its docs would collide with those of the library `epre`.
+# shellcheck disable=SC2086
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib $CARGO_FLAGS
 
 echo "==> report (epre report --quick, and the full Table 1 against BENCH_TABLE1.json)"
 tmpdir="$(mktemp -d)"
