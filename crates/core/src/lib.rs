@@ -48,7 +48,6 @@ pub mod stages;
 pub mod stats;
 pub mod timings;
 pub mod trace;
-pub mod verify_each;
 
 pub use epre_passes::{Budget, BudgetExceeded, BudgetKind};
 pub use fault::{FaultKind, PassFault};
@@ -59,4 +58,3 @@ pub use stages::{try_run_staged, Stage, StagedOutput};
 pub use stats::{measure, measure_module, Measurement};
 pub use timings::{ModuleTimings, PassTiming};
 pub use trace::{opcode_histogram, run_pass_traced};
-pub use verify_each::{run_passes_verified, PassBlame};

@@ -52,7 +52,7 @@ impl OptLevel {
     }
 }
 
-/// Runs a configured pass pipeline over modules or single functions.
+/// Runs a configured pass pipeline over modules.
 #[derive(Debug, Clone, Copy)]
 pub struct Optimizer {
     level: OptLevel,
@@ -118,45 +118,20 @@ impl Optimizer {
         seq
     }
 
-    /// Optimize one function in place, reporting a typed fault instead of
-    /// panicking.
-    ///
-    /// Debug builds verify the IR after every pass; a violation stops the
-    /// pipeline and returns a [`PassFault`] naming the pass, the function,
-    /// and the exact verifier error (release builds skip the verification,
-    /// as before, but share the same error route). `f` is left in the
-    /// faulting pass's broken state for inspection; the sandbox in
-    /// `epre-harness` builds rollback on top of this.
-    ///
-    /// # Errors
-    /// The first [`PassFault`] encountered, if any.
-    pub fn try_optimize_function(&self, f: &mut Function) -> Result<(), PassFault> {
-        self.run_passes(&self.passes(), f)
-    }
-
     /// Run `passes` (this level's sequence, built once per worker) over
     /// `f` through one fresh [`AnalysisCache`], under this optimizer's
     /// budget.
+    ///
+    /// Debug builds verify the IR after every pass; a violation stops the
+    /// pipeline with a [`PassFault`] naming the pass, the function, and the
+    /// exact verifier error (release builds skip the verification but share
+    /// the same error route).
     fn run_passes(&self, passes: &[Box<dyn Pass>], f: &mut Function) -> Result<(), PassFault> {
         let mut cache = AnalysisCache::new();
         for pass in passes {
             run_pass_budgeted(pass.as_ref(), f, &mut cache, &self.budget)?;
         }
         Ok(())
-    }
-
-    /// Optimize one function in place.
-    ///
-    /// Debug builds verify the IR after every pass; a violation panics
-    /// with the [`PassFault`] naming the pass, the function, and the exact
-    /// verifier error. For non-panicking variants see
-    /// [`Optimizer::try_optimize_function`] (verifier route) and
-    /// [`Optimizer::optimize_function_verified`] (lint route with per-pass
-    /// blame).
-    pub fn optimize_function(&self, f: &mut Function) {
-        if let Err(fault) = self.try_optimize_function(f) {
-            panic!("{fault}\n{f}");
-        }
     }
 
     /// Optimize a copy of the module, reporting a typed fault instead of

@@ -2,18 +2,20 @@
 //! resource [`Budget`], re-lint the result, and roll back on panic, new
 //! invariant violation, or budget exhaustion.
 //!
-//! The plain pipeline trusts its passes; `verify_each` distrusts them but
-//! fails fast. The sandbox goes the final step the ROADMAP's
-//! production-scale north star demands: a pass that panics, emits invalid
-//! ILOC, spins past its iteration cap, or explodes the code past its
-//! growth cap is *contained* — the function rolls back to its pre-pass
-//! state, the incident is recorded as a typed [`PassFault`], and the rest
-//! of the pipeline keeps running. The [`FaultPolicy`] selects between
-//! fail-fast, best-effort, and retry-then-skip behaviour; under
-//! retry-then-skip the second attempt runs on a fresh clone under a
-//! [`Budget::relaxed`] budget, so a pass that merely brushed a cap gets a
-//! real second chance. A per-pass [`CircuitBreaker`] quarantines a pass
-//! that keeps faulting across the functions of one module.
+//! The plain pipeline trusts its passes; the sandbox distrusts them: a
+//! pass that panics, emits invalid ILOC, spins past its iteration cap, or
+//! explodes the code past its growth cap is caught and blamed by name.
+//! The [`FaultPolicy`] decides what follows. Under fail-fast the first
+//! fault ends the run as an error: that is `epre opt --verify-each`,
+//! which lints after every pass and names the pass that broke an
+//! invariant or panicked. Under best-effort the fault is *contained* —
+//! the function rolls back to its pre-pass state, the incident is
+//! recorded as a typed [`PassFault`], and the rest of the pipeline keeps
+//! running (`epre opt --best-effort`); under retry-then-skip the second
+//! attempt runs on a fresh clone under a [`Budget::relaxed`] budget, so a
+//! pass that merely brushed a cap gets a real second chance. A per-pass
+//! [`CircuitBreaker`] quarantines a pass that keeps faulting across the
+//! functions of one module.
 
 use std::collections::HashSet;
 
@@ -419,18 +421,76 @@ mod tests {
 
     #[test]
     fn fail_fast_surfaces_the_fault() {
-        let mut f = sample();
-        let passes: Vec<Box<dyn Pass>> = vec![Box::new(Dce), Box::new(Bomb)];
-        let e = run_passes_governed(
-            &mut f,
-            &passes,
-            FaultPolicy::FailFast,
-            &LintOptions::invariants_only(),
-            &Budget::governed(),
-            None,
-        )
-        .unwrap_err();
-        assert_eq!(e.pass, "bomb");
+        let bomb: Vec<Box<dyn Pass>> = vec![Box::new(Dce), Box::new(Bomb)];
+        let ghost: Vec<Box<dyn Pass>> =
+            vec![Box::new(ConstProp), Box::new(UseGhost), Box::new(Dce)];
+        for (passes, culprit) in [(bomb, "bomb"), (ghost, "use-ghost")] {
+            let mut f = sample();
+            let e = run_passes_governed(
+                &mut f,
+                &passes,
+                FaultPolicy::FailFast,
+                &LintOptions::invariants_only(),
+                &Budget::governed(),
+                None,
+            )
+            .unwrap_err();
+            assert_eq!(e.pass, culprit, "blame names the culprit: {e}");
+            assert_eq!(e.function, "s");
+            match &e.kind {
+                FaultKind::Panic(p) => assert!(p.contains("detonation"), "{e}"),
+                FaultKind::Lint(errors) => assert_eq!(errors[0].rule.code(), "L020", "{e}"),
+                _ => panic!("expected a panic or lint fault: {e}"),
+            }
+        }
+    }
+
+    /// Under fail-fast the module run reports the earliest fault in module
+    /// order at every `jobs`: the panic in `b`, blamed on the pass that
+    /// panicked, not the invariant break the same pass makes in `c`.
+    #[test]
+    fn fail_fast_module_run_reports_the_earliest_fault_at_every_jobs() {
+        /// Panics on function `b` and breaks an invariant in `c`.
+        struct Saboteur;
+        impl Pass for Saboteur {
+            fn name(&self) -> &'static str {
+                "saboteur"
+            }
+            fn run_budgeted(
+                &self,
+                f: &mut Function,
+                cache: &mut AnalysisCache,
+                budget: &Budget,
+            ) -> Result<bool, BudgetExceeded> {
+                match f.name.as_str() {
+                    "b" => panic!("deliberate sabotage"),
+                    "c" => UseGhost.run_budgeted(f, cache, budget),
+                    _ => Ok(false),
+                }
+            }
+        }
+        let mut m = Module::new();
+        for name in ["a", "b", "c"] {
+            m.functions.push(named(name));
+        }
+        for jobs in [1, 2, 4, 8] {
+            let e = run_module_governed(
+                &m,
+                &|| vec![Box::new(ConstProp) as Box<dyn Pass>, Box::new(Saboteur), Box::new(Dce)],
+                FaultPolicy::FailFast,
+                &LintOptions::invariants_only(),
+                &Budget::UNLIMITED,
+                CircuitBreaker::DEFAULT_THRESHOLD,
+                jobs,
+            )
+            .unwrap_err();
+            assert_eq!(e.function, "b", "jobs {jobs}: {e}");
+            assert_eq!(e.pass, "saboteur", "jobs {jobs}: {e}");
+            assert!(
+                matches!(&e.kind, FaultKind::Panic(p) if p.contains("sabotage")),
+                "jobs {jobs}: {e}"
+            );
+        }
     }
 
     #[test]

@@ -28,10 +28,10 @@ impl Default for LintOptions {
 }
 
 impl LintOptions {
-    /// Only the invariant rules — what the pipeline's `verify_each` mode
-    /// runs between passes, where warnings about intermediate states
-    /// (critical edges, not-yet-deleted dead code, remaining redundancy)
-    /// are expected rather than suspicious.
+    /// Only the invariant rules — what the pass sandbox (`epre opt
+    /// --verify-each`) runs between passes, where warnings about
+    /// intermediate states (critical edges, not-yet-deleted dead code,
+    /// remaining redundancy) are expected rather than suspicious.
     pub fn invariants_only() -> Self {
         LintOptions { audit_redundancy: false, cfg_hygiene: false, dead_values: false }
     }

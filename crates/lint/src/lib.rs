@@ -23,9 +23,10 @@
 //!   availability over GVN congruence classes and flags fully-redundant
 //!   expressions the optimizer left behind.
 //!
-//! The intended consumers are the `epre lint` CLI and the pipeline's
-//! `verify_each` mode in `epre-core`, which lints after every pass and
-//! blames the pass that introduced each new violation.
+//! The intended consumers are the `epre lint` CLI and the pass sandbox
+//! of `epre-harness` (behind `epre opt --verify-each` and
+//! `--best-effort`), which lints after every pass and blames the pass
+//! that introduced each new violation.
 //!
 //! ```
 //! use epre_ir::parse_module;

@@ -3,7 +3,7 @@
 //! ```text
 //! epre lint <file.iloc|-> [--json] [--no-audit]   lint ILOC, print diagnostics
 //! epre rules                                      list the lint rule registry
-//! epre opt <file.iloc|-> [--level L] [--verify-each] [--best-effort] [--fuel N]
+//! epre opt <file.iloc|-> [--level L] [--verify-each | --best-effort] [--fuel N]
 //!          [--jobs N] [--timings] [--deadline-ms N] [--max-growth X]
 //!          [--journal PATH] [--resume]
 //!          [--trace PATH] [--trace-format jsonl|chrome]
@@ -36,10 +36,11 @@
 //! there were errors, 2 on usage or parse problems. `opt` refuses input
 //! that does not parse or does not pass the structural verifier (lint
 //! rules L001–L008) with exit 2, and exits 1 on a pass fault. `opt
-//! --verify-each` re-lints after every pass and aborts (exit 1) naming
-//! the pass that introduced an invariant violation (or that panicked); it
-//! honours `--jobs` like plain `opt`. `opt --best-effort`
-//! instead contains pass faults (rollback + continue), reports them on
+//! --verify-each` runs the governed sandbox under its fail-fast policy:
+//! it re-lints after every pass and aborts (exit 1) naming the pass that
+//! introduced an invariant violation (or that panicked); it honours
+//! `--jobs` like plain `opt`. `opt --best-effort` runs the same sandbox
+//! but contains pass faults (rollback + continue), reports them on
 //! stderr, and exits 3 when anything was contained or rolled back (the
 //! output is still a safe, runnable module — the distinct code lets
 //! scripts notice the degradation). `--deadline-ms` imposes a per-pass
@@ -47,7 +48,7 @@
 //! `--max-growth` caps code growth as a ratio of the input size;
 //! `--journal PATH` write-ahead-logs every finished function so a killed
 //! run can continue with `--resume`, producing byte-identical output.
-//! All four require `--best-effort`.
+//! All four require `--best-effort`, which excludes `--verify-each`.
 //! `fuzz` exits 1 when any injected fault escaped containment. `reduce`
 //! prints the shrunk module on stdout and statistics on stderr, exiting 2
 //! when the failure predicate does not even hold on the input.
@@ -119,8 +120,9 @@ use effective_pre::lint_json::lint_json;
 use effective_pre::report::collect_table1;
 use epre::{Budget, OptLevel, Optimizer};
 use epre_harness::{
-    harden_events, journal_events, reduce as ddmin_reduce, run_campaign, CampaignConfig,
-    FailureSpec, FaultPolicy, Harness, JournalError, OracleConfig, PassFaultModel,
+    harden_events, journal_events, reduce as ddmin_reduce, run_campaign, run_module_governed,
+    CampaignConfig, CircuitBreaker, FailureSpec, FaultPolicy, Harness, JournalError, OracleConfig,
+    PassFaultModel,
 };
 use epre_ir::parse_module;
 use epre_lint::{lint_module, LintOptions, Rule};
@@ -135,7 +137,7 @@ use epre_telemetry::{ledgers_from_trace, Trace};
 const USAGE: &str = "usage:\n  \
     epre lint <file.iloc|-> [--json] [--no-audit]\n  \
     epre rules\n  \
-    epre opt <file.iloc|-> [--level baseline|partial|reassociation|distribution|distribution+lvn] [--verify-each] [--best-effort] [--fuel N] [--jobs N] [--timings] [--deadline-ms N] [--max-growth X] [--journal PATH] [--resume] [--trace PATH] [--trace-format jsonl|chrome]\n  \
+    epre opt <file.iloc|-> [--level baseline|partial|reassociation|distribution|distribution+lvn] [--verify-each | --best-effort] [--fuel N] [--jobs N] [--timings] [--deadline-ms N] [--max-growth X] [--journal PATH] [--resume] [--trace PATH] [--trace-format jsonl|chrome]\n  \
     epre report [--quick] [--json] [--out PATH]\n  \
     epre explain <file.iloc|-> <function> [--level L]\n  \
     epre fuzz <file.iloc|-> [--seed N] [--iters N] [--fuel N] [--level L]\n  \
@@ -358,6 +360,10 @@ fn cmd_opt(args: &[String]) -> ExitCode {
         eprintln!("--deadline-ms, --max-growth, --journal, and --resume require --best-effort");
         return ExitCode::from(2);
     }
+    if verify_each && best_effort {
+        eprintln!("--verify-each and --best-effort choose different fault policies; pick one");
+        return ExitCode::from(2);
+    }
     if resume && journal.is_none() {
         eprintln!("--resume requires --journal PATH");
         return ExitCode::from(2);
@@ -455,8 +461,16 @@ fn cmd_opt(args: &[String]) -> ExitCode {
         if trace_path.is_some() {
             eprintln!("note: --trace is ignored under --verify-each");
         }
-        match opt.optimize_verified(&module, jobs) {
-            Ok(m) => m,
+        match run_module_governed(
+            &module,
+            &|| opt.passes(),
+            FaultPolicy::FailFast,
+            &LintOptions::invariants_only(),
+            &Budget::UNLIMITED,
+            CircuitBreaker::DEFAULT_THRESHOLD,
+            jobs,
+        ) {
+            Ok((m, _)) => m,
             Err(e) => {
                 eprintln!("verify-each: {e}");
                 return ExitCode::from(1);

@@ -3,7 +3,8 @@
 //! the journal tail) must resume to *byte-identical* stdout, and config
 //! mismatches, misuse of the flags, input that fails the structural
 //! verifier, and input the parser refuses (`parse_refusals`) must be
-//! refused with exit code 2.
+//! refused with exit code 2. On clean input the sandboxed drivers
+//! (`--best-effort`, `--verify-each`) print what plain `opt` prints.
 
 mod parse_refusals;
 
@@ -160,6 +161,8 @@ fn budget_and_journal_flags_require_best_effort() {
         vec!["opt", input_s, "--max-growth", "4.0"],
         vec!["opt", input_s, "--journal", "/tmp/ignored.journal"],
         vec!["opt", input_s, "--best-effort", "--resume"],
+        // Both choose the sandbox's fault policy: fail-fast or best-effort.
+        vec!["opt", input_s, "--verify-each", "--best-effort"],
     ] {
         let out = epre(&args);
         assert_eq!(code(&out), 2, "{args:?} must be a usage error");
@@ -167,20 +170,28 @@ fn budget_and_journal_flags_require_best_effort() {
     let _ = std::fs::remove_file(&input);
 }
 
+/// The sandboxed drivers, best-effort and fail-fast (`--verify-each`),
+/// print exactly what plain `opt` prints on clean input.
 #[test]
 fn best_effort_without_journal_matches_plain_opt_on_clean_input() {
     let input = write_fixture("clean.iloc");
     let input_s = input.to_str().unwrap();
     let plain = epre(&["opt", input_s]);
-    let hardened = epre(&["opt", input_s, "--best-effort", "--jobs", "2"]);
     assert_eq!(code(&plain), 0);
-    assert_eq!(
-        code(&hardened),
-        0,
-        "clean input must not trip exit 3; stderr: {}",
-        String::from_utf8_lossy(&hardened.stderr)
-    );
-    assert_eq!(plain.stdout, hardened.stdout);
+    for extra in [
+        &["--best-effort", "--jobs", "2"][..],
+        &["--verify-each", "--jobs", "1"],
+        &["--verify-each", "--jobs", "2"],
+    ] {
+        let checked = epre(&[&["opt", input_s][..], extra].concat());
+        assert_eq!(
+            code(&checked),
+            0,
+            "opt {extra:?}: clean input must exit 0; stderr: {}",
+            String::from_utf8_lossy(&checked.stderr)
+        );
+        assert_eq!(plain.stdout, checked.stdout, "opt {extra:?}");
+    }
     let _ = std::fs::remove_file(&input);
 }
 
@@ -193,7 +204,7 @@ fn unverifiable_input_is_refused_like_a_parse_error() {
     std::fs::write(&input, "module data 0\nfunction corrupt()\nblock b0:\n  jump b7\nend\n")
         .unwrap();
     let input_s = input.to_str().unwrap();
-    for extra in [&["--jobs", "1"][..], &["--jobs", "4"], &["--best-effort"]] {
+    for extra in [&["--jobs", "1"][..], &["--jobs", "4"], &["--best-effort"], &["--verify-each"]] {
         let out = epre(&[&["opt", input_s][..], extra].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(code(&out), 2, "opt {extra:?} must refuse; stderr: {stderr}");

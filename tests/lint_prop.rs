@@ -6,13 +6,16 @@
 //! Property test for the lint framework (the pipeline-invariant
 //! contract): over arbitrary well-formed generated functions, every
 //! optimization level's pass sequence must keep the function lint-clean
-//! after **every single pass** — checked with the same fingerprint-diffing
-//! `verify_each` machinery the pipeline mode uses, so a failure blames the
-//! offending pass by name in the counterexample.
+//! after **every single pass** — checked with the governed sandbox under
+//! fail-fast, the fingerprint-diffing driver behind `epre opt
+//! --verify-each`, so a failure blames the offending pass by name in the
+//! counterexample.
 
 use proptest::prelude::*;
 
-use epre::{run_passes_verified, OptLevel, Optimizer};
+use epre::{Budget, OptLevel, Optimizer};
+use epre_harness::{run_passes_governed, FaultPolicy};
+use epre_ir::Module;
 use epre_lint::{lint_function, LintOptions};
 
 mod common;
@@ -42,7 +45,14 @@ proptest! {
         for level in ALL_LEVELS {
             let mut f = f0.clone();
             let passes = Optimizer::new(level).passes();
-            let r = run_passes_verified(&mut f, &passes, &LintOptions::invariants_only());
+            let r = run_passes_governed(
+                &mut f,
+                &passes,
+                FaultPolicy::FailFast,
+                &LintOptions::invariants_only(),
+                &Budget::UNLIMITED,
+                None,
+            );
             prop_assert!(r.is_ok(), "{}: {}", level.label(), r.unwrap_err());
         }
     }
@@ -57,11 +67,11 @@ proptest! {
         steps in prop::collection::vec(step_strategy(), 0..24),
         diamond in any::<bool>(),
     ) {
-        let f0 = build(&steps, diamond);
+        let module = Module { functions: vec![build(&steps, diamond)], data_words: 0 };
         for level in ALL_LEVELS {
-            let mut f = f0.clone();
-            Optimizer::new(level).optimize_function(&mut f);
-            let report = lint_function(&f, &LintOptions::default());
+            let out = Optimizer::new(level).optimize(&module);
+            let f = &out.functions[0];
+            let report = lint_function(f, &LintOptions::default());
             prop_assert!(
                 !report.has_errors(),
                 "{} output has lint errors:\n{report}\n{f}",
