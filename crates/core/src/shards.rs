@@ -7,12 +7,10 @@
 //! one call to [`map_functions`] with a different per-function closure.
 //! The driver owns the three decisions those entry points used to repeat:
 //!
-//! * **Scheduling.** Work is handed out through `WorkShards`: per-worker
-//!   deques seeded with contiguous chunks of the index space. Each worker
-//!   drains its own shard from the front (module order locally, which
-//!   keeps the clone/optimize loop cache-friendly) and, when empty,
-//!   steals from the back of a sibling's shard, so one heavyweight
-//!   function cannot strand the rest of a chunk behind it.
+//! * **Scheduling.** Workers take function indices from one shared
+//!   atomic counter, in module order, as the harness's watchdog pool
+//!   does: a worker that drew a heavyweight function takes its next
+//!   index later, so no function waits in a queue behind it.
 //! * **Determinism.** Results land in per-function slots and are
 //!   reassembled in module order, and the error reported is the one of
 //!   the earliest function in that order — so the output never depends
@@ -22,8 +20,8 @@
 //!   the pseudo-pass `pipeline`, at every `jobs`, inline included.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
 
 use epre_ir::{Function, Module};
@@ -79,8 +77,8 @@ pub fn catch_quiet<R>(body: impl FnOnce() -> R) -> Result<R, String> {
 /// `per_fn(&mut state, index, function)` for every function it takes.
 /// `jobs <= 1` (or a module of at most one function) runs inline on the
 /// calling thread and stops at the first error; otherwise a
-/// [`std::thread::scope`] pool drains work-stealing shards and every
-/// function runs. Either way the error returned is that of the earliest
+/// [`std::thread::scope`] pool of up to `jobs` workers draws indices
+/// from one atomic counter and every function runs. Either way the error returned is that of the earliest
 /// function in module order, and a panic inside `per_fn` is contained as
 /// [`PassFault::panic`] (pass `pipeline`) converted into `E`.
 ///
@@ -120,14 +118,20 @@ where
         let mut state = setup();
         return (0..n).map(|i| run(&mut state, i)).collect();
     }
-    let shards = WorkShards::new(n, jobs.min(n));
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<R, E>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
-        for w in 0..shards.workers() {
-            let (shards, slots, setup, run) = (&shards, &slots, &setup, &run);
+        for _ in 0..jobs.min(n) {
+            let (next, slots, setup, run) = (&next, &slots, &setup, &run);
             s.spawn(move || {
                 let mut state = setup();
-                while let Some(i) = shards.pop(w) {
+                loop {
+                    // Relaxed: the counter publishes no data; results reach
+                    // the caller through the slots' mutexes and the join.
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
                     *slots[i].lock().expect("result slot poisoned") = Some(run(&mut state, i));
                 }
             });
@@ -139,125 +143,9 @@ where
         .collect()
 }
 
-/// A sharded work list of indices `0..items` for `workers` cooperating
-/// threads. Every index is produced exactly once across all workers.
-#[derive(Debug)]
-pub(crate) struct WorkShards {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl WorkShards {
-    /// Split `0..items` into `workers` contiguous shards (the first
-    /// `items % workers` shards get one extra index).
-    pub(crate) fn new(items: usize, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let base = items / workers;
-        let extra = items % workers;
-        let mut queues = Vec::with_capacity(workers);
-        let mut next = 0usize;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            queues.push(Mutex::new((next..next + len).collect()));
-            next += len;
-        }
-        debug_assert_eq!(next, items);
-        WorkShards { queues }
-    }
-
-    /// Number of shards (== workers at construction).
-    pub(crate) fn workers(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Take the next index for `worker`: front of its own shard, else the
-    /// back of the first non-empty sibling (scanning from `worker + 1`,
-    /// wrapping). `None` means all shards are drained and the worker can
-    /// exit.
-    pub(crate) fn pop(&self, worker: usize) -> Option<usize> {
-        let w = worker % self.queues.len();
-        if let Some(i) = self.queues[w].lock().expect("shard poisoned").pop_front() {
-            return Some(i);
-        }
-        for off in 1..self.queues.len() {
-            let victim = (w + off) % self.queues.len();
-            if let Some(i) = self.queues[victim].lock().expect("shard poisoned").pop_back() {
-                return Some(i);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn every_index_exactly_once_single_worker() {
-        let shards = WorkShards::new(7, 3);
-        let mut seen = Vec::new();
-        while let Some(i) = shards.pop(0) {
-            seen.push(i);
-        }
-        let set: HashSet<usize> = seen.iter().copied().collect();
-        assert_eq!(seen.len(), 7);
-        assert_eq!(set.len(), 7);
-        assert!(set.contains(&0) && set.contains(&6));
-    }
-
-    #[test]
-    fn owner_takes_front_thief_takes_back() {
-        let shards = WorkShards::new(8, 2); // shards: [0..4), [4..8)
-        assert_eq!(shards.pop(0), Some(0)); // owner front
-        assert_eq!(shards.pop(1), Some(4)); // owner front
-                                            // Drain worker 0's shard, then it must steal from the BACK of 1's.
-        assert_eq!(shards.pop(0), Some(1));
-        assert_eq!(shards.pop(0), Some(2));
-        assert_eq!(shards.pop(0), Some(3));
-        assert_eq!(shards.pop(0), Some(7)); // stolen
-        assert_eq!(shards.pop(1), Some(5)); // owner unaffected at the front
-    }
-
-    #[test]
-    fn more_workers_than_items_and_empty() {
-        let shards = WorkShards::new(2, 8);
-        let mut seen: Vec<usize> = std::iter::from_fn(|| shards.pop(5)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1]);
-        assert_eq!(shards.pop(0), None);
-        let empty = WorkShards::new(0, 4);
-        assert_eq!(empty.pop(0), None);
-        // workers = 0 clamps to 1.
-        let one = WorkShards::new(3, 0);
-        assert_eq!(one.workers(), 1);
-        assert_eq!(one.pop(0), Some(0));
-    }
-
-    #[test]
-    fn concurrent_drain_produces_each_index_once() {
-        let shards = WorkShards::new(1000, 4);
-        let collected: Vec<Vec<usize>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|w| {
-                    let shards = &shards;
-                    s.spawn(move || {
-                        let mut mine = Vec::new();
-                        while let Some(i) = shards.pop(w) {
-                            mine.push(i);
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-        let all: Vec<usize> = collected.into_iter().flatten().collect();
-        let set: HashSet<usize> = all.iter().copied().collect();
-        assert_eq!(all.len(), 1000);
-        assert_eq!(set.len(), 1000);
-    }
 
     fn module(names: &[&str]) -> Module {
         let mut m = Module::new();

@@ -37,8 +37,8 @@ fn suite_parallel_output_is_byte_identical_to_serial() {
     }
 }
 
-/// The fused 108-function suite module gives the work-stealing driver
-/// real work to share out between workers.
+/// The fused 108-function suite module gives the parallel driver real
+/// work to share out between workers.
 #[test]
 fn fused_suite_module_is_byte_identical_at_jobs_2_4_8() {
     let m = epre_suite::fused_module();
