@@ -118,11 +118,11 @@ use std::time::Duration;
 
 use effective_pre::lint_json::lint_json;
 use effective_pre::report::collect_table1;
+use effective_pre::verify_each;
 use epre::{Budget, OptLevel, Optimizer};
 use epre_harness::{
-    harden_events, journal_events, reduce as ddmin_reduce, run_campaign, run_module_governed,
-    CampaignConfig, CircuitBreaker, FailureSpec, FaultPolicy, Harness, JournalError, OracleConfig,
-    PassFaultModel,
+    harden_events, journal_events, reduce as ddmin_reduce, run_campaign, CampaignConfig,
+    FailureSpec, FaultPolicy, Harness, JournalError, OracleConfig, PassFaultModel,
 };
 use epre_ir::parse_module;
 use epre_lint::{lint_module, LintOptions, Rule};
@@ -461,16 +461,8 @@ fn cmd_opt(args: &[String]) -> ExitCode {
         if trace_path.is_some() {
             eprintln!("note: --trace is ignored under --verify-each");
         }
-        match run_module_governed(
-            &module,
-            &|| opt.passes(),
-            FaultPolicy::FailFast,
-            &LintOptions::invariants_only(),
-            &Budget::UNLIMITED,
-            CircuitBreaker::DEFAULT_THRESHOLD,
-            jobs,
-        ) {
-            Ok((m, _)) => m,
+        match verify_each::run(&module, &|| opt.passes(), jobs) {
+            Ok(m) => m,
             Err(e) => {
                 eprintln!("verify-each: {e}");
                 return ExitCode::from(1);

@@ -3,5 +3,6 @@
 //! package. See the `epre` crate for the primary API.
 pub mod lint_json;
 pub mod report;
+pub mod verify_each;
 
 pub use epre::*;
