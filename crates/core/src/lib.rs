@@ -41,6 +41,7 @@
 //! ```
 
 pub mod fault;
+pub mod observe;
 pub mod pipeline;
 pub mod request;
 pub mod shards;
@@ -51,10 +52,11 @@ pub mod trace;
 
 pub use epre_passes::{Budget, BudgetExceeded, BudgetKind};
 pub use fault::{FaultKind, PassFault};
+pub use observe::{observe, PassObserver, PassRun};
 pub use pipeline::{run_pass_budgeted, run_pass_cached, OptLevel, Optimizer};
 pub use request::RequestBudget;
 pub use shards::{catch_quiet, map_functions};
 pub use stages::{try_run_staged, Stage, StagedOutput};
 pub use stats::{measure, measure_module, Measurement};
 pub use timings::{ModuleTimings, PassTiming};
-pub use trace::{opcode_histogram, run_pass_traced};
+pub use trace::opcode_histogram;

@@ -1,9 +1,9 @@
 //! The optimization pipelines of the paper's experimental study (§4.1).
 
-use epre_analysis::AnalysisCache;
+use epre_analysis::{AnalysisCache, CacheStats};
 use epre_ir::{Function, Module};
 use epre_passes::passes::{Clean, Coalesce, ConstProp, Dce, Gvn, Lvn, Peephole, Pre, Reassociate};
-use epre_passes::{Budget, BudgetExceeded, Pass};
+use epre_passes::{Budget, Pass};
 
 use crate::fault::PassFault;
 use crate::shards::map_functions;
@@ -75,11 +75,6 @@ impl Optimizer {
         self
     }
 
-    /// The configured per-pass budget.
-    pub fn budget(&self) -> Budget {
-        self.budget
-    }
-
     /// The configured level.
     pub fn level(&self) -> OptLevel {
         self.level
@@ -118,20 +113,25 @@ impl Optimizer {
         seq
     }
 
-    /// Run `passes` (this level's sequence, built once per worker) over
-    /// `f` through one fresh [`AnalysisCache`], under this optimizer's
-    /// budget.
+    /// The one per-function loop: run `passes` (this level's sequence,
+    /// built once per worker, observed or not) over `f` through one fresh
+    /// [`AnalysisCache`], under this optimizer's budget, and return the
+    /// cache's hit/miss totals.
     ///
     /// Debug builds verify the IR after every pass; a violation stops the
     /// pipeline with a [`PassFault`] naming the pass, the function, and the
     /// exact verifier error (release builds skip the verification but share
     /// the same error route).
-    fn run_passes(&self, passes: &[Box<dyn Pass>], f: &mut Function) -> Result<(), PassFault> {
+    pub(crate) fn run_passes(
+        &self,
+        passes: &[Box<dyn Pass>],
+        f: &mut Function,
+    ) -> Result<CacheStats, PassFault> {
         let mut cache = AnalysisCache::new();
         for pass in passes {
             run_pass_budgeted(pass.as_ref(), f, &mut cache, &self.budget)?;
         }
-        Ok(())
+        Ok(cache.stats())
     }
 
     /// Optimize a copy of the module, reporting a typed fault instead of
@@ -171,7 +171,7 @@ impl Optimizer {
             || self.passes(),
             |passes, _, src| {
                 let mut f = src.clone();
-                self.run_passes(passes, &mut f).map(|()| f)
+                self.run_passes(passes, &mut f).map(|_| f)
             },
         )?;
         Ok(Module { functions, data_words: module.data_words })
@@ -232,21 +232,9 @@ pub fn run_pass_budgeted(
     cache: &mut AnalysisCache,
     budget: &Budget,
 ) -> Result<bool, PassFault> {
-    let outcome = pass.run_budgeted(f, cache, budget);
-    check_pass(pass, f, cache, outcome)
-}
-
-/// Judge the `outcome` of one budgeted run of `pass` over `f`: a budget
-/// trip becomes a [`PassFault`], and debug builds hold the result to the
-/// IR verifier and the cache to the one cache rule. Shared by
-/// [`run_pass_budgeted`] and the traced pipeline.
-pub(crate) fn check_pass(
-    pass: &dyn Pass,
-    f: &Function,
-    cache: &AnalysisCache,
-    outcome: Result<bool, BudgetExceeded>,
-) -> Result<bool, PassFault> {
-    let changed = outcome.map_err(|e| PassFault::budget(pass.name(), &f.name, e))?;
+    let changed = pass
+        .run_budgeted(f, cache, budget)
+        .map_err(|e| PassFault::budget(pass.name(), &f.name, e))?;
     if cfg!(debug_assertions) {
         if let Err(e) = f.verify() {
             return Err(PassFault::verify(pass.name(), &f.name, e.to_string()));
@@ -267,6 +255,7 @@ pub(crate) mod tests {
     use super::*;
     use epre_frontend::{compile, NamingMode};
     use epre_interp::{Interpreter, Value};
+    use epre_passes::BudgetExceeded;
 
     /// The paper's running example (Figure 2), shared by the crate's tests.
     pub(crate) const FOO: &str = "function foo(y, z)\n\

@@ -9,30 +9,32 @@
 //! threads would perturb the numbers it reports); module-level parallel
 //! speedups are measured end-to-end by `perfbench/` instead.
 //!
-//! Since the telemetry layer landed, this module is an *aggregation view*
-//! over the serial traced pipeline ([`Optimizer::try_optimize_traced`] at
-//! `jobs = 1`): the spans already carry measured nanoseconds, change
-//! reports, and cache totals, and this module folds them into the same
-//! [`ModuleTimings`] report the `--timings` flag has always printed.
+//! The timed run is the plain, untraced pipeline over passes
+//! [`observe`]d by a timing observer, so its rows time the same window
+//! as the daemon's live per-pass metrics, and everything else the run
+//! spends (cloning functions, debug-build verification, the observer's
+//! own bookkeeping) is the `driver` row: the total minus the pass rows.
 
 use std::fmt;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use epre_analysis::CacheStats;
 use epre_ir::Module;
-use epre_telemetry::json::Json;
 
 use crate::fault::PassFault;
+use crate::observe::{observe, PassObserver, PassRun};
 use crate::pipeline::Optimizer;
+use crate::shards::map_functions;
 
 /// Accumulated wall-clock cost of one pass across every function of a
 /// module.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PassTiming {
     /// The pass name, as reported by [`epre_passes::Pass::name`].
     pub pass: &'static str,
-    /// Total time spent inside the pass (including its debug-build
-    /// verification when enabled).
+    /// Total time spent inside the pass. The debug-build verification
+    /// after it runs outside this window, in the `driver` row.
     pub duration: Duration,
     /// How many functions the pass ran over.
     pub invocations: usize,
@@ -56,6 +58,14 @@ pub struct ModuleTimings {
     pub passes: Vec<PassTiming>,
     /// Analysis-cache hit/miss tallies summed over all functions.
     pub cache: CacheStats,
+}
+
+impl ModuleTimings {
+    /// What the run spent outside every pass: [`ModuleTimings::total`]
+    /// minus the pass rows.
+    pub fn driver(&self) -> Duration {
+        self.total.saturating_sub(self.passes.iter().map(|p| p.duration).sum())
+    }
 }
 
 fn ms(d: Duration) -> f64 {
@@ -87,7 +97,23 @@ impl fmt::Display for ModuleTimings {
             }
             writeln!(f, ")")?;
         }
-        Ok(())
+        writeln!(f, "  {:<24} {:>9.3} ms", "driver", ms(self.driver()))
+    }
+}
+
+/// The timing observer: one row per pass of the observed list.
+struct Rows(Mutex<Vec<PassTiming>>);
+
+impl PassObserver for Rows {
+    const COUNTERS: bool = true;
+
+    fn after(&self, run: &PassRun<'_>) {
+        let mut rows = self.0.lock().expect("timing rows poisoned");
+        let row = &mut rows[run.index];
+        row.duration += run.elapsed;
+        row.invocations += 1;
+        row.changed += usize::from(matches!(run.outcome, Ok(true)));
+        row.rounds += run.counters.get("rounds");
     }
 }
 
@@ -95,8 +121,9 @@ impl Optimizer {
     /// Optimize a copy of the module serially, timing every pass, and
     /// report a typed fault instead of panicking.
     ///
-    /// The optimized output is identical to [`Optimizer::try_optimize`];
-    /// only the bookkeeping differs.
+    /// This is [`Optimizer::try_optimize`] over observed passes, so the
+    /// optimized output is identical to it; panics are contained the same
+    /// way.
     ///
     /// # Errors
     /// The first [`PassFault`] found in any function.
@@ -104,46 +131,27 @@ impl Optimizer {
         &self,
         module: &Module,
     ) -> Result<(Module, ModuleTimings), PassFault> {
-        let mut timings: Vec<PassTiming> = self
-            .passes()
-            .iter()
-            .map(|p| PassTiming {
-                pass: p.name(),
-                duration: Duration::ZERO,
-                invocations: 0,
-                changed: 0,
-                rounds: 0,
-            })
-            .collect();
-        let mut cache_totals = CacheStats::default();
+        let rows =
+            self.passes().into_iter().map(|p| PassTiming { pass: p.name(), ..Default::default() });
+        let rows = Arc::new(Rows(Mutex::new(rows.collect())));
         let start = Instant::now();
-        // Serial traced run: the spans carry the per-pass nanoseconds and
-        // change reports this view aggregates.
-        let (out, trace) = self.try_optimize_traced(module, 1)?;
+        let done = map_functions(
+            module,
+            1,
+            || observe(self.passes(), &rows),
+            |passes, _, src| {
+                let mut f = src.clone();
+                self.run_passes(passes, &mut f).map(|stats| (f, stats))
+            },
+        )?;
         let total = start.elapsed();
-        for e in &trace.events {
-            match e.kind.as_str() {
-                "span" => {
-                    let timing = timings
-                        .iter_mut()
-                        .find(|t| t.pass == e.pass)
-                        .expect("span names a pipeline pass");
-                    timing.duration += Duration::from_nanos(e.wall_ns);
-                    timing.invocations += 1;
-                    let changed = e.field("changed").and_then(Json::as_bool);
-                    timing.changed += usize::from(changed.unwrap_or(false));
-                    let rounds = e.field("counters").and_then(|c| c.get("rounds"));
-                    timing.rounds += rounds.and_then(Json::as_u64).unwrap_or(0);
-                }
-                "cache" => {
-                    cache_totals.merge(CacheStats {
-                        hits: e.field("hits").and_then(Json::as_u64).unwrap_or(0),
-                        misses: e.field("misses").and_then(Json::as_u64).unwrap_or(0),
-                    });
-                }
-                _ => {}
-            }
+        let mut cache = CacheStats::default();
+        let mut functions = Vec::with_capacity(done.len());
+        for (f, stats) in done {
+            cache.merge(stats);
+            functions.push(f);
         }
+        let timings = std::mem::take(&mut *rows.0.lock().expect("timing rows poisoned"));
         // Micro-assertion on the profile itself: every coalesce invocation
         // performs at least one interference scan (the batch proving the
         // fixed point counts), and the pass must report those rounds —
@@ -158,13 +166,13 @@ impl Optimizer {
             );
         }
         Ok((
-            out,
+            Module { functions, data_words: module.data_words },
             ModuleTimings {
                 level: self.level().label(),
                 functions: module.functions.len(),
                 total,
                 passes: timings,
-                cache: cache_totals,
+                cache,
             },
         ))
     }
@@ -177,24 +185,32 @@ mod tests {
     use crate::pipeline::OptLevel;
     use epre_frontend::{compile, NamingMode};
 
+    /// The timed run is the plain run, every pass gets a row, and the pass
+    /// rows plus the `driver` row are the total to the nanosecond.
     #[test]
     fn timed_run_matches_plain_and_reports_every_pass() {
-        let m = compile(FOO, NamingMode::Disciplined).unwrap();
-        let opt = Optimizer::new(OptLevel::Distribution);
-        let (timed, report) = opt.try_optimize_timed(&m).unwrap();
-        let plain = opt.optimize(&m);
-        assert_eq!(format!("{timed}"), format!("{plain}"), "timing must not change the output");
-        assert_eq!(report.level, "distribution");
-        assert_eq!(report.functions, 1);
-        assert_eq!(report.passes.len(), opt.passes().len());
-        assert!(report.passes.iter().all(|p| p.invocations == 1));
-        assert!(report.total >= report.passes.iter().map(|p| p.duration).sum());
-        assert!(report.cache.hits + report.cache.misses > 0, "cache was consulted");
-        // The round-reporting micro-assertion's positive side: coalesce
-        // reported at least one round per invocation.
-        let coalesce = report.passes.iter().find(|p| p.pass == "coalesce").unwrap();
-        assert!(coalesce.rounds >= coalesce.invocations as u64, "{coalesce:?}");
-        let rendered = format!("{report}");
-        assert!(rendered.contains("round(s)"), "{rendered}");
+        let mut m = compile(FOO, NamingMode::Disciplined).unwrap();
+        let mut twin = m.functions[0].clone();
+        twin.name = "foo2".into();
+        m.functions.push(twin);
+        for level in [OptLevel::PAPER_LEVELS.as_slice(), &[OptLevel::DistributionLvn]].concat() {
+            let opt = Optimizer::new(level);
+            let (timed, report) = opt.try_optimize_timed(&m).unwrap();
+            let plain = opt.try_optimize(&m).unwrap();
+            assert_eq!(format!("{timed}"), format!("{plain}"), "timing must not change the output");
+            assert_eq!((report.level, report.functions), (level.label(), 2));
+            assert_eq!(report.passes.len(), opt.passes().len());
+            assert!(report.passes.iter().all(|p| p.invocations == 2));
+            let passes: Duration = report.passes.iter().map(|p| p.duration).sum();
+            assert_eq!(passes + report.driver(), report.total, "{level:?}");
+            assert!(report.cache.hits + report.cache.misses > 0, "cache was consulted");
+            // The round-reporting micro-assertion's positive side: coalesce
+            // reported at least one round per invocation.
+            let coalesce = report.passes.iter().find(|p| p.pass == "coalesce").unwrap();
+            assert!(coalesce.rounds >= coalesce.invocations as u64, "{coalesce:?}");
+            let rendered = format!("{report}");
+            assert!(rendered.contains("round(s)"), "{rendered}");
+            assert!(rendered.lines().last().unwrap().starts_with("  driver "), "{rendered}");
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! The traced pipeline: structured pass spans, transformation
 //! provenance, and deterministic parallel trace merging.
 //!
-//! This is the same pipeline as [`crate::pipeline`], with a
-//! [`FunctionTrace`] threaded through it. Every pass invocation emits
+//! This is the plain pipeline ([`Optimizer`]'s one per-function loop)
+//! over passes [`observe`]d by a trace observer. Every pass invocation
+//! emits
 //!
 //! * a `span` event carrying the pass's change report, the static
 //!   operation counts around it, and the counters the pass reported
@@ -19,21 +20,22 @@
 //! Virtual span durations are derived from input size (`1 + ops_before`)
 //! rather than the clock, lanes are keyed by module position rather than
 //! worker thread, and the merge concatenates lanes in module order — so
-//! the exported trace is byte-identical at `--jobs 1/2/8`. Wall-clock
-//! time is recorded on every span for the `--timings` aggregation and is
-//! never exported.
+//! the exported trace is byte-identical at `--jobs 1/2/8`. The trace
+//! observer ignores the measured wall time.
+//!
+//! [`Pass::run_instrumented`]: epre_passes::Pass::run_instrumented
+//! [`AnalysisCache`]: epre_analysis::AnalysisCache
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
-use epre_analysis::AnalysisCache;
 use epre_ir::{Function, Inst, Module, Terminator};
-use epre_passes::{Budget, Pass, PassCounters};
 use epre_telemetry::json::Json;
 use epre_telemetry::{FunctionTrace, OpcodeDelta, Trace};
 
 use crate::fault::PassFault;
-use crate::pipeline::{check_pass, Optimizer};
+use crate::observe::{observe, PassObserver, PassRun};
+use crate::pipeline::Optimizer;
 use crate::shards::map_functions;
 
 /// Opcode histogram of a function's static operations, keyed by the
@@ -65,86 +67,48 @@ pub fn opcode_histogram(f: &Function) -> BTreeMap<String, u64> {
     h
 }
 
-/// Run one pass over `f` with tracing: [`crate::run_pass_budgeted`] plus
-/// a `span` and a `provenance` event recorded into `trace`. The span also
-/// carries measured wall-clock nanoseconds (never exported; the
-/// `--timings` aggregation reads them back).
-///
-/// # Errors
-/// A [`PassFault`] with kind `budget` or `verify`, exactly as
-/// [`crate::run_pass_budgeted`].
-pub fn run_pass_traced(
-    pass: &dyn Pass,
-    f: &mut Function,
-    cache: &mut AnalysisCache,
-    budget: &Budget,
-    trace: &mut FunctionTrace,
-) -> Result<bool, PassFault> {
-    let before = opcode_histogram(f);
-    let ops_before = f.static_op_count() as u64;
-    let mut counters = PassCounters::new();
-    let t0 = Instant::now();
-    let outcome = pass.run_instrumented(f, cache, budget, &mut counters);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let changed = check_pass(pass, f, cache, outcome)?;
-    let after = opcode_histogram(f);
-    let ops_after = f.static_op_count() as u64;
-    let delta = OpcodeDelta::between(&before, &after);
+/// One worker's trace observer: the lane of the function being
+/// optimized, and the opcode histogram of that function as the last pass
+/// left it (passes run back to back, so it is the next pass's input).
+#[derive(Default)]
+struct Tracer(Mutex<(FunctionTrace, BTreeMap<String, u64>)>);
 
-    let mut fields = vec![
-        ("changed".to_string(), Json::Bool(changed)),
-        ("ops_before".to_string(), Json::U64(ops_before)),
-        ("ops_after".to_string(), Json::U64(ops_after)),
-    ];
-    if !counters.is_empty() {
-        fields.push(("counters".to_string(), counters.to_map()));
-    }
-    trace.span(pass.name(), 1 + ops_before, wall_ns, fields);
-    let opcodes = |side: Vec<(String, u64)>| {
-        Json::Obj(side.into_iter().map(|(op, n)| (op, Json::U64(n))).collect())
-    };
-    trace.instant(
-        "provenance",
-        pass.name(),
-        vec![
+impl PassObserver for Tracer {
+    const COUNTERS: bool = true;
+
+    fn after(&self, run: &PassRun<'_>) {
+        // A budget trip fails the function, and its partial lane with it.
+        let Ok(changed) = *run.outcome else { return };
+        let mut lane = self.0.lock().expect("trace lane poisoned");
+        let (trace, histogram) = &mut *lane;
+        let before = std::mem::replace(histogram, opcode_histogram(run.function));
+        let ops_before: u64 = before.values().sum();
+        let ops_after = run.function.static_op_count() as u64;
+        let delta = OpcodeDelta::between(&before, histogram);
+
+        let mut fields = vec![
+            ("changed".to_string(), Json::Bool(changed)),
             ("ops_before".to_string(), Json::U64(ops_before)),
             ("ops_after".to_string(), Json::U64(ops_after)),
-            ("eliminated".to_string(), opcodes(delta.eliminated)),
-            ("inserted".to_string(), opcodes(delta.inserted)),
-        ],
-    );
-    Ok(changed)
-}
-
-/// Run `passes` (the optimizer's sequence, built once per worker) over
-/// one function, recording the lane's trace. The closing `cache` event
-/// carries the function's [`AnalysisCache`] hit/miss totals.
-///
-/// # Errors
-/// The first [`PassFault`] encountered, if any. The partial trace is
-/// discarded with the error (the module-level drivers report whole
-/// traces only for whole successes).
-fn optimize_function_traced(
-    opt: &Optimizer,
-    passes: &[Box<dyn Pass>],
-    f: &mut Function,
-    lane: u32,
-) -> Result<FunctionTrace, PassFault> {
-    let mut trace = FunctionTrace::new(&f.name, lane);
-    let mut cache = AnalysisCache::new();
-    for pass in passes {
-        run_pass_traced(pass.as_ref(), f, &mut cache, &opt.budget(), &mut trace)?;
+        ];
+        if !run.counters.is_empty() {
+            fields.push(("counters".to_string(), run.counters.to_map()));
+        }
+        trace.span(run.pass, 1 + ops_before, fields);
+        let opcodes = |side: Vec<(String, u64)>| {
+            Json::Obj(side.into_iter().map(|(op, n)| (op, Json::U64(n))).collect())
+        };
+        trace.instant(
+            "provenance",
+            run.pass,
+            vec![
+                ("ops_before".to_string(), Json::U64(ops_before)),
+                ("ops_after".to_string(), Json::U64(ops_after)),
+                ("eliminated".to_string(), opcodes(delta.eliminated)),
+                ("inserted".to_string(), opcodes(delta.inserted)),
+            ],
+        );
     }
-    let stats = cache.stats();
-    trace.instant(
-        "cache",
-        "pipeline",
-        vec![
-            ("hits".to_string(), Json::U64(stats.hits)),
-            ("misses".to_string(), Json::U64(stats.misses)),
-        ],
-    );
-    Ok(trace)
 }
 
 impl Optimizer {
@@ -167,10 +131,26 @@ impl Optimizer {
         let traced = map_functions(
             module,
             jobs,
-            || self.passes(),
-            |passes, i, src| {
+            || {
+                let tracer = Arc::new(Tracer::default());
+                (observe(self.passes(), &tracer), tracer)
+            },
+            |(passes, tracer), i, src| {
                 let mut f = src.clone();
-                optimize_function_traced(self, passes, &mut f, i as u32).map(|trace| (f, trace))
+                let lane = (FunctionTrace::new(&f.name, i as u32), opcode_histogram(&f));
+                *tracer.0.lock().expect("trace lane poisoned") = lane;
+                let stats = self.run_passes(passes, &mut f)?;
+                let mut trace =
+                    std::mem::take(&mut tracer.0.lock().expect("trace lane poisoned").0);
+                trace.instant(
+                    "cache",
+                    "pipeline",
+                    vec![
+                        ("hits".to_string(), Json::U64(stats.hits)),
+                        ("misses".to_string(), Json::U64(stats.misses)),
+                    ],
+                );
+                Ok((f, trace))
             },
         )?;
         let (functions, lanes): (Vec<Function>, Vec<FunctionTrace>) = traced.into_iter().unzip();

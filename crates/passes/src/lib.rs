@@ -47,9 +47,9 @@
 //! `changed()` and `report(counters)`. One macro generates the built-in
 //! [`Pass`] impls from that entry point (`Reassociate`, which carries its
 //! options, writes the same three methods out), so
-//! [`Pass::run_budgeted`] (the plain and governed pipelines) and
-//! [`Pass::run_instrumented`] (the traced pipeline) run the same body and
-//! differ only in whether the stats are copied into the span's counters.
+//! [`Pass::run_budgeted`] (the pipelines) and [`Pass::run_instrumented`]
+//! (for observers that read counters: trace spans, `--timings`) run the
+//! same body and differ only in whether the stats are copied out.
 //!
 //! A pass's `run` leaves the pipeline's [`AnalysisCache`] consistent with
 //! the function whenever it returns `Ok`: passes that edit in place (dce,
@@ -112,11 +112,12 @@ pub trait Pass {
     ) -> Result<bool, BudgetExceeded>;
 
     /// [`Pass::run_budgeted`], additionally reporting the pass's own
-    /// work counters into `counters` (the telemetry layer's per-span
-    /// payload: expressions hoisted, partitions found, ops folded, …).
-    /// The default ignores `counters`. Every built-in pass runs the same
-    /// body as [`Pass::run_budgeted`] and only copies its stats into
-    /// `counters`, so tracing cannot change the optimization result.
+    /// work counters into `counters` (expressions hoisted, partitions
+    /// found, ops folded, …) for the pass observers that read them:
+    /// trace spans and `--timings`. The default ignores `counters`. Every
+    /// built-in pass runs the same body as [`Pass::run_budgeted`] and only
+    /// copies its stats into `counters`, so observing cannot change the
+    /// optimization result.
     ///
     /// # Errors
     /// [`BudgetExceeded`] exactly as [`Pass::run_budgeted`].

@@ -45,7 +45,6 @@ use epre_telemetry::{Event, FunctionTrace, Trace};
 use crate::cache::ResultCache;
 use crate::events::{
     drain_event, goaway_event, recover_event, request_event, shed_event, DrainAccounting,
-    RequestAccounting,
 };
 use crate::metrics::ServeMetrics;
 use crate::protocol::{DoneFrame, ErrorCode, FunctionFrame, OptimizeRequest, Request, Response};
@@ -199,7 +198,7 @@ impl ServerCore {
     pub fn attach_telemetry(&mut self, sink: Box<dyn Write + Send>) {
         self.telemetry = Some(Mutex::new(sink));
         let rec = self.cache.recovery();
-        self.log_events(vec![recover_event(&rec)]);
+        self.log_events(|| vec![recover_event(&rec)]);
     }
 
     /// Attach the slow-request log (JSON Lines, one summary per slow
@@ -276,7 +275,7 @@ impl ServerCore {
     pub fn note_overload_shed(&self) {
         self.stats.shed_overload.fetch_add(1, Ordering::Relaxed);
         self.recorder.note("shed", "admission queue full");
-        self.log_events(vec![shed_event(ErrorCode::Overloaded.label(), "")]);
+        self.log_events(|| vec![shed_event(ErrorCode::Overloaded.label(), "")]);
     }
 
     /// Record one keep-alive session beginning (a connection that sent
@@ -302,7 +301,7 @@ impl ServerCore {
         };
         counter.fetch_add(1, Ordering::Relaxed);
         self.recorder.note("goaway", reason.label());
-        self.log_events(vec![goaway_event(reason.label())]);
+        self.log_events(|| vec![goaway_event(reason.label())]);
     }
 
     /// Record in-flight sessions abandoned at the drain deadline.
@@ -322,14 +321,16 @@ impl ServerCore {
         let flush = self.cache.flush();
         self.recorder.note("drain", "cache flushed; daemon exiting");
         let s = &self.stats;
-        self.log_events(vec![drain_event(&DrainAccounting {
-            abandoned: s.drain_abandoned.load(Ordering::Relaxed),
-            sessions: s.sessions.load(Ordering::Relaxed),
-            cache_entries: self.cache.len() as u64,
-            cache_file_bytes: self.cache.file_bytes(),
-            cache_evictions: self.cache.evictions(),
-            cache_compactions: self.cache.compactions(),
-        })]);
+        self.log_events(|| {
+            vec![drain_event(&DrainAccounting {
+                abandoned: s.drain_abandoned.load(Ordering::Relaxed),
+                sessions: s.sessions.load(Ordering::Relaxed),
+                cache_entries: self.cache.len() as u64,
+                cache_file_bytes: self.cache.file_bytes(),
+                cache_evictions: self.cache.evictions(),
+                cache_compactions: self.cache.compactions(),
+            })]
+        });
         flush
     }
 
@@ -337,7 +338,7 @@ impl ServerCore {
     /// malformed frame).
     pub fn note_protocol_reject(&self) {
         self.stats.rejected_protocol.fetch_add(1, Ordering::Relaxed);
-        self.log_events(vec![shed_event(ErrorCode::Protocol.label(), "")]);
+        self.log_events(|| vec![shed_event(ErrorCode::Protocol.label(), "")]);
     }
 
     /// Counter snapshot in stable, documented order.
@@ -402,11 +403,13 @@ impl ServerCore {
         }
     }
 
-    /// Retire a finished (or refused) request: count it against the
-    /// slow-request threshold, write the slow log *before* the caller
-    /// emits the terminal frame (so any answer a client holds is already
-    /// on disk), and move the summary from in-flight into the ring.
+    /// Retire a finished (or refused) request: observe its latency under
+    /// its class, count it against the slow-request threshold, write the
+    /// slow log *before* the caller emits the terminal frame (so any
+    /// answer a client holds is already on disk), and move the summary
+    /// from in-flight into the ring.
     fn finish_request(&self, token: u64, summary: RequestSummary) {
+        self.metrics.observe_latency(&summary.class, summary.duration_us);
         if self.config.slow_us.is_some_and(|t| summary.duration_us >= t) {
             self.metrics.slow_requests.inc();
             let line = summary.slow_line();
@@ -438,8 +441,6 @@ impl ServerCore {
         started: Instant,
         emit: &mut dyn FnMut(Response) -> io::Result<()>,
     ) -> io::Result<()> {
-        let duration_us = started.elapsed().as_micros() as u64;
-        self.metrics.observe_latency(class, duration_us);
         self.finish_request(
             token,
             RequestSummary {
@@ -450,7 +451,7 @@ impl ServerCore {
                 reused: 0,
                 fresh: 0,
                 faults: 0,
-                duration_us,
+                duration_us: started.elapsed().as_micros() as u64,
                 spans: Vec::new(),
             },
         );
@@ -486,7 +487,7 @@ impl ServerCore {
         // Gate 1: a quarantined client is refused before any work.
         if self.quarantine.is_open(&r.client) {
             self.stats.shed_quarantined.fetch_add(1, Ordering::Relaxed);
-            self.log_events(vec![shed_event(ErrorCode::Quarantined.label(), &r.client)]);
+            self.log_events(|| vec![shed_event(ErrorCode::Quarantined.label(), &r.client)]);
             let message = format!(
                 "client {:?} is quarantined ({} distinct fault evidence pairs)",
                 r.client,
@@ -550,7 +551,7 @@ impl ServerCore {
             Ok(m) => m,
             Err(message) => {
                 self.stats.rejected_parse.fetch_add(1, Ordering::Relaxed);
-                self.log_events(vec![shed_event(ErrorCode::Parse.label(), &r.client)]);
+                self.log_events(|| vec![shed_event(ErrorCode::Parse.label(), &r.client)]);
                 return self.refuse(
                     rid,
                     &r.client,
@@ -595,7 +596,7 @@ impl ServerCore {
         if !miss_idx.is_empty() {
             let Some(live) = rb.live_budget() else {
                 self.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                self.log_events(vec![shed_event(ErrorCode::Deadline.label(), &r.client)]);
+                self.log_events(|| vec![shed_event(ErrorCode::Deadline.label(), &r.client)]);
                 let message = "request deadline expired before optimization started".to_string();
                 return self.refuse(
                     rid,
@@ -714,7 +715,7 @@ impl ServerCore {
                     if let Err(e) = self.cache.insert(&key, &format!("{out_f}")) {
                         // A full disk must not fail the request: the
                         // result is still correct, only uncached.
-                        self.log_events(vec![shed_event("cache-write-failed", &r.client)]);
+                        self.log_events(|| vec![shed_event("cache-write-failed", &r.client)]);
                         let _ = e;
                         break;
                     }
@@ -784,78 +785,68 @@ impl ServerCore {
             ("respond", t_oracle, t_done, 1),
         ];
 
-        // The per-request trace lane: virtual durations are derived from
-        // the request's shape (so traced runs are byte-identical at any
-        // --request-jobs), wall clocks ride along for the recorder and
-        // are never exported.
-        let mut lane = FunctionTrace::new(rid, 0);
-        for (pass, a, b, dur) in segments {
-            let fields = match pass {
-                "admission" => vec![
-                    ("client".to_string(), Json::Str(r.client.clone())),
-                    ("level".to_string(), Json::Str(level.label().to_string())),
-                    ("policy".to_string(), Json::Str(policy.label().to_string())),
-                ],
-                "cache-probe" => vec![
-                    ("hits".to_string(), Json::U64(reused as u64)),
-                    ("misses".to_string(), Json::U64(miss_idx.len() as u64)),
-                ],
-                "governed-run" => vec![
-                    ("faults".to_string(), Json::U64(out.faults.len() as u64)),
-                    ("retries".to_string(), Json::U64(out.retries as u64)),
-                    ("skipped".to_string(), Json::U64(out.skipped as u64)),
-                ],
-                "oracle" => vec![
-                    ("ran".to_string(), Json::Bool(!miss_idx.is_empty())),
-                    ("inconclusive".to_string(), Json::U64(out.inconclusive as u64)),
-                    ("rollbacks".to_string(), Json::U64(rolled_back.len() as u64)),
-                ],
-                _ => vec![("status".to_string(), Json::Str(status.to_string()))],
-            };
-            lane.span(pass, dur, seg(a, b).as_nanos() as u64, fields);
-        }
-        let mut events = lane.events().to_vec();
-        events.push(request_event(&RequestAccounting {
+        let summary = RequestSummary {
             request: rid.to_string(),
             client: r.client.clone(),
-            status: status.into(),
+            class: class.to_string(),
+            status: status.to_string(),
             reused: reused as u64,
             fresh: miss_idx.len() as u64,
             faults: out.faults.len() as u64,
-            rollbacks: rolled_back.len() as u64,
-            cache_hits: reused as u64,
-            cache_misses: miss_idx.len() as u64,
-        }));
-        self.log_events(events);
+            duration_us: started.elapsed().as_micros() as u64,
+            spans: segments
+                .iter()
+                .map(|(pass, a, b, _)| (pass.to_string(), seg(*a, *b).as_micros() as u64))
+                .collect(),
+        };
 
-        let duration_us = started.elapsed().as_micros() as u64;
-        self.metrics.observe_latency(class, duration_us);
-        // Recorder + slow log settle BEFORE the terminal frame goes out:
+        // The per-request trace lane: virtual durations are derived from
+        // the request's shape, so traced runs are byte-identical at any
+        // --request-jobs; the wall clocks stay with the recorder.
+        self.log_events(|| {
+            let mut lane = FunctionTrace::new(rid, 0);
+            for (pass, _, _, dur) in segments {
+                let fields = match pass {
+                    "admission" => vec![
+                        ("client".to_string(), Json::Str(r.client.clone())),
+                        ("level".to_string(), Json::Str(level.label().to_string())),
+                        ("policy".to_string(), Json::Str(policy.label().to_string())),
+                    ],
+                    "cache-probe" => vec![
+                        ("hits".to_string(), Json::U64(reused as u64)),
+                        ("misses".to_string(), Json::U64(miss_idx.len() as u64)),
+                    ],
+                    "governed-run" => vec![
+                        ("faults".to_string(), Json::U64(out.faults.len() as u64)),
+                        ("retries".to_string(), Json::U64(out.retries as u64)),
+                        ("skipped".to_string(), Json::U64(out.skipped as u64)),
+                    ],
+                    "oracle" => vec![
+                        ("ran".to_string(), Json::Bool(!miss_idx.is_empty())),
+                        ("inconclusive".to_string(), Json::U64(out.inconclusive as u64)),
+                        ("rollbacks".to_string(), Json::U64(rolled_back.len() as u64)),
+                    ],
+                    _ => vec![("status".to_string(), Json::Str(status.to_string()))],
+                };
+                lane.span(pass, dur, fields);
+            }
+            let mut events = lane.events().to_vec();
+            events.push(request_event(&summary, rolled_back.len() as u64));
+            events
+        });
+
+        // Latency, recorder + slow log settle BEFORE the terminal frame goes out:
         // an answer the client holds is always already accounted for.
-        self.finish_request(
-            token,
-            RequestSummary {
-                request: rid.to_string(),
-                client: r.client.clone(),
-                class: class.to_string(),
-                status: status.to_string(),
-                reused: reused as u64,
-                fresh: miss_idx.len() as u64,
-                faults: out.faults.len() as u64,
-                duration_us,
-                spans: segments
-                    .iter()
-                    .map(|(pass, a, b, _)| (pass.to_string(), seg(*a, *b).as_micros() as u64))
-                    .collect(),
-            },
-        );
+        self.finish_request(token, summary);
 
         emit(Response::Done(done))
     }
 
-    fn log_events(&self, events: Vec<Event>) {
+    /// Append `events()` to the telemetry log. It is called only when a
+    /// sink is attached, so a daemon without one builds no events.
+    fn log_events(&self, events: impl FnOnce() -> Vec<Event>) {
         if let Some(sink) = &self.telemetry {
-            let rendered = Trace::from_events(events).to_jsonl();
+            let rendered = Trace::from_events(events()).to_jsonl();
             let mut w = sink.lock().expect("telemetry sink poisoned");
             // Telemetry is best-effort: a full disk must not take the
             // server down with it.

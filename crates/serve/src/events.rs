@@ -1,52 +1,34 @@
 //! Telemetry adapters: serve outcomes as structured trace events.
 //!
-//! Mirrors `epre_harness::events` — the daemon aggregates each request
-//! into a typed accounting struct, and these adapters render it as
+//! Mirrors `epre_harness::events` — the daemon's accounting (a request's
+//! flight-recorder summary, a drain ledger, a cache recovery) rendered as
 //! [`Event`]s for the server's `--telemetry` JSON Lines log. Because the
-//! events are derived from deterministic per-request accounting, a given
-//! request sequence always produces the same log (modulo the `seq`
-//! numbering, which is per-batch in an append-only log).
+//! events carry no wall-clock reading, a given request sequence always
+//! produces the same log (modulo the `seq` numbering, which is per-batch
+//! in an append-only log).
 
 use epre_telemetry::json::Json;
 use epre_telemetry::Event;
 
 use crate::cache::CacheRecovery;
+use crate::recorder::RequestSummary;
 
-/// Per-request accounting rendered into one `request` event.
-#[derive(Debug, Clone, Default)]
-pub struct RequestAccounting {
-    /// The end-to-end trace id echoed in the response frames.
-    pub request: String,
-    /// The client that sent the request.
-    pub client: String,
-    /// `"clean"` or `"degraded"`.
-    pub status: String,
-    /// Functions replayed from the result cache.
-    pub reused: u64,
-    /// Functions freshly optimized.
-    pub fresh: u64,
-    /// Contained pass faults.
-    pub faults: u64,
-    /// Functions rolled back to their input form.
-    pub rollbacks: u64,
-    /// Cache lookups that hit.
-    pub cache_hits: u64,
-    /// Cache lookups that missed.
-    pub cache_misses: u64,
-}
-
-/// One completed request as a `request` event.
-pub fn request_event(acc: &RequestAccounting) -> Event {
+/// One completed request as a `request` event: its flight-recorder
+/// summary without the wall-clock fields, plus the functions the oracle
+/// rolled back. Each function's cache probe either replays it or leaves
+/// it to run fresh, so `cache_hits` and `cache_misses` repeat `reused`
+/// and `fresh`.
+pub fn request_event(summary: &RequestSummary, rollbacks: u64) -> Event {
     Event::instant("request", "", "serve")
-        .with("request", Json::Str(acc.request.clone()))
-        .with("client", Json::Str(acc.client.clone()))
-        .with("status", Json::Str(acc.status.clone()))
-        .with("reused", Json::U64(acc.reused))
-        .with("fresh", Json::U64(acc.fresh))
-        .with("faults", Json::U64(acc.faults))
-        .with("rollbacks", Json::U64(acc.rollbacks))
-        .with("cache_hits", Json::U64(acc.cache_hits))
-        .with("cache_misses", Json::U64(acc.cache_misses))
+        .with("request", Json::Str(summary.request.clone()))
+        .with("client", Json::Str(summary.client.clone()))
+        .with("status", Json::Str(summary.status.clone()))
+        .with("reused", Json::U64(summary.reused))
+        .with("fresh", Json::U64(summary.fresh))
+        .with("faults", Json::U64(summary.faults))
+        .with("rollbacks", Json::U64(rollbacks))
+        .with("cache_hits", Json::U64(summary.reused))
+        .with("cache_misses", Json::U64(summary.fresh))
 }
 
 /// A shed request (overload, expired deadline, client quarantine,
@@ -107,15 +89,16 @@ mod tests {
 
     #[test]
     fn serve_events_render_through_the_standard_sinks() {
-        let acc = RequestAccounting {
+        let summary = RequestSummary {
             request: "00c0ffee00c0ffee".into(),
             client: "ci".into(),
+            class: "cold".into(),
             status: "clean".into(),
             reused: 2,
             fresh: 1,
-            cache_hits: 2,
-            cache_misses: 1,
-            ..Default::default()
+            faults: 0,
+            duration_us: 999,
+            spans: vec![("admission".into(), 998)],
         };
         let rec = CacheRecovery { recovered: 5, resumed_torn: true, ..Default::default() };
         let drain = DrainAccounting {
@@ -128,7 +111,7 @@ mod tests {
         };
         let trace = Trace::from_events(vec![
             recover_event(&rec),
-            request_event(&acc),
+            request_event(&summary, 0),
             shed_event("overloaded", "ci"),
             goaway_event("idle-timeout"),
             drain_event(&drain),
@@ -136,16 +119,18 @@ mod tests {
         let jsonl = trace.to_jsonl();
         assert_eq!(jsonl.lines().count(), 5);
         assert!(jsonl.contains(r#""kind":"recover""#));
-        assert!(jsonl.contains(r#""kind":"request""#));
+        // The request event's fields and their order, and no wall clock.
+        assert!(jsonl.contains(concat!(
+            r#"{"seq":1,"kind":"request","function":"","pass":"serve","lane":0,"ts":0,"dur":0,"#,
+            r#""request":"00c0ffee00c0ffee","client":"ci","status":"clean","reused":2,"fresh":1,"#,
+            r#""faults":0,"rollbacks":0,"cache_hits":2,"cache_misses":1}"#,
+            "\n"
+        )));
         assert!(jsonl.contains(r#""kind":"shed""#));
         assert!(jsonl.contains(r#""code":"overloaded""#));
         assert!(jsonl.contains(r#""kind":"goaway""#));
         assert!(jsonl.contains(r#""reason":"idle-timeout""#));
         assert!(jsonl.contains(r#""kind":"drain""#));
         assert!(jsonl.contains(r#""cache_compactions":2"#));
-        let e = request_event(&acc);
-        assert_eq!(e.field("status").and_then(Json::as_str), Some("clean"));
-        assert_eq!(e.field("request").and_then(Json::as_str), Some("00c0ffee00c0ffee"));
-        assert_eq!(e.field("cache_hits").and_then(Json::as_u64), Some(2));
     }
 }

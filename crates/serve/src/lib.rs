@@ -28,8 +28,10 @@
 //! * [`events`] — the daemon's accounting as standard telemetry events,
 //! * [`metrics`] — the live-metrics wiring: per-class request latency
 //!   histograms, queue/worker gauges, per-pass cumulative pipeline time
-//!   via a transparent timing decorator, all rendered through
-//!   [`epre_telemetry::MetricsRegistry`] as Prometheus text or JSON,
+//!   and invocations from an observer of the `epre` crate's one pass
+//!   decorator (the observer `--timings` also uses), all rendered
+//!   through [`epre_telemetry::MetricsRegistry`] as Prometheus text or
+//!   JSON,
 //! * [`recorder`] — the always-on flight recorder: a bounded ring of
 //!   recent request summaries and daemon events dumped as JSONL on
 //!   SIGQUIT, at drain, and (per request) past the `--slow-ms`
@@ -102,7 +104,6 @@ pub use client::{
 pub use core::{level_from_label, policy_from_label, GoawayReason, ServeConfig, ServerCore};
 pub use events::{
     drain_event, goaway_event, recover_event, request_event, shed_event, DrainAccounting,
-    RequestAccounting,
 };
 pub use loadgen::{run_loadgen, ClassStats, LoadgenConfig, LoadgenReport};
 pub use metrics::{ServeMetrics, REQUEST_CLASSES};

@@ -1,6 +1,6 @@
 //! The daemon's live-metrics wiring: one [`MetricsRegistry`] owned by
 //! the core, pre-registered handles for every hot-path signal, and the
-//! per-pass timing decorator the governed pipeline runs under.
+//! per-pass observer the governed pipeline runs under.
 //!
 //! Two kinds of values meet in the `epre metrics` render:
 //!
@@ -20,11 +20,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use epre::{Budget, BudgetExceeded};
-use epre_analysis::AnalysisCache;
-use epre_ir::Function;
+use epre::{observe, PassObserver, PassRun};
 use epre_passes::Pass;
-use epre_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, PassCounters, Snapshot};
+use epre_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 
 /// Request classes the latency histograms are keyed by. The first four
 /// mirror the loadgen traffic mix; `shed` covers typed refusals
@@ -120,29 +118,26 @@ impl ServeMetrics {
         }
     }
 
-    /// Wrap a pipeline's passes in the per-pass timing decorator, so
-    /// `epre_pass_time_us_total{pass=...}` accumulates live pipeline
-    /// time across every request the daemon serves.
+    /// Observe a pipeline's passes with `epre`'s pass decorator, so
+    /// `epre_pass_time_us_total{pass=...}` and `epre_pass_runs_total`
+    /// accumulate live pipeline time and invocations across every request
+    /// the daemon serves. The decorator keeps each pass's name, so fault
+    /// attribution and quarantine are unchanged.
     pub fn instrument(&self, passes: Vec<Box<dyn Pass>>) -> Vec<Box<dyn Pass>> {
-        passes
-            .into_iter()
-            .map(|inner| {
-                let name = inner.name();
-                Box::new(TimedPass {
-                    time_us: self.registry.counter_labeled(
-                        "epre_pass_time_us_total",
-                        Some(("pass", name)),
-                        "cumulative pipeline time by pass, microseconds",
-                    ),
-                    runs: self.registry.counter_labeled(
-                        "epre_pass_runs_total",
-                        Some(("pass", name)),
-                        "pipeline invocations by pass",
-                    ),
-                    inner,
-                }) as Box<dyn Pass>
+        let counter =
+            |name, pass, help| self.registry.counter_labeled(name, Some(("pass", pass)), help);
+        let meters = passes
+            .iter()
+            .map(|p| {
+                let time_us = "cumulative pipeline time by pass, microseconds";
+                let runs = "pipeline invocations by pass";
+                (
+                    counter("epre_pass_time_us_total", p.name(), time_us),
+                    counter("epre_pass_runs_total", p.name(), runs),
+                )
             })
-            .collect()
+            .collect();
+        observe(passes, &Arc::new(PassMeters(meters)))
     }
 
     /// Dump the registry for rendering (the core then mirrors its stats
@@ -152,49 +147,18 @@ impl ServeMetrics {
     }
 }
 
-/// A transparent timing shim around a pipeline pass: same name, same
-/// results — it only charges the wall time
-/// of each invocation to the pass's cumulative counter. The governed
-/// driver and circuit breakers see the wrapped pass's own name, so
-/// fault attribution and quarantine are unchanged.
-struct TimedPass {
-    inner: Box<dyn Pass>,
-    time_us: Arc<Counter>,
-    runs: Arc<Counter>,
-}
+/// The live per-pass counters, `(time_us, runs)` for each pass of the
+/// observed list: one `Instant` pair (the decorator's) and two atomic
+/// adds per invocation.
+struct PassMeters(Vec<(Arc<Counter>, Arc<Counter>)>);
 
-impl TimedPass {
-    fn charge<T>(&self, work: impl FnOnce() -> T) -> T {
-        let t0 = std::time::Instant::now();
-        let out = work();
-        self.time_us.add(t0.elapsed().as_micros() as u64);
-        self.runs.inc();
-        out
-    }
-}
+impl PassObserver for PassMeters {
+    const COUNTERS: bool = false;
 
-impl Pass for TimedPass {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn run_budgeted(
-        &self,
-        f: &mut Function,
-        cache: &mut AnalysisCache,
-        budget: &Budget,
-    ) -> Result<bool, BudgetExceeded> {
-        self.charge(|| self.inner.run_budgeted(f, cache, budget))
-    }
-
-    fn run_instrumented(
-        &self,
-        f: &mut Function,
-        cache: &mut AnalysisCache,
-        budget: &Budget,
-        counters: &mut PassCounters,
-    ) -> Result<bool, BudgetExceeded> {
-        self.charge(|| self.inner.run_instrumented(f, cache, budget, counters))
+    fn after(&self, run: &PassRun<'_>) {
+        let (time_us, runs) = &self.0[run.index];
+        time_us.add(run.elapsed.as_micros() as u64);
+        runs.inc();
     }
 }
 

@@ -52,10 +52,6 @@ pub struct Event {
     /// Virtual duration (deterministic, derived from input size; zero for
     /// instant events). Exported.
     pub dur: u64,
-    /// Real wall-clock nanoseconds spent, when the producer measured them
-    /// (the `--timings` path does; deterministic paths leave zero).
-    /// **Never exported** — byte-identity across runs depends on it.
-    pub wall_ns: u64,
     /// Extra fields, in producer-chosen (stable) order.
     pub fields: Vec<(String, Json)>,
 }
@@ -71,7 +67,6 @@ impl Event {
             lane: 0,
             ts: 0,
             dur: 0,
-            wall_ns: 0,
             fields: Vec::new(),
         }
     }

@@ -1,9 +1,9 @@
 //! Trace export: JSON Lines and Chrome `trace_event` renderings.
 //!
 //! Both formats build [`Json`] values from the merged [`Trace`] and
-//! encode them with the workspace codec. Neither rendering includes
-//! [`crate::Event::wall_ns`], so equal traces render to byte-identical
-//! output regardless of machine load or `--jobs`.
+//! encode them with the workspace codec. Events hold no wall-clock
+//! reading, so equal traces render to byte-identical output regardless
+//! of machine load or `--jobs`.
 
 use crate::json::{obj, Json};
 use crate::trace::Trace;
@@ -94,7 +94,6 @@ mod tests {
         lane.span(
             "pre",
             7,
-            999,
             vec![
                 ("changed".into(), Json::Bool(true)),
                 ("counters".into(), Json::Obj(vec![("edges_split".into(), Json::U64(2))])),
@@ -118,12 +117,11 @@ mod tests {
         );
         assert!(lines[0].contains("\"counters\":{\"edges_split\":2}"));
         assert!(lines[1].contains("\"ops_before\":9"));
-        assert!(!s.contains("999"), "wall_ns must not be exported");
     }
 
     #[test]
     fn chrome_has_metadata_span_and_instant() {
-        // Thread metadata, then the span and the instant; no `wall_ns`.
+        // Thread metadata, then the span and the instant.
         assert_eq!(
             sample().to_chrome(),
             concat!(

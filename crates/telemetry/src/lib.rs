@@ -33,13 +33,13 @@
 //!
 //! ## Determinism rules
 //!
-//! Exported bytes never contain wall-clock readings. Spans carry a
-//! *virtual* timestamp (a per-lane cursor advanced by a deterministic
-//! duration derived from the pass's input size) so the same module at the
-//! same level produces byte-identical JSONL and Chrome traces on any
-//! machine and at any `--jobs` count. Real wall time is still recorded in
-//! [`Event::wall_ns`] for the `--timings` report, but that field is
-//! excluded from both export formats.
+//! Events never hold wall-clock readings. Spans carry a *virtual*
+//! timestamp (a per-lane cursor advanced by a deterministic duration
+//! derived from the pass's input size) so the same module at the same
+//! level produces byte-identical JSONL and Chrome traces on any machine
+//! and at any `--jobs` count. Measured pass time goes to the observers of
+//! the `epre` crate's pass decorator (`--timings`, the daemon's live
+//! metrics), never into a trace.
 //!
 //! The crate is dependency-free by design — it speaks plain strings,
 //! integers and JSON values, so every other workspace crate can depend

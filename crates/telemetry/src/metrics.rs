@@ -148,6 +148,17 @@ impl Histogram {
     }
 }
 
+/// Escape `s` for the text exposition: backslash and newline always, and
+/// the double quote too in a label value (`quote`), as the format requires.
+fn escape(s: &str, quote: bool) -> String {
+    let s = s.replace('\\', "\\\\").replace('\n', "\\n");
+    if quote {
+        s.replace('"', "\\\"")
+    } else {
+        s
+    }
+}
+
 /// Upper-bound quantile estimate over fixed-ladder bucket counts: the
 /// smallest ladder bound whose cumulative count reaches the nearest-rank
 /// `num/den` quantile. Returns `None` for an empty histogram or when the
@@ -411,7 +422,7 @@ impl Snapshot {
         for e in self.sorted() {
             if e.name != last_family {
                 if !e.help.is_empty() {
-                    out.push_str(&format!("# HELP {} {}\n", e.name, e.help));
+                    out.push_str(&format!("# HELP {} {}\n", e.name, escape(&e.help, false)));
                 }
                 out.push_str(&format!("# TYPE {} {}\n", e.name, e.item.type_name()));
                 last_family.clone_from(&e.name);
@@ -419,8 +430,8 @@ impl Snapshot {
             let plain_label = |extra: &str| match (&e.label, extra.is_empty()) {
                 (None, true) => String::new(),
                 (None, false) => format!("{{{extra}}}"),
-                (Some((k, v)), true) => format!("{{{k}=\"{v}\"}}"),
-                (Some((k, v)), false) => format!("{{{k}=\"{v}\",{extra}}}"),
+                (Some((k, v)), true) => format!("{{{k}=\"{}\"}}", escape(v, true)),
+                (Some((k, v)), false) => format!("{{{k}=\"{}\",{extra}}}", escape(v, true)),
             };
             match &e.item {
                 Item::Counter { value } | Item::Gauge { value } => {

@@ -16,7 +16,7 @@ use crate::json::Json;
 /// Every event it records carries the lane index and a virtual timestamp
 /// from the lane-local cursor; global `seq` stays zero until the lanes
 /// are merged by [`Trace::from_lanes`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FunctionTrace {
     function: String,
     lane: u32,
@@ -30,40 +30,33 @@ impl FunctionTrace {
         FunctionTrace { function: function.to_string(), lane, cursor: 0, events: Vec::new() }
     }
 
-    /// The function this lane belongs to.
-    pub fn function(&self) -> &str {
-        &self.function
-    }
-
     /// Events recorded so far, in emission order.
     pub fn events(&self) -> &[Event] {
         &self.events
     }
 
-    fn push(&mut self, mut e: Event, dur: u64, wall_ns: u64) {
+    fn push(&mut self, mut e: Event, dur: u64) {
         e.function.clone_from(&self.function);
         e.lane = self.lane;
         e.ts = self.cursor;
         e.dur = dur;
-        e.wall_ns = wall_ns;
         self.cursor += dur;
         self.events.push(e);
     }
 
     /// Record a completed span: one pass invocation of `pass`, with a
-    /// deterministic virtual duration `dur`, optional measured wall time,
-    /// and producer-chosen fields.
-    pub fn span(&mut self, pass: &str, dur: u64, wall_ns: u64, fields: Vec<(String, Json)>) {
+    /// deterministic virtual duration `dur` and producer-chosen fields.
+    pub fn span(&mut self, pass: &str, dur: u64, fields: Vec<(String, Json)>) {
         let mut e = Event::instant("span", "", pass);
         e.fields = fields;
-        self.push(e, dur, wall_ns);
+        self.push(e, dur);
     }
 
     /// Record an instant event of the given kind.
     pub fn instant(&mut self, kind: &str, pass: &str, fields: Vec<(String, Json)>) {
         let mut e = Event::instant(kind, "", pass);
         e.fields = fields;
-        self.push(e, 0, 0);
+        self.push(e, 0);
     }
 }
 
@@ -110,7 +103,7 @@ mod tests {
     fn lane(name: &str, idx: u32, passes: &[&str]) -> FunctionTrace {
         let mut t = FunctionTrace::new(name, idx);
         for p in passes {
-            t.span(p, 5, 123, vec![("changed".into(), Json::Bool(true))]);
+            t.span(p, 5, vec![("changed".into(), Json::Bool(true))]);
             t.instant("provenance", p, Vec::new());
         }
         t

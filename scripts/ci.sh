@@ -109,6 +109,16 @@ schema_ok="$(grep -c '^{"seq":[0-9]*,.*"function":.*"pass":' "$tmpdir/trace.json
     echo "trace schema check failed: $schema_ok of $lines line(s) well-formed" >&2
     exit 1
 }
+# --timings on the same module must exit 0 with one row per pass of the
+# level (distribution runs 8) and the closing driver row.
+target/release/epre opt "$tmpdir/trace_smoke.iloc" --level distribution --timings \
+    > /dev/null 2> "$tmpdir/timings.txt"
+rows="$(grep -c '^  [a-z+]* *[0-9.]* ms  (' "$tmpdir/timings.txt" || true)"
+[ "$rows" -eq 8 ] && grep -q '^  driver  *[0-9.]* ms$' "$tmpdir/timings.txt" || {
+    echo "--timings must print 8 pass rows and a driver row:" >&2
+    cat "$tmpdir/timings.txt" >&2
+    exit 1
+}
 
 echo "==> serve smoke (daemon, warm cache, kill -9, recovery)"
 # Start the daemon on an ephemeral port, scrape the bound address, and

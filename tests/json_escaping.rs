@@ -1,6 +1,7 @@
 //! Every JSON writer escapes what it is given: names containing a quote,
 //! a backslash, a newline and a control character parse back unchanged
-//! with the workspace codec.
+//! with the workspace codec. The Prometheus text render escapes them as
+//! its format requires.
 
 use effective_pre::lint_json::lint_json;
 use epre_lint::{Location, Report, Rule};
@@ -15,7 +16,7 @@ fn str_at<'a>(v: &'a Json, path: &[&str]) -> Option<&'a str> {
 
 fn trace() -> Trace {
     let mut lane = FunctionTrace::new(NAME, 0);
-    lane.span(NAME, 1, 0, vec![(NAME.into(), Json::Str(NAME.into()))]);
+    lane.span(NAME, 1, vec![(NAME.into(), Json::Str(NAME.into()))]);
     lane.instant(NAME, NAME, Vec::new());
     Trace::from_lanes(vec![lane])
 }
@@ -64,6 +65,23 @@ fn metrics_render_round_trips_names() {
     let metric = &doc.get("metrics").and_then(Json::as_arr).unwrap()[0];
     assert_eq!(str_at(metric, &["name"]), Some(NAME));
     assert_eq!(str_at(metric, &["label"]), Some(format!("{NAME}={NAME}").as_str()));
+}
+
+/// The Prometheus text exposition has no JSON to round-trip through: it
+/// must escape `\`, `"` and newline in a label value and `\` and newline
+/// in HELP text, so that each sample stays on one line.
+#[test]
+fn metrics_text_escapes_label_values_and_help() {
+    let mut snap = Snapshot::new();
+    snap.push_counter("epre_escape_total", Some(("name", NAME)), NAME, 1);
+    assert_eq!(
+        snap.to_text(),
+        concat!(
+            "# HELP epre_escape_total a\"b\\\\c\\nd\u{1}e\n",
+            "# TYPE epre_escape_total counter\n",
+            "epre_escape_total{name=\"a\\\"b\\\\c\\nd\u{1}e\"} 1\n"
+        )
+    );
 }
 
 #[test]

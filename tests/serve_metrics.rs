@@ -1,11 +1,12 @@
 //! The live-metrics surface, end to end: the `metrics` protocol
-//! request over real TCP, reconciliation against `--stats`, the
-//! plain-HTTP scrape listener, and byte-identical traced serve runs
-//! across `--jobs` values.
+//! request over real TCP, reconciliation against `--stats` and against
+//! `--timings`, the plain-HTTP scrape listener, and byte-identical traced
+//! serve runs across `--jobs` values.
 
 use std::io::{Read as _, Write as _};
 use std::sync::{Arc, Mutex};
 
+use epre::{OptLevel, Optimizer};
 use epre_serve::client::{metrics as scrape_metrics, stats, submit, ClientConfig};
 use epre_serve::{
     serve_metrics_http, serve_tcp, shutdown, OptimizeRequest, Request, Response, ResultCache,
@@ -126,6 +127,34 @@ fn metrics_request_reconciles_with_stats_over_the_wire() {
 
     shutdown(&cfg).unwrap();
     handle.join().unwrap().unwrap();
+}
+
+/// The live per-pass counters and `--timings` are observers of one pass
+/// decorator, so they cannot disagree: a cold best-effort request runs
+/// each pass exactly as often as the timed pipeline on the same module
+/// and level.
+#[test]
+fn live_pass_counters_agree_with_timings() {
+    let text = gen_module(0..4);
+    let core = ServerCore::new(ServeConfig::default(), ResultCache::in_memory());
+    let mut terminal = None;
+    core.handle(&Request::Optimize(request(text.clone())), &mut |resp| {
+        terminal = Some(resp);
+        Ok(())
+    })
+    .unwrap();
+    match terminal {
+        Some(Response::Done(d)) => assert_eq!((d.status.as_str(), d.fresh), ("clean", 4)),
+        other => panic!("expected done, got {other:?}"),
+    }
+    let metrics = core.render_metrics("text");
+    let module = epre_ir::parse_module(&text).unwrap();
+    let (_, timings) = Optimizer::new(OptLevel::Distribution).try_optimize_timed(&module).unwrap();
+    for row in &timings.passes {
+        let series = format!("epre_pass_runs_total{{pass=\"{}\"}}", row.pass);
+        assert_eq!(series_value(&metrics, &series), Some(row.invocations as u64), "{metrics}");
+    }
+    assert_eq!(metrics.matches("epre_pass_runs_total{").count(), timings.passes.len());
 }
 
 #[test]
