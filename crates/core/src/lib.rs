@@ -41,7 +41,7 @@
 //! ```
 
 pub mod fault;
-pub mod observe;
+pub mod observer;
 pub mod pipeline;
 pub mod request;
 pub mod shards;
@@ -52,7 +52,7 @@ pub mod trace;
 
 pub use epre_passes::{Budget, BudgetExceeded, BudgetKind};
 pub use fault::{FaultKind, PassFault};
-pub use observe::{observe, PassObserver, PassRun};
+pub use observer::{observe, PassObserver, PassRun};
 pub use pipeline::{run_pass_budgeted, run_pass_cached, OptLevel, Optimizer};
 pub use request::RequestBudget;
 pub use shards::{catch_quiet, map_functions};

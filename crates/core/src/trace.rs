@@ -34,7 +34,7 @@ use epre_telemetry::json::Json;
 use epre_telemetry::{FunctionTrace, OpcodeDelta, Trace};
 
 use crate::fault::PassFault;
-use crate::observe::{observe, PassObserver, PassRun};
+use crate::observer::{observe, PassObserver, PassRun};
 use crate::pipeline::Optimizer;
 use crate::shards::map_functions;
 

@@ -192,7 +192,7 @@ mod tests {
             }
             format!("{f}")
         };
-        assert_eq!(plain, timed, "timing shim must be transparent");
+        assert_eq!(plain, timed, "observing the passes must be transparent");
         let text = metrics.snapshot().to_text();
         assert!(text.contains("epre_pass_runs_total{pass=\"pre\"} 1"), "{text}");
         assert!(text.contains("epre_pass_time_us_total{pass=\"dce\"}"), "{text}");
